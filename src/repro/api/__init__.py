@@ -64,12 +64,20 @@ from .result import (
     sweep_report_payload,
     witness_row,
 )
-from .session import Session, parse_roundoff
+from .session import (
+    MAX_PRECISION_BITS,
+    PRECISION_BITS_ERROR,
+    Session,
+    check_precision_bits,
+    parse_roundoff,
+)
 from .stream import RowStream
 from .builtin import SWEEP_PRECISIONS, RemoteEngine, ScalarLensEngine
 
 __all__ = [
     "BASE_SCHEMA_VERSION",
+    "MAX_PRECISION_BITS",
+    "PRECISION_BITS_ERROR",
     "SCHEMA_VERSION",
     "STATIC_SCHEMA_VERSION",
     "SWEEP_PRECISIONS",
@@ -84,6 +92,7 @@ __all__ = [
     "UnknownEngineError",
     "assemble_stream_payload",
     "batch_report_payload",
+    "check_precision_bits",
     "engine_names",
     "engines",
     "format_engine_table",

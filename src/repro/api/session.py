@@ -25,6 +25,7 @@ CLI prints and the audit server serves, byte for byte.
 from __future__ import annotations
 
 import dataclasses
+import numbers
 from typing import (
     TYPE_CHECKING,
     Any,
@@ -46,14 +47,43 @@ from .registry import AuditRequest, Engine, engines, get_engine
 from .result import AuditResult
 from .stream import RowStream
 
-__all__ = ["Session", "parse_roundoff"]
+__all__ = [
+    "MAX_PRECISION_BITS",
+    "PRECISION_BITS_ERROR",
+    "Session",
+    "check_precision_bits",
+    "parse_roundoff",
+]
+
+
+#: The widest significand a run can simulate.  Approximate arithmetic
+#: runs in binary64; a wider format would be judged against a bound
+#: that binary64's own rounding already exceeds — a bogus verdict.
+MAX_PRECISION_BITS = 53
+
+#: The one message every surface (Session, sweep widths, CLI, server)
+#: rejects an unusable significand width with.
+PRECISION_BITS_ERROR = (
+    f"precision_bits must be an integer in [1, {MAX_PRECISION_BITS}]: "
+    "binary64 arithmetic cannot simulate a wider significand"
+)
+
+
+def check_precision_bits(bits: object) -> int:
+    """``bits`` as an int if a run can honor that width, else ValueError."""
+    if isinstance(bits, bool) or not isinstance(bits, numbers.Integral):
+        raise ValueError(PRECISION_BITS_ERROR)
+    width = int(bits)
+    if not 1 <= width <= MAX_PRECISION_BITS:
+        raise ValueError(PRECISION_BITS_ERROR)
+    return width
 
 
 def _validate_limits(
     precision_bits: Optional[int], workers: Optional[int]
 ) -> None:
-    if precision_bits is not None and precision_bits < 1:
-        raise ValueError("precision_bits must be a positive integer")
+    if precision_bits is not None:
+        check_precision_bits(precision_bits)
     if workers is not None and workers < 1:
         raise ValueError("workers must be a positive integer")
 
@@ -61,7 +91,7 @@ def _validate_limits(
 def _validate_sweep_bits(
     sweep_bits: Optional[Sequence[int]],
 ) -> Optional[Tuple[int, ...]]:
-    """Normalize a sweep precision list: positive integers, strictly
+    """Normalize a sweep precision list: widths in [1, 53], strictly
     increasing (narrowest first, the order the sweep payload reports)."""
     if sweep_bits is None:
         return None
@@ -70,15 +100,7 @@ def _validate_sweep_bits(
         raise ValueError(
             "sweep precision list must name at least one significand width"
         )
-    for bits in widths:
-        if isinstance(bits, bool) or not isinstance(bits, int):
-            raise ValueError(
-                f"sweep precision widths must be integers, got {bits!r}"
-            )
-        if bits < 1:
-            raise ValueError(
-                "sweep precision widths must be positive integers"
-            )
+    widths = [check_precision_bits(bits) for bits in widths]
     if any(a >= b for a, b in zip(widths, widths[1:])):
         raise ValueError(
             "sweep precision widths must be strictly increasing "
@@ -300,7 +322,7 @@ class Session:
         engine streams over the wire instead), then ``result()`` /
         ``text`` reassemble the exact buffered payload.  ``sweep_bits``
         overrides the ``sweep`` engine's significand-width list
-        (strictly increasing positive integers); like ``workers``, it
+        (strictly increasing widths in [1, 53]); like ``workers``, it
         rides on every request and engines that don't sweep ignore it.
 
         ``compose=True`` (default: the session's ``compose`` flag)

@@ -58,21 +58,20 @@ def _parse_precision_bits(text: str) -> tuple:
     precision list (engine=sweep audits every width; other engines
     ignore it, like an unused ``--workers``).
     """
-    text = str(text).strip()
+    from .api import check_precision_bits
+
+    parts = str(text).split(",")
     try:
-        if "," in text:
-            widths = [
-                int(part.strip()) for part in text.split(",") if part.strip()
-            ]
-            if not widths:
-                raise ValueError
-            return None, widths
-        return int(text), None
+        widths = [int(part) for part in parts if part.strip()]
     except ValueError:
+        widths = []
+    if not widths:
         raise ValueError(
             "--precision-bits must be an integer or a comma-separated "
-            f"integer list, got {text!r}"
-        ) from None
+            f"integer list, got {str(text).strip()!r}"
+        )
+    widths = [check_precision_bits(bits) for bits in widths]
+    return (widths[0], None) if len(parts) == 1 else (None, widths)
 
 
 def _engine_choices() -> List[str]:
@@ -891,11 +890,14 @@ def _cmd_client(args: argparse.Namespace) -> int:
 
 
 def _cmd_watch(args: argparse.Namespace) -> int:
+    from .api import check_precision_bits
     from .compose import watch_file
 
     u = _parse_roundoff(args.u) if args.u is not None else None
-    if args.precision_bits < 1:
-        print("error: --precision-bits must be a positive integer", file=sys.stderr)
+    try:
+        check_precision_bits(args.precision_bits)
+    except ValueError as exc:
+        print(f"error: {exc}", file=sys.stderr)
         return 1
     if args.interval <= 0:
         print("error: --interval must be positive", file=sys.stderr)

@@ -317,6 +317,7 @@ class BatchWitnessReport:
         fallback_rows: int,
         exact_backend: str = "eft",
         rows: Optional[List[tuple]] = None,
+        rechecked_rows: int = 0,
     ) -> None:
         self.definition = definition
         self.n_rows = n_rows
@@ -337,6 +338,10 @@ class BatchWitnessReport:
         #: section); ``None`` otherwise.  Picklable, so shards and
         #: chunked streams can carry them across processes.
         self.rows = rows
+        #: Clean rows (not ``fallback_rows``) whose verdicts or exact
+        #: distances the EFT screen left to the scalar reference — the
+        #: screen's efficiency.  In-process only: never serialized.
+        self.rechecked_rows = rechecked_rows
 
     # -- aggregates --------------------------------------------------------
 
@@ -876,33 +881,31 @@ class BatchWitnessEngine:
         and in dd (~1e-32·cond) both sit many orders below every
         decision threshold, so whenever dd calls a verdict "sure", the
         Decimal path provably agrees.
+
+        The kernels run on the operands the forward sweep produced
+        (:class:`_EftArith`): binary64 forward values enter the witness
+        formulas as is, so add/sub witnesses share one dd quotient
+        ``x3/s`` by an exact TwoSum divisor and scale it by each
+        binary64 operand (``dd_mul_fp``, ``<= 3u²``), mul/div form
+        ``x1·x2`` by one exact TwoProd, and dmul divides by a binary64
+        whose split is computed once (``dd_div_fp``, ``<= 3u²``); the
+        generic dd kernels (``dd_div`` ``<= 14u²``) run only between two
+        dd values.  All of these are ~1e-31 relative, orders of
+        magnitude inside every margin below.
+        ``rechecked_rows`` on the report counts the clean rows handed to
+        the scalar reference.
         """
         ir = self.ir
         m = int(clean.size)
         arith = _EftArith(m)
-        dd_cache: Dict[int, object] = {}
-        dd_memo: Dict[int, DD] = {}
-
-        def _dd_leaf(a):
-            r = dd_memo.get(id(a))
-            if r is None:
-                r = eft.from_float(a)
-                dd_memo[id(a)] = r
-            return r
-
-        def ddc(slot: int):
-            cached = dd_cache.get(slot)
-            if cached is None:
-                cached = _map_tree(fsel(slot), _dd_leaf)
-                dd_cache[slot] = cached
-            return cached
 
         with np.errstate(all="ignore"):
-            # Phase 2': backward reverse sweep on dd arrays.  Rows where
+            # Phase 2': backward reverse sweep on dd arrays.  Forward
+            # operands enter the kernels as binary64 arrays.  Rows where
             # a kernel leaves its validated range land in arith.suspect
             # and are settled by the scalar reference below.
             targets: List = [None] * ir.n_slots
-            self._backward(ir.ops, fsel, ddc, targets, arith)
+            self._backward(ir.ops, fsel, fsel, targets, arith)
             perturbed: Dict[str, object] = {}
             for p in ir.params:
                 if p.discrete:
@@ -1053,6 +1056,7 @@ class BatchWitnessEngine:
             dict(self._bounds),
             fallback_rows=int(fallback.size),
             exact_backend=self.exact_backend,
+            rechecked_rows=len(rechecked),
         )
 
     def _dist_screen_eft(self, orig_tree, new_tree, m: int,
@@ -1060,12 +1064,17 @@ class BatchWitnessEngine:
         """Float64 RP-distance approximations for one parameter's leaves.
 
         Returns ``(d_max, noise)``: the per-row max over leaf distances
-        as float64 (error ~1e-16·d + 1e-30: the dd ratio is exact to
-        ~32 digits and ``log1p`` adds one float rounding), plus a mask
-        of rows holding a noise-floor leaf.  Rows the screen cannot
-        decide at all are flagged into ``recheck``: sign flips or
-        vanished leaves (where the exact metric jumps to INF) and
-        ratios outside float range.  A targeted leaf whose dd distance
+        as float64, plus a mask of rows holding a noise-floor leaf.
+        Each leaf distance comes from :func:`eft.rp_distance`: the gap
+        ``(o - n)/n`` from an exact (Sterbenz) difference and ``log1p``,
+        within ``5u ≈ 6e-16`` relative of ``|ln(o/n)|`` for the dd
+        ``n`` — ~1e3 inside the ``1e-12``-relative margins below, and
+        as accurate at the noise floor as anywhere else.  The dd ``n``
+        itself differs from the 50-digit reference by ~1e-32·cond
+        relative, which the margins' ``1e-26`` absolute term absorbs.
+        Rows the screen cannot decide at all are flagged into
+        ``recheck``: sign flips or vanished leaves (where the exact
+        metric jumps to INF) and ratios outside float range.  A targeted leaf whose dd distance
         reads below 1e-28 is different — down there the *reference*
         value is dominated by the 50-digit evaluator's own rounding
         noise (~1e-50·depth, e.g. a witness formula that happens to be
@@ -1089,19 +1098,12 @@ class BatchWitnessEngine:
         for o, nw in zip(orig_leaves, new_leaves):
             if nw is o:
                 continue  # untargeted leaf: d = |ln(x/x)| = 0 exactly
-            nd = eft.as_dd(nw)
-            bad = (o == 0.0) | eft.is_zero(nd) | (
-                (o > 0.0) != eft.sign_positive(nd)
-            )
-            ratio = eft.dd_div(eft.from_float(o), nd)
-            gap = eft.dd_add(ratio, eft.from_float(np.full(m, -1.0)))
-            d = np.abs(np.log1p(gap.hi))
-            undecided = bad | ~np.isfinite(d) | (np.abs(ratio.hi) > 1e300)
-            tiny = ~undecided & (d < 1e-28)
+            d, undecided = eft.rp_distance(o, eft.as_dd(nw))
+            tiny = d < 1e-28
+            tiny &= ~undecided
             recheck |= undecided
             noise |= tiny
-            d = np.where(undecided | tiny, 0.0, d)
-            d_max = np.maximum(d_max, d)
+            np.maximum(d_max, d, out=d_max, where=~(undecided | tiny))
         return d_max, noise
 
     # -- phase kernels -----------------------------------------------------
@@ -1418,28 +1420,32 @@ class BatchWitnessEngine:
 
         dd addition/multiplication carry ~106 bits; against the
         50-digit reference the results agree to ~32 digits, which the
-        phase-4 screens' margins absorb.  Cases only Decimal evaluates
-        faithfully — a zero divisor on a non-suspect row, a literal dd
-        cannot represent exactly — raise :class:`_EftUnsupported`.
+        phase-4 screens' margins absorb.  Leaves the backward map left
+        untouched, discrete values and literals stay binary64 arrays,
+        so the ops that read them run the dd∘binary64 kernels.  Cases
+        only Decimal evaluates faithfully — a zero divisor on a
+        non-suspect row, a literal dd cannot represent exactly — raise
+        :class:`_EftUnsupported`.
         """
         for op in ops:
             code = op.code
             if L.ADD <= code <= L.DMUL:
-                a, b = eft.as_dd(vals[op.a]), eft.as_dd(vals[op.b])
+                a, b = vals[op.a], vals[op.b]
                 if code == L.ADD:
                     vals[op.dest] = arith.add(a, b)
                 elif code == L.SUB:
                     vals[op.dest] = arith.sub(a, b)
                 elif code == L.DIV:
-                    if bool((eft.is_zero(b) & ~arith.suspect).any()):
-                        # ⇓_id maps a zero divisor to inr (); the Decimal
-                        # sweep raises _Unvectorizable here — defer.
-                        raise _EftUnsupported("ideal division by dd zero")
+                    # ⇓_id maps a zero divisor to inr (); the Decimal
+                    # sweep raises _Unvectorizable there, and arith.div
+                    # defers such batches to it.
                     vals[op.dest] = _BSum(
                         np.ones(n, dtype=bool), arith.div(a, b), _BUNIT
                     )
-                else:  # MUL / DMUL
+                elif code == L.MUL:
                     vals[op.dest] = arith.mul(a, b)
+                else:
+                    vals[op.dest] = arith.dmul(a, b)
             elif code in (L.DVAR, L.BANG, L.RND):
                 vals[op.dest] = vals[op.a]  # rnd is the identity in ⇓_id
             elif code == L.PAIR:
@@ -1454,7 +1460,7 @@ class BatchWitnessEngine:
                     # The ideal semantics evaluates the literal as an
                     # exact Decimal; dd can only hold binary64 values.
                     raise _EftUnsupported("non-binary ideal constant")
-                vals[op.dest] = eft.from_float(np.full(n, c))
+                vals[op.dest] = np.full(n, c)
             elif code == L.UNIT:
                 vals[op.dest] = _BUNIT
             elif code == L.INL:
@@ -1627,6 +1633,13 @@ class _DecArith:
 class _EftArith:
     """Backward/ideal kernels on dd (hi/lo float64 pair) arrays.
 
+    Operands are dd values or binary64 arrays: forward values, the
+    untargeted leaves of the ideal sweep and literals stay binary64,
+    and each kernel follows its operands' types — an exact TwoSum or
+    TwoProd for two binary64s, a dd∘binary64 kernel for a mixed pair,
+    the generic dd kernel only when both operands are dd.  Results are
+    always dd.
+
     Maintains a per-row ``suspect`` mask: rows where a kernel result
     left the range on which the dd soundness arguments hold (overflow,
     underflow, non-finite, or a product/quotient that underflowed to an
@@ -1640,37 +1653,75 @@ class _EftArith:
     :class:`_EftUnsupported` instead, so the engine reruns the batch on
     the Decimal path and inherits its exact behavior (including its
     batch-wide scalar fallback and its error messages).
+
+    Zero tests read ``hi`` alone: every dd here is a kernel output (or
+    its negation, magnitude or row selection), hence normalized, and a
+    normalized dd is zero iff its ``hi`` is.
     """
 
     def __init__(self, m: int) -> None:
         self.suspect = np.zeros(m, dtype=bool)
+        # Veltkamp splits of binary64 dmul operands, by array identity
+        # (the array is kept alive with its split so its id stays
+        # unique): a discrete operand such as Horner's evaluation point
+        # is split once, not once per op in each sweep.
+        self._splits: Dict[int, Tuple[np.ndarray, Tuple[np.ndarray, np.ndarray]]] = {}
 
     @staticmethod
     def ensure(tree):
-        return _map_tree(tree, eft.as_dd)
+        return tree  # the kernels take binary64 and dd operands alike
+
+    def _split_of(self, y: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+        hit = self._splits.get(id(y))
+        if hit is None:
+            hit = self._splits[id(y)] = (y, eft.split(y))
+        return hit[1]
 
     def _guard(self, x: DD) -> DD:
         self.suspect |= eft.range_suspect(x)
         return x
 
-    def add(self, x: DD, y: DD) -> DD:
-        return self._guard(eft.dd_add(x, y))
-
-    def sub(self, x: DD, y: DD) -> DD:
-        return self._guard(eft.dd_sub(x, y))
-
-    def mul(self, x: DD, y: DD) -> DD:
-        r = eft.dd_mul(x, y)
-        # A vanished product of nonzero factors is an underflow artifact
-        # — Decimal would keep it nonzero.
-        self.suspect |= eft.is_zero(r) & ~eft.is_zero(x) & ~eft.is_zero(y)
+    def add(self, x, y) -> DD:
+        if isinstance(x, DD):
+            r = eft.dd_add(x, y) if isinstance(y, DD) else eft.dd_add_fp(x, y)
+        elif isinstance(y, DD):
+            r = eft.dd_add_fp(y, x)
+        else:
+            r = DD(*eft.two_sum(x, y))  # exact
         return self._guard(r)
 
-    def div(self, x: DD, y: DD) -> DD:
-        if bool((eft.is_zero(y) & ~self.suspect).any()):
+    def sub(self, x, y) -> DD:
+        return self.add(x, eft.dd_neg(y) if isinstance(y, DD) else -y)
+
+    def mul(self, x, y, y_split=None) -> DD:
+        """``x·y``; ``y_split`` is ``split(y)`` for a binary64 ``y``."""
+        if isinstance(y, DD) and not isinstance(x, DD):
+            x, y = y, x
+        if isinstance(x, DD):
+            if isinstance(y, DD):
+                r = eft.dd_mul(x, y)
+            else:
+                r = eft.dd_mul_fp(x, y, y_split)
+        else:
+            r = DD(*eft.two_prod(x, y, y_split))  # exact
+        # A vanished product of nonzero factors is an underflow artifact
+        # — Decimal would keep it nonzero.
+        vanished = r.hi == 0.0
+        vanished &= _nonzero(x)
+        vanished &= _nonzero(y)
+        self.suspect |= vanished
+        return self._guard(r)
+
+    def div(self, x, y, y_split=None) -> DD:
+        if bool((~_nonzero(y) & ~self.suspect).any()):
             raise _EftUnsupported("exact zero divisor in dd sweep")
-        r = eft.dd_div(x, y)
-        self.suspect |= eft.is_zero(r) & ~eft.is_zero(x)
+        if isinstance(y, DD):
+            r = eft.dd_div(eft.as_dd(x), y)
+        else:
+            r = eft.dd_div_fp(eft.as_dd(x), y, y_split)
+        vanished = r.hi == 0.0
+        vanished &= _nonzero(x)
+        self.suspect |= vanished
         return self._guard(r)
 
     def sqrt(self, x: DD) -> DD:
@@ -1678,31 +1729,43 @@ class _EftArith:
             raise _EftUnsupported("negative radicand in dd sweep")
         return self._guard(eft.dd_sqrt(x))
 
+    def dmul(self, x1, x2) -> DD:
+        """Ideal ``dmul``: the discrete factor is a binary64 leaf."""
+        if isinstance(x1, DD):
+            return self.mul(x1, x2)
+        return self.mul(x2, x1, self._split_of(x1))
+
+    # Backward witnesses.  ``x1``/``x2`` are the op's binary64 forward
+    # operands; ``x3`` is its target (dd, or binary64 where untargeted).
+    # Each formula is the Decimal reference's up to the order of its
+    # dd-rounded steps, all far inside the screens' margins.
+
     def add_backward(self, x1, x2, x3):
         s = self.add(x1, x2)  # exact: TwoSum of binary64 operands
-        return self.div(self.mul(x3, x1), s), self.div(self.mul(x3, x2), s)
+        q = self.div(x3, s)  # x3·x1/s = (x3/s)·x1: one shared quotient
+        return self.mul(q, x1), self.mul(q, x2)
 
     def sub_backward(self, x1, x2, x3):
         d = self.sub(x1, x2)  # exact, like the sum
-        return self.div(self.mul(x3, x1), d), self.div(self.mul(x3, x2), d)
+        q = self.div(x3, d)
+        return self.mul(q, x1), self.mul(q, x2)
 
     def mul_backward(self, x1, x2, x3):
-        p = self.mul(x1, x2)
+        p = self.mul(x1, x2)  # exact: TwoProd of binary64 operands
         scale = self.sqrt(self.div(x3, p))
-        return self.mul(x1, scale), self.mul(x2, scale)
+        return self.mul(scale, x1), self.mul(scale, x2)
 
     def dmul_backward(self, x1, x3):
-        return self.div(x3, x1)
+        return self.div(x3, x1, self._split_of(x1))
 
     def div_backward(self, x1, x2, x3):
         """Appendix C Div on dd arrays (sqrt radicands are |...|: safe)."""
-        magnitude1 = self.sqrt(eft.dd_abs(self.mul(self.mul(x1, x2), x3)))
-        magnitude2 = self.sqrt(eft.dd_abs(self.div(self.mul(x1, x2), x3)))
-        pos1 = eft.sign_positive(x1)
-        pos2 = eft.sign_positive(x2)
+        p = self.mul(x1, x2)  # exact TwoProd, shared by both witnesses
+        magnitude1 = self.sqrt(eft.dd_abs(self.mul(p, x3)))
+        magnitude2 = self.sqrt(eft.dd_abs(self.div(p, x3)))
         return (
-            eft.where(pos1, magnitude1, eft.dd_neg(magnitude1)),
-            eft.where(pos2, magnitude2, eft.dd_neg(magnitude2)),
+            eft.where(x1 > 0.0, magnitude1, eft.dd_neg(magnitude1)),
+            eft.where(x2 > 0.0, magnitude2, eft.dd_neg(magnitude2)),
         )
 
     def verify_discrete(self, name: str, current, target) -> None:
@@ -1727,6 +1790,11 @@ class _EftArith:
                 raise _EftUnsupported(
                     "discrete verify needs the Decimal path"
                 )
+
+
+def _nonzero(x) -> np.ndarray:
+    """Rows where a binary64 or normalized dd operand is nonzero."""
+    return (x.hi if isinstance(x, DD) else x) != 0.0
 
 
 #: Screen thresholds for the EFT closeness verdict.  ``values_close``
@@ -1774,7 +1842,7 @@ def _close_screen_eft(ideal, approx, close: np.ndarray, recheck: np.ndarray,
         return
     if isinstance(approx, np.ndarray) and isinstance(ideal, (np.ndarray, DD)):
         di = eft.as_dd(ideal)
-        gap = eft.dd_sub(di, eft.from_float(approx))
+        gap = eft.dd_add_fp(di, -approx)
         denom = np.maximum(np.abs(di.hi), np.abs(approx))
         r = np.abs(gap.hi) / denom
         r = np.where(denom == 0.0, 0.0, r)  # both exactly zero: close

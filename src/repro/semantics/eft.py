@@ -19,8 +19,19 @@ Algorithms* §4.3, and Ogita–Rump–Oishi's accurate-summation kernels:
 * double-double (**dd**) arithmetic — a value is an unevaluated sum
   ``hi + lo`` of two ``float64`` arrays with ``|lo| <= ulp(hi)/2``,
   giving ~106 significant bits (~32 decimal digits).  The dd
-  add/sub/mul/div/sqrt kernels below carry relative error a few units
-  in ``2^-104`` (Li et al., *QD*; Joldes–Muller–Popescu error bounds).
+  add/sub/mul/div/sqrt kernels below carry relative error at most
+  ``14u²`` (``u = 2^-53``, ``u² = 2^-106``; Li et al., *QD*;
+  Joldes–Muller–Popescu error bounds);
+* dd∘binary64 kernels — :func:`dd_add_fp`, :func:`dd_mul_fp`,
+  :func:`dd_div_fp` take one operand as a plain double, within ``2u²``,
+  ``3u²`` and ``3u²``.  The batch engine's forward values, untouched
+  ideal leaves, discrete values and literals are all binary64, so
+  these (and the exact :func:`two_sum`/:func:`two_prod` when both
+  operands are binary64) do most of the work; the generic dd kernels
+  run only where both operands are dd;
+* :func:`rp_distance` — the distance screen's ``|ln(o/n)|`` for a
+  binary64 original ``o`` and a dd witness ``n``, within ``5u``
+  relative at every scale.
 
 Soundness contract with the batch engine
 ----------------------------------------
@@ -41,7 +52,9 @@ kernels must satisfy two properties, each argued per kernel below:
    ``O(2^-104)``, at least eighteen orders of magnitude below the
    1e-30 closeness tolerance and the distance-screen bands the batch
    engine uses, so a verdict decided outside those bands cannot be an
-   artifact of dd rounding.
+   artifact of dd rounding.  The screen's own distance arithmetic
+   (:func:`rp_distance`, ~6e-16 relative) sits ~1e3 inside its
+   ``1e-12``-relative margins.
 
 Rows where a kernel leaves the range on which these arguments hold —
 non-finite intermediates, magnitudes beyond ``OVERFLOW_LIMIT`` or
@@ -58,7 +71,7 @@ produce inf/nan garbage that the suspect mask quarantines.
 
 from __future__ import annotations
 
-from typing import Tuple, Union
+from typing import Optional, Tuple, Union
 
 import numpy as np
 
@@ -70,15 +83,18 @@ __all__ = [
     "as_dd",
     "dd_abs",
     "dd_add",
+    "dd_add_fp",
     "dd_div",
+    "dd_div_fp",
     "dd_mul",
+    "dd_mul_fp",
     "dd_neg",
     "dd_sqrt",
     "dd_sub",
     "from_float",
-    "is_zero",
     "range_suspect",
-    "sign_positive",
+    "rp_distance",
+    "split",
     "two_prod",
     "two_sum",
     "where",
@@ -106,8 +122,8 @@ class DD:
 
     Kernel outputs are normalized (``hi = fl(hi + lo)``), so ``hi``
     alone is the correctly-rounded double of the represented value —
-    zero/sign/comparison screens read ``hi`` (and ``lo`` for exact-zero
-    tests, where both components must vanish).
+    zero/sign/comparison screens read ``hi``: a normalized dd is zero
+    iff its ``hi`` is, and has the sign of its ``hi``.
     """
 
     __slots__ = ("hi", "lo")
@@ -166,12 +182,16 @@ def _fast_two_sum(a: Array, b: Array) -> Tuple[Array, Array]:
     return s, e
 
 
-def _split(a: Array) -> Tuple[Array, Array]:
+def split(a: Array) -> Tuple[Array, Array]:
     """Veltkamp split: ``a = x + y`` exactly, each half on 26 bits.
 
     Soundness: exact for ``|a| < 2**996`` (Dekker); beyond that the
-    ``a * SPLITTER`` product overflows.  :data:`OVERFLOW_LIMIT` keeps
-    callers far inside the valid range.
+    ``a * SPLITTER`` product overflows to a nan error term, which
+    :func:`range_suspect` flags.  :data:`OVERFLOW_LIMIT` keeps callers
+    far inside the valid range.  A split depends only on its operand,
+    so a caller that multiplies or divides by the same binary64 array
+    many times computes it once and passes it to :func:`two_prod`,
+    :func:`dd_mul_fp` and :func:`dd_div_fp`.
     """
     t = SPLITTER * a
     x = t - (t - a)
@@ -179,7 +199,8 @@ def _split(a: Array) -> Tuple[Array, Array]:
     return x, y
 
 
-def two_prod(a: Array, b: Array) -> Tuple[Array, Array]:
+def two_prod(a: Array, b: Array,
+             b_split: Optional[Tuple[Array, Array]] = None) -> Tuple[Array, Array]:
     """Dekker's TwoProd: ``p = fl(a*b)``, ``e`` with ``a * b = p + e`` exactly.
 
     Soundness: with both factors split exactly, the four partial
@@ -188,11 +209,13 @@ def two_prod(a: Array, b: Array) -> Tuple[Array, Array]:
     Higham §4.3) — provided neither the product nor the partials
     over/underflow.  NumPy ships no vectorized fma, so the 17-flop
     Dekker form is used; out-of-range rows are quarantined by
-    :func:`range_suspect`, never silently accepted.
+    :func:`range_suspect`, never silently accepted.  ``b_split`` is
+    ``split(b)`` when the caller already has it.  ``(p, e)`` is a
+    normalized dd (``|e| <= ulp(p)/2``).
     """
     p = a * b
-    a_hi, a_lo = _split(a)
-    b_hi, b_lo = _split(b)
+    a_hi, a_lo = split(a)
+    b_hi, b_lo = split(b) if b_split is None else b_split
     e = ((a_hi * b_hi - p) + a_hi * b_lo + a_lo * b_hi) + a_lo * b_lo
     return p, e
 
@@ -257,25 +280,26 @@ def dd_mul(x: DD, y: DD) -> DD:
 
 
 def dd_div(x: DD, y: DD) -> DD:
-    """dd division by long division, ~3e-32 relative error.
+    """dd division: one correction against the exact residual, ``<= 14u²``.
 
-    Soundness: two correction steps against the exact residual
-    ``x - q·y`` (each residual computed in dd with the exact
-    :func:`dd_mul` leading term) give a quotient accurate to
-    ``<= 10·2^-106`` relative (cf. the QD library's accurate division
-    and JMP Thm 4).  Division by an exact dd zero is the caller's case
-    to handle — the batch engine either proves the divisor nonzero or
-    defers the batch to the ``Decimal`` reference — so no zero
-    substitution happens here; zero divisors yield inf/nan garbage the
-    suspect mask quarantines.
+    Soundness: ``q = fl(x.hi/y.hi)``; ``q·y.hi`` is an exact
+    :func:`two_prod` ``p + e`` and ``x.hi - p`` is exact by Sterbenz's
+    lemma, so the residual ``R = x - q·y`` is
+    ``(x.hi - p) - e + x.lo - q·y.lo`` exactly.  Each of those terms is
+    at most ``u·|x.hi|`` (``u = 2^-53``), so the four roundings that
+    form ``R`` cost at most ``7u²·|x.hi|``; dividing by ``y.hi`` in
+    place of ``y`` costs ``3u²`` more, and the final rounding ``3u²``.
+    ``q + R/y`` is ``x/y`` exactly, so the FastTwoSum of ``q`` and the
+    correction is within ``13u² + O(u³)`` relative.  Division by an
+    exact dd zero is the caller's case to handle — the batch engine
+    either proves the divisor nonzero or defers the batch to the
+    ``Decimal`` reference — so no zero substitution happens here; zero
+    divisors yield inf/nan garbage the suspect mask quarantines.
     """
-    q1 = x.hi / y.hi
-    r = dd_sub(x, dd_mul(from_float(q1), y))
-    q2 = r.hi / y.hi
-    r = dd_sub(r, dd_mul(from_float(q2), y))
-    q3 = r.hi / y.hi
-    s, e = _fast_two_sum(q1, q2)
-    hi, lo = _fast_two_sum(s, e + q3)
+    q = x.hi / y.hi
+    p, e = two_prod(q, y.hi)
+    residual = (((x.hi - p) - e) + x.lo) - q * y.lo
+    hi, lo = _fast_two_sum(q, residual / y.hi)
     return DD(hi, lo)
 
 
@@ -307,24 +331,103 @@ def dd_sqrt(x: DD) -> DD:
 
 
 # --------------------------------------------------------------------------
+# dd ∘ binary64 kernels
+# --------------------------------------------------------------------------
+#
+# The batch engine's forward sweep produces binary64 arrays, so every
+# first-level operand of a witness formula — and every leaf of the ideal
+# sweep the backward map left untouched — is a plain double, not a dd.
+# Treating it as ``DD(a, 0)`` pays for a trailing component that is
+# identically zero.  The kernels below take the binary64 operand as is
+# (Joldes–Muller–Popescu 2017, "Tight and rigorous error bounds for
+# basic building blocks of double-word arithmetic"; ``u`` is ``2^-53``,
+# so ``u² = 2^-106``).  Each relative-error bound assumes
+# no over/underflow, which :func:`range_suspect` polices.
+
+
+def dd_add_fp(x: DD, y: Array) -> DD:
+    """dd + binary64, relative error ``<= 2u²``.
+
+    Soundness: the leading components combine by exact :func:`two_sum`;
+    the trailing component joins the error term in one rounding and a
+    FastTwoSum normalizes (JMP's ``DWPlusFP``).  Half the work of
+    :func:`dd_add`, which also adds two trailing components.
+    """
+    s, e = two_sum(x.hi, y)
+    hi, lo = _fast_two_sum(s, x.lo + e)
+    return DD(hi, lo)
+
+
+def dd_mul_fp(x: DD, y: Array,
+              y_split: Optional[Tuple[Array, Array]] = None) -> DD:
+    """dd × binary64, relative error ``<= 3u²``.
+
+    Soundness: ``x.hi·y`` is an exact :func:`two_prod`; ``x.lo·y`` is
+    below ``u`` of the result and joins the error term in working
+    precision; one FastTwoSum normalizes.  JMP bound the variant that
+    fuses ``x.lo·y + e`` into one fma by ``2u²``; forming it with two
+    roundings adds at most ``u·|x.lo·y| <= u²·|x·y|``.  ``y_split`` is
+    ``split(y)`` when the caller reuses one divisor or factor.
+    """
+    p, e = two_prod(x.hi, y, y_split)
+    hi, lo = _fast_two_sum(p, e + x.lo * y)
+    return DD(hi, lo)
+
+
+def dd_div_fp(x: DD, y: Array,
+              y_split: Optional[Tuple[Array, Array]] = None) -> DD:
+    """dd ÷ binary64, relative error ``<= 3u²``.
+
+    Soundness: the quotient's leading double ``t = fl(x.hi/y)`` leaves
+    the residual ``x - t·y``; ``t·y`` is an exact :func:`two_prod`,
+    ``x.hi - fl(t·y)`` is exact by Sterbenz's lemma, and the residual
+    divided by ``y`` is the correction (JMP's ``DWDivFP3``; their fma
+    forms ``t·y`` exactly, as TwoProd does here, so the bound carries
+    over).  Zero divisors yield inf/nan garbage, as in :func:`dd_div`.
+    """
+    t = x.hi / y
+    p, e = two_prod(t, y, y_split)
+    correction = (((x.hi - p) - e) + x.lo) / y
+    hi, lo = _fast_two_sum(t, correction)
+    return DD(hi, lo)
+
+
+def rp_distance(o: Array, n: DD) -> Tuple[Array, Array]:
+    """The RP distance ``|ln(o/n)|`` in binary64, and where it is undecided.
+
+    Returns ``(d, undecided)``.  ``undecided`` flags rows the metric
+    cannot settle in floating point: a zero on either side or a sign
+    flip (where the exact metric is infinite), and non-finite or
+    overflowing ratios.  ``d`` is garbage on those rows.
+
+    Elsewhere ``d`` is within ``5u`` relative of the exact distance,
+    however small.  Where ``o/n.hi`` lies in ``[1/2, 2]``, ``o - n.hi``
+    is exact by Sterbenz's lemma (a TwoSum whose error term is zero), so
+    ``gap = ((o - n.hi) - n.lo)/n.hi`` is ``(o - n)/n`` up to three
+    roundings, and ``log1p`` is well-conditioned on ``|gap| <= 1/2``:
+    gaps at the screens' ``1e-28`` noise floor keep full relative
+    precision, where a dd quotient ``o/n`` minus one would cancel.
+    The rare rows with ``|gap| > 1/2`` (``|ln(o/n)| >= 0.405``) take
+    ``|ln(o/n.hi)|`` instead, whose absolute error of a few ulps is
+    again below ``5u`` relative.
+    """
+    nh = n.hi
+    gap = ((o - nh) - n.lo) / nh
+    d = np.abs(np.log1p(gap))
+    size = np.abs(gap)
+    far = size > 0.5
+    if far.any():
+        d[far] = np.abs(np.log(o[far] / nh[far]))
+    # o·sign(n) > 0: both nonzero with one sign; nan fails it.
+    decided = o * np.sign(nh) > 0.0
+    decided &= np.isfinite(d)
+    decided &= size <= 1e300
+    return d, ~decided
+
+
+# --------------------------------------------------------------------------
 # Screens and guards
 # --------------------------------------------------------------------------
-
-
-def is_zero(x: DD) -> Array:
-    """Exact elementwise zero test: both components must vanish.
-
-    A normalized dd is zero iff ``hi`` is zero (the invariant forces
-    ``lo`` to zero with it); testing both keeps the screen exact even
-    on un-normalized intermediates.
-    """
-    return np.logical_and(x.hi == 0.0, x.lo == 0.0)
-
-
-def sign_positive(x: DD) -> Array:
-    """Elementwise ``value > 0`` (exact on normalized dd: hi decides,
-    lo breaks the tie when hi is zero)."""
-    return np.where(x.hi != 0.0, x.hi > 0.0, x.lo > 0.0)
 
 
 def range_suspect(x: DD) -> Array:
@@ -337,11 +440,19 @@ def range_suspect(x: DD) -> Array:
     error terms are no longer exact).  ``Decimal``'s exponent range
     covers all of these, so flagged rows are handed to the per-row
     ``Decimal`` reference by the engine.
+
+    One clamp tests both magnitude limits: ``|hi|`` survives clamping
+    to ``[UNDERFLOW_LIMIT, OVERFLOW_LIMIT]`` unchanged iff it lies in
+    that range, and nan never compares equal.  Adding ``lo·0`` (``±0``
+    for finite ``lo``, nan otherwise) folds ``lo``'s finiteness into
+    the same test.
     """
     a = np.abs(x.hi)
-    bad = ~np.isfinite(x.hi) | ~np.isfinite(x.lo)
-    bad |= a > OVERFLOW_LIMIT
-    bad |= (a > 0.0) & (a < UNDERFLOW_LIMIT)
+    a += x.lo * 0.0
+    clamped = np.maximum(a, UNDERFLOW_LIMIT)
+    np.minimum(clamped, OVERFLOW_LIMIT, out=clamped)
+    bad = clamped != a
+    bad &= a != 0.0
     return bad
 
 

@@ -74,6 +74,7 @@ ShardResult = Tuple[
     Dict[str, Decimal],  # parameter -> max exact distance
     int,  # fallback rows
     Optional[List[Tuple[Any, ...]]],  # schema-v4 row tuples (collect_rows)
+    int,  # rows the EFT screen rechecked on the scalar reference
 ]
 
 #: Columns layout inside the packed input block: (name, offset, width).
@@ -239,6 +240,7 @@ def _run_task(
         "dist": report.param_max_distance,
         "fallback_rows": report.fallback_rows,
         "rows": report.rows,
+        "rechecked_rows": report.rechecked_rows,
     }
     if not in_shm:
         reply["sound"] = sound
@@ -671,6 +673,7 @@ class ShardWorkerPool:
                         payload["dist"],
                         payload["fallback_rows"],
                         payload["rows"],
+                        payload["rechecked_rows"],
                     )
                 )
             return results

@@ -111,6 +111,7 @@ def _run_shard(blob: bytes, columns: Dict[str, np.ndarray], u: float,
         report.param_max_distance,
         report.fallback_rows,
         report.rows,
+        report.rechecked_rows,
     )
 
 
@@ -244,16 +245,18 @@ def run_witness_sharded(
     exact = np.concatenate([r[1] for r in results])
     errors: Dict[int, BaseException] = {}
     fallback_rows = 0
+    rechecked_rows = 0
     max_dist: Dict[str, Decimal] = {
         p.name: _DEC_ZERO for p in definition.params
     }
     rows = [] if engine.collect_rows else None
     for i, (_, _, shard_errors, shard_dist, shard_fallback,
-            shard_rows) in enumerate(results):
+            shard_rows, shard_rechecked) in enumerate(results):
         offset = bounds[i]
         for row, exc in shard_errors.items():
             errors[offset + row] = exc
         fallback_rows += shard_fallback
+        rechecked_rows += shard_rechecked
         for name, dist in shard_dist.items():
             if dist > max_dist[name]:
                 max_dist[name] = dist
@@ -288,4 +291,5 @@ def run_witness_sharded(
         fallback_rows=fallback_rows,
         exact_backend=engine.exact_backend,
         rows=rows,
+        rechecked_rows=rechecked_rows,
     )

@@ -38,7 +38,7 @@ import os
 import threading
 from typing import Any, Dict, List, Optional, Tuple, Union
 
-from ..api import Session, UnknownEngineError
+from ..api import Session, UnknownEngineError, check_precision_bits
 from ..api.registry import get_engine
 from ..api.result import (
     render_stream_line,
@@ -676,12 +676,10 @@ def _validate_audit_spec(
             "(--max-request-workers)",
         )
     precision_bits = spec.get("precision_bits", 53)
-    if (
-        isinstance(precision_bits, bool)
-        or not isinstance(precision_bits, int)
-        or not 1 <= precision_bits <= 64
-    ):
-        raise HttpError(400, "'precision_bits' must be an integer in [1, 64]")
+    try:
+        check_precision_bits(precision_bits)
+    except ValueError as exc:
+        raise HttpError(400, str(exc)) from None
     u = spec.get("u")
     if u is not None:
         if not isinstance(u, (str, int, float)):
@@ -710,21 +708,18 @@ def _validate_audit_spec(
         raise HttpError(400, "'compose' must be a boolean")
     sweep_bits = spec.get("sweep_bits")
     if sweep_bits is not None:
-        # Shape only (non-empty list of positive ints): the Session owns
-        # the strictly-increasing rule and renders it as a 422 like any
-        # other ill-shaped audit input.
-        if (
-            not isinstance(sweep_bits, list)
-            or not sweep_bits
-            or any(
-                isinstance(b, bool) or not isinstance(b, int) or b < 1
-                for b in sweep_bits
-            )
-        ):
+        # Shape and widths only: the Session owns the strictly-increasing
+        # rule and renders it as a 422 like any other ill-shaped audit
+        # input.
+        if not isinstance(sweep_bits, list) or not sweep_bits:
             raise HttpError(
-                400,
-                "'sweep_bits' must be a non-empty list of positive integers",
+                400, "'sweep_bits' must be a non-empty list of widths"
             )
+        try:
+            for bits in sweep_bits:
+                check_precision_bits(bits)
+        except ValueError as exc:
+            raise HttpError(400, str(exc)) from None
     unknown = set(spec) - {
         "source", "inputs", "name", "engine", "workers", "precision_bits",
         "u", "exact_backend", "rows", "stream", "sweep_bits", "compose",
@@ -758,6 +753,8 @@ class ServerHandle:
         self.server = server
         self.loop = loop
         self.thread = thread
+        self._stopped = False
+        self._stop_lock = threading.Lock()
 
     @property
     def port(self) -> int:
@@ -768,10 +765,26 @@ class ServerHandle:
         return self.server.host
 
     def stop(self, timeout: float = 10.0) -> None:
-        async def _shutdown() -> None:
-            await self.server.stop()
+        """Shut the server down and end its loop thread.
 
-        future = asyncio.run_coroutine_threadsafe(_shutdown(), self.loop)
+        Idempotent: a repeated call returns at once.  After the loop has
+        stopped, the shutdown runs on it from the calling thread instead
+        of being scheduled on a loop that would never run (nor await)
+        it.
+        """
+        with self._stop_lock:
+            if self._stopped:
+                return
+            self._stopped = True
+        shutdown = self.server.stop()
+        if not self.loop.is_running():
+            self.thread.join(timeout=timeout)
+            if self.thread.is_alive() or self.loop.is_closed():
+                shutdown.close()  # no loop left to run it on
+                return
+            self.loop.run_until_complete(shutdown)
+            return
+        future = asyncio.run_coroutine_threadsafe(shutdown, self.loop)
         try:
             future.result(timeout=timeout)
         finally:
@@ -787,7 +800,9 @@ def serve(server: AuditServer, *, timeout: float = 30.0) -> ServerHandle:
     def run() -> None:
         asyncio.set_event_loop(loop)
         loop.run_until_complete(server.start())
-        started.set()
+        # Signal from inside the running loop, so a returned handle's
+        # loop.is_running() is true until it is stopped.
+        loop.call_soon(started.set)
         loop.run_forever()
 
     thread = threading.Thread(target=run, name="repro-serve", daemon=True)

@@ -654,6 +654,81 @@ class TestLegacyShims:
 
 
 # --------------------------------------------------------------------------
+# Significand widths binary64 cannot simulate are rejected everywhere
+# --------------------------------------------------------------------------
+
+MUL_SOURCE = "F (x : num) (y : num) := mul x y"
+MUL_INPUTS = {"x": 0.1, "y": 0.3}
+
+
+class TestPrecisionBitsLimit:
+    """Regression: ``precision_bits`` above 53 used to audit and return
+    ``sound: false`` (``mul x y`` at 0.1, 0.3: distance 2.8e-17 against
+    a 2^-60 bound) — binary64 arithmetic judged against a narrower
+    format's bound.  Every surface now refuses it with one message."""
+
+    @pytest.mark.parametrize("bits", [54, 60, 64, 80])
+    def test_session_rejects_wide_significands(self, bits):
+        session = Session()
+        with pytest.raises(ValueError) as info:
+            session.audit(MUL_SOURCE, inputs=MUL_INPUTS, precision_bits=bits)
+        assert str(info.value) == api.PRECISION_BITS_ERROR
+        with pytest.raises(ValueError, match=r"\[1, 53\]"):
+            Session(precision_bits=bits)
+
+    def test_native_width_still_audits(self):
+        result = Session().audit(
+            MUL_SOURCE, inputs=MUL_INPUTS, precision_bits=53
+        )
+        assert result.sound
+
+    def test_sweep_widths_share_the_limit(self):
+        session = Session()
+        with pytest.raises(ValueError) as info:
+            session.audit(MUL_SOURCE, inputs={"x": [0.1], "y": [0.3]},
+                          engine="sweep", sweep_bits=[24, 60])
+        assert str(info.value) == api.PRECISION_BITS_ERROR
+
+    @pytest.mark.parametrize("flag", ["60", "24,80"])
+    def test_cli_rejects_wide_significands(self, tmp_path, capsys, flag):
+        from repro.cli import main
+
+        path = tmp_path / "mul.bean"
+        path.write_text(MUL_SOURCE)
+        code = main(["witness", str(path), "--inputs",
+                     json.dumps(MUL_INPUTS), "--precision-bits", flag])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.strip() == f"error: {api.PRECISION_BITS_ERROR}"
+        code = main(["watch", str(path), "--once", "--precision-bits", "60"])
+        assert code == 1
+        assert api.PRECISION_BITS_ERROR in capsys.readouterr().err
+
+    def test_server_rejects_wide_significands(self):
+        from repro.service import client as service_client
+        from repro.service.server import AuditServer, serve
+
+        handle = serve(AuditServer(port=0))
+        try:
+            for extra in ({"precision_bits": 54}, {"precision_bits": 64},
+                          {"engine": "sweep", "sweep_bits": [8, 64]}):
+                spec = {"source": MUL_SOURCE, "inputs": MUL_INPUTS, **extra}
+                status, body = service_client.audit(
+                    handle.host, handle.port, spec
+                )
+                assert status == 400, extra
+                assert json.loads(body)["error"] == api.PRECISION_BITS_ERROR
+            status, _ = service_client.audit(
+                handle.host, handle.port,
+                {"source": MUL_SOURCE, "inputs": MUL_INPUTS,
+                 "precision_bits": 53},
+            )
+            assert status == 200
+        finally:
+            handle.stop()
+
+
+# --------------------------------------------------------------------------
 # Package ergonomics: lazy names are discoverable
 # --------------------------------------------------------------------------
 

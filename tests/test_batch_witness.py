@@ -15,8 +15,15 @@ import numpy as np
 import pytest
 
 from strategies import batch_row, random_batch_inputs, random_definition
-from repro.programs.generators import dot_prod, horner, vec_sum
+from repro.programs.generators import (
+    dot_prod,
+    horner,
+    mat_vec_mul,
+    safe_div_sum,
+    vec_sum,
+)
 from repro.semantics.batch import BatchWitnessEngine, run_witness_batch
+from repro.semantics.shard import run_witness_sharded
 from repro.semantics.witness import run_witness
 
 
@@ -471,3 +478,60 @@ class TestAggregates:
         assert not engine.vectorized
         report = engine.run({"x": []})
         assert report.n_rows == 0 and report.all_sound
+
+
+def _screen_batches(n_rows: int):
+    """The audit benchmark's programs with its input distributions."""
+    rng = np.random.default_rng(2024)
+
+    def pos(*shape):
+        return rng.uniform(0.1, 1.0, shape)
+
+    def mixed(*shape):
+        return pos(*shape) * rng.choice((-1.0, 1.0), shape)
+
+    divisors = pos(n_rows, 40)
+    divisors[[3, n_rows // 2], [0, 7]] = 0.0  # two scalar-fallback rows
+    return [
+        (horner(60), {"a": pos(n_rows, 61), "z": rng.uniform(0.5, 1.0, n_rows)}, 0),
+        (dot_prod(100), {"x": mixed(n_rows, 100), "y": mixed(n_rows, 100)}, 0),
+        (mat_vec_mul(10), {"M": pos(n_rows, 100), "z": pos(n_rows, 10)}, 0),
+        (vec_sum(100), {"x": mixed(n_rows, 100)}, 0),
+        (safe_div_sum(40), {"x": pos(n_rows, 40), "y": divisors,
+                            "f": pos(n_rows, 40)}, 2),
+    ]
+
+
+class TestScreenEfficiency:
+    """The dd screen must decide nearly every clean row by itself.
+
+    Parity tests cannot see a screen that quietly sends every row to
+    the scalar reference: the bytes stay right, only the speed goes.
+    On well-conditioned batches the reference rechecks at most the rows
+    holding each linear parameter's maximum distance (whose exact
+    Decimal value the report needs).
+    """
+
+    @pytest.mark.parametrize("index", range(5))
+    def test_rechecks_one_row(self, index):
+        definition, columns, fallback = _screen_batches(1000)[index]
+        report = run_witness_batch(definition, columns)
+        assert report.all_sound
+        assert report.fallback_rows == fallback
+        # The screen before the binary64-operand kernels rechecked one
+        # row on each of these batches; more is a screen that slid.
+        assert report.rechecked_rows == 1, definition.name
+
+    def test_decimal_backend_rechecks_nothing(self):
+        definition, columns, _ = _screen_batches(50)[3]
+        report = run_witness_batch(definition, columns, exact_backend="decimal")
+        assert report.rechecked_rows == 0
+
+    def test_sharded_counts_sum_over_shards(self):
+        definition, columns, _ = _screen_batches(40)[3]
+        halves = [
+            run_witness_batch(definition, {"x": columns["x"][lo:hi]})
+            for lo, hi in ((0, 20), (20, 40))
+        ]
+        sharded = run_witness_sharded(definition, columns, workers=2)
+        assert sharded.rechecked_rows == sum(h.rechecked_rows for h in halves)

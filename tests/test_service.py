@@ -16,13 +16,19 @@ Three contracts under test:
 from __future__ import annotations
 
 import contextlib
+import gc
+import http.client
 import io
 import json
 import os
+import re
+import socket
 import subprocess
 import sys
 import tempfile
 import threading
+import time
+import warnings
 
 import pytest
 
@@ -651,6 +657,94 @@ class TestAuditServer:
             ]
         )
         assert code == 1
+
+
+README = os.path.join(os.path.dirname(__file__), os.pardir, "README.md")
+
+
+def _readme_audit_examples():
+    """``(spec, shown output lines)`` of each README ``curl .../audit``."""
+    with open(README, encoding="utf-8") as handle:
+        text = handle.read()
+    examples = []
+    for block in re.findall(r"```bash\n(.*?)```", text, re.S):
+        match = re.search(r"curl -s\w* \S+/audit -X POST -d '(.*?)'\n",
+                          block, re.S)
+        if match:
+            examples.append(
+                (json.loads(match.group(1)), block[match.end():].splitlines())
+            )
+    return examples
+
+
+class TestReadmeAuditExamples:
+    """The README's ``POST /audit`` bodies run, and show what they return."""
+
+    def test_examples_found(self):
+        assert len(_readme_audit_examples()) == 2
+
+    @pytest.mark.parametrize("index", [0, 1])
+    def test_example_is_200(self, audit_server, index):
+        spec, shown = _readme_audit_examples()[index]
+        connection = http.client.HTTPConnection(
+            audit_server.host, audit_server.port, timeout=30
+        )
+        try:
+            connection.request("POST", "/audit", json.dumps(spec))
+            response = connection.getresponse()
+            body = response.read().decode()
+        finally:
+            connection.close()
+        assert response.status == 200, body
+        if shown:  # the NDJSON the README prints is this run's, verbatim
+            assert body.splitlines() == shown
+
+
+class TestServerHandleStop:
+    """``ServerHandle.stop`` is idempotent and safe once the loop ended.
+
+    A second stop used to schedule its shutdown coroutine on the
+    stopped loop, wait out the whole timeout, and leave the coroutine
+    never awaited (a ``RuntimeWarning`` at collection).
+    """
+
+    @staticmethod
+    @contextlib.contextmanager
+    def _no_runtime_warnings():
+        unraisable = []
+        previous = sys.unraisablehook
+        sys.unraisablehook = unraisable.append
+        try:
+            with warnings.catch_warnings():
+                warnings.simplefilter("error", RuntimeWarning)
+                yield
+                gc.collect()
+        finally:
+            sys.unraisablehook = previous
+        assert [u.exc_value for u in unraisable] == []
+
+    def test_stop_twice(self):
+        with self._no_runtime_warnings():
+            handle = serve(AuditServer(port=0))
+            handle.stop()
+            assert not handle.thread.is_alive()
+            start = time.monotonic()
+            handle.stop()
+            assert time.monotonic() - start < 1.0
+
+    def test_stop_after_loop_stopped(self):
+        with self._no_runtime_warnings():
+            handle = serve(AuditServer(port=0))
+            handle.loop.call_soon_threadsafe(handle.loop.stop)
+            handle.thread.join(timeout=10)
+            start = time.monotonic()
+            handle.stop()
+            handle.stop()
+            assert time.monotonic() - start < 5.0
+            # The shutdown still ran: the listening socket is closed.
+            with pytest.raises(OSError):
+                socket.create_connection((handle.host, handle.port),
+                                         timeout=1).close()
 
 
 # --------------------------------------------------------------------------
