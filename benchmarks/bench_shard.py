@@ -30,10 +30,10 @@ SPECS = [
 WORKERS = max(2, min(4, os.cpu_count() or 1))
 
 #: Warm-vs-cold cell: repeated audits of the same kernel, the workload
-#: the persistent pool exists for.  Cold spawns a fresh spawn-context
-#: executor per audit (re-import + re-pickle + re-lower every time);
-#: warm reuses one ShardWorkerPool whose workers hold the prepared
-#: program.  Small rows on purpose — the cell measures dispatch
+#: the persistent pool exists for.  Cold builds a transient
+#: spawn-context pool per audit (re-import + re-pickle + re-lower every
+#: time); warm reuses one ShardWorkerPool whose workers hold the
+#: prepared program.  Small rows on purpose — the cell measures dispatch
 #: overhead, not row throughput.
 POOL_REPEATS = 4
 POOL_ROWS = 64
@@ -71,7 +71,7 @@ def pool_cell():
         )
     cold_s = (time.perf_counter() - t0) / POOL_REPEATS
 
-    with ShardWorkerPool(2, mp_context="spawn") as pool:
+    with ShardWorkerPool(mp_context="spawn") as pool:
         # One warmup audit pays the spawn + prepare cost the pool
         # amortizes; the timed repeats are the steady state.
         run_witness_sharded(definition, columns, workers=2, pool=pool)
@@ -104,9 +104,9 @@ def test_shard_bench_report(shard_rows, pool_cell):
     lines = [
         format_ir_bench(shard_rows),
         "",
-        f"warm pool vs cold spawn ({POOL_REPEATS} repeated audits, "
+        f"warm pool vs cold pool ({POOL_REPEATS} repeated audits, "
         f"{POOL_ROWS} rows):",
-        f"  cold spawn-per-audit : {pool_cell['cold_s'] * 1e3:9.1f} ms/audit",
+        f"  cold one-audit pool  : {pool_cell['cold_s'] * 1e3:9.1f} ms/audit",
         f"  warm persistent pool : {pool_cell['warm_s'] * 1e3:9.1f} ms/audit",
         f"  speedup              : {pool_cell['speedup']:9.1f}x",
     ]

@@ -55,9 +55,7 @@ Subpackages:
   audit server.
 """
 
-import functools
-import warnings
-from typing import TYPE_CHECKING, Any, Callable, List
+from typing import TYPE_CHECKING, Any, List
 
 from .core import (
     EPS,
@@ -94,13 +92,7 @@ from .semantics import (
 if TYPE_CHECKING:
     # Lazy (PEP 562) names, spelled out so mypy/IDEs resolve them.
     from .api import AuditResult, Session
-    from .semantics.batch import (
-        BatchWitnessEngine,
-        BatchWitnessReport,
-        run_witness_batch,
-    )
-    from .semantics.shard import run_witness_sharded
-    from .semantics.witness import run_witness
+    from .semantics.batch import BatchWitnessEngine, BatchWitnessReport
 
 #: Batch-witness API is loaded lazily (PEP 562): it is the only part of
 #: the package that needs numpy, and eager loading would tax every CLI
@@ -109,49 +101,8 @@ _LAZY_BATCH = ("BatchWitnessEngine", "BatchWitnessReport")
 #: The public-API façade is lazy too, keeping `import repro` minimal.
 _LAZY_API = ("AuditResult", "Session")
 
-#: Legacy module-level witness entry points, kept as deprecation shims:
-#: each call emits one DeprecationWarning and returns results bitwise
-#: identical to the Session API (name → (module, hint)).
-_DEPRECATED_WITNESS = {
-    "run_witness": (".semantics.witness", "session.audit(..., engine='ir')"),
-    "run_witness_batch": (
-        ".semantics.batch",
-        "session.audit(..., engine='batch')",
-    ),
-    "run_witness_sharded": (
-        ".semantics.shard",
-        "session.audit(..., engine='sharded')",
-    ),
-}
-_deprecated_cache: dict = {}
-
-
-def _deprecated_shim(name: str) -> Callable[..., Any]:
-    import importlib
-
-    module_name, hint = _DEPRECATED_WITNESS[name]
-    target = getattr(
-        importlib.import_module(module_name, __name__), name
-    )
-
-    @functools.wraps(target)
-    def shim(*args: Any, **kwargs: Any) -> Any:
-        warnings.warn(
-            f"repro.{name} is deprecated; use repro.api.Session — "
-            f"e.g. {hint}",
-            DeprecationWarning,
-            stacklevel=2,
-        )
-        return target(*args, **kwargs)
-
-    return shim
-
 
 def __getattr__(name: str) -> Any:
-    if name in _DEPRECATED_WITNESS:
-        if name not in _deprecated_cache:
-            _deprecated_cache[name] = _deprecated_shim(name)
-        return _deprecated_cache[name]
     if name in _LAZY_BATCH:
         from .semantics import batch
 
@@ -204,9 +155,6 @@ __all__ = [
     "parse_program",
     "parse_type",
     "pretty_program",
-    "run_witness",
-    "run_witness_batch",
-    "run_witness_sharded",
     "unit_roundoff",
     "__version__",
 ]

@@ -1,9 +1,9 @@
 """``repro.api`` — the public, versioned audit API.
 
-One front door for everything the toolchain does, replacing the four
-divergent witness entry points (``run_witness``, ``run_witness_batch``,
-``run_witness_sharded``, ``service.audit.perform_audit``) that each
-re-mapped the same options by hand::
+One front door for everything the toolchain does, over the witness
+runners (``run_witness``, ``run_witness_batch``,
+``run_witness_sharded``) that would otherwise each re-map the same
+options by hand::
 
     from repro.api import Session
 

@@ -276,59 +276,6 @@ class ShardedEngine:
         return AuditResult(report, payload, report.all_sound, True, provenance)
 
 
-@register_engine(
-    "decimal",
-    batched=True,
-    needs_numpy=True,
-    reference=True,
-    rows=True,
-    description="batch rows on the 50-digit Decimal exact arithmetic",
-)
-class DecimalEngine:
-    """The batch engine pinned to the Decimal exact-arithmetic backend.
-
-    The ``batch``/``sharded`` engines default their backward/ideal
-    sweeps to the double-double EFT kernels; this engine forces the
-    original 50-digit ``Decimal`` implementation so the parity harness
-    (and anyone debugging a suspected EFT divergence) can drive the
-    reference through the same Session/CLI/server surfaces.  Results
-    are bit-identical to ``batch`` — only slower.
-    """
-
-    name: str
-
-    def audit(self, request: AuditRequest) -> AuditResult:
-        from ..semantics.batch import run_witness_batch
-        from ..semantics.interp import lens_of_program
-
-        if request.exact_backend == "eft":
-            raise ValueError(
-                "engine 'decimal' is the Decimal reference; it cannot run "
-                "with exact_backend='eft' (use engine='batch' for that)"
-            )
-        lens = lens_of_program(request.program, request.definition.name)
-        lens.precision_bits = request.precision_bits
-        report = run_witness_batch(
-            request.definition,
-            request.inputs,
-            program=request.program,
-            u=request.u,
-            lens=lens,
-            exact_backend="decimal",
-            collect_rows=request.collect_rows,
-        )
-        payload = batch_report_payload(
-            report,
-            engine=self.name,
-            u=request.u,
-            precision_bits=request.precision_bits,
-            inline_fallbacks=_execution_fallbacks(
-                request.definition, request.program
-            ),
-        )
-        return AuditResult(report, payload, report.all_sound, True)
-
-
 # --------------------------------------------------------------------------
 # Static analysis engines (schema-v3 ``static_bounds`` payloads)
 # --------------------------------------------------------------------------

@@ -129,9 +129,9 @@ class AuditRequest:
     #: call sites (engines with ``caps.compose`` only); payload bytes
     #: are identical to the non-composed audit wherever both apply.
     compose: bool = False
-    #: a persistent :class:`~repro.semantics.pool.ShardWorkerPool` for
-    #: multiprocess engines; ``None`` keeps the spawn-per-audit default.
-    #: Results are byte-identical either way.
+    #: the session's :class:`~repro.semantics.pool.ShardWorkerPool` for
+    #: multiprocess engines; ``None`` runs the shards on a transient
+    #: pool.  Results are byte-identical either way.
     pool: Optional[Any] = None
 
 

@@ -26,6 +26,7 @@ from __future__ import annotations
 
 import dataclasses
 import numbers
+import threading
 from typing import (
     TYPE_CHECKING,
     Any,
@@ -169,14 +170,14 @@ class Session:
     win).  Per-call keyword overrides on :meth:`audit` never mutate the
     session.
 
-    ``pool=True`` gives multiprocess engines a persistent
-    :class:`~repro.semantics.pool.ShardWorkerPool` (created lazily on
-    the first sharded audit, sized by ``pool_workers``): repeat audits
-    reuse warm workers whose prepared-program tables skip pickling and
-    re-lowering.  A ready-made pool instance can be passed instead to
-    share one pool across sessions.  A session that created a pool owns
-    it — call :meth:`close` (or use the session as a context manager)
-    to shut the workers down.
+    Every session owns one
+    :class:`~repro.semantics.pool.ShardWorkerPool` for its multiprocess
+    engines.  It is created on the first sharded audit (with the
+    session's ``mp_context``), keeps its workers warm across audits —
+    a repeat fingerprint skips pickling and re-lowering — and lets
+    concurrent audits from several threads run side by side.  Call
+    :meth:`close` (or use the session as a context manager) to stop the
+    workers.
     """
 
     def __init__(
@@ -188,11 +189,8 @@ class Session:
         workers: int = 2,
         mp_context: Optional[str] = None,
         compose: bool = False,
-        pool: Union[bool, "ShardWorkerPool"] = False,
-        pool_workers: Optional[int] = None,
     ) -> None:
         _validate_limits(precision_bits, workers)
-        _validate_limits(None, pool_workers)
         self.precision_bits = precision_bits
         self.u = u
         self.cache_dir = cache_dir
@@ -202,16 +200,8 @@ class Session:
         #: grades from cached per-definition summaries
         #: (:mod:`repro.compose`) instead of re-checking the program.
         self.compose = compose
-        self.pool_workers = pool_workers
         self._pool: Optional["ShardWorkerPool"] = None
-        self._owns_pool = False
-        if pool is True:
-            self._pool_enabled = True
-        elif pool is False:
-            self._pool_enabled = False
-        else:
-            self._pool_enabled = True
-            self._pool = pool
+        self._pool_lock = threading.Lock()
 
     # -- configuration -----------------------------------------------------
 
@@ -234,36 +224,29 @@ class Session:
 
     # -- the worker pool ---------------------------------------------------
 
-    def _maybe_pool(self) -> Optional["ShardWorkerPool"]:
-        """The session's pool, created lazily when pooling is enabled."""
-        if not self._pool_enabled:
-            return None
-        if self._pool is None:
-            from ..semantics.pool import ShardWorkerPool
+    def _shard_pool(self) -> "ShardWorkerPool":
+        """The session's pool, created on first use."""
+        with self._pool_lock:
+            if self._pool is None:
+                from ..semantics.pool import ShardWorkerPool
 
-            self._pool = ShardWorkerPool(
-                self.pool_workers or self.workers,
-                mp_context=self.mp_context or "spawn",
-            )
-            self._owns_pool = True
-        return self._pool
+                self._pool = ShardWorkerPool(mp_context=self.mp_context)
+            return self._pool
 
     def pool_stats(self) -> Optional[Dict[str, int]]:
         """Counters of the session's pool; ``None`` before one exists."""
-        if self._pool is None:
-            return None
-        return self._pool.stats()
+        pool = self._pool
+        return None if pool is None else pool.stats()
 
     def close(self) -> None:
-        """Shut down session-owned resources (the worker pool).
+        """Stop the session's shard workers (idempotent).
 
-        Idempotent; a pool that was passed in ready-made is left
-        running for its other users.
+        A later multiprocess audit starts a fresh pool.
         """
-        if self._pool is not None and self._owns_pool:
-            self._pool.close()
-        self._pool = None
-        self._owns_pool = False
+        with self._pool_lock:
+            pool, self._pool = self._pool, None
+        if pool is not None:
+            pool.close()
 
     def __enter__(self) -> "Session":
         return self
@@ -379,7 +362,7 @@ class Session:
             sweep_bits=swept,
             compose=composed,
             pool=(
-                self._maybe_pool() if resolved.caps.multiprocess else None
+                self._shard_pool() if resolved.caps.multiprocess else None
             ),
         )
         if not stream:

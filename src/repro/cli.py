@@ -254,16 +254,6 @@ def build_parser() -> argparse.ArgumentParser:
             "(default: $REPRO_NODES)"
         ),
     )
-    witness.add_argument(
-        "--pool",
-        action="store_true",
-        help=(
-            "with --batch --workers N: run the shards on a persistent "
-            "worker pool instead of spawning processes per audit "
-            "(byte-identical results; pays off when one invocation "
-            "audits repeatedly, e.g. via --rows materialization)"
-        ),
-    )
 
     serve = sub.add_parser(
         "serve",
@@ -336,26 +326,6 @@ def build_parser() -> argparse.ArgumentParser:
             "rows audited per chunk of a streamed (NDJSON) audit "
             "response (default: 4096); smaller chunks surface first "
             "verdicts sooner at more per-chunk overhead"
-        ),
-    )
-    serve.add_argument(
-        "--pool",
-        action="store_true",
-        help=(
-            "keep a persistent pool of shard worker processes shared "
-            "across sharded audit requests: repeat fingerprints skip "
-            "spawn, pickling, and IR re-lowering (results stay "
-            "byte-identical; see /stats 'pool' for counters)"
-        ),
-    )
-    serve.add_argument(
-        "--pool-workers",
-        type=int,
-        default=None,
-        help=(
-            "size of the persistent worker pool (default: "
-            "--max-request-workers, so the widest admissible request "
-            "still fans across distinct workers)"
         ),
     )
 
@@ -642,7 +612,6 @@ def _cmd_witness(args: argparse.Namespace) -> int:
             u=args.u,
             cache_dir=args.cache_dir,
             workers=args.workers,
-            pool=args.pool,
         )
         inputs = json.loads(args.inputs)
         with session:
@@ -701,8 +670,6 @@ def _cmd_serve(args: argparse.Namespace) -> int:
             max_request_workers=args.max_request_workers,
             max_prepared=args.max_prepared,
             stream_chunk_rows=args.stream_chunk_rows,
-            pool=args.pool,
-            pool_workers=args.pool_workers,
         )
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -27,6 +27,32 @@ DEEP_RECURSION_LIMIT = 1_000_000
 #: Thread stack size: 512 MiB accommodates ~10^6 small frames.
 DEEP_STACK_BYTES = 512 * 1024 * 1024
 
+# The recursion limit and the thread stack size are process-wide, so
+# concurrent callers share one raise of the limit: the first caller in
+# saves it, the last one out restores it.  Without the count, two
+# overlapping save/restore pairs can leave the raised limit in place.
+_limit_lock = threading.Lock()
+_limit_users = 0
+_saved_limit = 0
+_stack_lock = threading.Lock()
+
+
+def _raise_limit() -> None:
+    global _limit_users, _saved_limit
+    with _limit_lock:
+        if _limit_users == 0:
+            _saved_limit = sys.getrecursionlimit()
+            sys.setrecursionlimit(DEEP_RECURSION_LIMIT)
+        _limit_users += 1
+
+
+def _restore_limit() -> None:
+    global _limit_users
+    with _limit_lock:
+        _limit_users -= 1
+        if _limit_users == 0:
+            sys.setrecursionlimit(_saved_limit)
+
 
 def call_with_deep_stack(fn: Callable[..., T], *args: Any, **kwargs: Any) -> T:
     """Invoke ``fn(*args, **kwargs)`` on a thread with a very deep stack."""
@@ -34,22 +60,22 @@ def call_with_deep_stack(fn: Callable[..., T], *args: Any, **kwargs: Any) -> T:
     failure: list = []
 
     def runner() -> None:
-        old_limit = sys.getrecursionlimit()
-        sys.setrecursionlimit(DEEP_RECURSION_LIMIT)
+        _raise_limit()
         try:
             result.append(fn(*args, **kwargs))
         except BaseException as exc:  # noqa: BLE001 - re-raised below
             failure.append(exc)
         finally:
-            sys.setrecursionlimit(old_limit)
+            _restore_limit()
 
-    old_stack = threading.stack_size()
-    try:
-        threading.stack_size(DEEP_STACK_BYTES)
-        thread = threading.Thread(target=runner, name="repro-deepstack")
-        thread.start()
-    finally:
-        threading.stack_size(old_stack)
+    with _stack_lock:
+        old_stack = threading.stack_size()
+        try:
+            threading.stack_size(DEEP_STACK_BYTES)
+            thread = threading.Thread(target=runner, name="repro-deepstack")
+            thread.start()
+        finally:
+            threading.stack_size(old_stack)
     thread.join()
     if failure:
         raise failure[0]

@@ -47,7 +47,7 @@ __all__ = [name for name in dir() if not name.startswith("_")]
 # numpy import.
 _LAZY_BATCH = ("BatchWitnessEngine", "BatchWitnessReport", "run_witness_batch")
 _LAZY_SHARD = ("run_witness_sharded", "shard_bounds")
-_LAZY_POOL = ("ShardWorkerPool", "default_pool", "close_default_pool")
+_LAZY_POOL = ("ShardWorkerPool",)
 __all__ += list(_LAZY_BATCH) + list(_LAZY_SHARD) + list(_LAZY_POOL)
 
 

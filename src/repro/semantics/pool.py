@@ -1,24 +1,26 @@
-"""Persistent shard workers: a warm, crash-safe process pool.
+"""Shard workers: the one executor behind every sharded audit.
 
-:func:`~repro.semantics.shard.run_witness_sharded` spawns a fresh
-``ProcessPoolExecutor`` per audit: every call pays process startup,
-re-pickles the definition/program ASTs on a deep stack, and has each
-worker re-lower semantic + inlined IR from scratch.  For a server whose
-fleet deliberately routes repeat fingerprints to the same node (so its
-prepared tables stay hot), that fixed cost lands on *every* ``--workers``
-request.
-
-:class:`ShardWorkerPool` amortizes all three across audits:
+:func:`~repro.semantics.shard.run_witness_sharded` certifies row shards
+on a :class:`ShardWorkerPool` — the caller's, or a transient one built
+for a single audit and closed when it returns (which *is*
+spawn-per-audit: same startup, pickling and re-lowering cost).  A pool
+that outlives one audit amortizes all three:
 
 * **long-lived spawn-safe workers** — each worker is one
-  ``multiprocessing`` process (default start method: ``spawn``; nothing
-  relies on forked state) holding a **fingerprint-keyed prepared-program
+  ``multiprocessing`` process (nothing relies on forked state, so any
+  start method works) holding a **fingerprint-keyed prepared-program
   table**: a bounded LRU of unpickled ASTs plus the engines built from
   them.  Because the tables preserve object identity, a warm worker's
   engine rebuilds hit the identity-keyed IR caches
   (:mod:`repro.ir.cache`) — a repeat audit of a known fingerprint skips
   unpickling *and* re-lowering; the dispatch message is just
   ``(fingerprint, row slice, config)``.
+* **workers leased per audit** — an audit takes one idle worker per
+  shard from a free list, starts new workers when none is idle, and
+  hands them back when it finishes.  Concurrent audits therefore run
+  in parallel on disjoint workers, and the pool grows to the peak
+  number of shards in flight (the audit server bounds that at
+  ``--heavy-threads`` × ``--max-request-workers``).
 * **shared-memory row transport** — input columns travel as one
   ``multiprocessing.shared_memory`` float64 block the workers slice
   in place, and the per-row ``sound``/``exact`` verdict bits come back
@@ -33,17 +35,15 @@ request.
   byte-identical to an undisturbed run, the same discipline the fleet
   applies to node death.
 
-The pool is shared: :class:`repro.api.session.Session` lazily owns one
-(``Session(pool=True)``, shut down by ``Session.close()``/``with``),
-``repro serve --pool`` shares a single pool across all sharded requests,
-and ``/stats`` exposes the counters from :meth:`ShardWorkerPool.stats`.
-Spawn-per-audit remains the default — a pool only pays off when audits
-repeat.
+Every :class:`repro.api.session.Session` owns one pool, created lazily
+on its first multiprocess audit and shut down by ``Session.close()`` /
+``with``; ``repro serve`` keeps its session's workers warm across
+requests and reports :meth:`ShardWorkerPool.stats` under ``"pool"`` in
+``GET /stats``.
 """
 
 from __future__ import annotations
 
-import atexit
 import itertools
 import os
 import pickle
@@ -63,10 +63,10 @@ import numpy as np
 from ..core import ast_nodes as A
 from ..core.deepstack import call_with_deep_stack
 
-__all__ = ["ShardWorkerPool", "default_pool", "close_default_pool"]
+__all__ = ["ShardWorkerPool"]
 
-#: What one shard hands back for merging — the exact shape of
-#: :func:`repro.semantics.shard._run_shard`'s return value.
+#: What one shard hands back for merging in
+#: :func:`repro.semantics.shard.run_witness_sharded`.
 ShardResult = Tuple[
     np.ndarray,  # sound  (bool, one slot per slice row)
     np.ndarray,  # exact  (bool)
@@ -284,55 +284,81 @@ def _worker_main(conn: Connection, max_prepared: int) -> None:
     conn.close()
 
 
-class ShardWorkerPool:
-    """A persistent pool of prepared shard workers.
+class _Worker:
+    """One worker process, its pipe, and what the parent thinks it holds."""
 
-    ``workers=None`` sizes the pool to ``os.cpu_count()``.
+    __slots__ = ("proc", "conn", "known")
+
+    def __init__(self, proc: BaseProcess, conn: Connection) -> None:
+        self.proc = proc
+        self.conn = conn
+        #: Parent-side view of the worker's prepared fingerprints.  It
+        #: may run ahead of the worker's own LRU (the worker evicts on
+        #: its side too); the ``need-program`` round-trip reconciles.
+        self.known: "OrderedDict[str, None]" = OrderedDict()
+
+
+def _stop_workers(workers: Sequence[_Worker]) -> None:
+    """Ask every worker to stop, then reap them all (killing stragglers)."""
+    for worker in workers:
+        try:
+            worker.conn.send(("stop",))
+        except (BrokenPipeError, OSError):
+            pass
+    for worker in workers:
+        worker.proc.join(timeout=5)
+        if worker.proc.is_alive():
+            worker.proc.kill()
+            worker.proc.join(timeout=5)
+        try:
+            worker.conn.close()
+        except OSError:
+            pass
+
+
+class ShardWorkerPool:
+    """Prepared shard workers, leased to audits one worker per shard.
+
     ``max_prepared`` bounds each worker's fingerprint-keyed
     prepared-program LRU, mirroring the server's ``--max-prepared``.
-    ``mp_context`` selects the start method (default ``spawn`` — the
-    workers never rely on forked state, and spawn is the one method
-    that is safe from a threaded server).
+    ``mp_context`` selects the start method (``None``: the platform
+    default).  The workers never rely on forked state; a threaded
+    caller such as the audit server passes ``"spawn"``.
 
-    Workers start lazily on the first :meth:`run_shards`;
-    :meth:`close` (or the context manager) shuts them down.  One audit
-    runs at a time — a :class:`threading.Lock` serializes concurrent
-    callers such as the server's heavy lane — but each audit still fans
-    its shards across every worker.
+    The pool has no fixed width.  :meth:`run_shards` leases one idle
+    worker per shard (the most recently used first, so repeat audits
+    land on warm tables), starts new workers when none is idle, and
+    returns them when the audit finishes — so concurrent audits run in
+    parallel, and the pool holds as many workers as the most shards it
+    ever had in flight.  :meth:`close` (or the context manager) stops
+    the idle workers at once and the leased ones as their audits end.
     """
 
     def __init__(
         self,
-        workers: Optional[int] = None,
         *,
-        mp_context: str = "spawn",
+        mp_context: Optional[str] = None,
         max_prepared: int = 32,
     ) -> None:
-        if workers is None:
-            workers = os.cpu_count() or 1
-        if workers < 1:
-            raise ValueError("need at least one pool worker")
         if max_prepared < 1:
             raise ValueError("max_prepared must be positive")
-        self.workers = int(workers)
         self.max_prepared = int(max_prepared)
         self._ctx = get_context(mp_context)
-        self._procs: List[Optional[BaseProcess]] = [None] * self.workers
-        self._conns: List[Optional[Connection]] = [None] * self.workers
-        #: Parent-side view of each worker's prepared fingerprints.  It
-        #: may run ahead of the worker's own LRU (the worker evicts on
-        #: its side too); the ``need-program`` round-trip reconciles.
-        self._known: List["OrderedDict[str, None]"] = [
-            OrderedDict() for _ in range(self.workers)
-        ]
+        #: Every live worker, leased or idle.
+        self._workers: List[_Worker] = []
+        #: The free list; ``pop()`` takes the most recently returned.
+        self._idle: List[_Worker] = []
         #: Pickled (definition, program) blobs by fingerprint, so a
         #: repeat audit never re-pickles a deep AST.
         self._blobs: "OrderedDict[str, bytes]" = OrderedDict()
         self._anon = itertools.count()
+        self._names = itertools.count()
+        #: Guards the worker lists, the blob cache and the counters;
+        #: never held while an audit waits on its workers.
         self._lock = threading.Lock()
         self._closed = False
-        #: Test seam: index of a worker to SIGKILL just before its next
-        #: dispatch, exercising the restart + re-dispatch path.
+        #: Test seam: index of a shard whose worker is SIGKILLed just
+        #: before its next dispatch, exercising restart + re-dispatch.
         self._test_crash_next: Optional[int] = None
         #: Test seam: force the pickle transport even when shared
         #: memory is available.
@@ -351,42 +377,65 @@ class ShardWorkerPool:
 
     # -- lifecycle ---------------------------------------------------------
 
-    def _start_worker(self, i: int) -> None:
+    def _spawn(self) -> Tuple[BaseProcess, Connection]:
+        """Start one worker process (callers hold ``_lock``, so no
+        forked child inherits another worker's half-set-up pipe)."""
         parent_conn, child_conn = self._ctx.Pipe(duplex=True)
         proc = self._ctx.Process(
             target=_worker_main,
             args=(child_conn, self.max_prepared),
             daemon=True,
-            name=f"repro-pool-{i}",
+            name=f"repro-pool-{next(self._names)}",
         )
         proc.start()
         child_conn.close()
-        self._procs[i] = proc
-        self._conns[i] = parent_conn
-        self._known[i] = OrderedDict()
+        return proc, parent_conn
 
-    def _ensure_started(self) -> None:
-        if self._closed:
-            raise RuntimeError("ShardWorkerPool is closed")
-        for i in range(self.workers):
-            if self._procs[i] is None:
-                self._start_worker(i)
+    def _lease(self, n: int) -> List[_Worker]:
+        """``n`` workers for one audit: idle ones first, then new ones."""
+        with self._lock:
+            if self._closed:
+                raise RuntimeError("ShardWorkerPool is closed")
+            leased = [self._idle.pop() for _ in range(min(n, len(self._idle)))]
+            while len(leased) < n:
+                worker = _Worker(*self._spawn())
+                self._workers.append(worker)
+                leased.append(worker)
+        return leased
 
-    def _restart(self, i: int) -> None:
-        """Replace a dead worker; its prepared table starts empty."""
-        conn = self._conns[i]
-        if conn is not None:
-            try:
-                conn.close()
-            except OSError:
-                pass
-        proc = self._procs[i]
-        if proc is not None:
-            proc.terminate()
-            proc.join(timeout=5)
-        self._procs[i] = None
-        self._start_worker(i)
-        self._stats["restarts"] += 1
+    def _release(self, leased: List[_Worker], settled: bool) -> None:
+        """Hand an audit's workers back.
+
+        Only workers whose replies were all collected (``settled``) can
+        serve another audit; after a dispatch failure a worker may
+        still owe a reply, so it is stopped rather than reused.
+        """
+        with self._lock:
+            if settled and not self._closed:
+                # Reversed, so the next lease pops them in this order.
+                self._idle.extend(reversed(leased))
+                return
+            for worker in leased:
+                self._workers.remove(worker)
+        if not settled:
+            for worker in leased:
+                worker.proc.kill()
+        _stop_workers(leased)
+
+    def _restart(self, worker: _Worker) -> None:
+        """Replace a dead worker's process; its prepared table starts empty."""
+        try:
+            worker.conn.close()
+        except OSError:
+            pass
+        worker.proc.terminate()
+        worker.proc.join(timeout=5)
+        with self._lock:
+            if self._closed:
+                raise RuntimeError("ShardWorkerPool is closed")
+            worker.proc, worker.conn = self._spawn()
+            worker.known.clear()
+            self._stats["restarts"] += 1
 
     def close(self) -> None:
         """Stop every worker and release the pipes (idempotent)."""
@@ -394,27 +443,10 @@ class ShardWorkerPool:
             if self._closed:
                 return
             self._closed = True
-            for conn in self._conns:
-                if conn is None:
-                    continue
-                try:
-                    conn.send(("stop",))
-                except (BrokenPipeError, OSError):
-                    pass
-            for proc in self._procs:
-                if proc is not None:
-                    proc.join(timeout=5)
-                    if proc.is_alive():
-                        proc.kill()
-                        proc.join(timeout=5)
-            for conn in self._conns:
-                if conn is not None:
-                    try:
-                        conn.close()
-                    except OSError:
-                        pass
-            self._procs = [None] * self.workers
-            self._conns = [None] * self.workers
+            idle, self._idle = self._idle, []
+            for worker in idle:
+                self._workers.remove(worker)
+        _stop_workers(idle)
 
     def __enter__(self) -> "ShardWorkerPool":
         return self
@@ -431,12 +463,19 @@ class ShardWorkerPool:
 
     # -- stats -------------------------------------------------------------
 
+    def _count(self, **deltas: int) -> None:
+        with self._lock:
+            for key, delta in deltas.items():
+                self._stats[key] += delta
+
     def stats(self) -> Dict[str, int]:
         """A point-in-time counter snapshot (the ``/stats`` pool section)."""
-        snapshot = dict(self._stats)
-        snapshot["workers"] = self.workers
+        with self._lock:
+            snapshot = dict(self._stats)
+            workers = list(self._workers)
+        snapshot["workers"] = len(workers)
         snapshot["workers_alive"] = sum(
-            1 for p in self._procs if p is not None and p.is_alive()
+            1 for w in workers if w.proc.is_alive()
         )
         return snapshot
 
@@ -468,41 +507,37 @@ class ShardWorkerPool:
     # -- dispatch ----------------------------------------------------------
 
     def _send_task(
-        self, i: int, task: Dict[str, Any], blob: bytes
+        self, worker: _Worker, task: Dict[str, Any], blob: bytes
     ) -> Dict[str, Any]:
         """Send one ``run`` message, restarting through dead pipes."""
         for _attempt in range(3):
-            conn = self._conns[i]
-            assert conn is not None
             try:
-                conn.send(("run", task))
+                worker.conn.send(("run", task))
                 return task
             except (BrokenPipeError, OSError):
-                self._restart(i)
+                self._restart(worker)
                 task = dict(task, blob=blob)
-        raise RuntimeError(f"pool worker {i} died {3} times during dispatch")
+        raise RuntimeError("pool worker died 3 times during dispatch")
 
     def _collect(
-        self, i: int, task: Dict[str, Any], blob: bytes
+        self, worker: _Worker, task: Dict[str, Any], blob: bytes
     ) -> Tuple[str, Any]:
         """Receive one reply, re-dispatching through crashes/evictions."""
         attempts = 0
         while True:
-            conn = self._conns[i]
-            assert conn is not None
             try:
-                reply = conn.recv()
+                reply: Tuple[str, Any] = worker.conn.recv()
             except (EOFError, ConnectionResetError, OSError):
                 attempts += 1
                 if attempts > 3:
                     raise RuntimeError(
-                        f"pool worker {i} died {attempts} times on one shard"
+                        f"pool worker died {attempts} times on one shard"
                     ) from None
-                self._restart(i)
-                task = self._send_task(i, dict(task, blob=blob), blob)
+                self._restart(worker)
+                task = self._send_task(worker, dict(task, blob=blob), blob)
                 continue
             if reply[0] == "need-program":
-                task = self._send_task(i, dict(task, blob=blob), blob)
+                task = self._send_task(worker, dict(task, blob=blob), blob)
                 continue
             return reply
 
@@ -518,54 +553,29 @@ class ShardWorkerPool:
         cache_dir: Optional[str] = None,
         compose: bool = False,
     ) -> List[ShardResult]:
-        """Certify ``bounds``-sliced row shards across the warm workers.
+        """Certify ``bounds``-sliced row shards, one leased worker each.
 
-        Returns one :data:`ShardResult` per shard, in shard order —
-        exactly what spawn-per-audit workers return, so
-        :func:`repro.semantics.shard.run_witness_sharded` merges both
-        paths with the same code (and the same bytes).
+        Returns one :data:`ShardResult` per shard, in shard order, for
+        :func:`repro.semantics.shard.run_witness_sharded` to merge.
         """
         shards = len(bounds) - 1
         if shards < 1:
             raise ValueError("need at least one shard")
-        if shards > self.workers:
-            raise ValueError(
-                f"{shards} shards exceed the pool's {self.workers} workers"
-            )
-        with self._lock:
-            return self._run_shards_locked(
-                definition, program, columns, bounds, shards,
-                u=u, engine_options=engine_options, cache_dir=cache_dir,
-                compose=compose,
-            )
-
-    def _run_shards_locked(
-        self,
-        definition: A.Definition,
-        program: Optional[A.Program],
-        columns: Dict[str, np.ndarray],
-        bounds: Sequence[int],
-        shards: int,
-        *,
-        u: float,
-        engine_options: Dict[str, Any],
-        cache_dir: Optional[str],
-        compose: bool,
-    ) -> List[ShardResult]:
-        self._ensure_started()
-        self._stats["audits"] += 1
         fingerprint, reusable = self._program_key(definition, program)
         blob = self._blob_for(fingerprint, reusable, definition, program)
         config_key = self._config_key(u, engine_options, compose)
         n_rows = int(bounds[-1])
+        leased = self._lease(shards)
+        self._count(audits=1)
 
         in_shm: Optional[SharedMemory] = None
         out_shm: Optional[SharedMemory] = None
         shm_bytes = 0
-        self._last_segments = []
+        settled = False
         try:
             in_spec: Optional[Tuple[str, int, _Layout]] = None
             out_spec: Optional[Tuple[str, int]] = None
+            segments: List[str] = []
             if not self._force_pickle:
                 try:
                     in_shm, layout = self._pack_columns(columns, n_rows)
@@ -575,8 +585,8 @@ class ShardWorkerPool:
                     in_spec = (in_shm.name, n_rows, layout)
                     out_spec = (out_shm.name, n_rows)
                     shm_bytes = in_shm.size + out_shm.size
-                    self._stats["shm_bytes_in_flight"] += shm_bytes
-                    self._last_segments = [in_shm.name, out_shm.name]
+                    self._count(shm_bytes_in_flight=shm_bytes)
+                    segments = [in_shm.name, out_shm.name]
                 except (OSError, ValueError):
                     # No usable /dev/shm (or segment limit): fall back
                     # to pickling whole slices through the pipes.
@@ -587,18 +597,17 @@ class ShardWorkerPool:
                     in_shm = out_shm = None
                     in_spec = out_spec = None
                     shm_bytes = 0
-                    self._last_segments = []
+            self._last_segments = segments
             if in_spec is None:
-                self._stats["pickle_fallbacks"] += 1
+                self._count(pickle_fallbacks=1)
 
             tasks: List[Dict[str, Any]] = []
-            for i in range(shards):
+            for i, worker in enumerate(leased):
                 lo, hi = int(bounds[i]), int(bounds[i + 1])
-                known = self._known[i]
                 task: Dict[str, Any] = {
                     "fingerprint": fingerprint,
                     "transient": not reusable,
-                    "blob": None if fingerprint in known else blob,
+                    "blob": None if fingerprint in worker.known else blob,
                     "config_key": config_key,
                     "u": u,
                     "engine_options": engine_options,
@@ -616,37 +625,43 @@ class ShardWorkerPool:
                     task["lo"], task["hi"] = 0, hi - lo
                 tasks.append(task)
 
-            for i in range(shards):
+            for i, worker in enumerate(leased):
                 if self._test_crash_next == i:
                     self._test_crash_next = None
-                    conn = self._conns[i]
-                    assert conn is not None
                     try:
-                        conn.send(("crash",))
+                        worker.conn.send(("crash",))
                     except (BrokenPipeError, OSError):
                         pass
-                tasks[i] = self._send_task(i, tasks[i], blob)
+                tasks[i] = self._send_task(worker, tasks[i], blob)
 
-            replies: List[Tuple[str, Any]] = []
-            for i in range(shards):
-                replies.append(self._collect(i, tasks[i], blob))
+            replies = [
+                self._collect(worker, task, blob)
+                for worker, task in zip(leased, tasks)
+            ]
+            settled = True
 
             failure: Optional[BaseException] = None
-            for i, (tag, payload) in enumerate(replies):
+            hits = misses = evictions = 0
+            for worker, (tag, payload) in zip(leased, replies):
                 if tag == "err":
                     failure = failure or payload
                     continue
                 if payload["prepared_hit"]:
-                    self._stats["prepared_hits"] += 1
+                    hits += 1
                 else:
-                    self._stats["prepared_misses"] += 1
-                self._stats["prepared_evictions"] += payload["evictions"]
+                    misses += 1
+                evictions += payload["evictions"]
                 if reusable:
-                    known = self._known[i]
+                    known = worker.known
                     known[fingerprint] = None
                     known.move_to_end(fingerprint)
                     while len(known) > self.max_prepared:
                         known.popitem(last=False)
+            self._count(
+                prepared_hits=hits,
+                prepared_misses=misses,
+                prepared_evictions=evictions,
+            )
             if failure is not None:
                 raise failure
 
@@ -678,6 +693,7 @@ class ShardWorkerPool:
                 )
             return results
         finally:
+            self._release(leased, settled)
             for seg in (in_shm, out_shm):
                 if seg is not None:
                     try:
@@ -686,7 +702,7 @@ class ShardWorkerPool:
                     except OSError:
                         pass
             if shm_bytes:
-                self._stats["shm_bytes_in_flight"] -= shm_bytes
+                self._count(shm_bytes_in_flight=-shm_bytes)
 
     # -- transport helpers -------------------------------------------------
 
@@ -698,16 +714,20 @@ class ShardWorkerPool:
         program: Optional[A.Program],
     ) -> bytes:
         """The pickled AST pair, cached per fingerprint across audits."""
-        if reusable and fingerprint in self._blobs:
-            self._blobs.move_to_end(fingerprint)
-            return self._blobs[fingerprint]
+        if reusable:
+            with self._lock:
+                cached = self._blobs.get(fingerprint)
+                if cached is not None:
+                    self._blobs.move_to_end(fingerprint)
+                    return cached
         blob: bytes = call_with_deep_stack(
             pickle.dumps, (definition, program), pickle.HIGHEST_PROTOCOL
         )
         if reusable:
-            self._blobs[fingerprint] = blob
-            while len(self._blobs) > self.max_prepared:
-                self._blobs.popitem(last=False)
+            with self._lock:
+                self._blobs[fingerprint] = blob
+                while len(self._blobs) > self.max_prepared:
+                    self._blobs.popitem(last=False)
         return blob
 
     @staticmethod
@@ -739,34 +759,3 @@ class ShardWorkerPool:
         for name, off, width in layout:
             packed[:, off: off + width] = columns[name]
         return shm, layout
-
-
-# --------------------------------------------------------------------------
-# The process-default pool (REPRO_POOL=1 runs, e.g. nightly soak)
-# --------------------------------------------------------------------------
-
-_DEFAULT_POOL: Optional[ShardWorkerPool] = None
-
-
-def default_pool() -> ShardWorkerPool:
-    """The lazily-created process-wide pool (``REPRO_POOL=1`` runs).
-
-    Sized by ``REPRO_POOL_WORKERS`` (default: ``os.cpu_count()``);
-    closed automatically at interpreter exit.
-    """
-    global _DEFAULT_POOL
-    if _DEFAULT_POOL is None or _DEFAULT_POOL._closed:
-        workers_env = os.environ.get("REPRO_POOL_WORKERS")
-        _DEFAULT_POOL = ShardWorkerPool(
-            int(workers_env) if workers_env else None
-        )
-        atexit.register(close_default_pool)
-    return _DEFAULT_POOL
-
-
-def close_default_pool() -> None:
-    """Shut down the process-default pool, if one was created."""
-    global _DEFAULT_POOL
-    if _DEFAULT_POOL is not None:
-        _DEFAULT_POOL.close()
-        _DEFAULT_POOL = None

@@ -4,20 +4,25 @@ The vectorized :class:`~repro.semantics.batch.BatchWitnessEngine` spends
 its time in NumPy array kernels and ``Decimal`` object loops — CPU-bound
 pure-Python work the GIL serializes onto one core.
 :func:`run_witness_sharded` splits the environment rows into contiguous
-shards, certifies each shard in its own ``ProcessPoolExecutor`` worker,
-and merges the per-shard results into one
+shards, certifies each shard on a worker of a
+:class:`~repro.semantics.pool.ShardWorkerPool`, and merges the
+per-shard results into one
 :class:`~repro.semantics.batch.BatchWitnessReport`, row indices intact.
 
 Design points:
 
+* **one executor** — the caller's pool when one is passed (a
+  :class:`~repro.api.session.Session` passes its own, so repeat audits
+  reuse warm workers), otherwise a transient pool built with the
+  caller's ``mp_context`` and closed before the call returns;
 * **deterministic shard→row mapping** — shard ``i`` of ``W`` receives
   the contiguous rows ``[bounds[i], bounds[i+1])`` with the first
   ``n_rows % W`` shards one row longer (:func:`shard_bounds`), so the
   merged report's row ``i`` is always input row ``i`` regardless of
   worker scheduling;
 * **spawn-safe workers** — the definition and program ASTs are pickled
-  once in the parent (on a deep auxiliary stack: benchmark programs
-  nest thousands of ``let`` binders, deeper than the default pickler
+  in the parent (on a deep auxiliary stack: benchmark programs nest
+  thousands of ``let`` binders, deeper than the default pickler
   recursion allows) and each worker unpickles and **re-lowers the IR
   locally**; nothing relies on forked interpreter state, so the pool
   works under any multiprocessing start method;
@@ -32,34 +37,22 @@ Design points:
 ``workers=None`` uses ``os.cpu_count()``; with one worker (or one row)
 the call degrades to an in-process :func:`run_witness_batch`, so callers
 can pass ``--workers`` unconditionally.
-
-Spawn-per-audit is the default; passing ``pool=`` (a
-:class:`~repro.semantics.pool.ShardWorkerPool`) dispatches the same
-shards to persistent warm workers instead — byte-identical results,
-none of the per-audit spawn/pickle/re-lower cost.  Setting
-``REPRO_POOL=1`` routes every sharded run through a process-default
-pool (how the nightly soak exercises pooled execution).
 """
 
 from __future__ import annotations
 
-import multiprocessing
+import contextlib
 import os
-import pickle
-from concurrent.futures import ProcessPoolExecutor
 from decimal import Decimal
-from typing import TYPE_CHECKING, Dict, List, Mapping, Optional, Sequence
+from typing import Dict, List, Mapping, Optional, Sequence
 
 import numpy as np
 
 from ..core import ast_nodes as A
-from ..core.deepstack import call_with_deep_stack
 from ..core.grades import BINARY64_UNIT_ROUNDOFF
-from .batch import BatchWitnessEngine, BatchWitnessReport
+from .batch import BatchWitnessReport
+from .pool import ShardWorkerPool, _build_engine
 from .witness import run_witness
-
-if TYPE_CHECKING:
-    from .pool import ShardWorkerPool
 
 __all__ = ["run_witness_sharded", "shard_bounds"]
 
@@ -81,40 +74,6 @@ def shard_bounds(n_rows: int, shards: int) -> List[int]:
     return bounds
 
 
-def _run_shard(blob: bytes, columns: Dict[str, np.ndarray], u: float,
-               engine_options: Dict, cache_dir: Optional[str] = None,
-               compose: bool = False):
-    """Worker body: re-lower the IR locally and certify one row slice.
-
-    Returns a picklable summary — the lazy per-row reports stay behind
-    (they close over worker-local engine state).  With ``cache_dir``,
-    the worker warm-starts its re-lowering (semantic IR, inlined IR,
-    inferred judgments) from the shared on-disk artifact cache the
-    parent populated, instead of recomputing them from the AST.  Under
-    ``compose`` the execution IR is re-planned locally from composed
-    summaries (:func:`repro.semantics.pool._build_engine`) — planning
-    is deterministic, so shipping the flag beats shipping the IR.
-    """
-    if cache_dir:
-        from ..service.cache import activate
-
-        activate(cache_dir)
-    from .pool import _build_engine
-
-    definition, program = call_with_deep_stack(pickle.loads, blob)
-    engine = _build_engine(definition, program, u, engine_options, compose)
-    report = engine.run(columns)
-    return (
-        np.asarray(report.sound),
-        np.asarray(report.exact),
-        report.errors,
-        report.param_max_distance,
-        report.fallback_rows,
-        report.rows,
-        report.rechecked_rows,
-    )
-
-
 def run_witness_sharded(
     definition: A.Definition,
     inputs: Mapping[str, Sequence],
@@ -124,7 +83,7 @@ def run_witness_sharded(
     workers: Optional[int] = None,
     mp_context: Optional[str] = None,
     cache_dir: Optional[str] = None,
-    pool: Optional["ShardWorkerPool"] = None,
+    pool: Optional[ShardWorkerPool] = None,
     compose: bool = False,
     **engine_options,
 ) -> BatchWitnessReport:
@@ -145,10 +104,11 @@ def run_witness_sharded(
     re-lowering from the pickled AST.  Results are bitwise identical
     either way; the cache only changes who pays for lowering.
 
-    ``pool`` dispatches the shards to a persistent
-    :class:`~repro.semantics.pool.ShardWorkerPool` instead of spawning
-    a fresh executor (byte-identical results; repeat audits of a known
-    fingerprint skip pickling and re-lowering).  With ``compose=True``
+    ``pool`` runs the shards on that
+    :class:`~repro.semantics.pool.ShardWorkerPool`, whose warm workers
+    skip pickling and re-lowering for a known fingerprint; without one,
+    a transient pool (``mp_context``) serves this call alone.  Results
+    are byte-identical either way.  With ``compose=True``
     the execution IR is planned from composed per-definition summaries
     (:func:`repro.compose.engine.compose_execution_ir`) in the parent
     and re-planned deterministically in every worker — payload bytes
@@ -164,20 +124,7 @@ def run_witness_sharded(
         from ..service.cache import activate
 
         activate(cache_dir)
-    if pool is None and os.environ.get("REPRO_POOL"):
-        from .pool import default_pool
-
-        pool = default_pool()
-    parent_options = dict(engine_options)
-    if compose and program is not None:
-        from ..compose.engine import compose_execution_ir, composed_judgments
-
-        composed = composed_judgments(program)
-        planned_ir, _execution = compose_execution_ir(
-            definition, program, composed.summaries
-        )
-        parent_options["inlined_ir"] = planned_ir
-    engine = BatchWitnessEngine(definition, program, u=u, **parent_options)
+    engine = _build_engine(definition, program, u, engine_options, compose)
     # Pin the parent's resolved exact-arithmetic backend into the
     # options the workers receive: a worker must never re-resolve
     # ``REPRO_EXACT_BACKEND`` (or the default) for itself, so every
@@ -189,57 +136,21 @@ def run_witness_sharded(
     if workers is None:
         workers = os.cpu_count() or 1
     shards = max(1, min(int(workers), n_rows))
-    if pool is not None:
-        shards = min(shards, pool.workers)
     if shards <= 1 or n_rows == 0:
         return engine.run(inputs)
 
     bounds = shard_bounds(n_rows, shards)
-    if pool is not None:
-        # Persistent warm workers: the pool fingerprints the program,
-        # skips the blob for prepared workers, and moves the rows
-        # through shared memory.  Same per-shard result shape, so the
-        # merge below is shared — and byte-identical — with the
-        # spawn-per-audit path.
-        results = pool.run_shards(
-            definition,
-            program,
-            columns,
-            bounds,
-            u=u,
-            engine_options=engine_options,
-            cache_dir=cache_dir,
+    runner = (
+        contextlib.nullcontext(pool)
+        if pool is not None
+        else ShardWorkerPool(mp_context=mp_context)
+    )
+    with runner as shard_pool:
+        results = shard_pool.run_shards(
+            definition, program, columns, bounds, u=u,
+            engine_options=engine_options, cache_dir=cache_dir,
             compose=compose,
         )
-    else:
-        # Pickle the ASTs once, on a deep stack (let-chains nest past
-        # the default pickler recursion depth); workers get opaque
-        # bytes.
-        blob = call_with_deep_stack(
-            pickle.dumps, (definition, program), pickle.HIGHEST_PROTOCOL
-        )
-        ctx = (
-            multiprocessing.get_context(mp_context)
-            if isinstance(mp_context, str)
-            else mp_context
-        )
-        with ProcessPoolExecutor(max_workers=shards, mp_context=ctx) as spawned:
-            futures = [
-                spawned.submit(
-                    _run_shard,
-                    blob,
-                    {
-                        name: arr[bounds[i]: bounds[i + 1]]
-                        for name, arr in columns.items()
-                    },
-                    u,
-                    engine_options,
-                    cache_dir,
-                    compose,
-                )
-                for i in range(shards)
-            ]
-            results = [f.result() for f in futures]
 
     sound = np.concatenate([r[0] for r in results])
     exact = np.concatenate([r[1] for r in results])

@@ -13,13 +13,8 @@ processes and across requests:
   write-then-rename, digest verification on read, and LRU eviction.
   :func:`~repro.service.cache.activate` plugs it in as the outer layer
   behind the identity-keyed in-memory caches of :mod:`repro.ir.cache`,
-  and warm-starts the spawn-per-worker re-lowering in
+  and warm-starts the shard workers' re-lowering in
   :mod:`repro.semantics.shard`;
-* :mod:`repro.service.audit` — the legacy audit entry point
-  (:func:`~repro.service.audit.perform_audit`), now a deprecation shim
-  over :class:`repro.api.Session` — the CLI and server call the
-  Session directly, so served responses are bitwise identical to
-  one-shot CLI runs by construction;
 * :mod:`repro.service.protocol` — a minimal HTTP/1.1 reader/writer
   over asyncio streams (stdlib only); the JSON payload schema lives in
   :mod:`repro.api.result`;
@@ -30,10 +25,25 @@ processes and across requests:
   client for the audit protocol.
 """
 
-from .audit import parse_roundoff, perform_audit
+from typing import TYPE_CHECKING, Any
+
 from .cache import ArtifactCache, activate, active_cache, deactivate
 from .fingerprint import fingerprint_definition, fingerprint_program
-from .server import AuditServer
+
+if TYPE_CHECKING:
+    from .server import AuditServer
+
+
+def __getattr__(name: str) -> Any:
+    # The server (asyncio, sockets) loads lazily (PEP 562): shard
+    # workers and the pool fingerprint programs through this package
+    # and must not pay for the server's imports.
+    if name == "AuditServer":
+        from .server import AuditServer
+
+        return AuditServer
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
 
 __all__ = [
     "ArtifactCache",
@@ -43,6 +53,4 @@ __all__ = [
     "deactivate",
     "fingerprint_definition",
     "fingerprint_program",
-    "parse_roundoff",
-    "perform_audit",
 ]

@@ -98,7 +98,7 @@ __all__ = [
 
 #: Engines whose payloads are row-indexed batch reports the merge
 #: discipline applies to; only these split across nodes.
-MERGEABLE_ENGINES = ("batch", "sharded", "decimal")
+MERGEABLE_ENGINES = ("batch", "sharded")
 
 #: The header fields every mergeable sub-payload must agree on.
 _MERGE_HEADER = (

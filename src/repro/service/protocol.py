@@ -6,12 +6,9 @@ keep-alive pipelining guarantees beyond one request per connection;
 chunked transfer encoding on *responses* only, for the NDJSON row
 stream) but speaks well enough HTTP that ``curl`` works against the
 server.
-
-The JSON *payload* layer that used to live here — the canonical
-rendering of witness reports the CLI prints and the server serves,
-byte for byte — is owned by :mod:`repro.api.result` now (it is the
-schema of the versioned :class:`~repro.api.AuditResult`); the names
-are re-exported here for compatibility.
+The JSON *payload* layer — the canonical rendering of witness reports
+the CLI prints and the server serves, byte for byte — lives in
+:mod:`repro.api.result`.
 """
 
 from __future__ import annotations
@@ -21,27 +18,14 @@ import json
 from dataclasses import dataclass, field
 from typing import Any, Dict, Optional
 
-from ..api.result import (  # noqa: F401  (compat re-exports)
-    batch_report_payload,
-    render_payload,
-    scalar_report_payload,
-    static_report_payload,
-    sweep_report_payload,
-)
-
 __all__ = [
     "HttpError",
     "Request",
-    "batch_report_payload",
     "http_chunk",
     "http_last_chunk",
     "http_response",
     "http_stream_head",
     "read_request",
-    "render_payload",
-    "scalar_report_payload",
-    "static_report_payload",
-    "sweep_report_payload",
 ]
 
 #: Hard limits against hostile or broken peers.

@@ -41,6 +41,7 @@ from typing import Any, Dict, List, Optional, Tuple, Union
 from ..api import Session, UnknownEngineError, check_precision_bits
 from ..api.registry import get_engine
 from ..api.result import (
+    render_payload,
     render_stream_line,
     stream_header_of_payload,
     stream_trailer_of_payload,
@@ -63,7 +64,6 @@ from .protocol import (
     http_response,
     http_stream_head,
     read_request,
-    render_payload,
 )
 
 __all__ = ["AuditServer", "ServerHandle", "serve"]
@@ -154,8 +154,6 @@ class AuditServer:
         max_request_workers: Optional[int] = None,
         max_prepared: Optional[int] = None,
         stream_chunk_rows: Optional[int] = None,
-        pool: bool = False,
-        pool_workers: Optional[int] = None,
     ) -> None:
         self.host = host
         self.port = port
@@ -179,26 +177,17 @@ class AuditServer:
         if max_request_workers is None:
             max_request_workers = max(os.cpu_count() or 1, 8)
         self.max_request_workers = max_request_workers
-        # One Session owns the audit-side cross-cutting state.  Never
-        # fork a multi-threaded server: a forked shard worker can
-        # inherit a lock some other thread holds.  With ``pool=True``
-        # the session lazily owns one persistent ShardWorkerPool shared
-        # by every sharded request — the warm-worker analogue of the
-        # prepared-program table, sized by ``pool_workers`` (default:
-        # ``max_request_workers``, so the widest admissible request
-        # still fans across distinct workers).
-        self.pool_enabled = bool(pool)
-        self.pool_workers = pool_workers
+        # One Session owns the audit-side cross-cutting state,
+        # including the shard workers every sharded request leases —
+        # the warm-worker analogue of the prepared-program table.  At
+        # most ``heavy_threads`` sharded audits run at once, each on at
+        # most ``max_request_workers`` workers, which bounds the pool.
+        # Never fork a multi-threaded server: a forked shard worker can
+        # inherit a lock some other thread holds.
         self.session = Session(
             cache_dir=cache_dir,
             workers=default_workers,
             mp_context="spawn",
-            pool=self.pool_enabled,
-            pool_workers=(
-                (pool_workers or self.max_request_workers)
-                if self.pool_enabled
-                else None
-            ),
         )
         self.cache: Optional[ArtifactCache] = None
         self.stats: Dict[str, int] = {
@@ -262,7 +251,7 @@ class AuditServer:
             self._server = None
         self._pool.shutdown(wait=False, cancel_futures=True)
         self._heavy_pool.shutdown(wait=False, cancel_futures=True)
-        # Stop the persistent shard workers (no-op without --pool).
+        # Stop the shard workers.
         self.session.close()
 
     # -- connection handling ----------------------------------------------
@@ -367,14 +356,10 @@ class AuditServer:
             "light": self._queue_stats(self._pool),
             "heavy": self._queue_stats(self._heavy_pool),
         }
-        # Persistent shard workers (--pool): prepared-table traffic,
-        # crash restarts, and shared-memory bytes currently in flight.
-        pool_stats = self.session.pool_stats()
-        payload["pool"] = (
-            {"enabled": self.pool_enabled, **pool_stats}
-            if pool_stats is not None
-            else {"enabled": self.pool_enabled}
-        )
+        # Shard workers: prepared-table traffic, crash restarts, and
+        # shared-memory bytes in flight (empty before the first
+        # sharded audit).
+        payload["pool"] = self.session.pool_stats() or {}
         if self.cache is not None:
             entries = self.cache._entries()  # one scan for both numbers
             payload["cache"] = {

@@ -1,6 +1,6 @@
 """The public audit API: Session, engine registry, versioned results.
 
-Four contracts under test:
+Three contracts under test:
 
 * **registry** — the four built-in engines resolve by name with honest
   capability flags; unknown names raise the one
@@ -12,12 +12,7 @@ Four contracts under test:
   cache dir, workers) and produces the same bits the CLI and server
   emit;
 * **AuditResult** — stamps ``schema_version``, round-trips through
-  ``to_json``/``from_json``, and rejects foreign versions;
-* **deprecation shims** — every legacy entry point (``run_witness``,
-  ``run_witness_batch``, ``run_witness_sharded``, ``perform_audit``)
-  emits exactly one :class:`DeprecationWarning` per call and returns
-  results bitwise identical to the Session API, on
-  hypothesis-generated programs.
+  ``to_json``/``from_json``, and rejects foreign versions.
 """
 
 from __future__ import annotations
@@ -26,12 +21,9 @@ import contextlib
 import dataclasses
 import io
 import json
-import warnings
 
 import pytest
-from hypothesis import given, settings, strategies as st
 
-from strategies import batch_row, random_batch_inputs, random_program
 from repro import api
 from repro.api import (
     AuditResult,
@@ -39,10 +31,6 @@ from repro.api import (
     Session,
     UnknownEngineError,
 )
-
-from test_engine_parity import assert_witness_reports_equal
-
-_BUDGET = max(settings().max_examples // 4, 10)
 
 SOURCE = """
 DotProd2 (x : vec(2)) (y : vec(2)) : num :=
@@ -139,21 +127,6 @@ class TestRegistry:
     def test_engine_protocol(self):
         for engine in api.engines().values():
             assert isinstance(engine, api.Engine)
-
-    def test_legacy_engines_constant_tracks_registry(self):
-        from repro.service import audit as legacy
-
-        assert legacy.ENGINES == api.engine_names()
-
-        @api.register_engine("test-tracking")
-        class Tracking(ScalarLensEngine):
-            pass
-
-        try:
-            assert "test-tracking" in legacy.ENGINES
-        finally:
-            api.unregister_engine("test-tracking")
-        assert "test-tracking" not in legacy.ENGINES
 
     def test_format_engine_table_lists_every_engine(self):
         table = api.format_engine_table()
@@ -516,144 +489,6 @@ class TestRuntimeRegisteredEngineParity:
 
 
 # --------------------------------------------------------------------------
-# Deprecation shims: one warning, identical bits
-# --------------------------------------------------------------------------
-
-
-def _single_deprecation(record):
-    warns = [w for w in record if w.category is DeprecationWarning]
-    assert len(warns) == 1, [str(w.message) for w in record]
-    return warns[0]
-
-
-class TestLegacyShims:
-    @given(data=st.data())
-    @settings(max_examples=_BUDGET, deadline=None)
-    def test_run_witness_shim_bitwise_equals_session(self, data):
-        import repro
-
-        seed = data.draw(st.integers(0, 2**16), label="seed")
-        spec = random_program(seed, n_helpers=1)
-        columns = random_batch_inputs(spec, seed + 1, 1)
-        row = batch_row(columns, 0)
-        with pytest.warns(DeprecationWarning) as record:
-            legacy = repro.run_witness(
-                spec.definition, row, program=spec.program
-            )
-        _single_deprecation(record)
-        session_report = Session().audit(
-            spec.program, spec.definition.name, inputs=row, engine="ir"
-        ).report
-        assert_witness_reports_equal(legacy, session_report, ctx="shim")
-
-    @given(data=st.data())
-    @settings(max_examples=_BUDGET, deadline=None)
-    def test_run_witness_batch_shim_bitwise_equals_session(self, data):
-        import repro
-
-        seed = data.draw(st.integers(0, 2**16), label="seed")
-        n_rows = data.draw(st.integers(1, 3), label="n_rows")
-        spec = random_program(seed, n_helpers=1)
-        columns = random_batch_inputs(spec, seed + 1, n_rows)
-        with pytest.warns(DeprecationWarning) as record:
-            legacy = repro.run_witness_batch(
-                spec.definition, columns, program=spec.program
-            )
-        _single_deprecation(record)
-        result = Session().audit(
-            spec.program,
-            spec.definition.name,
-            inputs={k: v.tolist() for k, v in columns.items()},
-            engine="batch",
-        )
-        assert list(legacy.sound) == result.payload["sound"]
-        assert list(legacy.exact) == result.payload["exact"]
-        assert {
-            k: str(v) for k, v in legacy.param_max_distance.items()
-        } == {
-            k: v["max_distance"] for k, v in result.payload["params"].items()
-        }
-
-    def test_run_witness_sharded_shim_bitwise_equals_session(self):
-        import repro
-
-        spec = random_program(3, n_helpers=1, allow_div=True)
-        columns = random_batch_inputs(spec, 5, 6)
-        with pytest.warns(DeprecationWarning) as record:
-            legacy = repro.run_witness_sharded(
-                spec.definition, columns, program=spec.program, workers=2
-            )
-        _single_deprecation(record)
-        result = Session().audit(
-            spec.program,
-            spec.definition.name,
-            inputs={k: v.tolist() for k, v in columns.items()},
-            engine="sharded",
-            workers=2,
-        )
-        assert list(legacy.sound) == result.payload["sound"]
-        assert list(legacy.exact) == result.payload["exact"]
-
-    @given(data=st.data())
-    @settings(max_examples=_BUDGET, deadline=None)
-    def test_perform_audit_shim_bitwise_equals_session(self, data):
-        from repro.service.audit import perform_audit
-
-        seed = data.draw(st.integers(0, 2**16), label="seed")
-        engine = data.draw(
-            st.sampled_from(
-                [
-                    name
-                    for name, eng in api.engines().items()
-                    if not (
-                        eng.caps.multiprocess
-                        or eng.caps.reference
-                        or eng.caps.remote
-                    )
-                ]
-            ),
-            label="engine",
-        )
-        spec = random_program(seed, n_helpers=1)
-        columns = random_batch_inputs(spec, seed + 1, 2)
-        if api.engines()[engine].caps.batched:
-            inputs = {k: v.tolist() for k, v in columns.items()}
-        else:
-            inputs = batch_row(columns, 0)
-        with pytest.warns(DeprecationWarning) as record:
-            legacy = perform_audit(spec.program, inputs=inputs, engine=engine)
-        _single_deprecation(record)
-        result = Session().audit(spec.program, inputs=inputs, engine=engine)
-        assert legacy.payload == result.payload
-        assert legacy.to_json() == result.to_json()
-        assert (legacy.sound, legacy.batch) == (result.sound, result.batch)
-
-    def test_internal_paths_do_not_warn(self):
-        # The CLI and server run on the Session API; a plain witness run
-        # through them must not trip the legacy shims.
-        from repro.cli import main
-
-        import os
-        import tempfile
-
-        with warnings.catch_warnings():
-            warnings.simplefilter("error", DeprecationWarning)
-            buffer = io.StringIO()
-            with tempfile.TemporaryDirectory() as tmp:
-                path = os.path.join(tmp, "prog.bean")
-                with open(path, "w", encoding="utf-8") as handle:
-                    handle.write(SOURCE)
-                with contextlib.redirect_stdout(buffer):
-                    code = main(
-                        [
-                            "witness", path,
-                            "--inputs", json.dumps(SCALAR_INPUTS), "--json",
-                        ]
-                    )
-            assert code == 0
-
-
-# --------------------------------------------------------------------------
 # Significand widths binary64 cannot simulate are rejected everywhere
 # --------------------------------------------------------------------------
 
@@ -741,12 +576,14 @@ class TestPackageSurface:
         for name in (
             "BatchWitnessEngine",
             "BatchWitnessReport",
-            "run_witness_sharded",
-            "run_witness_batch",
             "Session",
             "AuditResult",
         ):
             assert name in listing, name
+        # The witness runners live in repro.semantics only.
+        for name in ("run_witness", "run_witness_batch", "run_witness_sharded"):
+            assert name not in listing, name
+            assert not hasattr(repro, name), name
 
     def test_lazy_api_names_resolve(self):
         import repro

@@ -137,6 +137,34 @@ class TestDeepStack:
     def test_return_value(self):
         assert call_with_deep_stack(lambda a, b: a + b, 2, b=3) == 5
 
+    def test_concurrent_calls_restore_the_recursion_limit(self):
+        # Regression: overlapping calls each saved and restored the
+        # process-wide limit, so one could restore another's raised one.
+        import sys
+        import threading
+        import time
+
+        default = sys.getrecursionlimit()
+        start = threading.Barrier(8, timeout=60)
+
+        def worker():
+            start.wait()
+            for _ in range(20):
+                call_with_deep_stack(time.sleep, 0.0005)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            threads = [threading.Thread(target=worker) for _ in range(8)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+                assert not thread.is_alive()
+        finally:
+            sys.setswitchinterval(interval)
+        assert sys.getrecursionlimit() == default
+
     def test_deep_bean_program(self):
         # A 2000-deep let chain checks fine through the deep-stack runner.
         from repro.core import check_definition

@@ -124,22 +124,20 @@ class TestWitness:
         assert payloads["decimal"].pop("exact_backend") == "decimal"
         assert payloads["eft"] == payloads["decimal"]
 
-    def test_witness_decimal_engine(self, bean_file, capsys):
-        code = main(
-            [
-                "witness",
-                bean_file,
-                "--engine",
-                "decimal",
-                "--inputs",
-                self.BATCH_INPUTS,
-                "--json",
-            ]
-        )
-        assert code == 0
-        payload = json.loads(capsys.readouterr().out)
-        assert payload["engine"] == "decimal"
-        assert payload["exact_backend"] == "decimal"
+    def test_decimal_is_a_backend_not_an_engine(self, bean_file, capsys):
+        with pytest.raises(SystemExit) as excinfo:
+            main(
+                [
+                    "witness",
+                    bean_file,
+                    "--engine",
+                    "decimal",
+                    "--inputs",
+                    self.BATCH_INPUTS,
+                ]
+            )
+        assert excinfo.value.code == 2  # argparse usage error
+        assert "invalid choice: 'decimal'" in capsys.readouterr().err
 
     def test_witness_bad_exact_backend_error_line(self, bean_file, capsys):
         code = main(

@@ -1,18 +1,21 @@
-"""Persistent shard-worker pool: parity, crash recovery, transport.
+"""Shard-worker pool: parity, crash recovery, transport, leasing.
 
-The contract under test is byte-for-byte: a pooled sharded audit must
-produce exactly the bytes of the spawn-per-audit path (which is itself
-pinned against the single-process batch engine in ``test_shard.py`` and
+The contract under test is byte-for-byte: an audit on a warm pool must
+produce exactly the bytes of a transient one-audit pool and of the
+single-process batch engine (pinned further in ``test_shard.py`` and
 ``test_engine_parity.py``) — including when a worker is SIGKILLed
 mid-audit and the pool restarts + re-dispatches.  Beyond parity this
 module covers the pool's own machinery: the fingerprint-keyed
 prepared-program LRU (hits, misses, evictions, the ``need-program``
 reconciliation round-trip), shared-memory segment hygiene on success
-*and* error paths, the pickle transport fallback, and the Session /
-stats surfaces.
+*and* error paths, the pickle transport fallback, per-audit worker
+leases (growth, concurrency), and the Session / stats surfaces.
 """
 
 from __future__ import annotations
+
+import sys
+import threading
 
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
@@ -21,10 +24,18 @@ np = pytest.importorskip("numpy")
 
 from strategies import random_batch_inputs, random_program
 from repro.api import Session
+from repro.api.result import render_payload
 from repro.programs.generators import safe_div_sum, vec_sum
 from repro.semantics.batch import run_witness_batch
 from repro.semantics.pool import ShardWorkerPool
 from repro.semantics.shard import run_witness_sharded, shard_bounds
+
+# Leaked workers, pipes and shared-memory segments fail these tests.
+pytestmark = pytest.mark.filterwarnings(
+    "error::ResourceWarning",
+    "error::RuntimeWarning",
+    "error::pytest.PytestUnraisableExceptionWarning",
+)
 
 _BUDGET = settings().max_examples
 #: Every example spins a full multiprocess audit through warm workers;
@@ -43,8 +54,15 @@ Main (a : num) (b : num) (c : num) (d : num) : num :=
 @pytest.fixture(scope="module")
 def pool():
     """One warm two-worker pool shared by the read-only parity tests."""
-    with ShardWorkerPool(2, mp_context="spawn") as p:
+    with ShardWorkerPool(mp_context="spawn") as p:
         yield p
+
+
+@pytest.fixture(scope="module")
+def session():
+    """One session (and so one warm pool) shared across examples."""
+    with Session(workers=2, mp_context="spawn") as s:
+        yield s
 
 
 def _poisoned_columns(n_rows: int = 23, width: int = 6):
@@ -53,6 +71,13 @@ def _poisoned_columns(n_rows: int = 23, width: int = 6):
     for bad in (0, 9, 22):
         columns["x"][bad, 0] = float("inf")
     return columns
+
+
+def _as_batch_json(result):
+    """A sharded payload relabelled as the batch engine's bytes."""
+    payload = dict(result.payload, engine="batch")
+    del payload["workers"]
+    return render_payload(payload)
 
 
 def _assert_report_parity(pooled, single):
@@ -70,6 +95,7 @@ class TestPooledParity:
         definition = vec_sum(6)
         columns = _poisoned_columns()
         single = run_witness_batch(definition, columns)
+        # No pool: the call runs on a transient one of its own.
         spawned = run_witness_sharded(definition, columns, workers=2)
         pooled = run_witness_sharded(
             definition, columns, workers=2, pool=pool
@@ -128,21 +154,21 @@ class TestPooledParity:
         _assert_report_parity(pooled, single)
         assert pool.stats()["pickle_fallbacks"] > before
 
-    def test_shards_beyond_pool_width_are_clamped(self, pool):
-        # run_witness_sharded clamps shards to the pool width …
+    def test_pool_grows_to_the_widest_audit(self):
+        # A per-call shard count is honoured, not clamped: the 4-shard
+        # audit reuses the two idle workers and starts two more.
         definition = vec_sum(3)
         rng = np.random.default_rng(13)
         columns = {"x": rng.uniform(0.5, 4.0, (10, 3))}
-        pooled = run_witness_sharded(
-            definition, columns, workers=8, pool=pool
-        )
-        _assert_report_parity(pooled, run_witness_batch(definition, columns))
-        # … and the pool itself refuses an oversized direct dispatch.
-        with pytest.raises(ValueError, match="exceed"):
-            pool.run_shards(
-                definition, None, columns, shard_bounds(10, 3),
-                u=2.0 ** -53, engine_options={},
-            )
+        single = run_witness_batch(definition, columns)
+        with ShardWorkerPool(mp_context="spawn") as p:
+            for workers, held in ((2, 2), (4, 4)):
+                pooled = run_witness_sharded(
+                    definition, columns, workers=workers, pool=p
+                )
+                _assert_report_parity(pooled, single)
+                assert p.stats()["workers"] == held
+            assert p.stats()["workers_alive"] == 4
 
 
 class TestCrashRecovery:
@@ -211,7 +237,7 @@ class TestPreparedLRU:
             "a": {"x": rng.uniform(0.5, 4.0, (5, 3))},
             "b": {"x": rng.uniform(0.5, 4.0, (5, 4))},
         }
-        with ShardWorkerPool(1, mp_context="spawn", max_prepared=1) as p:
+        with ShardWorkerPool(mp_context="spawn", max_prepared=1) as p:
             for key in ("a", "b", "a"):
                 report = p.run_shards(
                     defs[key], None, cols[key], shard_bounds(5, 1),
@@ -235,7 +261,7 @@ class TestPreparedLRU:
             "a": {"x": rng.uniform(0.5, 4.0, (5, 3))},
             "b": {"x": rng.uniform(0.5, 4.0, (5, 4))},
         }
-        with ShardWorkerPool(1, mp_context="spawn", max_prepared=1) as p:
+        with ShardWorkerPool(mp_context="spawn", max_prepared=1) as p:
             fp_a, reusable = p._program_key(defs["a"], None)
             assert reusable
             for key in ("a", "b"):
@@ -245,7 +271,7 @@ class TestPreparedLRU:
                 )
             # The worker evicted a's program; lie to the parent that it
             # is still prepared.
-            p._known[0][fp_a] = None
+            p._workers[0].known[fp_a] = None
             pooled = p.run_shards(
                 defs["a"], None, cols["a"], shard_bounds(5, 1),
                 u=2.0 ** -53, engine_options={},
@@ -257,7 +283,7 @@ class TestPreparedLRU:
 
 class TestLifecycle:
     def test_close_is_idempotent_and_kills_workers(self):
-        p = ShardWorkerPool(1, mp_context="spawn")
+        p = ShardWorkerPool(mp_context="spawn")
         definition = vec_sum(3)
         rng = np.random.default_rng(31)
         columns = {"x": rng.uniform(0.5, 4.0, (4, 3))}
@@ -276,33 +302,40 @@ class TestLifecycle:
             )
 
     def test_workers_start_lazily(self):
-        with ShardWorkerPool(2, mp_context="spawn") as p:
-            assert p.stats()["workers_alive"] == 0
+        with ShardWorkerPool(mp_context="spawn") as p:
+            assert p.stats()["workers"] == 0
 
 
 class TestSessionPool:
-    def test_session_pooled_audit_byte_parity(self, pool):
+    def test_session_pooled_audit_byte_parity(self):
         inputs = {
             "a": [1.5, 2.5, 0.5, 3.0],
             "b": [2.0, 1.0, 4.0, 0.25],
             "c": [0.5, 3.0, 1.0, 2.0],
             "d": [1.0, 1.0, 2.0, 0.125],
         }
-        plain = Session(workers=2).audit(
-            CHAIN, "Main", inputs=inputs, engine="sharded"
-        )
-        with Session(workers=2, pool=pool) as session:
-            assert session.pool_stats() is not None
-            pooled = session.audit(
+        batch = Session().audit(CHAIN, "Main", inputs=inputs, engine="batch")
+        with Session(workers=2, mp_context="spawn") as session:
+            cold = session.audit(
                 CHAIN, "Main", inputs=inputs, engine="sharded"
             )
-        assert pooled.to_json() == plain.to_json()
-        # A borrowed pool is not closed with the session.
-        assert pool.stats()["workers_alive"] == 2
+            warm = session.audit(
+                CHAIN, "Main", inputs=inputs, engine="sharded"
+            )
+            # The repeat audit ran on the first one's warm workers.
+            assert session.pool_stats()["prepared_hits"] == 2
+        assert warm.to_json() == cold.to_json()
+        assert _as_batch_json(warm) == batch.to_json()
 
     def test_session_owned_pool_lifecycle(self):
-        with Session(workers=2, pool=True) as session:
+        with Session(workers=2) as session:
             assert session.pool_stats() is None  # lazy: no audit yet
+            # Scalar audits must not touch (or create) the pool.
+            session.audit(
+                CHAIN, "Main",
+                inputs={"a": 1.0, "b": 2.0, "c": 0.5, "d": 1.0},
+            )
+            assert session.pool_stats() is None
             result = session.audit(
                 CHAIN,
                 "Main",
@@ -312,37 +345,75 @@ class TestSessionPool:
             )
             assert result.sound
             stats = session.pool_stats()
-            assert stats is not None and stats["audits"] >= 1
-            # Scalar audits must not touch (or create) the pool.
-            session.audit(
-                CHAIN, "Main",
-                inputs={"a": 1.0, "b": 2.0, "c": 0.5, "d": 1.0},
-            )
-            assert session.pool_stats()["audits"] == stats["audits"]
-        # close() shut the owned pool down and dropped the reference.
+            assert stats is not None and stats["audits"] == 1
+            assert stats["workers_alive"] == 2
+        # close() shut the pool down and dropped the reference.
         assert session.pool_stats() is None
+
+    def test_concurrent_audits_lease_disjoint_workers(self):
+        inputs = {
+            "a": [1.5, 2.5, 0.5, 3.0, 1.25],
+            "b": [2.0, 1.0, 4.0, 0.25, 0.5],
+            "c": [0.5, 3.0, 1.0, 2.0, 8.0],
+            "d": [1.0, 1.0, 2.0, 0.125, 3.0],
+        }
+        batch = Session().audit(CHAIN, "Main", inputs=inputs, engine="batch")
+        results = [None, None]
+        start = threading.Barrier(2, timeout=60)
+
+        def audit(slot):
+            start.wait()
+            results[slot] = session.audit(
+                CHAIN, "Main", inputs=inputs, engine="sharded"
+            )
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            with Session(workers=2, mp_context="spawn") as session:
+                threads = [
+                    threading.Thread(target=audit, args=(i,)) for i in (0, 1)
+                ]
+                for thread in threads:
+                    thread.start()
+                for thread in threads:
+                    thread.join(timeout=120)
+                    assert not thread.is_alive()
+                stats = session.pool_stats()
+        finally:
+            sys.setswitchinterval(interval)
+        # Both audits held two workers at once: neither waited for the
+        # other's lease.  No counter update was lost between them.
+        assert stats["workers"] >= 4
+        assert stats["audits"] == 2
+        assert stats["prepared_hits"] + stats["prepared_misses"] == 4
+        assert stats["shm_bytes_in_flight"] == 0
+        for result in results:
+            assert _as_batch_json(result) == batch.to_json()
 
 
 class TestPooledCompose:
-    def test_sharded_compose_byte_parity(self, pool):
+    def test_sharded_compose_byte_parity(self):
         inputs = {
             "a": [1.5, 2.5, 0.5, 3.0],
             "b": [2.0, 1.0, 4.0, 0.25],
             "c": [0.5, 3.0, 1.0, 2.0],
             "d": [1.0, 1.0, 2.0, 0.125],
         }
-        session = Session(workers=2)
-        plain = session.audit(CHAIN, "Main", inputs=inputs, engine="sharded")
-        composed = session.audit(
-            CHAIN, "Main", inputs=inputs, engine="sharded", compose=True
-        )
-        assert composed.to_json() == plain.to_json()
-        assert composed.provenance is not None
-        with Session(workers=2, pool=pool) as pooled_session:
-            pooled = pooled_session.audit(
+        with Session(workers=2) as session:
+            plain = session.audit(
+                CHAIN, "Main", inputs=inputs, engine="sharded"
+            )
+            composed = session.audit(
                 CHAIN, "Main", inputs=inputs, engine="sharded", compose=True
             )
-        assert pooled.to_json() == plain.to_json()
+            assert composed.to_json() == plain.to_json()
+            assert composed.provenance is not None
+            # Again on the now-warm workers.
+            again = session.audit(
+                CHAIN, "Main", inputs=inputs, engine="sharded", compose=True
+            )
+        assert again.to_json() == plain.to_json()
 
     @given(data=st.data())
     @settings(
@@ -350,7 +421,7 @@ class TestPooledCompose:
         deadline=None,
         suppress_health_check=[HealthCheck.too_slow],
     )
-    def test_random_programs_pooled_compose_byte_parity(self, data, pool):
+    def test_random_programs_pooled_compose_byte_parity(self, data, session):
         # Both audits run on the warm pool; compose must not change a
         # byte of the payload (the pooled-vs-spawn byte parity itself is
         # pinned by the deterministic tests above).
@@ -364,13 +435,12 @@ class TestPooledCompose:
         columns = random_batch_inputs(
             spec, data.draw(st.integers(0, 2**20)), n_rows
         )
-        with Session(workers=2, pool=pool) as session:
-            plain = session.audit(
-                spec.program, spec.definition.name, inputs=columns,
-                engine="sharded",
-            )
-            composed = session.audit(
-                spec.program, spec.definition.name, inputs=columns,
-                engine="sharded", compose=True,
-            )
+        plain = session.audit(
+            spec.program, spec.definition.name, inputs=columns,
+            engine="sharded",
+        )
+        composed = session.audit(
+            spec.program, spec.definition.name, inputs=columns,
+            engine="sharded", compose=True,
+        )
         assert composed.to_json() == plain.to_json()

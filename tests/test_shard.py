@@ -5,13 +5,16 @@ Cross-engine verdict/bit parity for the sharded runner lives in
 itself — the deterministic shard→row mapping, report merging (verdicts,
 worst distances, captured errors, fallback counts), start-method
 safety (including ``spawn``, which re-imports the package and re-lowers
-the IR in each worker), degradation to in-process execution, and the
-CLI ``--workers`` surface.
+the IR in each worker), degradation to in-process execution,
+transient-pool hygiene (no worker or shared-memory segment outlives a
+call), and the CLI ``--workers`` surface.
 """
 
 from __future__ import annotations
 
 import json
+import multiprocessing
+import os
 
 import numpy as np
 import pytest
@@ -20,6 +23,13 @@ from repro.cli import main as cli_main
 from repro.programs.generators import dot_prod, safe_div_sum, vec_sum
 from repro.semantics.batch import run_witness_batch
 from repro.semantics.shard import run_witness_sharded, shard_bounds
+
+# Leaked workers, pipes and shared-memory segments fail these tests.
+pytestmark = pytest.mark.filterwarnings(
+    "error::ResourceWarning",
+    "error::RuntimeWarning",
+    "error::pytest.PytestUnraisableExceptionWarning",
+)
 
 
 class TestShardBounds:
@@ -111,6 +121,20 @@ class TestSafety:
         columns = {"x": rng.uniform(0.5, 4.0, (4, 400))}
         report = run_witness_sharded(definition, columns, workers=2)
         assert report.all_sound
+
+    @pytest.mark.skipif(
+        not os.path.isdir("/dev/shm"), reason="needs a listable /dev/shm"
+    )
+    def test_transient_pool_leaves_no_workers_or_segments(self):
+        definition = vec_sum(5)
+        rng = np.random.default_rng(7)
+        columns = {"x": rng.uniform(0.5, 4.0, (9, 5))}
+        children = set(multiprocessing.active_children())
+        segments = set(os.listdir("/dev/shm"))
+        report = run_witness_sharded(definition, columns, workers=3)
+        assert report.all_sound
+        assert set(multiprocessing.active_children()) <= children
+        assert set(os.listdir("/dev/shm")) <= segments
 
     def test_lens_cannot_cross_processes(self):
         from repro.semantics.interp import lens_of_definition

@@ -30,11 +30,11 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from strategies import batch_row, random_batch_inputs, random_definition, random_program
-from repro.analysis.metrics import rp
 from repro.api import SWEEP_PRECISIONS, AuditResult, Session, engines
 from repro.core import Program, pretty_program
 from repro.lam_s.eval import evaluate
 from repro.lam_s.values import VInl, VInr, VNum, VPair, VUnit
+from repro.semantics.spaces import rp_distance
 from repro.semantics.witness import env_from_pythons
 
 _BUDGET = settings().max_examples
@@ -75,14 +75,18 @@ def ideal_leaves_on(definition, program, inputs):
     """The exact (high-precision ideal) result leaves on the inputs."""
     env = env_from_pythons(definition, inputs)
     ideal = evaluate(definition.body, env, mode="ideal", program=program)
-    return [float(v.as_decimal()) for v in numeric_leaves(ideal)]
+    return numeric_leaves(ideal)
 
 
 def observed_errors_of(approx_value, exact_leaves):
-    """Per-leaf RP(approx, exact) of one engine's approximate result."""
-    approx_leaves = [v.as_float() for v in numeric_leaves(approx_value)]
+    """Per-leaf RP(approx, exact) of one engine's approximate result.
+
+    Measured against the exact Decimal: rounding the exact result to
+    binary64 first can make a correctly rounded result read as 2u.
+    """
+    approx_leaves = numeric_leaves(approx_value)
     assert len(approx_leaves) == len(exact_leaves)
-    return [rp(a, e) for a, e in zip(approx_leaves, exact_leaves)]
+    return [rp_distance(a, e) for a, e in zip(approx_leaves, exact_leaves)]
 
 
 class TestSoundnessCrossCheck:
@@ -161,6 +165,17 @@ class TestSoundnessCrossCheck:
         # Positive data: the regime both analyzers are sound in.
         columns = random_batch_inputs(spec, seed + 1, n_rows, positive=True)
         self.assert_bounds_contain_observed(spec, columns, n_rows)
+
+    def test_correctly_rounded_add_within_unit_bound(self):
+        # Regression: ``let t1 = add x1 x2 in (t1, x0)``.  The ir
+        # engine's correctly rounded add is 9.5e-17 from the exact sum,
+        # but read 2.2e-16 against 1.1e-16 bounds when the exact sum
+        # was first rounded to binary64.
+        spec = random_definition(
+            98, n_linear=3, n_steps=1, allow_case=False, allow_div=False
+        )
+        columns = random_batch_inputs(spec, 99, 1, positive=True)
+        self.assert_bounds_contain_observed(spec, columns, 1)
 
     @pytest.mark.parametrize("seed", [3, 11])
     def test_all_executed_engines_pinned_seed(self, seed):

@@ -331,7 +331,7 @@ class TestStreamPrimitives:
 
 
 class TestLocalStreamParity:
-    @pytest.mark.parametrize("engine", ["batch", "sharded", "decimal"])
+    @pytest.mark.parametrize("engine", ["batch", "sharded"])
     def test_streamed_reassembles_byte_identical(self, engine):
         inputs = dot_inputs(11)
         want = buffered(inputs, engine=engine).to_json()
