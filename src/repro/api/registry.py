@@ -76,7 +76,7 @@ class EngineCaps:
     executing locally (consumers that fan over the registry — the
     parity harness, the soak driver, every-engine tests — skip it
     unless a node pool is wired up); ``rows`` — can materialize the
-    schema-v4 per-row witness section (``collect_rows`` requests and
+    schema-v5 per-row witness section (``collect_rows`` requests and
     the streaming serving path are valid only for these engines);
     ``compose`` — can derive grades by composing per-definition
     summaries at call sites (:mod:`repro.compose`) instead of
@@ -119,7 +119,7 @@ class AuditRequest:
     #: (``"eft"`` / ``"decimal"``); ``None`` defers to the engine's
     #: own resolution (``REPRO_EXACT_BACKEND``, then the EFT default).
     exact_backend: Optional[str] = None
-    #: materialize the schema-v4 per-row witness section (engines with
+    #: materialize the schema-v5 per-row witness section (engines with
     #: ``caps.rows`` only).
     collect_rows: bool = False
     #: significand widths the sweep engine audits, strictly increasing;

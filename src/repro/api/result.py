@@ -28,6 +28,16 @@ Schema history:
   version 4 stamp appears exactly when ``rows`` is present, payloads
   without it keep their v2/v3 bytes, and :meth:`AuditResult.from_json`
   rejects every mislabel.
+* **5** — the ``rows`` section's per-row distances render at
+  :data:`~repro.semantics.spaces.ROW_DISTANCE_DIGITS` (8) significant
+  digits through :func:`~repro.semantics.spaces.render_row_distance`
+  (``"2.5786797e-16"``; ``"0"`` and ``"Infinity"`` as is) instead of
+  the exact 60-digit string — the precision the batch engine's
+  double-double screen certifies, so per-row witnesses run on the EFT
+  fast path.  Nothing else changed: aggregate ``max_distance`` keeps
+  its exact bytes, payloads without ``rows`` keep their v2/v3 bytes,
+  and the version 5 stamp appears exactly when ``rows`` is present.
+  :meth:`AuditResult.from_json` still reads version-4 payloads.
 
 The streaming wire format is three kinds of NDJSON line, all built and
 reassembled here so the byte-parity contract has one owner: a *header*
@@ -35,7 +45,7 @@ reassembled here so the byte-parity contract has one owner: a *header*
 object per line (each carrying its explicit ``row`` index), and a
 *trailer* (the aggregate fields ``all_sound``/``sound_rows``/
 ``fallback_rows``/``params``).  :func:`assemble_stream_payload` folds a
-fully drained stream back into the exact buffered v4 payload —
+fully drained stream back into the exact buffered v5 payload —
 ``sound``, ``exact`` and ``errors`` are derived from the rows — which
 is what makes "streamed then reassembled" byte-identical to buffered.
 """
@@ -70,8 +80,12 @@ __all__ = [
 ]
 
 #: Newest schema version this build reads and writes (the ``rows``
-#: section of the batch engines).
-SCHEMA_VERSION = 4
+#: section of the batch engines, distances at 8 significant digits).
+SCHEMA_VERSION = 5
+
+#: The previous ``rows`` version (exact 60-digit per-row distances):
+#: still read, never written.
+_V4_ROWS_SCHEMA_VERSION = 4
 
 #: Version stamped on payloads carrying a version-3 section
 #: (``static_bounds`` / ``per_precision``) but no ``rows``.
@@ -84,8 +98,8 @@ BASE_SCHEMA_VERSION = 2
 #: The sections whose presence requires (and justifies) the v3 stamp.
 _V3_SECTIONS = ("static_bounds", "per_precision")
 
-#: The section whose presence requires (and justifies) the v4 stamp.
-_V4_SECTION = "rows"
+#: The section whose presence requires (and justifies) the v5 stamp.
+_ROWS_SECTION = "rows"
 
 #: Header-line fields of the row stream, in canonical payload order
 #: (``workers`` is present only when the payload carries it).
@@ -160,14 +174,14 @@ class AuditResult:
 
     @property
     def rows(self) -> Optional[List[Dict[str, Any]]]:
-        """The ``rows`` section of a v4 payload, if any: one dict per
+        """The ``rows`` section of a v4/v5 payload, if any: one dict per
         audited environment (``row`` index, ``sound``/``exact`` verdicts,
         per-parameter ``distances``, and the captured ``error`` when the
         row raised)."""
-        return self.payload.get(_V4_SECTION)
+        return self.payload.get(_ROWS_SECTION)
 
     def iter_rows(self) -> Iterator[Dict[str, Any]]:
-        """Iterate the per-row witnesses of a v4 payload in row order.
+        """Iterate the per-row witnesses of a v4/v5 payload in row order.
 
         Raises ``ValueError`` when the payload carries no ``rows``
         section (ask for one with ``rows=True`` / ``stream=True``).
@@ -190,22 +204,22 @@ class AuditResult:
         Raises ``ValueError`` on non-object JSON, a missing/foreign
         ``schema_version``, or a version/section mismatch — a client
         talking to a newer (or corrupted) server should fail loudly
-        rather than misread fields.  Versions 2, 3 and 4 are all read:
+        rather than misread fields.  Versions 2 through 5 are all read:
         a version-2 payload must carry no versioned section, a
         version-3 payload must carry a version-3 section and no
-        ``rows``, and a version-4 payload must carry ``rows`` (this
-        build stamps each payload with the lowest version that reads
-        it correctly).
+        ``rows``, and a version-4 or -5 payload must carry ``rows``
+        (this build stamps each payload with the lowest version that
+        reads it correctly, and writes ``rows`` as version 5 only).
         """
         payload = json.loads(text)
         if not isinstance(payload, dict):
             raise ValueError("audit payload must be a JSON object")
         version = payload.get("schema_version")
         present = [s for s in _V3_SECTIONS if s in payload]
-        has_rows = _V4_SECTION in payload
+        has_rows = _ROWS_SECTION in payload
         if version == BASE_SCHEMA_VERSION:
             if present or has_rows:
-                sections = present + ([_V4_SECTION] if has_rows else [])
+                sections = present + ([_ROWS_SECTION] if has_rows else [])
                 raise ValueError(
                     f"schema_version {BASE_SCHEMA_VERSION} payload carries "
                     f"newer-version section(s) {sections} "
@@ -216,7 +230,7 @@ class AuditResult:
                 raise ValueError(
                     f"schema_version {STATIC_SCHEMA_VERSION} payload "
                     f"carries the version-{SCHEMA_VERSION} section "
-                    f"{_V4_SECTION!r} (refusing to misread a mislabelled "
+                    f"{_ROWS_SECTION!r} (refusing to misread a mislabelled "
                     "payload)"
                 )
             if not present:
@@ -225,11 +239,11 @@ class AuditResult:
                     f"carries none of {list(_V3_SECTIONS)} (this build "
                     f"emits such payloads as version {BASE_SCHEMA_VERSION})"
                 )
-        elif version == SCHEMA_VERSION:
+        elif version in (_V4_ROWS_SCHEMA_VERSION, SCHEMA_VERSION):
             if not has_rows:
                 raise ValueError(
-                    f"schema_version {SCHEMA_VERSION} payload carries no "
-                    f"{_V4_SECTION!r} section (this build emits row-free "
+                    f"schema_version {version} payload carries no "
+                    f"{_ROWS_SECTION!r} section (this build emits row-free "
                     "payloads as version "
                     f"{STATIC_SCHEMA_VERSION if present else BASE_SCHEMA_VERSION})"
                 )
@@ -304,8 +318,10 @@ def batch_report_payload(
 
     When the report materialized per-row witnesses (``collect_rows``),
     they are appended as the trailing ``rows`` section and the payload
-    is stamped schema version 4; every preceding field keeps its v2
-    bytes.
+    is stamped schema version 5; every preceding field keeps its v2
+    bytes.  The report's row tuples already carry rendered distance
+    strings (:func:`~repro.semantics.spaces.render_row_distance`), so
+    every engine and backend emits the same row bytes.
     """
     payload: Dict[str, Any] = {
         "schema_version": (
@@ -352,7 +368,7 @@ def batch_report_payload(
                 i,
                 sound=s,
                 exact=e,
-                distances={name: str(d) for name, d in dists.items()},
+                distances=dists,
                 error=(
                     None
                     if exc is None
@@ -372,12 +388,14 @@ def witness_row(
     distances: Dict[str, str],
     error: Optional[Dict[str, str]] = None,
 ) -> Dict[str, Any]:
-    """One entry of the v4 ``rows`` section, in canonical key order.
+    """One entry of the v5 ``rows`` section, in canonical key order.
 
-    ``distances`` maps each parameter to the string rendering of its
-    exact per-row backward distance (same rendering as the aggregate
-    ``params.*.max_distance``); ``error`` mirrors one entry of the
-    payload ``errors`` table for rows whose witness run raised.
+    ``distances`` maps each parameter to its per-row backward distance
+    as rendered by :func:`~repro.semantics.spaces.render_row_distance`:
+    8 significant digits, rounded half-even from the exact distance
+    (the aggregate ``params.*.max_distance`` keeps the exact 60-digit
+    string); ``error`` mirrors one entry of the payload ``errors``
+    table for rows whose witness run raised.
     """
     row: Dict[str, Any] = {
         "row": index,
@@ -460,7 +478,7 @@ def render_payload(payload: Dict[str, Any]) -> str:
 
 
 def stream_header_of_payload(payload: Dict[str, Any]) -> Dict[str, Any]:
-    """The stream header line of a v4 batch payload.
+    """The stream header line of a v5 batch payload.
 
     Carries every payload field up to and including ``n_rows`` — the
     fields known before any row finishes.  A chunked producer overrides
@@ -470,7 +488,7 @@ def stream_header_of_payload(payload: Dict[str, Any]) -> Dict[str, Any]:
 
 
 def stream_trailer_of_payload(payload: Dict[str, Any]) -> Dict[str, Any]:
-    """The stream trailer line of a v4 batch payload.
+    """The stream trailer line of a v5 batch payload.
 
     Carries the aggregate fields only; the per-row arrays ``sound``,
     ``exact`` and ``errors`` are derived from the streamed rows at
@@ -479,9 +497,14 @@ def stream_trailer_of_payload(payload: Dict[str, Any]) -> Dict[str, Any]:
     return {k: payload[k] for k in _STREAM_TRAILER_KEYS}
 
 
+#: ``json.dumps(..., separators=(",", ":"))`` builds this encoder on
+#: every call; a row stream renders one line per row, so share one.
+_COMPACT = json.JSONEncoder(separators=(",", ":"))
+
+
 def render_stream_line(obj: Dict[str, Any]) -> str:
     """One NDJSON line of the row stream (compact, newline-terminated)."""
-    return json.dumps(obj, separators=(",", ":")) + "\n"
+    return _COMPACT.encode(obj) + "\n"
 
 
 def assemble_stream_payload(
@@ -493,7 +516,7 @@ def assemble_stream_payload(
 
     Accepts rows in any arrival order (a fleet merge may interleave
     sub-streams); sorts them by their explicit ``row`` index and
-    rebuilds the canonical v4 payload, byte-identical under
+    rebuilds the canonical v5 payload, byte-identical under
     :func:`render_payload` to the buffered result of the same audit.
     Raises ``ValueError`` when the drained rows do not cover exactly
     ``0..n_rows-1`` — a truncated or duplicated stream must not

@@ -297,7 +297,7 @@ class Session:
         are bit-identical either way — the choice is about speed (and
         keeping the Decimal reference exercised).
 
-        ``rows=True`` materializes the schema-v4 per-row witness
+        ``rows=True`` materializes the schema-v5 per-row witness
         section (engines with ``caps.rows`` only).  ``stream=True``
         returns a :class:`~repro.api.stream.RowStream` instead of a
         buffered result: iterate it for per-row witnesses as chunks of

@@ -1,6 +1,6 @@
 """Row-stream plumbing: chunked producers and the ``RowStream`` consumer.
 
-The v4 ``rows`` section (:mod:`repro.api.result`) defines *what* a
+The v5 ``rows`` section (:mod:`repro.api.result`) defines *what* a
 per-row witness looks like; this module defines *how* a sequence of
 them flows.  A stream is an ordered series of events — one
 ``("header", {...})``, then ``("row", {...})`` per environment, then
@@ -164,7 +164,7 @@ def stream_audit_events(
 ) -> Iterator[StreamEvent]:
     """Stream one batch audit as chunked header/row/trailer events.
 
-    ``audit_chunk(lo, hi)`` must return the complete buffered **v4**
+    ``audit_chunk(lo, hi)`` must return the complete buffered **v5**
     payload of rows ``[lo, hi)`` (the caller slices its inputs; the
     payload must carry a ``rows`` section).  The header goes out as
     soon as the first chunk finishes — with ``n_rows`` overridden to
@@ -304,7 +304,7 @@ class RowStream:
             yield render_stream_line(event[1])
 
     def payload(self) -> Dict[str, Any]:
-        """Drain the stream and reassemble the buffered v4 payload."""
+        """Drain the stream and reassemble the buffered v5 payload."""
         if not self._payload:
             for _ in self.events():
                 pass

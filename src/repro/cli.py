@@ -188,7 +188,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--rows",
         action="store_true",
         help=(
-            "materialize the per-row witness section (schema v4): one "
+            "materialize the per-row witness section (schema v5): one "
             "verdict + per-parameter distance entry per environment "
             "(row-capable engines only)"
         ),
@@ -370,7 +370,7 @@ def build_parser() -> argparse.ArgumentParser:
     client.add_argument(
         "--rows",
         action="store_true",
-        help="ask the server for the per-row witness section (schema v4)",
+        help="ask the server for the per-row witness section (schema v5)",
     )
     client.add_argument(
         "--stream",

@@ -23,10 +23,12 @@ flat IR:
    inferred grade bounds.  On the Decimal backend these are vectorized
    60-digit computations; on the EFT backend they are float64 *screens
    with provable margins* — every row the screen cannot settle with
-   ~1e18 to spare, and every number that reaches a report, is decided
-   by the per-row scalar reference, so both backends are bit-for-bit
-   equal to looping :func:`run_witness` (the parity harness enforces
-   this).
+   ~1e18 to spare, and every exact number that reaches a report, is
+   decided by the per-row scalar reference, so both backends are
+   bit-for-bit equal to looping :func:`run_witness` (the parity
+   harness enforces this).  Per-row distances in the ``rows`` section
+   render at 8 significant digits, which the screen certifies itself
+   on nearly every row.
 
 The vectorized fragment is the whole language:
 
@@ -88,7 +90,13 @@ from .eft import DD
 from .interp import BeanLens, lens_of_definition
 from .lens import LensDomainError
 from .primitives import BACKWARD_PRECISION
-from .spaces import DISTANCE_PRECISION, INF, grade_bound
+from .spaces import (
+    DISTANCE_PRECISION,
+    INF,
+    ROW_DISTANCE_DIGITS,
+    grade_bound,
+    render_row_distance,
+)
 from .witness import ParamWitness, WitnessReport, run_witness
 
 __all__ = ["BatchWitnessEngine", "BatchWitnessReport", "run_witness_batch"]
@@ -332,15 +340,19 @@ class BatchWitnessReport:
         #: ("eft" or "decimal").  Informational: results are bit-equal
         #: either way.
         self.exact_backend = exact_backend
-        #: Per-row witness tuples ``(row, sound, exact, {param: Decimal
+        #: Per-row witness tuples ``(row, sound, exact, {param: rendered
         #: distance}, error-or-None)``, materialized only when the engine
-        #: ran with ``collect_rows=True`` (the schema-v4 ``rows``
-        #: section); ``None`` otherwise.  Picklable, so shards and
-        #: chunked streams can carry them across processes.
+        #: ran with ``collect_rows=True`` (the schema-v5 ``rows``
+        #: section); ``None`` otherwise.  Distances are final strings
+        #: (:func:`~repro.semantics.spaces.render_row_distance`), so
+        #: every backend, shard and stream chunk emits the same bytes.
+        #: Picklable, so shards and chunked streams can carry them
+        #: across processes.
         self.rows = rows
-        #: Clean rows (not ``fallback_rows``) whose verdicts or exact
-        #: distances the EFT screen left to the scalar reference — the
-        #: screen's efficiency.  In-process only: never serialized.
+        #: Clean rows (not ``fallback_rows``) whose verdicts, exact max
+        #: distances or rendered row distances the EFT screen left to the
+        #: scalar reference — the screen's efficiency.  In-process only:
+        #: never serialized.
         self.rechecked_rows = rechecked_rows
 
     # -- aggregates --------------------------------------------------------
@@ -448,15 +460,13 @@ class BatchWitnessEngine:
         #: The EFT screens are calibrated against the 50-digit reference
         #: semantics (dd resolves ~32 digits; the margins below assume
         #: Decimal noise at ~1e-50·cond); any other ideal precision runs
-        #: the Decimal path.  Per-row witness materialization also runs
-        #: Decimal: the rows need every row's *exact* distance, which is
-        #: precisely the per-row computation the EFT screen exists to
-        #: avoid (it only ever rechecks ambiguous rows through the
-        #: scalar reference).
+        #: the Decimal path.  Per-row witnesses run on the EFT path too:
+        #: rows render their distances at ROW_DISTANCE_DIGITS, which the
+        #: dd screen certifies for all but the rows whose band straddles
+        #: a rounding boundary — those are rechecked (see _finish_eft).
         self._use_eft = (
             self.exact_backend == "eft"
             and self.precision == BACKWARD_PRECISION
-            and not collect_rows
         )
         if inlined_ir is not None:
             # A caller-provided pre-flattened IR (the compositional
@@ -611,9 +621,7 @@ class BatchWitnessEngine:
         if self.collect_rows:
             row_tuples = self._row_tuples(
                 n_rows, sound, exact, errors,
-                lambda i: {
-                    name: w.distance for name, w in reports[i].params.items()
-                },
+                lambda i: _rendered_distances(reports[i]),
             )
         return BatchWitnessReport(
             self.definition,
@@ -632,19 +640,17 @@ class BatchWitnessEngine:
     def _row_tuples(self, n_rows: int, sound, exact, errors, distances_of):
         """The report's raw per-row witness tuples (``collect_rows``).
 
-        ``distances_of(i)`` supplies the exact per-parameter Decimal
-        distances of non-error row ``i``; error rows carry the captured
-        exception and no distances.
+        ``distances_of(i)`` supplies the rendered per-parameter distances
+        of non-error row ``i``; error rows carry the captured exception
+        and no distances.
         """
         rows: List[tuple] = []
-        for i in range(n_rows):
+        for i, s, e in zip(range(n_rows), sound.tolist(), exact.tolist()):
             exc = errors.get(i)
             if exc is not None:
                 rows.append((i, False, False, {}, exc))
             else:
-                rows.append(
-                    (i, bool(sound[i]), bool(exact[i]), distances_of(i), None)
-                )
+                rows.append((i, s, e, distances_of(i), None))
         return rows
 
     # -- vectorized pipeline ----------------------------------------------
@@ -794,15 +800,13 @@ class BatchWitnessEngine:
 
         row_tuples = None
         if self.collect_rows:
-            def _row_distances(i: int) -> Dict[str, Decimal]:
+            def _row_distances(i: int) -> Dict[str, str]:
                 rep = reports.get(i)
                 if rep is not None:  # scalar-fallback row
-                    return {
-                        name: w.distance for name, w in rep.params.items()
-                    }
+                    return _rendered_distances(rep)
                 j = clean_pos[i]
                 return {
-                    p.name: distances[p.name][j]
+                    p.name: render_row_distance(distances[p.name][j])
                     for p in self.definition.params
                 }
 
@@ -870,11 +874,14 @@ class BatchWitnessEngine:
         """Phases 2-4 on dd (double-double) float arrays.
 
         The dd sweep is a *screen with provable margins*, never a
-        reporter: every number that reaches a report — perturbed-input
-        reprs, exact distances, max distances, ambiguous verdicts — is
-        produced by the per-row scalar reference (:func:`run_witness`),
-        which is the established bit-identical semantics.  The dd values
-        only decide which rows can be settled without it.  Soundness of
+        reporter of exact values: every exact number that reaches a
+        report — perturbed-input reprs, exact distances, max distances,
+        ambiguous verdicts — is produced by the per-row scalar reference
+        (:func:`run_witness`), which is the established bit-identical
+        semantics.  The dd values decide which rows can be settled
+        without it, and render the ``rows`` section's 8-digit per-row
+        distances where the screen's error band cannot straddle a
+        rounding boundary (:func:`_screen_row_distances`).  Soundness of
         each verdict rests on the margins documented in
         :mod:`repro.semantics.eft` and at the screen sites below:
         rounding noise in the 50-digit Decimal reference (~1e-50·cond)
@@ -1020,6 +1027,21 @@ class BatchWitnessEngine:
                     dist_best = dist
             max_dist[p.name] = dist_best
 
+        # Per-row distances render at ROW_DISTANCE_DIGITS straight from
+        # the screened d_max wherever its error band cannot straddle a
+        # rounding boundary; every other row joins the recheck set and
+        # renders its exact distance from the scalar reference.
+        screened_rows: Dict[str, List[Optional[str]]] = {}
+        if self.collect_rows:
+            deferred = np.zeros(m, dtype=bool)
+            for name, d_max in d_maxes.items():
+                rendered = _screen_row_distances(d_max, noise_rows[name])
+                screened_rows[name] = rendered
+                deferred |= np.fromiter(
+                    (r is None for r in rendered), dtype=bool, count=m
+                )
+            _recheck_rows(np.flatnonzero(deferred))
+
         exact = np.zeros(n_rows, dtype=bool)
         sound = np.zeros(n_rows, dtype=bool)
         exact_clean = close
@@ -1034,6 +1056,23 @@ class BatchWitnessEngine:
             columns, fallback, sound, exact, max_dist
         )
         clean_pos = {int(row): j for j, row in enumerate(clean)}
+
+        row_tuples = None
+        if self.collect_rows:
+            # Column-wise: discrete parameters are never perturbed
+            # (distance 0); scalar reports override their rows.
+            names = [p.name for p in self.definition.params]
+            by_param = [screened_rows.get(name, ["0"] * m) for name in names]
+            row_dists: List[Optional[Dict[str, str]]] = [None] * n_rows
+            for row, values in zip(clean.tolist(), zip(*by_param)):
+                row_dists[row] = dict(zip(names, values))
+            for j, rep in rechecked.items():
+                row_dists[int(clean[j])] = _rendered_distances(rep)
+            for i, rep in reports.items():
+                row_dists[i] = _rendered_distances(rep)
+            row_tuples = self._row_tuples(
+                n_rows, sound, exact, errors, row_dists.__getitem__
+            )
 
         def materialize(i: int) -> WitnessReport:
             rep = reports.get(i)
@@ -1056,6 +1095,7 @@ class BatchWitnessEngine:
             dict(self._bounds),
             fallback_rows=int(fallback.size),
             exact_backend=self.exact_backend,
+            rows=row_tuples,
             rechecked_rows=len(rechecked),
         )
 
@@ -1949,6 +1989,55 @@ def _round_array(x: np.ndarray, precision_bits: int) -> np.ndarray:
     special = (x == 0.0) | ~np.isfinite(x)
     if special.any():
         out = np.where(special, x, out)
+    return out
+
+
+def _rendered_distances(report: WitnessReport) -> Dict[str, str]:
+    """A scalar report's per-parameter distances, rendered for ``rows``."""
+    return {
+        name: render_row_distance(w.distance)
+        for name, w in report.params.items()
+    }
+
+
+#: ``render_row_distance`` of a binary64 value, without the Decimal:
+#: Python's float formatting is correctly rounded half-even, and the
+#: renderer matches its layout.
+_ROW_FORMAT = f"%.{ROW_DISTANCE_DIGITS - 1}e"
+
+
+def _screen_row_distances(d_hat: np.ndarray,
+                          noise: np.ndarray) -> List[Optional[str]]:
+    """Render screened per-row distances, or defer (``None``) each row.
+
+    ``d_hat`` is a parameter's screened per-row max distance and
+    ``noise`` its noise-floor rows (see :meth:`_dist_screen_eft`).  The
+    exact distance ``d`` lies within ``1e-12·d̂ + 1e-26`` of ``d̂`` — the
+    assumption the max-distance candidate screen already rests on — so
+    when both band ends, rounded outward to the next binary64, render
+    to one string, rounding is monotone and ``render_row_distance(d)``
+    is that string too.  Rows whose band straddles a rounding boundary
+    (or reaches zero) defer, and so do noise-floor rows (``d̂ <= 1e-27``
+    with a noise leaf: a targeted leaf whose dd distance reads 0 is
+    one), whose exact distance only the Decimal reference knows.  A
+    row with no targeted leaf (``d̂ == 0`` and no noise) is an exact
+    ``"0"``.
+    """
+    band = 1e-12 * d_hat + 1e-26
+    lo = np.nextafter(d_hat - band, -np.inf)
+    hi = np.nextafter(d_hat + band, np.inf)
+    out: List[Optional[str]] = []
+    for d, tiny, a, b in zip(d_hat.tolist(), noise.tolist(), lo.tolist(),
+                             hi.tolist()):
+        if tiny and d <= 1e-27:
+            out.append(None)
+        elif d == 0.0:
+            out.append("0")
+        elif a <= 0.0:
+            out.append(None)
+        else:
+            text = _ROW_FORMAT % a
+            out.append(text if text == _ROW_FORMAT % b else None)
     return out
 
 

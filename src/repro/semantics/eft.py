@@ -36,12 +36,15 @@ Algorithms* §4.3, and Ogita–Rump–Oishi's accurate-summation kernels:
 Soundness contract with the batch engine
 ----------------------------------------
 
-The witness pipeline never *reports* a dd value: every number that
-reaches a payload (per-parameter max distances, per-row reports,
+The witness pipeline never *reports* a dd value: every exact number
+that reaches a payload (per-parameter max distances, per-row reports,
 ambiguous verdicts) is recomputed by the scalar ``Decimal`` reference
 on exactly the rows that need it.  The dd sweeps are a **screen**: they
 decide, with ~1e18-wide safety margins, which rows provably match the
-Decimal verdicts and which must be rechecked.  For that to be sound the
+Decimal verdicts and which must be rechecked.  The one string the
+screen renders itself is a per-row distance at 8 significant digits,
+and only where the whole ``1e-12``-relative band around the dd
+distance rounds to that string — so the exact distance does too.  For that to be sound the
 kernels must satisfy two properties, each argued per kernel below:
 
 1. **exactness where claimed** — ``two_sum``/``two_prod`` are exact

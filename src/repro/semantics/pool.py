@@ -25,7 +25,7 @@ that outlives one audit amortizes all three:
   ``multiprocessing.shared_memory`` float64 block the workers slice
   in place, and the per-row ``sound``/``exact`` verdict bits come back
   through a shared output block; only the non-float payloads (captured
-  exceptions, exact ``Decimal`` distances, schema-v4 row tuples) ride
+  exceptions, exact ``Decimal`` distances, schema-v5 row tuples) ride
   the pipe as pickles.  When shared memory is unavailable the pool
   falls back to whole-payload pickling automatically — results are
   byte-identical either way.
@@ -73,7 +73,7 @@ ShardResult = Tuple[
     Dict[int, BaseException],  # slice-local row -> captured error
     Dict[str, Decimal],  # parameter -> max exact distance
     int,  # fallback rows
-    Optional[List[Tuple[Any, ...]]],  # schema-v4 row tuples (collect_rows)
+    Optional[List[Tuple[Any, ...]]],  # schema-v5 row tuples (collect_rows)
     int,  # rows the EFT screen rechecked on the scalar reference
 ]
 

@@ -46,6 +46,8 @@ __all__ = [
     "type_distance",
     "grade_bound",
     "DISTANCE_PRECISION",
+    "ROW_DISTANCE_DIGITS",
+    "render_row_distance",
 ]
 
 INF = Decimal("Infinity")
@@ -53,6 +55,19 @@ NEG_INF = Decimal("-Infinity")
 
 #: Working precision for distance computations.
 DISTANCE_PRECISION = 60
+
+#: Significant digits of a per-row distance in the ``rows`` payload
+#: section: as many as the batch engine's double-double distance screen
+#: can certify for nearly every row (its ``1e-12``-relative band
+#: straddles an 8-digit rounding boundary on well under 1% of rows).
+ROW_DISTANCE_DIGITS = 8
+
+_ROW_DISTANCE_CONTEXT = decimal.Context(
+    prec=ROW_DISTANCE_DIGITS,
+    rounding=decimal.ROUND_HALF_EVEN,
+    Emin=decimal.MIN_EMIN,
+    Emax=decimal.MAX_EMAX,
+)
 
 
 def ext_sub(d: Decimal, r: Decimal) -> Decimal:
@@ -309,6 +324,31 @@ def grade_bound(grade: Grade, u: float) -> Decimal:
         return (
             Decimal(grade.coeff.numerator) * eps / Decimal(grade.coeff.denominator)
         )
+
+
+def render_row_distance(d: Decimal) -> str:
+    """The one rendering of a per-row distance in the ``rows`` section.
+
+    ``ROW_DISTANCE_DIGITS`` significant digits, rounded half-even from
+    the exact value, in the scientific notation of Python's
+    ``format(x, ".7e")`` (``"2.5786797e-16"``, ``"1.0000000e+00"``);
+    zero renders ``"0"`` and infinity ``"Infinity"``.  The rounding runs
+    under a private context, so the ambient decimal context never
+    changes the bytes, and a binary64 ``x`` renders exactly as
+    ``format(x, ".7e")`` does — which is what lets the batch engine's
+    float screen produce these strings without building a Decimal.
+    """
+    if not d.is_finite():
+        return str(d)
+    if d.is_zero():
+        return "0"
+    rounded = _ROW_DISTANCE_CONTEXT.plus(d)
+    sign, digits, _ = rounded.as_tuple()
+    mantissa = "".join(map(str, digits)).ljust(ROW_DISTANCE_DIGITS, "0")
+    return (
+        f"{'-' if sign else ''}{mantissa[0]}.{mantissa[1:]}"
+        f"e{rounded.adjusted():+03d}"
+    )
 
 
 # Re-exported convenience: numeric eps for floats.

@@ -395,8 +395,11 @@ def audit_stream(
                 break  # terminal chunk: the stream is complete
             pending += reader.read_exactly(size, "a chunk body")
             reader.read_exactly(2, "a chunk terminator")
-            while b"\n" in pending:
-                line, _, pending = pending.partition(b"\n")
+            # One split per chunk: a chunk carries thousands of lines,
+            # and peeling them off one partition at a time would copy
+            # the rest of the chunk per line.
+            *lines, pending = pending.split(b"\n")
+            for line in lines:
                 if line.strip():
                     yield json.loads(line.decode("utf-8"))
         if pending.strip():

@@ -343,7 +343,7 @@ def merge_batch_payloads(
             )
         # Re-anchor each shard's row indices at its global offset; the
         # dict splat keeps "row" in its leading key position.  "rows"
-        # is the last payload key, as in a buffered v4 response.
+        # is the last payload key, as in a buffered v5 response.
         rows: List[Dict[str, Any]] = []
         offset = 0
         for payload in payloads:

@@ -755,7 +755,8 @@ class ServerHandle:
         Idempotent: a repeated call returns at once.  After the loop has
         stopped, the shutdown runs on it from the calling thread instead
         of being scheduled on a loop that would never run (nor await)
-        it.
+        it.  The loop is closed once its thread has ended, so no
+        unclosed-loop ``ResourceWarning`` fires when it is collected.
         """
         with self._stop_lock:
             if self._stopped:
@@ -768,6 +769,7 @@ class ServerHandle:
                 shutdown.close()  # no loop left to run it on
                 return
             self.loop.run_until_complete(shutdown)
+            self.loop.close()
             return
         future = asyncio.run_coroutine_threadsafe(shutdown, self.loop)
         try:
@@ -775,6 +777,8 @@ class ServerHandle:
         finally:
             self.loop.call_soon_threadsafe(self.loop.stop)
             self.thread.join(timeout=timeout)
+            if not self.thread.is_alive():
+                self.loop.close()
 
 
 def serve(server: AuditServer, *, timeout: float = 30.0) -> ServerHandle:

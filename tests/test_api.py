@@ -314,6 +314,21 @@ class TestAuditResult:
         with pytest.raises(ValueError):
             AuditResult.from_json(text)
 
+    def test_rows_payloads_read_at_v4_and_v5(self):
+        result = Session().audit(
+            SOURCE, inputs=BATCH_INPUTS, engine="batch", rows=True
+        )
+        assert result.schema_version == api.SCHEMA_VERSION == 5
+        # A v4 payload (exact 60-digit row distances) still reads.
+        v4 = dict(result.payload, schema_version=4)
+        rebuilt = AuditResult.from_json(json.dumps(v4))
+        assert rebuilt.payload == v4 and rebuilt.rows == result.rows
+        for version in (4, 5):
+            rowless = dict(result.payload, schema_version=version)
+            del rowless["rows"]
+            with pytest.raises(ValueError, match="no 'rows' section"):
+                AuditResult.from_json(json.dumps(rowless))
+
     def test_v3_roundtrips_static_and_sweep(self):
         session = Session()
         static = session.audit(

@@ -515,7 +515,7 @@ class TestScreenEfficiency:
     @pytest.mark.parametrize("index", range(5))
     def test_rechecks_one_row(self, index):
         definition, columns, fallback = _screen_batches(1000)[index]
-        report = run_witness_batch(definition, columns)
+        report = run_witness_batch(definition, columns, exact_backend="eft")
         assert report.all_sound
         assert report.fallback_rows == fallback
         # The screen before the binary64-operand kernels rechecked one

@@ -38,6 +38,7 @@ from strategies import (
     random_definition,
     random_program,
 )
+from repro.api import batch_report_payload, render_payload
 from repro.api import engines as registered_engines
 from repro.semantics.batch import BatchWitnessEngine
 from repro.semantics.interp import lens_of_definition
@@ -252,11 +253,21 @@ class TestExactBackendParity:
     verdicts, exact-match flags, Decimal distance strings, per-param
     maxima, perturbed-value reprs, captured error types/messages, and
     the ``fallback_rows`` accounting — is *bit-for-bit* what the
-    original 50-digit Decimal implementation produces.
+    original 50-digit Decimal implementation produces.  With
+    ``collect_rows`` the rendered payloads, ``rows`` section included,
+    are byte-identical apart from the ``exact_backend`` label.
     """
 
     @staticmethod
-    def _compare(eft, dec, n_rows):
+    def _payload_text(report):
+        payload = batch_report_payload(
+            report, engine="batch", u=2.0**-53, precision_bits=53
+        )
+        del payload["exact_backend"]
+        return render_payload(payload)
+
+    @classmethod
+    def _compare(cls, eft, dec, n_rows, collect_rows=False):
         assert eft.exact_backend == "eft"
         assert dec.exact_backend == "decimal"
         assert list(eft.sound) == list(dec.sound)
@@ -273,10 +284,14 @@ class TestExactBackendParity:
             if i in eft.errors:
                 continue
             assert_witness_reports_equal(eft[i], dec[i], ctx=i)
+        assert (eft.rows is not None) == collect_rows
+        assert (dec.rows is not None) == collect_rows
+        assert cls._payload_text(eft) == cls._payload_text(dec)
 
+    @pytest.mark.parametrize("collect_rows", [False, True])
     @given(case=engine_cases(), data=st.data())
     @settings(max_examples=_BUDGET, deadline=None)
-    def test_eft_equals_decimal_bitwise(self, case, data):
+    def test_eft_equals_decimal_bitwise(self, collect_rows, case, data):
         spec, engine_options = case
         n_rows = data.draw(st.integers(2, 5), label="n_rows")
         input_seed = data.draw(st.integers(0, 2**20), label="input_seed")
@@ -295,13 +310,15 @@ class TestExactBackendParity:
                 spec.definition,
                 spec.program,
                 exact_backend=backend,
+                collect_rows=collect_rows,
                 **engine_options,
             )
             reports[backend] = engine.run(columns)
-        self._compare(reports["eft"], reports["decimal"], n_rows)
+        self._compare(reports["eft"], reports["decimal"], n_rows, collect_rows)
 
+    @pytest.mark.parametrize("collect_rows", [False, True])
     @pytest.mark.parametrize("workers", [2, 4])
-    def test_sharded_eft_equals_decimal(self, workers):
+    def test_sharded_eft_equals_decimal(self, workers, collect_rows):
         from repro.semantics.shard import run_witness_sharded
 
         spec = random_program(7, n_helpers=1, allow_div=True)
@@ -317,8 +334,9 @@ class TestExactBackendParity:
                 program=spec.program,
                 workers=workers,
                 exact_backend=backend,
+                collect_rows=collect_rows,
             )
-        self._compare(reports["eft"], reports["decimal"], 8)
+        self._compare(reports["eft"], reports["decimal"], 8, collect_rows)
 
     def test_env_var_selects_backend(self, monkeypatch):
         spec = random_definition(2)
