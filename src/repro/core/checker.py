@@ -431,9 +431,11 @@ def _check_definition_uncached(
         else:
             skel = skel.bind(p.name, p.ty)
     if engine == "ir":
+        from ..ir.cache import adopt_checked_ir
         from ..ir.infer import infer_definition_ir
 
-        ctx, ty, _ir = infer_definition_ir(definition, judgments)
+        ctx, ty, ir = infer_definition_ir(definition, judgments)
+        adopt_checked_ir(definition, ir)
     elif engine == "recursive":
         rec = InferenceEngine(judgments)
         ctx, ty = call_with_deep_stack(rec.infer, definition.body, phi, skel)

@@ -9,61 +9,42 @@ The surface syntax mirrors the paper's listings (Section 4)::
       let v = dmul a x1 in
       (u, v)
 
-Keywords: ``let dlet in case of inl inr add sub mul dmul div
-num R unit vec mat``.  ``!`` marks discrete types / promotion.
+Token grammar (space, tab and CR are blanks; ``//`` and ``#`` comments
+run to end of line)::
+
+    IDENT   ::= (letter | '_') (letter | digit | '_' | "'")*, not a KEYWORD
+    KEYWORD ::= let dlet in case of inl inr add sub mul dmul div rnd
+                num R unit vec mat
+    INT     ::= [0-9]+
+    SYMBOL  ::= := => ( ) { } , : = | ! + * ⊗ @ /
+
+"Letter" and "digit" are Unicode's (``str.isalpha`` / ``str.isalnum``),
+so ``x²`` or ``λ1`` name variables; ``INT`` is ASCII only, so a numeral
+such as ``²`` or ``٣`` is an unexpected character, never a number.
+Every character outside this grammar is a :class:`BeanSyntaxError` at
+its line:column.  ``!`` marks discrete types / promotion.
+
+The scanner is one compiled master pattern, applied to each line with
+``findall``: every match is one token (or comment) with its leading
+blanks folded in, so the per-character work happens in the regex
+engine and Python only sees one tuple per token.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Iterator, List
+import re
+from typing import List, NamedTuple
 
 from .errors import BeanSyntaxError
 
 __all__ = ["Token", "TokenKind", "tokenize"]
 
 KEYWORDS = frozenset(
-    {
-        "let",
-        "dlet",
-        "in",
-        "case",
-        "of",
-        "inl",
-        "inr",
-        "add",
-        "sub",
-        "mul",
-        "dmul",
-        "div",
-        "rnd",
-        "num",
-        "R",
-        "unit",
-        "vec",
-        "mat",
-    }
+    "let dlet in case of inl inr add sub mul dmul div rnd num R unit vec mat".split()
 )
 
 # Multi-character symbols must come before their prefixes.
-SYMBOLS = (
-    ":=",
-    "=>",
-    "(",
-    ")",
-    "{",
-    "}",
-    ",",
-    ":",
-    "=",
-    "|",
-    "!",
-    "+",
-    "*",
-    "⊗",
-    "@",
-    "/",
-)
+SYMBOLS = (":=", "=>", "(", ")", "{", "}", ",", ":", "=", "|", "!", "+", "*", "⊗", "@", "/")
 
 
 class TokenKind:
@@ -76,8 +57,7 @@ class TokenKind:
     EOF = "EOF"
 
 
-@dataclass(frozen=True)
-class Token:
+class Token(NamedTuple):
     """A lexed token with 1-based source position."""
 
     kind: str
@@ -97,65 +77,60 @@ class Token:
         return repr(self.text)
 
 
-def _ident_start(ch: str) -> bool:
-    return ch.isalpha() or ch == "_"
+# One capture group per token class, tried in order after the blanks,
+# matched against one line at a time.  The identifier class ``[^\W\d]``
+# is "a word character but not a decimal digit"; it also admits numerals
+# such as ``²`` that are not letters, so the scanner rejects a match
+# whose first character fails ``isalpha``.  ``.`` catches any other
+# character as an error; the empty ``$`` alternative absorbs trailing
+# blanks, so the matches tile each line exactly.
+_LINE_TOKENS = re.compile(
+    r"([ \t\r]*)(?:"
+    r"([^\W\d][\w']*)"
+    r"|((?://|\#).*)"
+    r"|(" + "|".join(re.escape(s) for s in SYMBOLS) + r")"
+    r"|([0-9]+)"
+    r"|(.)"
+    r"|$)"
+)
 
-
-def _ident_continue(ch: str) -> bool:
-    return ch.isalnum() or ch in "_'"
+_new_token = tuple.__new__  # Token(...) without the Python-level __new__
 
 
 def tokenize(source: str) -> List[Token]:
     """Tokenize ``source``; raises :class:`BeanSyntaxError` on bad input."""
-    return list(_tokens(source))
-
-
-def _tokens(source: str) -> Iterator[Token]:
-    i = 0
-    line = 1
+    tokens: List[Token] = []
+    append = tokens.append
+    keywords = KEYWORDS
+    KEYWORD, IDENT, SYMBOL, INT = (
+        TokenKind.KEYWORD, TokenKind.IDENT, TokenKind.SYMBOL, TokenKind.INT
+    )
+    line = 0
     col = 1
-    n = len(source)
-    while i < n:
-        ch = source[i]
-        if ch == "\n":
-            i += 1
-            line += 1
-            col = 1
-            continue
-        if ch in " \t\r":
-            i += 1
-            col += 1
-            continue
-        if ch == "/" and source.startswith("//", i):
-            while i < n and source[i] != "\n":
-                i += 1
-            continue
-        if ch == "#":
-            while i < n and source[i] != "\n":
-                i += 1
-            continue
-        if _ident_start(ch):
-            start = i
-            while i < n and _ident_continue(source[i]):
-                i += 1
-            text = source[start:i]
-            kind = TokenKind.KEYWORD if text in KEYWORDS else TokenKind.IDENT
-            yield Token(kind, text, line, col)
-            col += i - start
-            continue
-        if ch.isdigit():
-            start = i
-            while i < n and source[i].isdigit():
-                i += 1
-            yield Token(TokenKind.INT, source[start:i], line, col)
-            col += i - start
-            continue
-        for sym in SYMBOLS:
-            if source.startswith(sym, i):
-                yield Token(TokenKind.SYMBOL, sym, line, col)
-                i += len(sym)
-                col += len(sym)
+    for text in source.split("\n"):
+        line += 1
+        col = 1
+        for blanks, ident, comment, symbol, digits, bad in _LINE_TOKENS.findall(text):
+            col += len(blanks)
+            if ident:
+                first = ident[0]
+                if not (first.isalpha() or first == "_"):
+                    bad = first
+                    break
+                kind = KEYWORD if ident in keywords else IDENT
+                append(_new_token(Token, (kind, ident, line, col)))
+                col += len(ident)
+            elif symbol:
+                append(_new_token(Token, (SYMBOL, symbol, line, col)))
+                col += len(symbol)
+            elif digits:
+                append(_new_token(Token, (INT, digits, line, col)))
+                col += len(digits)
+            elif bad:
                 break
-        else:
-            raise BeanSyntaxError(f"unexpected character {ch!r}", line, col)
-    yield Token(TokenKind.EOF, "", line, col)
+            else:
+                col += len(comment)
+        if bad:
+            raise BeanSyntaxError(f"unexpected character {bad!r}", line, col)
+    append(_new_token(Token, (TokenKind.EOF, "", line, col)))
+    return tokens

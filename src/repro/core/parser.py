@@ -5,7 +5,7 @@ conveniences: calls, tuple patterns, and n-ary tuples)::
 
     program    ::= definition+
     definition ::= NAME param* (':' type)? ':=' expr
-    param      ::= '(' pattern ':' type ')'
+    param      ::= '(' pattern ':' type ('@' INT ('/' INT)?)? ')'
     pattern    ::= NAME | '(' pattern (',' pattern)+ ')'
 
     type       ::= tensor ('+' tensor)?
@@ -19,12 +19,16 @@ conveniences: calls, tuple patterns, and n-ary tuples)::
                  | 'case' expr 'of' 'inl' bname '=>' expr
                                 '|' 'inr' bname '=>' expr
                  | op atom atom                 (op ∈ add sub mul dmul div)
+                 | 'rnd' atom
                  | 'inl' ('{' type '}')? atom
                  | 'inr' ('{' type '}')? atom
                  | '!' atom
                  | NAME atom+                   (call)
                  | atom
     atom       ::= NAME | '(' ')' | '(' expr (',' expr)* ')'
+
+``NAME`` and ``INT`` are the lexer's ``IDENT`` and ASCII ``[0-9]+``
+tokens (:mod:`repro.core.lexer`).
 
 Tuple patterns and n-ary tuples are desugared to *balanced* nested pairs,
 matching :func:`repro.core.types.tensor_of`, so pattern depth stays
@@ -66,7 +70,10 @@ class _Parser:
     # -- token plumbing -------------------------------------------------------
 
     def peek(self, ahead: int = 0) -> Token:
-        return self.tokens[min(self.pos + ahead, len(self.tokens) - 1)]
+        try:
+            return self.tokens[self.pos + ahead]
+        except IndexError:  # looking past the end: the EOF token
+            return self.tokens[-1]
 
     def advance(self) -> Token:
         tok = self.tokens[self.pos]
@@ -184,41 +191,44 @@ class _Parser:
 
     # -- expressions -------------------------------------------------------------
 
+    # No identifier or numeral is spelled like a keyword or symbol, so
+    # the dispatch below compares ``tok.text`` alone.
+
     def parse_expr(self) -> A.Expr:
         tok = self.peek()
-        if tok.is_keyword("let") or tok.is_keyword("dlet"):
+        text = tok.text
+        if text == "let" or text == "dlet":
             # Iterate over the let-spine instead of recursing: benchmark
             # programs chain thousands of binders, and the rest of the
             # pipeline (IR lowering, sweeps) is iterative too.
             frames = []
-            while True:
-                tok = self.peek()
-                if not (tok.is_keyword("let") or tok.is_keyword("dlet")):
-                    break
-                discrete = tok.is_keyword("dlet")
+            while text == "let" or text == "dlet":
+                discrete = text == "dlet"
                 self.advance()  # let / dlet
                 pattern = self.parse_pattern()
                 self.expect_symbol("=")
                 bound = self.parse_expr()
                 self.expect_keyword("in")
                 frames.append((pattern, bound, discrete))
+                text = self.peek().text
             expr = self.parse_expr()
             for pattern, bound, discrete in reversed(frames):
                 expr = bind_pattern(pattern, bound, expr, discrete=discrete)
             return expr
-        if tok.is_keyword("case"):
-            return self.parse_case()
-        if tok.kind == TokenKind.KEYWORD and tok.text in _OPS:
+        op = _OPS.get(text)
+        if op is not None:
             self.advance()
             left = self.parse_atom()
             right = self.parse_atom()
-            return A.PrimOp(_OPS[tok.text], left, right)
-        if tok.is_keyword("rnd"):
+            return A.PrimOp(op, left, right)
+        if text == "case":
+            return self.parse_case()
+        if text == "rnd":
             self.advance()
             return A.Rnd(self.parse_atom())
-        if tok.is_keyword("inl") or tok.is_keyword("inr"):
+        if text == "inl" or text == "inr":
             return self.parse_injection()
-        if tok.is_symbol("!"):
+        if text == "!":
             self.advance()
             return A.Bang(self.parse_atom())
         if (
@@ -237,7 +247,7 @@ class _Parser:
 
     @staticmethod
     def _starts_atom(tok: Token) -> bool:
-        return tok.kind == TokenKind.IDENT or tok.is_symbol("(")
+        return tok.kind == TokenKind.IDENT or tok.text == "("
 
     def _begins_definition(self, idx: int) -> bool:
         """Whether the token at ``idx`` starts a new top-level definition.
@@ -308,13 +318,13 @@ class _Parser:
         tok = self.peek()
         if tok.kind == TokenKind.IDENT:
             return A.Var(self.advance().text)
-        if tok.is_symbol("("):
+        if tok.text == "(":
             self.advance()
-            if self.peek().is_symbol(")"):
+            if self.peek().text == ")":
                 self.advance()
                 return A.UnitVal()
             parts = [self.parse_expr()]
-            while self.peek().is_symbol(","):
+            while self.peek().text == ",":
                 self.advance()
                 parts.append(self.parse_expr())
             self.expect_symbol(")")
@@ -450,23 +460,20 @@ def parse_program(source: str) -> A.Program:
 
 def parse_expression(source: str) -> A.Expr:
     """Parse a single Bean expression (no definitions)."""
-    parser = _Parser(tokenize(source))
-    expr = parser.parse_expr()
-    tok = parser.peek()
-    if tok.kind != TokenKind.EOF:
-        raise BeanSyntaxError(
-            f"unexpected trailing input: {tok.describe()}", tok.line, tok.column
-        )
-    return expr
+    return _parse_all(source, _Parser.parse_expr)
 
 
 def parse_type(source: str) -> Type:
     """Parse a Bean type."""
+    return _parse_all(source, _Parser.parse_type)
+
+
+def _parse_all(source: str, parse):
     parser = _Parser(tokenize(source))
-    ty = parser.parse_type()
+    result = parse(parser)
     tok = parser.peek()
     if tok.kind != TokenKind.EOF:
         raise BeanSyntaxError(
             f"unexpected trailing input: {tok.describe()}", tok.line, tok.column
         )
-    return ty
+    return result

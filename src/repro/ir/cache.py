@@ -17,6 +17,11 @@ misses so lowered and inlined IR survive process restarts.  The
 registration point lives here (rather than in :mod:`repro.service`) so
 this package and :mod:`repro.core.checker` can consult it without
 importing the serving layer.
+
+A checked definition's IR *is* its semantic IR: the checker lowers each
+definition once (``checked=True``) and hands the result to
+:func:`adopt_checked_ir`, so :func:`semantic_definition_ir` lowers only
+definitions that were never checked in this process.
 """
 
 from __future__ import annotations
@@ -30,6 +35,7 @@ from .lower import IRProgram, lower_definition, lower_expr
 __all__ = [
     "IdentityCache",
     "semantic_definition_ir",
+    "adopt_checked_ir",
     "semantic_expr_ir",
     "inlined_definition_ir",
     "clear_caches",
@@ -46,11 +52,17 @@ class IdentityCache:
         self._entries: Dict[int, Tuple[Callable, object]] = {}
 
     def get(self, obj):
+        entry = self._entries.get(id(obj))
+        if entry is not None and entry[0]() is obj:
+            return entry[1]
+        return self.put(obj, self._build(obj))
+
+    def put(self, obj, value):
+        """Cache ``value`` for ``obj`` unless it has one; return the cached value."""
         key = id(obj)
         entry = self._entries.get(key)
         if entry is not None and entry[0]() is obj:
             return entry[1]
-        value = self._build(obj)
         try:
             ref = weakref.ref(obj, lambda _r, k=key, e=self._entries: e.pop(k, None))
         except TypeError:  # un-weakref-able object: never evict, pin it
@@ -106,6 +118,14 @@ _SEMANTIC_EXPRS = IdentityCache(lambda e: lower_expr(e))
 def semantic_definition_ir(definition: A.Definition) -> IRProgram:
     """The (cached) semantic-mode IR of a definition."""
     return _SEMANTIC_DEFS.get(definition)
+
+
+def adopt_checked_ir(definition: A.Definition, ir: IRProgram) -> None:
+    """Cache the checker's IR of ``definition`` as its semantic IR (the
+    two lowerings agree on accepted definitions, see
+    :mod:`repro.ir.lower`).  A persistent layer keeps its own path."""
+    if _PERSISTENT is None:
+        _SEMANTIC_DEFS.put(definition, ir)
 
 
 def semantic_expr_ir(expr: A.Expr) -> IRProgram:

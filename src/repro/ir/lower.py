@@ -23,6 +23,13 @@ Two modes:
   linearity, unknown variables fail at use time, Λ_S constants allowed).
   Free variables become implicit parameters read from the environment.
 
+On a term both modes accept they emit the same ops, slot for slot: the
+checks only *reject*, and the slot types and used-parameter set are
+extra metadata.  So a checked definition's IR *is* its semantic IR —
+the checker hands it to :mod:`repro.ir.cache`, and a checked definition
+is lowered once.  Semantic mode remains for unchecked Λ_S terms
+(:func:`lower_expr`, ``evaluate``) and definitions nobody checked.
+
 Slot discipline: each op writes the slot ``op.dest``; parameter slots are
 pre-filled by executors and have no defining op; ``let`` binders emit no
 code at all (the bound name aliases the bound expression's slot), which
@@ -359,7 +366,7 @@ class _Lowerer:
                     self._start_call(e, push)
                 elif cls is A.UnitVal:
                     vstack.append(self.emit(UNIT, ty=UNIT_TY))
-                elif not self.checked and hasattr(e, "value") and not _children(e):
+                elif not self.checked and hasattr(e, "value") and not A._children(e):
                     # Λ_S numeric literal (lam_s.syntax.Const) — runnable
                     # but outside Bean's checked grammar.
                     vstack.append(self.emit(CONST, aux=e.value))
@@ -371,16 +378,15 @@ class _Lowerer:
             elif tag == "bind_let":
                 e = item[1]
                 slot = vstack.pop()
-                if (
-                    not self.checked
-                    and type(e.bound) is A.Var
-                    and slot in self.param_slots
-                ):
+                if type(e.bound) is A.Var and slot in self.param_slots:
                     # The recursive evaluator reads a let-bound variable
                     # eagerly; a pure slot alias would skip the read (and
                     # its unbound-input check) when the binder is dead.
                     # An identity op keeps the strictness observable.
-                    slot = self.emit(BANG, slot)
+                    # Checked mode emits it too, typed as the parameter
+                    # (grade inference passes ``!`` through), so both
+                    # modes produce the same ops.
+                    slot = self.emit(BANG, slot, ty=self.ty_of(slot))
                 if type(e) is A.DLet:
                     if self.checked:
                         ty = self.ty_of(slot)
@@ -637,10 +643,6 @@ class _Lowerer:
         )
         self.has_cases = True
         vstack.append(self.emit(CASE, state["scrut"], aux=regions, ty=result_ty))
-
-
-def _children(expr: A.Expr) -> Tuple[A.Expr, ...]:
-    return A._children(expr)
 
 
 # --------------------------------------------------------------------------

@@ -29,10 +29,11 @@ witnesses for concrete runs.
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional
+from typing import Dict, List, Optional, Tuple
 
 from ..core import ast_nodes as A
 from ..core.checker import Judgment, check_program
+from ..core.deepstack import call_with_deep_stack
 from ..core.types import is_discrete
 from ..ir import lower as L
 from ..ir.cache import semantic_definition_ir
@@ -294,8 +295,11 @@ class _IRBackward:
             "approx", program, precision, rounding, seed, precision_bits
         )
 
-    def run(self, ir, env: Env, target: Value) -> Mods:
-        vals = self.interp.run_ir_vals(ir, dict(env))
+    def run(self, ir, env: Env, target: Value, vals: Optional[List] = None) -> Mods:
+        """Thread ``target`` back to ``ir``'s parameters; ``vals`` is the
+        approximate forward sweep of ``env``, if the caller has it."""
+        if vals is None:
+            vals = self.interp.run_ir_vals(ir, dict(env))
         targets: List = [None] * ir.n_slots
         targets[ir.result] = target
         self._sweep(ir.ops, vals, targets)
@@ -483,8 +487,6 @@ class BeanLens:
     def ideal(self, env: Env) -> Value:
         """``f`` — exact real (high-precision) evaluation."""
         if self.engine == "recursive":
-            from ..core.deepstack import call_with_deep_stack
-
             interp = _Interp("ideal", self.program, self.precision)
             return call_with_deep_stack(interp.run, self.definition.body, dict(env))
         interp = _IRInterp("ideal", self.program, self.precision)
@@ -493,29 +495,35 @@ class BeanLens:
     def approx(self, env: Env) -> Value:
         """``f̃`` — IEEE binary64 evaluation (seeded stochastic rounding
         if configured)."""
-        if self.engine == "recursive":
-            from ..core.deepstack import call_with_deep_stack
+        return self.approx_sweep(env)[0]
 
+    def approx_sweep(self, env: Env) -> Tuple[Value, Optional[List]]:
+        """``f̃`` plus the IR forward sweep's slot values (``None`` on the
+        recursive engine), for :meth:`backward` to reuse."""
+        if self.engine == "recursive":
             interp = _Interp(
                 "approx", self.program, self.precision, self.rounding,
                 self.seed, self.precision_bits,
             )
-            return call_with_deep_stack(interp.run, self.definition.body, dict(env))
+            value = call_with_deep_stack(interp.run, self.definition.body, dict(env))
+            return value, None
         interp = _IRInterp(
             "approx", self.program, self.precision, self.rounding, self.seed,
             self.precision_bits,
         )
-        return interp.run_ir(self.ir, dict(env))
+        ir = self.ir
+        vals = interp.run_ir_vals(ir, dict(env))
+        return interp._fetch(vals, ir.result), vals
 
-    def backward(self, env: Env, target: Value) -> Env:
+    def backward(self, env: Env, target: Value, slots: Optional[List] = None) -> Env:
         """``b`` — the backward error witness constructor.
 
         Returns a *complete* perturbed environment: discrete parameters
-        unchanged, linear parameters possibly perturbed.
+        unchanged, linear parameters possibly perturbed.  ``slots`` are
+        the slot values :meth:`approx_sweep` returned for this ``env``;
+        without them the IR engine re-runs the forward sweep.
         """
         if self.engine == "recursive":
-            from ..core.deepstack import call_with_deep_stack
-
             interp = _LensInterp(
                 self.program, self.precision, self.rounding, self.seed,
                 self.precision_bits,
@@ -532,7 +540,7 @@ class BeanLens:
                 self.program, self.precision, self.rounding, self.seed,
                 self.precision_bits,
             )
-            mods = sweep.run(self.ir, env, target)
+            mods = sweep.run(self.ir, env, target, slots)
         perturbed = dict(env)
         for name, value in mods.items():
             if name not in perturbed:

@@ -4,7 +4,9 @@ Given a checked Bean definition and concrete inputs, the witness runner
 
 1. evaluates the program under the **approximate** (binary64) semantics,
    obtaining ``v``;
-2. applies the **backward map** to construct perturbed inputs ``k̃``;
+2. applies the **backward map** to construct perturbed inputs ``k̃``,
+   reusing step 1's forward slot values (the approximate semantics
+   runs once per witness);
 3. re-evaluates under the **ideal** (high-precision) semantics on ``k̃``
    and checks ``f(k̃) = v`` (Property 2);
 4. measures ``d_{⟦σᵢ⟧}(kᵢ, k̃ᵢ)`` for every linear parameter and checks
@@ -114,8 +116,8 @@ def run_witness(
     if lens is None:
         lens = lens_of_definition(definition, program=program)
     env = env_from_pythons(definition, inputs)
-    approx_value = lens.approx(env)
-    perturbed = lens.backward(env, approx_value)
+    approx_value, slots = lens.approx_sweep(env)
+    perturbed = lens.backward(env, approx_value, slots)
     ideal_value = lens.ideal(perturbed)
     exact = values_close(ideal_value, approx_value)
 

@@ -115,18 +115,6 @@ class ArtifactCache:
             h.update(str(len(data)).encode("ascii") + b":" + data)
         return h.hexdigest()
 
-    def get_keyed(
-        self, kind: str, fingerprint: str, build: Callable[[], Any]
-    ) -> Any:
-        """Build-through under :meth:`keyed_key` (see :meth:`get`)."""
-        key = self.keyed_key(kind, fingerprint)
-        value = self.load(key)
-        if value is not None:
-            return value
-        value = build()
-        self.store(key, value)
-        return value
-
     # -- raw entry I/O -----------------------------------------------------
 
     def _path(self, key: str) -> str:

@@ -139,6 +139,16 @@ class TestWitness:
         assert excinfo.value.code == 2  # argparse usage error
         assert "invalid choice: 'decimal'" in capsys.readouterr().err
 
+    def test_witness_non_ascii_numeral_is_an_error_line(self, tmp_path, capsys):
+        bad = tmp_path / "bad.bean"
+        bad.write_text("F (x : vec(²)) := x", encoding="utf-8")
+        code = main(["witness", str(bad), "--inputs", '{"x": [1.0]}'])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:")
+        assert "1:12: unexpected character '²'" in err
+        assert "Traceback" not in err
+
     def test_witness_bad_exact_backend_error_line(self, bean_file, capsys):
         code = main(
             [

@@ -15,11 +15,12 @@ Two families of properties:
 from __future__ import annotations
 
 import sys
+from pathlib import Path
 
 import pytest
 
 from strategies import random_definition, random_inputs
-from repro.core import check_definition, parse_program
+from repro.core import check_definition, parse_program, pretty_program
 from repro.core.checker import check_program
 from repro.ir import lower_definition, semantic_definition_ir
 from repro.lam_s.eval import evaluate
@@ -304,3 +305,140 @@ class TestProgramCache:
     def test_program_check_cached(self):
         program = parse_program("F (x : num) := rnd x")
         assert check_program(program) is check_program(program)
+
+
+# ---------------------------------------------------------------------------
+# One lowering per checked definition, one approx sweep per witness
+# ---------------------------------------------------------------------------
+
+
+EXAMPLE_BEAN = Path(__file__).resolve().parent.parent / "examples" / "bean"
+
+
+def _ops_signature(ops):
+    """Op reprs, with each case's regions spelled out (reprs omit them)."""
+    from repro.ir.lower import CASE
+
+    out = []
+    for op in ops:
+        out.append(repr(op))
+        if op.code == CASE:
+            for region in op.aux:
+                out.append((region.payload, region.result, _ops_signature(region.ops)))
+    return out
+
+
+def _ir_signature(ir):
+    params = [(p.name, p.slot, p.discrete, repr(p.ty)) for p in ir.params]
+    return (
+        params, _ops_signature(ir.ops), ir.result, ir.n_slots,
+        ir.has_calls, ir.has_cases, ir.vectorizable,
+    )
+
+
+def _assert_audited_ir_is_semantic(program):
+    """After a check, each definition's cached IR is its checked IR and
+    matches a fresh semantic lowering repr for repr."""
+    check_program(program)
+    for definition in program:
+        audited = semantic_definition_ir(definition)
+        assert audited.types is not None  # the checker's own lowering
+        fresh = lower_definition(definition, checked=False)
+        assert _ir_signature(audited) == _ir_signature(fresh)
+
+
+def _flat_inputs(definition, salt: float):
+    from repro.core.types import Discrete, Tensor
+
+    def size(ty):
+        if isinstance(ty, Discrete):
+            return size(ty.inner)
+        if isinstance(ty, Tensor):
+            return size(ty.left) + size(ty.right)
+        return 1
+
+    inputs = {}
+    for k, p in enumerate(definition.params):
+        n = size(p.ty)
+        values = [1.0 + salt + (k * 7 + i) / 13 for i in range(n)]
+        inputs[p.name] = values[0] if n == 1 else values
+    return inputs
+
+
+class TestSinglePassColdAudit:
+    @pytest.mark.parametrize(
+        "family, n",
+        [("dot_prod", 20), ("vec_sum", 50), ("horner", 20), ("poly_val", 10),
+         ("mat_vec_mul", 5)],
+    )
+    def test_cold_session_lowers_once_and_sweeps_approx_once(
+        self, family, n, monkeypatch
+    ):
+        from repro.api import Session
+        from repro.core import Program, pretty_program
+        from repro.ir import lower as L
+        from repro.lam_s.eval import _IRInterp
+        from repro.programs import generators
+
+        lowerings = []
+        sweeps = []
+        real_lower = L._Lowerer.lower
+        real_sweep = _IRInterp.run_ir_vals
+
+        def counting_lower(self, root):
+            lowerings.append(self.checked)
+            return real_lower(self, root)
+
+        def counting_sweep(self, ir, env):
+            sweeps.append(self.mode)
+            return real_sweep(self, ir, env)
+
+        monkeypatch.setattr(L._Lowerer, "lower", counting_lower)
+        monkeypatch.setattr(_IRInterp, "run_ir_vals", counting_sweep)
+        text = pretty_program(Program([getattr(generators, family)(n)]))
+        with Session() as session:
+            program = session.parse(text)
+            session.check(program)
+            result = session.audit(program, inputs=_flat_inputs(program.main, 0.25))
+        assert result.sound
+        assert lowerings == [True]
+        assert sweeps.count("approx") == 1
+        assert sweeps.count("ideal") == 1
+
+    @pytest.mark.parametrize("path", sorted(EXAMPLE_BEAN.glob("*.bean")), ids=lambda p: p.name)
+    def test_example_files(self, path):
+        _assert_audited_ir_is_semantic(parse_program(path.read_text()))
+
+    def test_example_library(self):
+        from repro.programs.examples import example_program
+
+        _assert_audited_ir_is_semantic(parse_program(pretty_program(example_program())))
+
+    @pytest.mark.parametrize("seed", range(25))
+    def test_random_definitions(self, seed):
+        from repro.core import Program
+
+        spec = random_definition(seed, n_linear=4, n_steps=6, allow_div=True)
+        _assert_audited_ir_is_semantic(Program([spec.definition]))
+
+    @pytest.mark.parametrize("seed", range(15))
+    def test_random_programs(self, seed):
+        from strategies import random_program
+
+        _assert_audited_ir_is_semantic(random_program(seed, allow_div=True).program)
+
+    def test_parameter_alias_is_a_typed_bang_in_both_modes(self):
+        from repro.ir.lower import BANG
+
+        program = parse_program(
+            "F (x : num) (z : num) (c : !num) := let y = x in let w = z in dmul c y"
+        )
+        judgment = check_program(program)["F"]
+        # Aliasing x through y leaves its grade where dmul puts it; the
+        # dead alias w of z still reads z (strictness), at grade 0.
+        assert judgment.grade_of("x").coeff == 1
+        assert judgment.grade_of("z").coeff == 0
+        ir = semantic_definition_ir(program["F"])
+        bangs = [op for op in ir.ops if op.code == BANG]
+        assert [ir.types[op.dest] for op in bangs] == [p.ty for p in program["F"].params[:2]]
+        _assert_audited_ir_is_semantic(program)

@@ -1,9 +1,12 @@
 """Tests for the Bean tokenizer."""
 
 import pytest
+from hypothesis import example, given
+from hypothesis import strategies as st
 
+from oracles.lexer_ref import reference_tokens
 from repro.core.errors import BeanSyntaxError
-from repro.core.lexer import Token, TokenKind, tokenize
+from repro.core.lexer import KEYWORDS, SYMBOLS, Token, TokenKind, tokenize
 
 
 def kinds(source):
@@ -89,3 +92,155 @@ class TestTokenHelpers:
 
     def test_describe_eof(self):
         assert Token(TokenKind.EOF, "", 1, 1).describe() == "end of input"
+
+
+class TestTokenGrammarFixes:
+    """The two places the shipped lexer departs from the old scanner."""
+
+    @pytest.mark.parametrize(
+        "source, column, char",
+        [
+            ("F (x : vec(²)) := x", 12, "²"),  # superscript: not a numeral
+            ("F (x : vec(٣)) := x", 12, "٣"),  # Arabic-Indic: was read as 3
+            ("vec(1٣)", 6, "٣"),  # an INT is ASCII digits only
+            ("  ½", 3, "½"),
+        ],
+    )
+    def test_non_ascii_numerals_are_syntax_errors(self, source, column, char):
+        with pytest.raises(BeanSyntaxError) as exc:
+            tokenize(source)
+        assert (exc.value.line, exc.value.column) == (1, column)
+        assert str(exc.value) == f"1:{column}: unexpected character {char!r}"
+
+    def test_non_ascii_letters_and_digits_inside_identifiers(self):
+        toks = tokenize("x² λ1 a٣ é")
+        assert [(t.kind, t.text) for t in toks[:-1]] == [
+            ("IDENT", "x²"), ("IDENT", "λ1"), ("IDENT", "a٣"), ("IDENT", "é"),
+        ]
+
+    @pytest.mark.parametrize(
+        "source, position",
+        [
+            ("F (x : num) := // c", (1, 20)),
+            ("F (x : num) := # c", (1, 19)),
+            ("x\n// c", (2, 5)),
+            ("x // c\n", (2, 1)),
+            ("x  ", (1, 4)),
+        ],
+    )
+    def test_eof_sits_at_the_true_end_of_input(self, source, position):
+        eof = tokenize(source)[-1]
+        assert eof.kind == TokenKind.EOF
+        assert (eof.line, eof.column) == position
+
+    def test_parser_reports_the_end_after_a_trailing_comment(self):
+        from repro.core.parser import parse_program
+
+        with pytest.raises(BeanSyntaxError) as exc:
+            parse_program("F (x : num) := // c")
+        assert str(exc.value) == "1:20: expected an expression, found end of input"
+
+    def test_every_unicode_letter_starts_an_identifier(self):
+        starts = [
+            chr(i) for i in range(0x110000) if chr(i).isalpha() or chr(i) == "_"
+        ]
+        toks = tokenize(" ".join(starts))[:-1]
+        assert [t.text for t in toks] == starts
+        assert all(t.kind in (TokenKind.IDENT, TokenKind.KEYWORD) for t in toks)
+
+    def test_every_unicode_alphanumeric_continues_an_identifier(self):
+        rest = "".join(
+            chr(i) for i in range(0x110000) if chr(i).isalnum() or chr(i) in "_'"
+        )
+        toks = tokenize("a" + rest)
+        assert [(t.kind, t.text) for t in toks[:-1]] == [("IDENT", "a" + rest)]
+
+    def test_non_letter_word_characters_cannot_start_a_token(self):
+        # ``str.isalnum`` characters that are neither letters nor ASCII
+        # digits (², ½, Ⅻ, ٣, ...): each is an error at its column.
+        for i in range(0x110000):
+            ch = chr(i)
+            if ch.isalnum() and not ch.isalpha() and ch not in "0123456789":
+                with pytest.raises(BeanSyntaxError, match="1:2: unexpected"):
+                    tokenize(" " + ch)
+
+
+# ---------------------------------------------------------------------------
+# Differential oracle: the old character-loop scanner
+# ---------------------------------------------------------------------------
+
+
+def _outcome(scan, source):
+    try:
+        return ("ok", [tuple(t) for t in scan(source)])
+    except BeanSyntaxError as exc:
+        return ("error", str(exc), exc.line, exc.column)
+
+
+def _offset(source, line, column):
+    """The source offset of a 1-based line:column (columns count chars)."""
+    start = 0
+    for _ in range(line - 1):
+        start = source.index("\n", start) + 1
+    return start + column - 1
+
+
+def _expected(source):
+    """The reference scanner's outcome with the two fixes applied.
+
+    * An ``INT`` holding a non-ASCII digit becomes an error at that digit.
+    * ``EOF`` sits at the true end of input, after any trailing comment.
+
+    When the reference scanner fails, the shipped lexer may fail earlier,
+    at a non-ASCII digit the reference read as a number: the reference's
+    run on the text before its error decides.
+    """
+    ref = _outcome(reference_tokens, source)
+    if ref[0] == "error":
+        prefix = source[: _offset(source, ref[2], ref[3])]
+        before = _expected(prefix)
+        return before if before[0] == "error" else ref
+    for kind, text, line, column in ref[1]:
+        if kind == TokenKind.INT:
+            for k, ch in enumerate(text):
+                if ch not in "0123456789":
+                    col = column + k
+                    return ("error", f"{line}:{col}: unexpected character {ch!r}", line, col)
+    kind, text, line, _ = ref[1][-1]
+    end_column = len(source) - (source.rfind("\n") + 1) + 1
+    return ("ok", ref[1][:-1] + [(kind, text, line, end_column)])
+
+
+#: Fragments of Bean text: the token alphabet, blanks, comments, and
+#: non-ASCII letters, digits and numerals.
+_FRAGMENTS = (
+    sorted(KEYWORDS)
+    + list(SYMBOLS)
+    + ["x", "y0", "_t", "a'", "λ", "é", "x²", "٣", "²", "½", "Ⅻ", "0", "42",
+       " ", "  ", "\t", "\r", "\n", "\r\n", "// c", "//", "# h", "#", "/",
+       "`", "$", ".", "-", "\xa0", "\f"]
+)
+bean_text = st.one_of(
+    st.lists(st.sampled_from(_FRAGMENTS), max_size=30).map("".join),
+    st.text(alphabet=st.sampled_from("".join(_FRAGMENTS)), max_size=30),
+    st.text(max_size=20),
+)
+
+
+class TestReferenceDifferential:
+    @given(bean_text)
+    @example("F (x : vec(²)) := x")
+    @example("F (x : num) := // c")
+    @example("12٣ x ` ²")
+    @example("a\n  $ ²")
+    def test_matches_reference_scanner(self, source):
+        assert _outcome(tokenize, source) == _expected(source)
+
+    def test_examples_tokenize_like_the_reference(self):
+        from pathlib import Path
+
+        root = Path(__file__).resolve().parent.parent / "examples"
+        sources = [p.read_text() for p in sorted(root.rglob("*.bean"))]
+        assert sources
+        for source in sources:
+            assert _outcome(tokenize, source) == _outcome(reference_tokens, source)

@@ -34,6 +34,8 @@ class TestFrontEndRobustness:
     @example("F (x : num) := add x")  # missing operand
     @example("F (x := x")  # truncated header
     @example("let x = in y")
+    @example("F (x : vec(²)) := x")  # a numeral int() would choke on
+    @example("F (x : mat(1, ٣)) := x")
     def test_parse_program_fails_cleanly(self, text):
         try:
             program = parse_program(text)
@@ -46,6 +48,7 @@ class TestFrontEndRobustness:
             pass
 
     @given(raw_text)
+    @example("F (x : vec(²)) := x")
     def test_arbitrary_text(self, text):
         try:
             parse_program(text)

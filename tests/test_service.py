@@ -619,6 +619,13 @@ class TestAuditServer:
         )
         assert status == 422
         assert "y" in json.loads(body)["error"]
+        # A non-ASCII numeral is a positioned syntax error.
+        status, body = served_audit(
+            audit_server,
+            {"source": "F (x : vec(²)) := x", "inputs": {"x": [1.0]}},
+        )
+        assert status == 422
+        assert "1:12: unexpected character '²'" in json.loads(body)["error"]
 
     def test_unknown_path_and_method(self, audit_server):
         status, _ = service_client.request(
