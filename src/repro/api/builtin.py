@@ -110,8 +110,8 @@ class ScalarLensEngine:
 
     ``lens_engine`` selects the lens internals
     (:func:`repro.semantics.interp.lens_of_program`'s ``engine=``):
-    ``"ir"`` for the iterative flat-IR sweeps, ``"recursive"`` for the
-    structural reference interpreters.
+    ``"ir"`` for the unboxed slot executor's flat-IR sweeps,
+    ``"recursive"`` for the structural reference interpreters.
     """
 
     #: stamped by ``register_engine`` at registration time
@@ -151,7 +151,7 @@ class ScalarLensEngine:
 @register_engine(
     "ir",
     compose=True,
-    description="iterative flat-IR scalar lens (the default)",
+    description="unboxed slot executor over the flat IR (the default)",
 )
 class IrEngine(ScalarLensEngine):
     lens_engine = "ir"

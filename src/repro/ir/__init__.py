@@ -23,8 +23,8 @@ consumer walks with plain Python loops:
   inferred judgments survive process restarts.
 
 Consumers: :mod:`repro.core.checker` (grade inference),
-:mod:`repro.lam_s.eval` (ideal/approximate forward sweeps),
-:mod:`repro.semantics.interp` (the backward lens pass as a reverse
+:mod:`repro.semantics.interp` (the unboxed slot executor: ideal and
+approximate forward sweeps and the backward lens pass as a reverse
 sweep), :mod:`repro.semantics.batch` (the vectorized witness engine) and
 :mod:`repro.analysis` (interval/forward abstract sweeps).
 """

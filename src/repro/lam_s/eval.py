@@ -12,6 +12,11 @@ Two evaluation modes implement the paper's two step relations:
   model ``e^δ, |δ| ≤ u/(1-u)`` on which the type system's bounds are
   based (Section 2.1.1), assuming no overflow or underflow.
 
+This module holds the paper's rules as written: :class:`_Interp`, the
+structural reference interpreter (``engine="recursive"``), and the
+rounding kernels (:func:`round_to_precision`, :func:`stochastic_round`)
+that the slot executor of :mod:`repro.semantics.interp` also runs.
+
 Division by zero produces ``inr ()`` in both modes, matching the ``div``
 primitive's ``num + unit`` result type.  Λ_S is deterministic and strongly
 normalizing (Theorem D.4): evaluation always returns exactly one value.
@@ -123,12 +128,14 @@ def evaluate(
     binary64 would not be correctly rounded there.
 
     ``engine="ir"`` (default) lowers the term once to the flat IR and
-    runs a single iterative forward sweep, so arbitrarily deep programs
-    evaluate under the default recursion limit; ``engine="recursive"``
-    runs the structural reference interpreter on a deep auxiliary stack.
-    Both implement Figure 6 exactly and agree value-for-value (including
-    seeded stochastic rounding decisions, which are pure functions of
-    the operands, not of evaluation strategy).
+    runs one forward sweep of the unboxed slot executor
+    (:class:`repro.semantics.interp._SlotExecutor`), so arbitrarily deep
+    programs evaluate under the default recursion limit;
+    ``engine="recursive"`` runs :class:`_Interp`, the structural
+    reference interpreter, on a deep auxiliary stack.  Both implement
+    Figure 6 exactly and agree value-for-value (including seeded
+    stochastic rounding decisions, which are pure functions of the
+    operands, not of evaluation strategy).
     """
     if mode not in ("ideal", "approx"):
         raise ValueError(f"unknown evaluation mode {mode!r}")
@@ -147,9 +154,17 @@ def evaluate(
     if engine != "ir":
         raise ValueError(f"unknown evaluation engine {engine!r}")
     from ..ir.cache import semantic_expr_ir
+    from ..semantics.interp import _Frame, _SlotExecutor, _box, _unbox
 
-    interpreter = _IRInterp(mode, program, precision, rounding, seed, precision_bits)
-    return interpreter.run_ir(semantic_expr_ir(expr), dict(env or {}))
+    ir = semantic_expr_ir(expr)
+    env = env or {}
+    raw = {p.name: _unbox(env[p.name]) for p in ir.params if env.get(p.name) is not None}
+    executor = _SlotExecutor(program, precision, rounding, seed, precision_bits)
+    if mode == "ideal":
+        return _box(executor.ideal(ir, raw))
+    frame = _Frame(ir, raw)
+    executor.approx(frame)
+    return _box(frame.result())
 
 
 class _Interp:
@@ -309,145 +324,3 @@ class _Interp:
             }
             return self.run(callee.body, frame)
         raise EvalError(f"cannot evaluate {expr!r}")
-
-
-# ---------------------------------------------------------------------------
-# The iterative IR evaluator
-# ---------------------------------------------------------------------------
-
-
-class _MissingInput:
-    """Sentinel for a parameter slot the environment did not supply.
-
-    The recursive evaluator only fails when an unbound variable is
-    actually *read*; pre-filling slots with a named sentinel preserves
-    that laziness (dead parameters stay harmless) while keeping slot
-    access branch-free on the happy path.
-    """
-
-    __slots__ = ("name",)
-
-    def __init__(self, name: str) -> None:
-        self.name = name
-
-
-class _IRInterp(_Interp):
-    """Forward sweep over the flat IR — one loop, no structural recursion.
-
-    Shares every arithmetic/rounding kernel with :class:`_Interp`, so the
-    two engines are bit-identical (the stochastic decision RNG is keyed
-    by operand bits, not evaluation order).  The only recursion left is
-    over ``case`` regions and ``call`` frames, whose depth is bounded by
-    the source program's syntactic nesting — never by program length.
-    """
-
-    def run_ir(self, ir, env: Dict[str, Value]) -> Value:
-        return self._fetch(self.run_ir_vals(ir, env), ir.result)
-
-    def run_ir_vals(self, ir, env: Dict[str, Value]) -> list:
-        """Run the sweep and return the whole slot-value array.
-
-        The backward lens pass consumes this: every intermediate
-        approximate value is computed exactly once, instead of being
-        re-derived per binder as in the recursive interpreter.
-        """
-        from ..ir import lower as L
-
-        vals: list = [None] * ir.n_slots
-        for p in ir.params:
-            v = env.get(p.name)
-            vals[p.slot] = v if v is not None else _MissingInput(p.name)
-        self._exec_block(ir.ops, vals, L)
-        return vals
-
-    @staticmethod
-    def _fetch(vals: list, slot: int) -> Value:
-        v = vals[slot]
-        if type(v) is _MissingInput:
-            raise EvalError(f"unbound variable {v.name!r} at runtime")
-        return v
-
-    def _exec_block(self, ops, vals: list, L) -> None:
-        fetch = self._fetch
-        for op in ops:
-            code = op.code
-            if code >= L.ADD and code <= L.DMUL:  # ADD, SUB, MUL, DIV, DMUL
-                left = fetch(vals, op.a)
-                right = fetch(vals, op.b)
-                if not isinstance(left, VNum) or not isinstance(right, VNum):
-                    raise EvalError(
-                        f"arithmetic on non-numbers: {left!r}, {right!r}"
-                    )
-                vals[op.dest] = self._binary(_CODE_TO_OP[code], left, right)
-            elif code == L.DVAR or code == L.BANG:
-                vals[op.dest] = fetch(vals, op.a)
-            elif code == L.PAIR:
-                vals[op.dest] = VPair(fetch(vals, op.a), fetch(vals, op.b))
-            elif code == L.FST or code == L.SND:
-                bound = fetch(vals, op.a)
-                if not isinstance(bound, VPair):
-                    raise EvalError(f"let-pair of non-pair value {bound!r}")
-                vals[op.dest] = bound.left if code == L.FST else bound.right
-            elif code == L.RND:
-                vals[op.dest] = self._round_value(fetch(vals, op.a))
-            elif code == L.INL:
-                vals[op.dest] = VInl(fetch(vals, op.a))
-            elif code == L.INR:
-                vals[op.dest] = VInr(fetch(vals, op.a))
-            elif code == L.CASE:
-                scrut = fetch(vals, op.a)
-                if isinstance(scrut, VInl):
-                    region = op.aux[0]
-                elif isinstance(scrut, VInr):
-                    region = op.aux[1]
-                else:
-                    raise EvalError(
-                        f"case scrutinee is not a sum value: {scrut!r}"
-                    )
-                vals[region.payload] = scrut.body
-                self._exec_block(region.ops, vals, L)
-                vals[op.dest] = fetch(vals, region.result)
-            elif code == L.CALL:
-                vals[op.dest] = self._exec_call(op, vals, L)
-            elif code == L.CONST:
-                vals[op.dest] = VNum(op.aux)
-            elif code == L.UNIT:
-                vals[op.dest] = UNIT_VALUE
-            else:  # pragma: no cover - exhaustive over opcodes
-                raise EvalError(f"unknown opcode {code}")
-
-    def _exec_call(self, op, vals: list, L) -> Value:
-        from ..ir.cache import semantic_definition_ir
-
-        name, arg_slots = op.aux
-        if self.program is None or name not in self.program:
-            raise EvalError(f"call to unknown definition {name!r}")
-        callee = self.program[name]
-        if len(callee.params) != len(arg_slots):
-            raise EvalError(f"{name!r}: wrong argument count")
-        callee_ir = semantic_definition_ir(callee)
-        frame = {
-            p.name: self._fetch(vals, s)
-            for p, s in zip(callee.params, arg_slots)
-        }
-        return self.run_ir(callee_ir, frame)
-
-
-_CODE_TO_OP: Dict[int, A.Op] = {}
-
-
-def _init_code_map() -> None:
-    from ..ir import lower as L
-
-    _CODE_TO_OP.update(
-        {
-            L.ADD: A.Op.ADD,
-            L.SUB: A.Op.SUB,
-            L.MUL: A.Op.MUL,
-            L.DIV: A.Op.DIV,
-            L.DMUL: A.Op.DMUL,
-        }
-    )
-
-
-_init_code_map()

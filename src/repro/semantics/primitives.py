@@ -17,15 +17,17 @@ the appendix implicitly works with same-sign data, cf. its "both non-zero
 and of the same sign" case analyses).
 
 The ``*_backward`` functions work on raw Decimals and are shared with the
-program interpreter; ``lens_add`` etc. wrap them as categorical lenses
-``D_ε(R) ⊗ D_ε(R) → R`` for the lens-law test suite.
+program interpreters; each one's generic-case formula is a ``*_witness``
+function that the slot executor also calls directly.  ``lens_add`` etc.
+wrap them as categorical lenses ``D_ε(R) ⊗ D_ε(R) → R`` for the lens-law
+test suite.
 """
 
 from __future__ import annotations
 
 import decimal
 from decimal import Decimal
-from typing import Callable, Tuple
+from typing import Any, Callable, Optional, Tuple
 
 from ..core.ast_nodes import Op
 from ..core.grades import eps_from_roundoff
@@ -59,62 +61,108 @@ __all__ = [
 BACKWARD_PRECISION = 50
 
 
-def _same_sign(a: Decimal, b: Decimal) -> bool:
-    return (a > 0 and b > 0) or (a < 0 and b < 0)
+# The witness formulas.  Each ``*_witness`` computes in the caller's
+# decimal context and returns ``None`` unless the fl-result and the
+# target share a sign (the generic case); the ``*_backward`` maps run
+# it at ``BACKWARD_PRECISION`` and handle zeros and errors.  The slot
+# executor's backward sweep, already in that context, calls the
+# ``*_witness`` forms first and the maps only when they return ``None``.
+
+
+def add_witness(x1: Decimal, x2: Decimal, x3: Decimal) -> Optional[Tuple[Decimal, Decimal]]:
+    """``(x₃·x₁/(x₁+x₂), x₃·x₂/(x₁+x₂))`` (Equation 54)."""
+    s = x1 + x2
+    if (s > 0 and x3 > 0) or (s < 0 and x3 < 0):
+        return x3 * x1 / s, x3 * x2 / s
+    return None
+
+
+def sub_witness(x1: Decimal, x2: Decimal, x3: Decimal) -> Optional[Tuple[Decimal, Decimal]]:
+    """``(x₃·x₁/(x₁−x₂), x₃·x₂/(x₁−x₂))``."""
+    d = x1 - x2
+    if (d > 0 and x3 > 0) or (d < 0 and x3 < 0):
+        return x3 * x1 / d, x3 * x2 / d
+    return None
+
+
+def mul_witness(x1: Decimal, x2: Decimal, x3: Decimal) -> Optional[Tuple[Decimal, Decimal]]:
+    """Both inputs scaled by ``√(x₃/(x₁·x₂))``: the error is split evenly."""
+    p = x1 * x2
+    if (p > 0 and x3 > 0) or (p < 0 and x3 < 0):
+        scale = (x3 / p).sqrt()
+        return x1 * scale, x2 * scale
+    return None
+
+
+def div_witness(x1: Decimal, x2: Decimal, x3: Decimal) -> Optional[Tuple[Decimal, Decimal]]:
+    """``(±√|x₁·x₂·x₃|, ±√|x₁·x₂/x₃|)`` with the operands' signs, so
+    ``b₁/b₂ = x₃`` exactly; ``x₂`` must be non-zero."""
+    q = x1 / x2
+    if (q > 0 and x3 > 0) or (q < 0 and x3 < 0):
+        magnitude1 = abs(x1 * x2 * x3).sqrt()
+        magnitude2 = abs(x1 * x2 / x3).sqrt()
+        b1 = magnitude1 if x1 > 0 else -magnitude1
+        b2 = magnitude2 if x2 > 0 else -magnitude2
+        return b1, b2
+    return None
+
+
+def dmul_witness(x1: Decimal, x2: Any, x3: Decimal) -> Optional[Tuple[Decimal, Decimal]]:
+    """``(x₁, x₃/x₁)``: all the error goes onto the linear operand.
+
+    The sign test reads the factors, not their product: the caller
+    makes sure ``x₁·x₂`` neither overflows nor underflows to zero, as
+    for any two binary64 operands (``x₂`` may be the float itself).
+    """
+    if x2 > 0:
+        same = (x1 > 0 and x3 > 0) or (x1 < 0 and x3 < 0)
+    elif x2 < 0:
+        same = (x1 < 0 and x3 > 0) or (x1 > 0 and x3 < 0)
+    else:
+        same = False
+    return (x1, x3 / x1) if same else None
+
+
+def _degenerate(
+    label: str, result: Decimal, x1: Decimal, x2: Decimal, x3: Decimal
+) -> Tuple[Decimal, Decimal]:
+    """The non-generic cases of a backward map: a zero result and a zero
+    target give the inputs back; anything else is not comparable."""
+    if result == 0 and x3 == 0:
+        return x1, x2
+    raise LensDomainError(
+        f"{label} backward: fl-result {result} and target {x3} are not comparable"
+    )
 
 
 def add_backward(x1: Decimal, x2: Decimal, x3: Decimal) -> Tuple[Decimal, Decimal]:
     """Backward map of addition (Equation 54)."""
     with decimal.localcontext() as ctx:
         ctx.prec = BACKWARD_PRECISION
-        s = x1 + x2
-        if s == 0 and x3 == 0:
-            return x1, x2
-        if s == 0 or not _same_sign(s, x3):
-            raise LensDomainError(
-                f"add backward: fl-result {s} and target {x3} are not comparable"
-            )
-        return x3 * x1 / s, x3 * x2 / s
+        witness = add_witness(x1, x2, x3)
+        return witness if witness is not None else _degenerate("add", x1 + x2, x1, x2, x3)
 
 
 def sub_backward(x1: Decimal, x2: Decimal, x3: Decimal) -> Tuple[Decimal, Decimal]:
     """Backward map of subtraction (Appendix C, Sub case)."""
     with decimal.localcontext() as ctx:
         ctx.prec = BACKWARD_PRECISION
-        d = x1 - x2
-        if d == 0 and x3 == 0:
-            return x1, x2
-        if d == 0 or not _same_sign(d, x3):
-            raise LensDomainError(
-                f"sub backward: fl-result {d} and target {x3} are not comparable"
-            )
-        return x3 * x1 / d, x3 * x2 / d
+        witness = sub_witness(x1, x2, x3)
+        return witness if witness is not None else _degenerate("sub", x1 - x2, x1, x2, x3)
 
 
 def mul_backward(x1: Decimal, x2: Decimal, x3: Decimal) -> Tuple[Decimal, Decimal]:
-    """Backward map of multiplication (Appendix C, Mul case).
-
-    The error is split evenly: both inputs are scaled by
-    ``√(x₃/(x₁·x₂))``.
-    """
+    """Backward map of multiplication (Appendix C, Mul case)."""
     with decimal.localcontext() as ctx:
         ctx.prec = BACKWARD_PRECISION
-        p = x1 * x2
-        if p == 0 and x3 == 0:
-            return x1, x2
-        if p == 0 or not _same_sign(p, x3):
-            raise LensDomainError(
-                f"mul backward: fl-result {p} and target {x3} are not comparable"
-            )
-        scale = (x3 / p).sqrt()
-        return x1 * scale, x2 * scale
+        witness = mul_witness(x1, x2, x3)
+        return witness if witness is not None else _degenerate("mul", x1 * x2, x1, x2, x3)
 
 
 def div_backward(x1: Decimal, x2: Decimal, target: Value) -> Tuple[Decimal, Decimal]:
     """Backward map of division (Appendix C, Div case).
 
-    The target lives in ``num + unit``.  Signs are attached to the
-    square-root witnesses so that ``b₁/b₂ = x₃`` exactly.
+    The target lives in ``num + unit``.
     """
     with decimal.localcontext() as ctx:
         ctx.prec = BACKWARD_PRECISION
@@ -127,36 +175,20 @@ def div_backward(x1: Decimal, x2: Decimal, target: Value) -> Tuple[Decimal, Deci
         x3 = target.body.as_decimal() if isinstance(target, VInl) else None
         if x3 is None:
             raise LensDomainError(f"div backward: bad target {target!r}")
-        q = x1 / x2
-        if q == 0 and x3 == 0:
-            return x1, x2
-        if q == 0 or not _same_sign(q, x3):
-            raise LensDomainError(
-                f"div backward: fl-result {q} and target {x3} are not comparable"
-            )
-        magnitude1 = abs(x1 * x2 * x3).sqrt()
-        magnitude2 = abs(x1 * x2 / x3).sqrt()
-        b1 = magnitude1 if x1 > 0 else -magnitude1
-        b2 = magnitude2 if x2 > 0 else -magnitude2
-        return b1, b2
+        witness = div_witness(x1, x2, x3)
+        return witness if witness is not None else _degenerate("div", x1 / x2, x1, x2, x3)
 
 
 def dmul_backward(x1: Decimal, x2: Decimal, x3: Decimal) -> Tuple[Decimal, Decimal]:
     """Backward map of discrete multiplication (Appendix C, DMul case).
 
-    All the error goes onto the second (linear) operand; the first
-    (discrete) operand is returned untouched.
+    The first (discrete) operand is returned untouched.
     """
     with decimal.localcontext() as ctx:
         ctx.prec = BACKWARD_PRECISION
         p = x1 * x2
-        if p == 0 and x3 == 0:
-            return x1, x2
-        if p == 0 or not _same_sign(p, x3):
-            raise LensDomainError(
-                f"dmul backward: fl-result {p} and target {x3} are not comparable"
-            )
-        return x1, x3 / x1
+        witness = dmul_witness(x1, x2, x3) if p != 0 else None
+        return witness if witness is not None else _degenerate("dmul", p, x1, x2, x3)
 
 
 def backward_for_op(op: Op) -> Callable:

@@ -23,7 +23,7 @@ from __future__ import annotations
 
 import decimal
 from decimal import Decimal
-from typing import Union
+from typing import Any, Iterable, Optional, Tuple, Union
 
 from ..core.grades import Grade, eps_from_roundoff
 from ..core.types import Discrete, Num, Sum, Tensor, Type, Unit
@@ -34,6 +34,7 @@ __all__ = [
     "NEG_INF",
     "ext_sub",
     "rp_distance",
+    "rp_max_distance",
     "Space",
     "NumSpace",
     "DiscreteSpace",
@@ -101,6 +102,50 @@ def rp_distance(x: Value, y: Value) -> Decimal:
     with decimal.localcontext() as ctx:
         ctx.prec = DISTANCE_PRECISION
         return abs((dx / dy).ln())
+
+
+def rp_max_distance(pairs: Iterable[Tuple[Any, Any]]) -> Decimal:
+    """``max_i RP(xᵢ, yᵢ)`` over paired numeric leaves, with one ``ln``.
+
+    This is ``d(a, b)`` for a tensor of ``num`` leaves: every slack is 0,
+    so :meth:`TensorSpace.distance` reduces to the maximum of the leaf
+    distances, and this function returns the same Decimal, digit for
+    digit.  ``pairs`` holds raw payloads (floats, Decimals or ints).
+
+    *Why one ln suffices.*  Decimal's ``ln`` is correctly rounded
+    (libmpdec), hence monotone: ``r ≤ r'`` implies ``ln r ≤ ln r'`` after
+    rounding.  With the ratios ``rᵢ = xᵢ/yᵢ`` taken at the same 60 digits
+    as :func:`rp_distance`, ``max |ln rᵢ|`` is therefore
+    ``max(ln(max rᵢ≥1), −ln(min rᵢ<1))``, each one ``ln`` of a ratio the
+    per-leaf computation also forms.  A zero or sign-mismatched leaf
+    makes the distance ∞, as it does per leaf; every leaf is still
+    compared first, so the same inputs raise the same decimal signals.
+    Equal nonzero distances are equal 60-digit roundings, so they also
+    print the same; an all-zero maximum is ``Decimal(0)`` either way.
+    """
+    top: Optional[Decimal] = None
+    bottom: Optional[Decimal] = None
+    infinite = False
+    with decimal.localcontext() as ctx:
+        ctx.prec = DISTANCE_PRECISION
+        for x, y in pairs:
+            dx = x if x.__class__ is Decimal else to_decimal(x)
+            dy = y if y.__class__ is Decimal else to_decimal(y)
+            if dx == 0 and dy == 0:
+                continue
+            if dx == 0 or dy == 0 or (dx > 0) != (dy > 0):
+                infinite = True
+                continue
+            r = dx / dy
+            if r >= 1:
+                if top is None or r > top:
+                    top = r
+            elif bottom is None or r < bottom:
+                bottom = r
+        if infinite:
+            return INF
+        extremes = [abs(r.ln()) for r in (top, bottom) if r is not None]
+    return max(extremes) if extremes else Decimal(0)
 
 
 class Space:

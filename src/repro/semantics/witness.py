@@ -13,6 +13,19 @@ Given a checked Bean definition and concrete inputs, the witness runner
    it against the inferred grade ``rᵢ`` (Property 1 / the soundness
    bound), with discrete parameters verified unperturbed.
 
+On the default engine all four steps run on the unboxed slots of the
+slot executor (:class:`~repro.semantics.interp._SlotExecutor`):
+closeness and distances read the raw values, a tensor of ``num``
+leaves takes one ``ln`` per parameter
+(:func:`~repro.semantics.spaces.rp_max_distance`), and only the report's
+fields are boxed into :class:`~repro.lam_s.values.Value` trees.  The
+recursive reference engine runs the same steps on boxed values.
+
+Bean's error model assumes no overflow.  A witness whose inputs or
+binary64 forward values are non-finite, and whose Decimal arithmetic
+therefore fails, raises a :class:`~repro.semantics.lens.LensDomainError`
+naming the parameter or the overflowing op.
+
 This is the paper's headline guarantee, made machine-checkable on every
 run; the property-based test-suite drives it with randomized programs and
 inputs.
@@ -20,6 +33,7 @@ inputs.
 
 from __future__ import annotations
 
+import decimal
 from dataclasses import dataclass
 from decimal import Decimal
 from typing import Dict, Mapping, Optional, Sequence, Union
@@ -28,8 +42,18 @@ from ..core import ast_nodes as A
 from ..core.grades import BINARY64_UNIT_ROUNDOFF, Grade
 from ..core.types import is_discrete
 from ..lam_s.values import Value, VNum, values_close, vector_value
-from .interp import BeanLens, lens_of_definition
-from .spaces import INF, grade_bound, type_distance
+from .interp import (
+    BeanLens,
+    _box,
+    _Frame,
+    _non_finite_reason,
+    _paired_num_leaves,
+    _unbox,
+    _values_close_raw,
+    lens_of_definition,
+)
+from .lens import LensDomainError
+from .spaces import INF, grade_bound, rp_max_distance, type_distance
 
 __all__ = ["ParamWitness", "WitnessReport", "run_witness", "env_from_pythons"]
 
@@ -104,6 +128,10 @@ def env_from_pythons(
     return env
 
 
+#: The decimal signals a non-finite value raises in Decimal arithmetic.
+_DECIMAL_SIGNALS = (decimal.InvalidOperation, decimal.DivisionByZero, decimal.Overflow)
+
+
 def run_witness(
     definition: A.Definition,
     inputs: Mapping[str, Union[Value, float, int, Sequence]],
@@ -116,8 +144,61 @@ def run_witness(
     if lens is None:
         lens = lens_of_definition(definition, program=program)
     env = env_from_pythons(definition, inputs)
-    approx_value, slots = lens.approx_sweep(env)
-    perturbed = lens.backward(env, approx_value, slots)
+    try:
+        if lens.engine == "recursive":
+            return _boxed_witness(definition, env, lens, u)
+        return _slot_witness(definition, env, lens, u)
+    except _DECIMAL_SIGNALS as exc:
+        error = _non_finite_error(env, lens)
+        if error is None:
+            raise
+        raise error from exc
+
+
+def _slot_witness(
+    definition: A.Definition, env: Dict[str, Value], lens: BeanLens, u: float
+) -> WitnessReport:
+    executor = lens.executor()
+    ir = lens.ir
+    raw = {name: _unbox(value) for name, value in env.items()}
+    frame = _Frame(ir, raw)
+    executor.approx(frame)
+    approx_raw = frame.result()
+    mods = executor.backward(frame, approx_raw)
+    perturbed_raw = dict(raw)
+    perturbed_raw.update(mods)
+    ideal_raw = executor.ideal(ir, perturbed_raw)
+    ambient = decimal.getcontext()
+    exact = _values_close_raw(ideal_raw, approx_raw, ambient)
+
+    params: Dict[str, ParamWitness] = {}
+    for param in definition.params:
+        name = param.name
+        original = env[name]
+        old, new_raw = raw[name], perturbed_raw[name]
+        new = _box(new_raw) if name in mods else original
+        if is_discrete(param.ty):
+            # Theorem 3.1(2): discrete inputs carry no backward error.
+            distance = Decimal(0) if _values_close_raw(old, new_raw, ambient) else INF
+            bound = Decimal(0)
+            grade = Grade(0)
+        else:
+            leaves = _paired_num_leaves(param.ty, old, new_raw)
+            if leaves is None:
+                distance = type_distance(param.ty, original, new)
+            else:
+                distance = rp_max_distance(leaves)
+            grade = lens.judgment.grade_of(name)
+            bound = grade_bound(grade, u)
+        params[name] = ParamWitness(name, original, new, distance, bound, grade)
+    return WitnessReport(_box(approx_raw), _box(ideal_raw), exact, params)
+
+
+def _boxed_witness(
+    definition: A.Definition, env: Dict[str, Value], lens: BeanLens, u: float
+) -> WitnessReport:
+    approx_value = lens.approx(env)
+    perturbed = lens.backward(env, approx_value)
     ideal_value = lens.ideal(perturbed)
     exact = values_close(ideal_value, approx_value)
 
@@ -126,7 +207,6 @@ def run_witness(
         original = env[param.name]
         new = perturbed[param.name]
         if is_discrete(param.ty):
-            # Theorem 3.1(2): discrete inputs carry no backward error.
             distance = Decimal(0) if values_close(original, new) else INF
             bound = Decimal(0)
             grade = Grade(0)
@@ -138,3 +218,15 @@ def run_witness(
             param.name, original, new, distance, bound, grade
         )
     return WitnessReport(approx_value, ideal_value, exact, params)
+
+
+def _non_finite_error(env: Dict[str, Value], lens: BeanLens) -> Optional[LensDomainError]:
+    """The witness's Decimal arithmetic failed: name the non-finite input
+    or the binary64 overflow behind it (``None`` if there is neither)."""
+    frame = _Frame(lens.ir, {name: _unbox(value) for name, value in env.items()})
+    try:
+        lens.executor().approx(frame)
+    except _DECIMAL_SIGNALS:
+        pass  # the filled slots still locate the cause
+    reason = _non_finite_reason(frame)
+    return None if reason is None else LensDomainError(reason)

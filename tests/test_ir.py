@@ -377,24 +377,30 @@ class TestSinglePassColdAudit:
         from repro.api import Session
         from repro.core import Program, pretty_program
         from repro.ir import lower as L
-        from repro.lam_s.eval import _IRInterp
         from repro.programs import generators
+        from repro.semantics.interp import _SlotExecutor
 
         lowerings = []
         sweeps = []
         real_lower = L._Lowerer.lower
-        real_sweep = _IRInterp.run_ir_vals
+        real_approx = _SlotExecutor.approx
+        real_ideal = _SlotExecutor.ideal
 
         def counting_lower(self, root):
             lowerings.append(self.checked)
             return real_lower(self, root)
 
-        def counting_sweep(self, ir, env):
-            sweeps.append(self.mode)
-            return real_sweep(self, ir, env)
+        def counting_approx(self, frame):
+            sweeps.append("approx")
+            return real_approx(self, frame)
+
+        def counting_ideal(self, ir, env):
+            sweeps.append("ideal")
+            return real_ideal(self, ir, env)
 
         monkeypatch.setattr(L._Lowerer, "lower", counting_lower)
-        monkeypatch.setattr(_IRInterp, "run_ir_vals", counting_sweep)
+        monkeypatch.setattr(_SlotExecutor, "approx", counting_approx)
+        monkeypatch.setattr(_SlotExecutor, "ideal", counting_ideal)
         text = pretty_program(Program([getattr(generators, family)(n)]))
         with Session() as session:
             program = session.parse(text)
