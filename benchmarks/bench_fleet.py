@@ -115,7 +115,6 @@ def _spawn_nodes(n):
     env["PYTHONPATH"] = (
         str(REPO_ROOT / "src") + os.pathsep + env.get("PYTHONPATH", "")
     )
-    env.pop("REPRO_CACHE_DIR", None)  # no disk cache: misses pay full prep
     env.pop("REPRO_NODES", None)
     nodes = []
     for port in _free_ports(n):

@@ -5,7 +5,7 @@ NumPy startup, parse, typecheck, lower, inline, infer) across audit
 requests.  This module quantifies that claim on the div+case ``SafeDiv``
 kernel:
 
-* a warm server (artifact cache populated, program prepared) audits a
+* a warm server (program prepared) audits a
   **100-request batch workload** fired from concurrent client threads,
   every response verified byte-identical to the one-shot CLI output;
 * the same audit runs as **cold CLI invocations** — fresh subprocesses,
@@ -49,7 +49,6 @@ from repro.core import Program, pretty_program
 from repro.programs.generators import BENCHMARK_FAMILIES
 from repro.semantics.batch import _leaf_count
 from repro.service import client as service_client
-from repro.service.cache import deactivate
 from repro.service.server import AuditServer, serve
 
 SIZE = 20  #: SafeDiv kernel size (each request audits a div+case chain)
@@ -122,9 +121,7 @@ class ServeBench:
         assert code == 0, "workload must be sound"
         self.golden = buffer.getvalue()
 
-        self.cache_dir = tempfile.mkdtemp(prefix="repro-bench-cache")
-        deactivate()
-        handle = serve(AuditServer(port=0, cache_dir=self.cache_dir))
+        handle = serve(AuditServer(port=0))
         try:
             # Warm-up: first request pays parse/check/lower/inline once.
             status, body = service_client.audit(
@@ -135,7 +132,6 @@ class ServeBench:
             self.serve_total_s = self._fire_workload(handle)
         finally:
             handle.stop()
-            deactivate()
         self.cli_cold_per_invocation_s = self._time_cold_cli()
 
     def _fire_workload(self, handle) -> float:
@@ -171,7 +167,6 @@ class ServeBench:
         env["PYTHONPATH"] = (
             str(REPO_ROOT / "src") + os.pathsep + env.get("PYTHONPATH", "")
         )
-        env.pop("REPRO_CACHE_DIR", None)  # cold means no artifact cache
         argv = [
             sys.executable, "-m", "repro.cli", "witness", self.bean_path,
             "--inputs", self.inputs_json, "--json", "--batch",
@@ -199,9 +194,7 @@ class StreamBench:
             "engine": "batch",
             "stream": True,
         }
-        cache_dir = tempfile.mkdtemp(prefix="repro-bench-stream")
-        deactivate()
-        handle = serve(AuditServer(port=0, cache_dir=cache_dir))
+        handle = serve(AuditServer(port=0))
         try:
             # Warm-up: a tiny buffered audit pays parse/check/lower once,
             # so the stream timing measures row production, not startup.
@@ -238,7 +231,6 @@ class StreamBench:
             assert status == 200 and json.loads(body)["all_sound"] is True
         finally:
             handle.stop()
-            deactivate()
 
 
 @pytest.fixture(scope="module")

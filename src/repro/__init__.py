@@ -51,7 +51,7 @@ Subpackages:
 * :mod:`repro.programs` — the paper's example programs and scalable
   benchmark generators.
 * :mod:`repro.bench` — drivers that regenerate Tables 1, 2 and 3.
-* :mod:`repro.service` — the artifact cache and the ``repro serve``
+* :mod:`repro.service` — program fingerprints and the ``repro serve``
   audit server.
 """
 

@@ -7,7 +7,7 @@ options by hand::
 
     from repro.api import Session
 
-    session = Session(precision_bits=53, cache_dir="/var/cache/bean")
+    session = Session(precision_bits=53)
     program = session.parse(open("prog.bean").read())
     result = session.audit(program, inputs={"x": [1.5, 2.25]},
                            engine="ir")
@@ -18,8 +18,8 @@ options by hand::
 The pieces:
 
 * :class:`Session` (:mod:`repro.api.session`) — owns the cross-cutting
-  state (precision, roundoff, artifact-cache dir, shard workers,
-  mp-context) and the ``parse`` → ``check`` → ``audit`` pipeline;
+  state (precision, roundoff, shard workers, mp-context) and the
+  ``parse`` → ``check`` → ``audit`` pipeline;
 * the engine registry (:mod:`repro.api.registry`) — ``@register_engine``
   adapters with capability flags, :func:`engines` discovery, and the
   uniform :class:`UnknownEngineError`; the CLI ``--engine`` choices,

@@ -256,7 +256,6 @@ class ShardedEngine:
             u=request.u,
             workers=request.workers,
             precision_bits=request.precision_bits,
-            cache_dir=request.cache_dir,
             mp_context=request.mp_context,
             pool=request.pool,
             compose=request.compose,

@@ -114,7 +114,6 @@ class AuditRequest:
     precision_bits: int = 53
     workers: int = 2
     mp_context: Optional[str] = None
-    cache_dir: Optional[str] = None
     #: exact-arithmetic backend override for batched engines
     #: (``"eft"`` / ``"decimal"``); ``None`` defers to the engine's
     #: own resolution (``REPRO_EXACT_BACKEND``, then the EFT default).

@@ -2,9 +2,8 @@
 
 A :class:`Session` owns the cross-cutting audit state that used to
 travel as loose kwargs through four divergent entry points — simulated
-precision / unit roundoff, the on-disk artifact cache directory, the
-shard worker count and multiprocessing start method — and exposes the
-pipeline as three methods::
+precision / unit roundoff, the shard worker count and multiprocessing
+start method — and exposes the pipeline as three methods::
 
     >>> from repro.api import Session
     >>> session = Session(precision_bits=53)
@@ -158,9 +157,8 @@ class Session:
     Parameters mirror the CLI flags they replace: ``precision_bits``
     (simulated significand width; 53 = binary64), ``u`` (unit-roundoff
     override, accepting the CLI spellings ``"2^-24"`` / ``"2**-24"`` /
-    a float; default ``2**-precision_bits``), ``cache_dir`` (on-disk
-    artifact cache, activated lazily on first check/audit), ``workers``
-    (default shard width for multiprocess engines) and ``mp_context``
+    a float; default ``2**-precision_bits``), ``workers`` (default
+    shard width for multiprocess engines) and ``mp_context``
     (multiprocessing start method; the audit server passes ``"spawn"``
     because forking a multi-threaded process can deadlock the child).
 
@@ -185,7 +183,6 @@ class Session:
         *,
         precision_bits: int = 53,
         u: Optional[Union[str, float]] = None,
-        cache_dir: Optional[str] = None,
         workers: int = 2,
         mp_context: Optional[str] = None,
         compose: bool = False,
@@ -193,7 +190,6 @@ class Session:
         _validate_limits(precision_bits, workers)
         self.precision_bits = precision_bits
         self.u = u
-        self.cache_dir = cache_dir
         self.workers = workers
         self.mp_context = mp_context
         #: default for :meth:`audit`'s ``compose`` keyword — derive
@@ -215,12 +211,6 @@ class Session:
     def engines(self) -> Dict[str, Engine]:
         """The engine registry snapshot (see :func:`repro.api.engines`)."""
         return engines()
-
-    def _activate_cache(self) -> None:
-        if self.cache_dir:
-            from ..service.cache import activate
-
-            activate(self.cache_dir)
 
     # -- the worker pool ---------------------------------------------------
 
@@ -264,7 +254,6 @@ class Session:
         """Typecheck + infer backward error grades for every definition."""
         if isinstance(program, str):
             program = self.parse(program)
-        self._activate_cache()
         return check_program(program)
 
     def audit(
@@ -341,7 +330,6 @@ class Session:
             )
         if isinstance(program, str):
             program = self.parse(program)
-        self._activate_cache()
         definition = program[name] if name else program.main
         bits = self.precision_bits if precision_bits is None else precision_bits
         spelled = self.u if u is None else u
@@ -356,7 +344,6 @@ class Session:
             precision_bits=bits,
             workers=self.workers if workers is None else workers,
             mp_context=self.mp_context,
-            cache_dir=self.cache_dir,
             exact_backend=exact_backend,
             collect_rows=rows,
             sweep_bits=swept,

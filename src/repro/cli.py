@@ -15,7 +15,7 @@ Usage examples::
     repro-bean witness program.bean --batch --workers 4 --inputs '...'
     repro-bean bench --batch --family Sum --size 100 --envs 1000
     repro-bean bench --batch --workers 4 --family SafeDiv
-    repro-bean serve --port 8765 --cache-dir /var/cache/repro-bean
+    repro-bean serve --port 8765
     repro-bean client program.bean --port 8765 --batch --inputs '...'
 
 ``check`` mirrors the paper's OCaml prototype: given a program with no
@@ -237,15 +237,6 @@ def build_parser() -> argparse.ArgumentParser:
         ),
     )
     witness.add_argument(
-        "--cache-dir",
-        default=os.environ.get("REPRO_CACHE_DIR") or None,
-        help=(
-            "on-disk artifact cache directory (lowered/inlined IR, "
-            "inferred grades persist across runs; default: "
-            "$REPRO_CACHE_DIR, else no persistence)"
-        ),
-    )
-    witness.add_argument(
         "--nodes",
         default=os.environ.get("REPRO_NODES") or None,
         help=(
@@ -257,25 +248,11 @@ def build_parser() -> argparse.ArgumentParser:
 
     serve = sub.add_parser(
         "serve",
-        help="run the concurrent audit server over a shared artifact cache",
+        help="run the concurrent audit server",
     )
     serve.add_argument("--host", default="127.0.0.1", help="bind address")
     serve.add_argument(
         "--port", type=int, default=8765, help="TCP port (0 = ephemeral)"
-    )
-    serve.add_argument(
-        "--cache-dir",
-        default=os.environ.get("REPRO_CACHE_DIR") or None,
-        help=(
-            "artifact cache directory shared with workers and other "
-            "servers (default: $REPRO_CACHE_DIR, else no persistence)"
-        ),
-    )
-    serve.add_argument(
-        "--max-cache-bytes",
-        type=int,
-        default=None,
-        help="evict least-recently-used cache entries beyond this size",
     )
     serve.add_argument(
         "--threads",
@@ -610,7 +587,6 @@ def _cmd_witness(args: argparse.Namespace) -> int:
         session = Session(
             precision_bits=precision_bits if precision_bits is not None else 53,
             u=args.u,
-            cache_dir=args.cache_dir,
             workers=args.workers,
         )
         inputs = json.loads(args.inputs)
@@ -662,8 +638,6 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         server = AuditServer(
             host=args.host,
             port=args.port,
-            cache_dir=args.cache_dir,
-            max_cache_bytes=args.max_cache_bytes,
             threads=args.threads,
             heavy_threads=args.heavy_threads,
             default_workers=args.workers,
@@ -677,14 +651,8 @@ def _cmd_serve(args: argparse.Namespace) -> int:
 
     async def _run() -> None:
         await server.start()
-        cache_note = (
-            f"artifact cache at {args.cache_dir}"
-            if args.cache_dir
-            else "no artifact cache (--cache-dir to persist)"
-        )
         print(
-            f"repro serve: listening on {server.host}:{server.port} "
-            f"({cache_note})",
+            f"repro serve: listening on {server.host}:{server.port}",
             flush=True,
         )
         await server.serve_forever()

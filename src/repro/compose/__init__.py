@@ -20,9 +20,8 @@ This package is the summary layer that closes the gap:
   definition's own encoding folded with its transitive callees') and
   the dependency graph that invalidates exactly the summaries
   downstream of an edit;
-* :mod:`~repro.compose.store` — the summary cache: an in-memory layer
-  over the :class:`~repro.service.cache.ArtifactCache`'s ``summary``
-  kind, keyed by deep fingerprint;
+* :mod:`~repro.compose.store` — the summary cache: an in-memory store
+  keyed by deep fingerprint;
 * :mod:`~repro.compose.engine` — call-site composition: audit a caller
   from callee summaries instead of re-deriving the whole program, with
   a per-site precision check and an execution plan that lifts the

@@ -1,12 +1,8 @@
-"""The summary cache: in-memory over the ArtifactCache's ``summary`` kind.
+"""The summary cache: an in-memory store keyed by deep fingerprint.
 
 A :class:`SummaryStore` keeps summaries warm for the life of a process
 (the audit server's prepared table, a watch loop, a reused
-:class:`~repro.api.Session`) and, whenever a persistent
-:class:`~repro.service.cache.ArtifactCache` is active, mirrors them to
-disk under the new ``summary`` artifact kind so any later process —
-another CLI run, a server restart — warm-starts its composition from
-this one.  Keys are deep fingerprints
+:class:`~repro.api.Session`).  Keys are deep fingerprints
 (:func:`repro.compose.graph.deep_fingerprints`): content-addressing
 *is* the invalidation protocol.
 """
@@ -15,24 +11,19 @@ from __future__ import annotations
 
 from typing import Dict, Optional
 
-from ..service.cache import active_cache
-from .summary import SUMMARY_VERSION, DefinitionSummary
+from .summary import DefinitionSummary
 
 __all__ = ["SummaryStore", "default_store", "reset_default_store"]
 
-#: The ArtifactCache kind summaries persist under.
-SUMMARY_KIND = "summary"
-
 
 class SummaryStore:
-    """Two-layer (memory, then artifact cache) summary storage."""
+    """In-memory summary storage for the life of a process."""
 
     def __init__(self) -> None:
         self._memory: Dict[str, DefinitionSummary] = {}
         #: Observability counters (the server's ``/stats`` reports them).
         self.stats: Dict[str, int] = {
             "memory_hits": 0,
-            "artifact_hits": 0,
             "misses": 0,
             "stores": 0,
         }
@@ -46,31 +37,13 @@ class SummaryStore:
         if summary is not None:
             self.stats["memory_hits"] += 1
             return summary
-        cache = active_cache()
-        if cache is not None:
-            loaded = cache.load(cache.keyed_key(SUMMARY_KIND, fingerprint))
-            if (
-                isinstance(loaded, DefinitionSummary)
-                and loaded.version == SUMMARY_VERSION
-                and loaded.fingerprint == fingerprint
-            ):
-                self.stats["artifact_hits"] += 1
-                self._memory[fingerprint] = loaded
-                return loaded
         self.stats["misses"] += 1
         return None
 
     def put(self, fingerprint: str, summary: DefinitionSummary) -> None:
-        """Record ``summary`` in memory and, when active, on disk."""
+        """Record ``summary`` under ``fingerprint``."""
         self._memory[fingerprint] = summary
         self.stats["stores"] += 1
-        cache = active_cache()
-        if cache is not None:
-            cache.store(cache.keyed_key(SUMMARY_KIND, fingerprint), summary)
-
-    def clear_memory(self) -> None:
-        """Drop the in-memory layer (tests; the disk layer is untouched)."""
-        self._memory.clear()
 
 
 _DEFAULT: SummaryStore = SummaryStore()

@@ -356,22 +356,8 @@ def infer(
 
 
 #: Identity-keyed cache of judgments for call-free checks (lazy import of
-#: repro.ir avoids a module cycle).  Behind it sits the optional
-#: persistent artifact layer (repro.ir.cache.set_persistent_cache), so
-#: inferred grades survive process restarts alongside the lowered IR.
+#: repro.ir avoids a module cycle).
 _JUDGMENT_CACHE = None
-
-
-def _build_judgment(definition: A.Definition) -> "Judgment":
-    from ..ir.cache import persistent_cache
-
-    def build() -> "Judgment":
-        return _check_definition_uncached(definition, None, "ir")
-
-    persistent = persistent_cache()
-    if persistent is None:
-        return build()
-    return persistent.get("judgment", definition, None, build)
 
 
 def _judgment_cache():
@@ -379,17 +365,10 @@ def _judgment_cache():
     if _JUDGMENT_CACHE is None:
         from ..ir.cache import IdentityCache
 
-        _JUDGMENT_CACHE = IdentityCache(_build_judgment)
+        _JUDGMENT_CACHE = IdentityCache(
+            lambda d: _check_definition_uncached(d, None, "ir")
+        )
     return _JUDGMENT_CACHE
-
-
-def clear_judgment_caches() -> None:
-    """Drop the identity-keyed judgment caches (cache layer switches)."""
-    global _JUDGMENT_CACHE, _PROGRAM_CACHE
-    if _JUDGMENT_CACHE is not None:
-        _JUDGMENT_CACHE.clear()
-    if _PROGRAM_CACHE is not None:
-        _PROGRAM_CACHE.clear()
 
 
 def check_definition(
@@ -481,21 +460,9 @@ def check_program(program: A.Program, *, engine: str = "ir") -> Dict[str, Judgme
         if _PROGRAM_CACHE is None:
             from ..ir.cache import IdentityCache
 
-            _PROGRAM_CACHE = IdentityCache(_build_program_judgments)
+            _PROGRAM_CACHE = IdentityCache(_check_program_uncached)
         return _PROGRAM_CACHE.get(program)
     return _check_program_uncached(program, engine=engine)
-
-
-def _build_program_judgments(program: A.Program) -> Dict[str, Judgment]:
-    from ..ir.cache import persistent_cache
-
-    def build() -> Dict[str, Judgment]:
-        return _check_program_uncached(program)
-
-    persistent = persistent_cache()
-    if persistent is None:
-        return build()
-    return persistent.get("judgments", None, program, build)
 
 
 def _check_program_uncached(

@@ -16,11 +16,7 @@ consumer walks with plain Python loops:
 * :mod:`repro.ir.infer` — backward error grade inference as a single
   reverse sweep over the op list (the algorithmic content of Figure 7).
 * :mod:`repro.ir.cache` — identity-keyed program caches so repeated
-  checks/evaluations of the same definition lower only once, with an
-  optional persistent content-addressed outer layer
-  (:func:`set_persistent_cache`, served by
-  :class:`repro.service.cache.ArtifactCache`) so lowered/inlined IR and
-  inferred judgments survive process restarts.
+  checks/evaluations of the same definition lower only once.
 
 Consumers: :mod:`repro.core.checker` (grade inference),
 :mod:`repro.semantics.interp` (the unboxed slot executor: ideal and
@@ -57,10 +53,8 @@ from .lower import (
 from .cache import (
     clear_caches,
     inlined_definition_ir,
-    persistent_cache,
     semantic_definition_ir,
     semantic_expr_ir,
-    set_persistent_cache,
 )
 from .infer import infer_definition_ir, sweep_grades
 from .inline import inline_calls
@@ -94,8 +88,6 @@ __all__ = [
     "inlined_definition_ir",
     "inline_calls",
     "clear_caches",
-    "persistent_cache",
-    "set_persistent_cache",
     "infer_definition_ir",
     "sweep_grades",
 ]

@@ -10,14 +10,6 @@ package exists to avoid.  A weak reference per entry evicts the cache
 line when the definition is garbage collected, so ``id`` reuse cannot
 serve stale programs.
 
-Behind the identity layer sits an optional **persistent layer**
-(:func:`set_persistent_cache`): a content-addressed store — in practice
-:class:`repro.service.cache.ArtifactCache` — consulted on identity-cache
-misses so lowered and inlined IR survive process restarts.  The
-registration point lives here (rather than in :mod:`repro.service`) so
-this package and :mod:`repro.core.checker` can consult it without
-importing the serving layer.
-
 A checked definition's IR *is* its semantic IR: the checker lowers each
 definition once (``checked=True``) and hands the result to
 :func:`adopt_checked_ir`, so :func:`semantic_definition_ir` lowers only
@@ -39,8 +31,6 @@ __all__ = [
     "semantic_expr_ir",
     "inlined_definition_ir",
     "clear_caches",
-    "set_persistent_cache",
-    "persistent_cache",
 ]
 
 
@@ -77,41 +67,7 @@ class IdentityCache:
         return len(self._entries)
 
 
-#: The cross-process artifact store, if one is activated.  Anything with
-#: ``get(kind, definition, program, build)`` works; see
-#: :class:`repro.service.cache.ArtifactCache`.
-_PERSISTENT = None
-
-
-def set_persistent_cache(cache) -> None:
-    """Install (or with ``None`` remove) the persistent outer layer.
-
-    The in-memory identity caches are cleared so artifacts built before
-    the switch cannot bypass (or leak from) the new store.
-    """
-    global _PERSISTENT
-    _PERSISTENT = cache
-    clear_caches()
-    from ..core import checker
-
-    checker.clear_judgment_caches()
-
-
-def persistent_cache():
-    """The installed persistent layer, or ``None``."""
-    return _PERSISTENT
-
-
-def _build_semantic(definition: A.Definition) -> IRProgram:
-    def build() -> IRProgram:
-        return lower_definition(definition, checked=False)
-
-    if _PERSISTENT is None or not isinstance(definition, A.Definition):
-        return build()
-    return _PERSISTENT.get("semantic-ir", definition, None, build)
-
-
-_SEMANTIC_DEFS = IdentityCache(_build_semantic)
+_SEMANTIC_DEFS = IdentityCache(lambda d: lower_definition(d, checked=False))
 _SEMANTIC_EXPRS = IdentityCache(lambda e: lower_expr(e))
 
 
@@ -123,9 +79,8 @@ def semantic_definition_ir(definition: A.Definition) -> IRProgram:
 def adopt_checked_ir(definition: A.Definition, ir: IRProgram) -> None:
     """Cache the checker's IR of ``definition`` as its semantic IR (the
     two lowerings agree on accepted definitions, see
-    :mod:`repro.ir.lower`).  A persistent layer keeps its own path."""
-    if _PERSISTENT is None:
-        _SEMANTIC_DEFS.put(definition, ir)
+    :mod:`repro.ir.lower`)."""
+    _SEMANTIC_DEFS.put(definition, ir)
 
 
 def semantic_expr_ir(expr: A.Expr) -> IRProgram:
@@ -159,13 +114,7 @@ def inlined_definition_ir(definition: A.Definition, program) -> IRProgram:
         return entry[2]
     from .inline import inline_calls
 
-    def build() -> IRProgram:
-        return inline_calls(semantic_definition_ir(definition), program)
-
-    if _PERSISTENT is None or not isinstance(definition, A.Definition):
-        value = build()
-    else:
-        value = _PERSISTENT.get("inlined-ir", definition, program, build)
+    value = inline_calls(semantic_definition_ir(definition), program)
     _INLINED[key] = (_ref(definition, key), _ref(program, key), value)
     return value
 

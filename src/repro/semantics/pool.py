@@ -187,10 +187,6 @@ def _run_task(
     max_prepared: int,
 ) -> Tuple[str, Dict[str, Any]]:
     """Worker body for one ``run`` message."""
-    if task.get("cache_dir"):
-        from ..service.cache import activate
-
-        activate(task["cache_dir"])
     fingerprint: str = task["fingerprint"]
     transient: bool = task["transient"]
     evictions = 0
@@ -550,7 +546,6 @@ class ShardWorkerPool:
         *,
         u: float,
         engine_options: Dict[str, Any],
-        cache_dir: Optional[str] = None,
         compose: bool = False,
     ) -> List[ShardResult]:
         """Certify ``bounds``-sliced row shards, one leased worker each.
@@ -612,7 +607,6 @@ class ShardWorkerPool:
                     "u": u,
                     "engine_options": engine_options,
                     "compose": compose,
-                    "cache_dir": cache_dir,
                     "lo": lo,
                     "hi": hi,
                     "shm": in_spec,

@@ -82,7 +82,6 @@ def run_witness_sharded(
     u: float = BINARY64_UNIT_ROUNDOFF,
     workers: Optional[int] = None,
     mp_context: Optional[str] = None,
-    cache_dir: Optional[str] = None,
     pool: Optional[ShardWorkerPool] = None,
     compose: bool = False,
     **engine_options,
@@ -96,13 +95,6 @@ def run_witness_sharded(
     worker processes — pass its configuration instead.  ``mp_context``
     selects the multiprocessing start method (default: the platform's);
     the workers are spawn-safe either way.
-
-    ``cache_dir`` names a shared on-disk artifact cache
-    (:class:`repro.service.cache.ArtifactCache`): the parent activates
-    it before building its engine — persisting the lowered IR, inlined
-    IR, and judgments — and every worker warm-starts from it instead of
-    re-lowering from the pickled AST.  Results are bitwise identical
-    either way; the cache only changes who pays for lowering.
 
     ``pool`` runs the shards on that
     :class:`~repro.semantics.pool.ShardWorkerPool`, whose warm workers
@@ -120,10 +112,6 @@ def run_witness_sharded(
             "pass the engine configuration (precision, rounding, seed, "
             "precision_bits) instead"
         )
-    if cache_dir:
-        from ..service.cache import activate
-
-        activate(cache_dir)
     engine = _build_engine(definition, program, u, engine_options, compose)
     # Pin the parent's resolved exact-arithmetic backend into the
     # options the workers receive: a worker must never re-resolve
@@ -148,8 +136,7 @@ def run_witness_sharded(
     with runner as shard_pool:
         results = shard_pool.run_shards(
             definition, program, columns, bounds, u=u,
-            engine_options=engine_options, cache_dir=cache_dir,
-            compose=compose,
+            engine_options=engine_options, compose=compose,
         )
 
     sound = np.concatenate([r[0] for r in results])

@@ -1,20 +1,12 @@
-"""The serving layer: persistent artifacts and the concurrent audit service.
+"""The serving layer: program fingerprints and the concurrent audit service.
 
 Every other package in this repository does *per-program* work — parse,
-typecheck, lower to the flat IR, inline calls, infer grades — from
-scratch on every process start.  This package amortizes that work across
-processes and across requests:
+typecheck, lower to the flat IR, inline calls, infer grades — once per
+parsed program.  This package amortizes that work across requests:
 
 * :mod:`repro.service.fingerprint` — a canonical, alpha-invariant
   content hash for Bean programs, stable across parses and processes
   (the parser's fresh-name counter makes raw AST hashing unstable);
-* :mod:`repro.service.cache` — an on-disk content-addressed artifact
-  cache (lowered IR, inlined IR, inferred judgments) with atomic
-  write-then-rename, digest verification on read, and LRU eviction.
-  :func:`~repro.service.cache.activate` plugs it in as the outer layer
-  behind the identity-keyed in-memory caches of :mod:`repro.ir.cache`,
-  and warm-starts the shard workers' re-lowering in
-  :mod:`repro.semantics.shard`;
 * :mod:`repro.service.protocol` — a minimal HTTP/1.1 reader/writer
   over asyncio streams (stdlib only); the JSON payload schema lives in
   :mod:`repro.api.result`;
@@ -27,7 +19,6 @@ processes and across requests:
 
 from typing import TYPE_CHECKING, Any
 
-from .cache import ArtifactCache, activate, active_cache, deactivate
 from .fingerprint import fingerprint_definition, fingerprint_program
 
 if TYPE_CHECKING:
@@ -46,11 +37,7 @@ def __getattr__(name: str) -> Any:
 
 
 __all__ = [
-    "ArtifactCache",
     "AuditServer",
-    "activate",
-    "active_cache",
-    "deactivate",
     "fingerprint_definition",
     "fingerprint_program",
 ]

@@ -1,8 +1,9 @@
 """Canonical content hashes for Bean programs.
 
-The on-disk artifact cache (:mod:`repro.service.cache`) must key lowered
-IR by *what the program is*, not by which parse produced it.  Two things
-rule out the obvious approaches:
+The server's prepared-program table, fleet routing, the shard worker
+pool's prepared programs and the deep fingerprints of
+:mod:`repro.compose.graph` all key a program by *what it is*, not by
+which parse produced it.  Two things rule out the obvious approaches:
 
 * **object identity** (what :mod:`repro.ir.cache` uses in-memory) means
   nothing across processes;
@@ -18,7 +19,7 @@ occurrences hash as their binder index, and only *free* names (formal
 parameters, definition names, callee names) hash as text.  Lowering is
 name-insensitive in every observable way — slots are positional, and
 the only names embedded in semantic IR are debugging auxiliaries — so
-alpha-equivalent definitions share artifacts soundly.
+alpha-equivalent definitions share prepared work soundly.
 
 The walk is iterative: benchmark programs nest thousands of ``let``
 binders, far past the default recursion limit.  Every token is
@@ -43,10 +44,8 @@ __all__ = [
     "fingerprint_program",
 ]
 
-#: Bump whenever the encoding (or the artifact formats it keys) changes:
-#: stale cache entries from older code must never be served.  Version 2:
-#: ``IRProgram`` grew the ``inline_fallbacks`` slot, changing the pickled
-#: layout of the ``semantic-ir`` / ``inlined-ir`` artifacts.
+#: Bump whenever the encoding changes, so fingerprints from older code
+#: never match newer ones (fleet nodes route and prepare by them).
 FINGERPRINT_VERSION = 2
 
 
@@ -54,8 +53,8 @@ class UnfingerprintableError(TypeError):
     """The AST contains nodes outside Bean's kernel grammar.
 
     Raised e.g. for :class:`repro.lam_s.syntax.Const` literals spliced
-    into semantic-mode terms by tests; callers fall back to building the
-    artifact without consulting the persistent cache.
+    into semantic-mode terms by tests; callers fall back to another key
+    (a fresh anonymous pool key, the source text for fleet routing).
     """
 
 
@@ -219,11 +218,11 @@ def fingerprint_definition(
 ) -> str:
     """The canonical hash of a definition (plus its program context).
 
-    ``kind`` namespaces artifact families (semantic IR vs. inlined IR
-    vs. judgments) and ``options`` folds in whatever engine options the
-    artifact depends on.  ``program`` must be supplied for artifacts
-    that read other definitions (call inlining): the same definition
-    inlines differently in programs whose callees differ.
+    ``kind`` namespaces the key's users (``"pool"``, ``"fleet-route"``)
+    and ``options`` folds in whatever engine options the keyed work
+    depends on.  ``program`` must be supplied for work that reads other
+    definitions (call inlining): the same definition inlines
+    differently in programs whose callees differ.
     """
     h = hashlib.sha256()
     _token(h, f"bean-fp{FINGERPRINT_VERSION}")

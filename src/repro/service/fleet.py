@@ -4,9 +4,8 @@ A :class:`FleetDispatcher` owns a pool of audit-server nodes and routes
 each audit by **consistent hashing on the alpha-invariant program
 fingerprint** (:mod:`repro.service.fingerprint`): every audit of the
 same program lands on the same node (until the ring changes), so each
-node's on-disk :class:`~repro.service.cache.ArtifactCache` and in-memory
-prepared-program table stay hot for *its* shard of the program corpus
-instead of every node churning through all of it.
+node's in-memory prepared-program table stays hot for *its* shard of
+the program corpus instead of every node churning through all of it.
 
 Large batch audits additionally **split into row-contiguous
 sub-requests** fanned across the healthy nodes and merged back into one

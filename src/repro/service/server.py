@@ -4,12 +4,10 @@ One long-lived process amortizes every per-program cost the CLI pays on
 each invocation: interpreter and NumPy startup, parsing, typechecking,
 IR lowering and inlining, grade inference.  The server keeps prepared
 programs in memory (coalescing concurrent preparations of the same
-program hash into a single task), persists the derived artifacts in the
-shared on-disk :class:`~repro.service.cache.ArtifactCache`, and
-dispatches audits through the exact CLI code path (one
-:class:`repro.api.Session` resolving engines from the shared registry),
-so every response body is bitwise identical to the one-shot
-``repro witness --json`` output.
+program hash into a single task) and dispatches audits through the
+exact CLI code path (one :class:`repro.api.Session` resolving engines
+from the shared registry), so every response body is bitwise identical
+to the one-shot ``repro witness --json`` output.
 
 Protocol (HTTP/1.1, JSON bodies)::
 
@@ -17,7 +15,7 @@ Protocol (HTTP/1.1, JSON bodies)::
                     "name": null, "engine": "batch", "workers": 2,
                     "precision_bits": 53, "u": "2^-53"}
     GET  /healthz  liveness + uptime counters
-    GET  /stats    request/coalescing/cache statistics
+    GET  /stats    request/coalescing/pool statistics
 
 Audit responses carry 200 (all rows sound), 200 with ``"sound": false``
 bodies still being valid audits; 400 for malformed requests, 422 for
@@ -54,7 +52,6 @@ from ..api.stream import (
 from ..core import BeanError, ast_nodes as A, check_program, parse_program
 from ..lam_s.eval import EvalError
 from ..semantics.lens import LensDomainError
-from .cache import ArtifactCache, activate
 from .fingerprint import fingerprint_source
 from .protocol import (
     HttpError,
@@ -69,8 +66,7 @@ from .protocol import (
 __all__ = ["AuditServer", "ServerHandle", "serve"]
 
 #: Prepared programs kept in memory (each entry is one parsed+checked
-#: program; artifacts also live in the on-disk cache, so eviction only
-#: costs a re-parse).
+#: program; eviction costs a re-parse and re-check on re-entry).
 MAX_PREPARED_PROGRAMS = 128
 
 
@@ -146,8 +142,6 @@ class AuditServer:
         host: str = "127.0.0.1",
         port: int = 0,
         *,
-        cache_dir: Optional[str] = None,
-        max_cache_bytes: Optional[int] = None,
         threads: Optional[int] = None,
         heavy_threads: Optional[int] = None,
         default_workers: int = 2,
@@ -157,8 +151,6 @@ class AuditServer:
     ) -> None:
         self.host = host
         self.port = port
-        self.cache_dir = cache_dir
-        self.max_cache_bytes = max_cache_bytes
         self.default_workers = default_workers
         if max_prepared is None:
             max_prepared = MAX_PREPARED_PROGRAMS
@@ -184,12 +176,7 @@ class AuditServer:
         # most ``max_request_workers`` workers, which bounds the pool.
         # Never fork a multi-threaded server: a forked shard worker can
         # inherit a lock some other thread holds.
-        self.session = Session(
-            cache_dir=cache_dir,
-            workers=default_workers,
-            mp_context="spawn",
-        )
-        self.cache: Optional[ArtifactCache] = None
+        self.session = Session(workers=default_workers, mp_context="spawn")
         self.stats: Dict[str, int] = {
             "requests": 0,
             "audits": 0,
@@ -226,10 +213,6 @@ class AuditServer:
 
     async def start(self) -> None:
         """Bind and start serving (resolves ``port`` when it was 0)."""
-        if self.cache_dir:
-            self.cache = activate(
-                self.cache_dir, max_bytes=self.max_cache_bytes
-            )
         self._server = await asyncio.start_server(
             self._handle_connection, self.host, self.port
         )
@@ -312,8 +295,9 @@ class AuditServer:
         if request.path == "/stats":
             if request.method != "GET":
                 return 405, _error_body("GET /stats")
-            # The cache numbers walk the objects/ directory; keep that
-            # off the event loop so /stats polls never stall audits.
+            # pool_stats takes the pool lock, which is held while a
+            # worker spawns; keep that wait off the event loop so
+            # /stats polls never stall audits.
             loop = asyncio.get_running_loop()
             payload = await loop.run_in_executor(
                 self._pool, self._stats_payload
@@ -360,14 +344,6 @@ class AuditServer:
         # shared-memory bytes in flight (empty before the first
         # sharded audit).
         payload["pool"] = self.session.pool_stats() or {}
-        if self.cache is not None:
-            entries = self.cache._entries()  # one scan for both numbers
-            payload["cache"] = {
-                "root": self.cache.root,
-                "entries": len(entries),
-                "bytes": sum(size for _, size, _ in entries),
-                **self.cache.stats,
-            }
         return payload
 
     async def _handle_audit(
@@ -574,8 +550,8 @@ class AuditServer:
     def _evict_prepared(self) -> None:
         """Drop oldest finished programs over the cap (insertion order).
 
-        In-flight preparations are never dropped; the on-disk artifact
-        cache keeps eviction cheap (re-entry costs one re-parse).
+        In-flight preparations are never dropped; re-entry costs one
+        re-parse and re-check.
         """
         excess = len(self._prep_tasks) - self.max_prepared
         if excess <= 0:

@@ -236,19 +236,6 @@ class TestSession:
             assert code == 1
             assert capsys.readouterr().err.startswith("error:")
 
-    def test_cache_dir_activates_artifact_cache(self, tmp_path):
-        from repro.ir.cache import persistent_cache
-        from repro.service.cache import deactivate
-
-        deactivate()
-        try:
-            session = Session(cache_dir=str(tmp_path / "cache"))
-            result = session.audit(SOURCE, inputs=SCALAR_INPUTS)
-            assert result.sound
-            assert persistent_cache() is not None
-        finally:
-            deactivate()
-
     def test_session_reuse_is_bitwise_stable(self):
         session = Session()
         program = session.parse(SOURCE)
@@ -353,16 +340,13 @@ class TestAuditResult:
 
 @pytest.fixture(scope="module")
 def served():
-    from repro.service.cache import deactivate
     from repro.service.server import AuditServer, serve
 
-    deactivate()
     handle = serve(AuditServer(port=0))
     try:
         yield handle
     finally:
         handle.stop()
-        deactivate()
 
 
 class TestUnknownEngineSurfaces:

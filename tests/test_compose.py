@@ -282,7 +282,7 @@ class TestParseCache:
 
 
 # --------------------------------------------------------------------------
-# The summary store (memory + artifact-cache layers)
+# The summary store
 # --------------------------------------------------------------------------
 
 
@@ -297,21 +297,6 @@ class TestStore:
         assert second.built == ()
         assert second.reused == ("Scale", "Twice", "Main")
         assert store.stats["memory_hits"] == 3
-
-    def test_artifact_cache_warm_starts_a_fresh_store(self, tmp_path):
-        from repro.service.cache import activate, deactivate
-
-        program = parse_program(CHAIN)
-        activate(str(tmp_path))
-        try:
-            warm = SummaryStore()
-            composed_judgments(program, store=warm)
-            cold = SummaryStore()  # fresh memory, same artifact cache
-            result = composed_judgments(program, store=cold)
-            assert result.reused == ("Scale", "Twice", "Main")
-            assert cold.stats["artifact_hits"] == 3
-        finally:
-            deactivate()
 
     def test_summaries_survive_only_by_content(self):
         # A different program never sees the first one's summaries: the

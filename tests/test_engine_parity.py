@@ -365,18 +365,14 @@ class TestServedParity:
     """
 
     @pytest.fixture(scope="class")
-    def served(self, tmp_path_factory):
-        from repro.service.cache import deactivate
+    def served(self):
         from repro.service.server import AuditServer, serve
 
-        deactivate()
-        cache_dir = tmp_path_factory.mktemp("parity-cache")
-        handle = serve(AuditServer(port=0, cache_dir=str(cache_dir)))
+        handle = serve(AuditServer(port=0))
         try:
             yield handle
         finally:
             handle.stop()
-            deactivate()
 
     @staticmethod
     def assert_served_equals_cli(handle, source, inputs, engine, tmp_path):

@@ -25,9 +25,9 @@ import json
 import os
 import socket
 import struct
-import tempfile
 import threading
 import time
+from pathlib import Path
 
 import pytest
 
@@ -36,7 +36,6 @@ from repro.api.result import render_payload
 from repro.cli import main
 from repro.semantics.shard import shard_bounds
 from repro.service import client as service_client
-from repro.service.cache import deactivate
 from repro.service.client import (
     ClientConnectionError,
     ClientDeadlineError,
@@ -55,6 +54,7 @@ from repro.service.server import AuditServer, serve
 SAFEDIV = os.path.join(
     os.path.dirname(__file__), "..", "examples", "bean", "safediv4.bean"
 )
+SAFEDIV_SOURCE = Path(SAFEDIV).read_text()
 
 BATCH_INPUTS = {
     "x": [[1, 2, 3, 4], [2, 3, 4, 5], [1, 1, 1, 1]],
@@ -82,17 +82,11 @@ def cli_json(argv):
 
 @contextlib.contextmanager
 def fleet(n):
-    """``n`` audit servers on ephemeral ports, each with its own cache."""
-    deactivate()
+    """``n`` audit servers on ephemeral ports."""
     handles = []
-    dirs = []
     try:
         for _ in range(n):
-            cache_dir = tempfile.TemporaryDirectory()
-            dirs.append(cache_dir)
-            handles.append(
-                serve(AuditServer(port=0, cache_dir=cache_dir.name))
-            )
+            handles.append(serve(AuditServer(port=0)))
         yield handles
     finally:
         for handle in handles:
@@ -100,9 +94,6 @@ def fleet(n):
                 handle.stop()
             except Exception:
                 pass
-        for cache_dir in dirs:
-            cache_dir.cleanup()
-        deactivate()
 
 
 def nodes_of(handles):
@@ -423,7 +414,7 @@ class TestFleetDispatch:
             )
             body = dispatcher.audit_spec(
                 {
-                    "source": open(SAFEDIV).read(),
+                    "source": SAFEDIV_SOURCE,
                     "inputs": WIDE_INPUTS,
                     "engine": "batch",
                 }
@@ -440,7 +431,7 @@ class TestFleetDispatch:
             )  # 3 rows < 2 * min_rows_per_shard: dispatch unsplit
             body = dispatcher.audit_spec(
                 {
-                    "source": open(SAFEDIV).read(),
+                    "source": SAFEDIV_SOURCE,
                     "inputs": BATCH_INPUTS,
                     "engine": "batch",
                 }
@@ -456,7 +447,7 @@ class TestFleetDispatch:
             dispatcher = FleetDispatcher(
                 nodes_of(handles), spill_depth=None
             )
-            spec = {"source": open(SAFEDIV).read(), "inputs": SCALAR_INPUTS}
+            spec = {"source": SAFEDIV_SOURCE, "inputs": SCALAR_INPUTS}
             for _ in range(3):
                 dispatcher.audit_spec(spec)
             audits = sorted(
@@ -480,7 +471,7 @@ class TestFleetDispatch:
             handles[1].stop()  # ...then one dies mid-run
             body = dispatcher.audit_spec(
                 {
-                    "source": open(SAFEDIV).read(),
+                    "source": SAFEDIV_SOURCE,
                     "inputs": WIDE_INPUTS,
                     "engine": "batch",
                 }
@@ -498,7 +489,7 @@ class TestFleetDispatch:
         dispatcher = FleetDispatcher(f"127.0.0.1:{port}", spill_depth=None)
         with pytest.raises(FleetError, match="no healthy nodes"):
             dispatcher.audit_spec(
-                {"source": open(SAFEDIV).read(), "inputs": SCALAR_INPUTS}
+                {"source": SAFEDIV_SOURCE, "inputs": SCALAR_INPUTS}
             )
         assert dispatcher.ejected
 
@@ -553,7 +544,7 @@ class TestFleetDispatch:
             )
             with pytest.raises(FleetError, match="mixed-version fleet"):
                 dispatcher.audit_spec(
-                    {"source": open(SAFEDIV).read(), "inputs": SCALAR_INPUTS}
+                    {"source": SAFEDIV_SOURCE, "inputs": SCALAR_INPUTS}
                 )
             assert Node("127.0.0.1", port) in dispatcher.ejected
         finally:
@@ -588,7 +579,7 @@ class TestRemoteEngine:
         with fleet(2) as handles:
             monkeypatch.setenv("REPRO_NODES", nodes_of(handles))
             result = repro_api.Session().audit(
-                open(SAFEDIV).read(), inputs=WIDE_INPUTS, engine="remote"
+                SAFEDIV_SOURCE, inputs=WIDE_INPUTS, engine="remote"
             )
             assert result.to_json() + "\n" == golden
             assert "fleet audit" in result.report.describe()
@@ -636,7 +627,7 @@ class TestRemoteEngine:
     def test_unconfigured_remote_engine_fails_loudly(self, remote_engine):
         with pytest.raises(ValueError, match="node pool"):
             repro_api.Session().audit(
-                open(SAFEDIV).read(), inputs=SCALAR_INPUTS, engine="remote"
+                SAFEDIV_SOURCE, inputs=SCALAR_INPUTS, engine="remote"
             )
 
     def test_client_cli_without_nodes_is_an_error(self, remote_engine, capsys):
@@ -669,7 +660,7 @@ class TestFleetSoak:
             (WIDE_INPUTS, golden_wide),
             (BATCH_INPUTS, golden_small),
         ]
-        source = open(SAFEDIV).read()
+        source = SAFEDIV_SOURCE
         failures = []
         with fleet(2) as handles:
             dispatcher = FleetDispatcher(

@@ -365,6 +365,36 @@ def _flat_inputs(definition, salt: float):
     return inputs
 
 
+def _count_passes(monkeypatch):
+    """Record every lowering (its ``checked`` flag) and every approx and
+    ideal sweep the process runs from here on."""
+    from repro.ir import lower as L
+    from repro.semantics.interp import _SlotExecutor
+
+    lowerings = []
+    sweeps = []
+    real_lower = L._Lowerer.lower
+    real_approx = _SlotExecutor.approx
+    real_ideal = _SlotExecutor.ideal
+
+    def counting_lower(self, root):
+        lowerings.append(self.checked)
+        return real_lower(self, root)
+
+    def counting_approx(self, frame):
+        sweeps.append("approx")
+        return real_approx(self, frame)
+
+    def counting_ideal(self, ir, env):
+        sweeps.append("ideal")
+        return real_ideal(self, ir, env)
+
+    monkeypatch.setattr(L._Lowerer, "lower", counting_lower)
+    monkeypatch.setattr(_SlotExecutor, "approx", counting_approx)
+    monkeypatch.setattr(_SlotExecutor, "ideal", counting_ideal)
+    return lowerings, sweeps
+
+
 class TestSinglePassColdAudit:
     @pytest.mark.parametrize(
         "family, n",
@@ -376,37 +406,44 @@ class TestSinglePassColdAudit:
     ):
         from repro.api import Session
         from repro.core import Program, pretty_program
-        from repro.ir import lower as L
         from repro.programs import generators
-        from repro.semantics.interp import _SlotExecutor
 
-        lowerings = []
-        sweeps = []
-        real_lower = L._Lowerer.lower
-        real_approx = _SlotExecutor.approx
-        real_ideal = _SlotExecutor.ideal
-
-        def counting_lower(self, root):
-            lowerings.append(self.checked)
-            return real_lower(self, root)
-
-        def counting_approx(self, frame):
-            sweeps.append("approx")
-            return real_approx(self, frame)
-
-        def counting_ideal(self, ir, env):
-            sweeps.append("ideal")
-            return real_ideal(self, ir, env)
-
-        monkeypatch.setattr(L._Lowerer, "lower", counting_lower)
-        monkeypatch.setattr(_SlotExecutor, "approx", counting_approx)
-        monkeypatch.setattr(_SlotExecutor, "ideal", counting_ideal)
+        lowerings, sweeps = _count_passes(monkeypatch)
         text = pretty_program(Program([getattr(generators, family)(n)]))
         with Session() as session:
             program = session.parse(text)
             session.check(program)
             result = session.audit(program, inputs=_flat_inputs(program.main, 0.25))
         assert result.sound
+        assert lowerings == [True]
+        assert sweeps.count("approx") == 1
+        assert sweeps.count("ideal") == 1
+
+    def test_served_audit_lowers_once_and_sweeps_once(self, monkeypatch):
+        import json
+
+        from repro.core import Program
+        from repro.programs.generators import horner
+        from repro.service.client import audit
+        from repro.service.server import AuditServer, serve
+
+        program = Program([horner(20)])
+        handle = serve(AuditServer(port=0))
+        try:
+            lowerings, sweeps = _count_passes(monkeypatch)
+            status, body = audit(
+                handle.host,
+                handle.port,
+                {
+                    "source": pretty_program(program),
+                    "inputs": _flat_inputs(program.main, 0.25),
+                    "engine": "ir",
+                },
+            )
+        finally:
+            handle.stop()
+        assert status == 200
+        assert json.loads(body)["sound"]
         assert lowerings == [True]
         assert sweeps.count("approx") == 1
         assert sweeps.count("ideal") == 1

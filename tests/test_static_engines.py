@@ -329,18 +329,14 @@ class TestStaticSurfaceParity:
     """Session == CLI --json == served body, byte for byte, schema v3."""
 
     @pytest.fixture(scope="class")
-    def served(self, tmp_path_factory):
-        from repro.service.cache import deactivate
+    def served(self):
         from repro.service.server import AuditServer, serve
 
-        deactivate()
-        cache_dir = tmp_path_factory.mktemp("static-parity-cache")
-        handle = serve(AuditServer(port=0, cache_dir=str(cache_dir)))
+        handle = serve(AuditServer(port=0))
         try:
             yield handle
         finally:
             handle.stop()
-            deactivate()
 
     @pytest.mark.parametrize("engine", ["interval", "forward", "sweep"])
     def test_new_engines_byte_identical_across_surfaces(

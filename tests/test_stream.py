@@ -28,7 +28,6 @@ import contextlib
 import io
 import json
 import socket
-import tempfile
 import threading
 
 import pytest
@@ -55,7 +54,6 @@ from repro.api.stream import (
 )
 from repro.cli import _parse_precision_bits, main
 from repro.service import client as service_client
-from repro.service.cache import deactivate
 from repro.service.client import ClientStatusError, ClientTruncationError
 from repro.service.fleet import FleetDispatcher, FleetError, HashRing, parse_nodes
 from repro.service.protocol import http_chunk, http_last_chunk, http_stream_head
@@ -93,21 +91,11 @@ def cli_json(argv):
 
 @contextlib.contextmanager
 def fleet(n, **server_kwargs):
-    """``n`` audit servers on ephemeral ports, each with its own cache."""
-    deactivate()
+    """``n`` audit servers on ephemeral ports."""
     handles = []
-    dirs = []
     try:
         for _ in range(n):
-            cache_dir = tempfile.TemporaryDirectory()
-            dirs.append(cache_dir)
-            handles.append(
-                serve(
-                    AuditServer(
-                        port=0, cache_dir=cache_dir.name, **server_kwargs
-                    )
-                )
-            )
+            handles.append(serve(AuditServer(port=0, **server_kwargs)))
         yield handles
     finally:
         for handle in handles:
@@ -115,9 +103,6 @@ def fleet(n, **server_kwargs):
                 handle.stop()
             except Exception:
                 pass
-        for cache_dir in dirs:
-            cache_dir.cleanup()
-        deactivate()
 
 
 def nodes_of(handles):
@@ -760,16 +745,13 @@ class TestRejoin:
             assert len(dispatcher.ejected) == 1
             assert dispatcher.stats["rejoins"] == 0
 
-            with tempfile.TemporaryDirectory() as cache_dir:
-                revived = serve(
-                    AuditServer(port=dead_port, cache_dir=cache_dir)
-                )
-                try:
-                    assert dispatcher.audit_spec(spec, split=True) == want
-                    assert dispatcher.stats["rejoins"] == 1
-                    assert dispatcher.ejected == {}
-                finally:
-                    revived.stop()
+            revived = serve(AuditServer(port=dead_port))
+            try:
+                assert dispatcher.audit_spec(spec, split=True) == want
+                assert dispatcher.stats["rejoins"] == 1
+                assert dispatcher.ejected == {}
+            finally:
+                revived.stop()
 
 
 # --------------------------------------------------------------------------
