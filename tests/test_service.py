@@ -134,6 +134,33 @@ class TestFingerprint:
 
 
 # --------------------------------------------------------------------------
+# The in-memory identity caches behind the sharded path
+# --------------------------------------------------------------------------
+
+
+class TestPersistentLayer:
+    def test_sharded_with_cache_dir_matches_batch(self):
+        # The on-disk cache_dir layer is gone; what remains is that a
+        # sharded run equals the batch engine both cold and with the
+        # in-process IR caches warm from a previous run.
+        from repro.semantics.batch import BatchWitnessEngine
+        from repro.semantics.shard import run_witness_sharded
+
+        program = parse_program(SAFEDIV_SOURCE)
+        definition = program.main
+        batch = BatchWitnessEngine(definition, program).run(BATCH_INPUTS)
+        for _round in range(2):  # cold then warm in-process caches
+            sharded = run_witness_sharded(
+                definition, BATCH_INPUTS, program=program, workers=2
+            )
+            assert list(sharded.sound) == list(batch.sound)
+            assert list(sharded.exact) == list(batch.exact)
+            assert {
+                k: str(v) for k, v in sharded.param_max_distance.items()
+            } == {k: str(v) for k, v in batch.param_max_distance.items()}
+
+
+# --------------------------------------------------------------------------
 # The audit server
 # --------------------------------------------------------------------------
 
