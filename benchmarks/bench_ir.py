@@ -1,11 +1,10 @@
-"""IR benchmark: recursive-AST vs flat-IR sweeps, and batch witnesses.
+"""IR benchmark: flat-IR check/eval timings, and batch witnesses.
 
-Times the three hot paths the IR subsystem replaced — checking,
-evaluation, and witness construction — against the recursive reference
-engines, and the vectorized :class:`BatchWitnessEngine` against a loop
-of scalar ``run_witness`` calls on 1000 environments.  Asserts the two
-engines produce identical judgments/values/soundness verdicts, and that
-batching clears a 5x throughput bar on the 1000-environment cells.  The
+Records the cold check and one evaluation on the flat IR (ungated
+absolute timings), and times the vectorized :class:`BatchWitnessEngine`
+against a loop of scalar ``run_witness`` calls on 1000 environments.
+Asserts the two produce identical soundness verdicts, and that batching
+clears a 5x throughput bar on the 1000-environment cells.  The
 formatted comparison is written to ``results/ir.txt``.
 """
 
@@ -42,7 +41,6 @@ def test_ir_bench_report(ir_rows):
         cell = row.name.lower()
         metrics[f"{cell}_check_ir_s"] = row.check_ir_s
         metrics[f"{cell}_eval_ir_s"] = row.eval_ir_s
-        metrics[f"{cell}_check_speedup_x"] = row.check_speedup
         if row.witness_batch_s is not None:
             metrics[f"{cell}_witness_batch_s"] = row.witness_batch_s
         if row.batch_speedup is not None:
@@ -51,14 +49,7 @@ def test_ir_bench_report(ir_rows):
         if row.eft_speedup is not None:
             metrics[f"{cell}_eft_speedup_x"] = row.eft_speedup
             gated.append(f"{cell}_eft_speedup_x")
-        gated.append(f"{cell}_check_speedup_x")
     write_bench_json("ir", metrics, gate_metrics=gated)
-
-
-def test_ir_check_faster_on_large_programs(ir_rows):
-    for row in ir_rows:
-        if row.ops >= 150:
-            assert row.check_ir_s < row.check_ast_s, row
 
 
 def test_batch_witness_verdicts_agree(ir_rows):

@@ -18,12 +18,8 @@ which is why the two baselines (and Bean's converted bound) agree to all
 printed digits on the Table 3 benchmarks.
 
 The numeric rules live in :class:`IntervalDomain`, a transfer table for
-the shared iterative IR interpreter in :mod:`repro.analysis.transfer`
-(``method="ir"``, the default — handles ``Sum 10000`` under the default
-recursion limit).  The pre-IR recursive AST walker is kept as the
-slow reference (``method="recursive"``), mirroring the witness side's
-``engine="recursive"`` pattern: a pinned-seed bit-parity test and
-``benchmarks/bench_analysis.py`` run both.
+the shared iterative IR interpreter in :mod:`repro.analysis.transfer`,
+which handles ``Sum 10000`` under the default recursion limit.
 """
 
 from __future__ import annotations
@@ -32,18 +28,12 @@ import math
 from typing import Dict, Mapping, Optional, Sequence, Tuple
 
 from ..core import ast_nodes as A
-from ..core.errors import BeanTypeError
 from ..core.grades import eps_from_roundoff
 from .transfer import (
-    ANum,
-    APair,
-    ASum,
-    AUnit,
     AbstractValue,
     TransferInterpreter,
     abstract_of_leaves,
     abstract_of_type,
-    join_values,
     worst_measure,
 )
 
@@ -277,106 +267,6 @@ class IntervalDomain:
         return 0.0
 
 
-class _RecursiveIntervalAnalyzer:
-    """The pre-IR structural walker, kept as the slow reference.
-
-    Recurses on AST shape (and copies the environment per binder, the
-    quadratic behaviour ``benchmarks/bench_analysis.py`` measures), so
-    it is limited to programs whose nesting fits the default recursion
-    limit — exactly the regime the pinned-seed bit-parity test runs it
-    in against the iterative IR sweep.
-    """
-
-    __slots__ = ("program", "domain")
-
-    def __init__(
-        self, program: Optional[A.Program], domain: IntervalDomain
-    ) -> None:
-        self.program = program
-        self.domain = domain
-
-    def analyze(
-        self, expr: A.Expr, env: Dict[str, AbstractValue]
-    ) -> AbstractValue:
-        domain = self.domain
-        if isinstance(expr, A.Var):
-            return env[expr.name]
-        if isinstance(expr, A.UnitVal):
-            return AUnit()
-        if isinstance(expr, A.Bang):
-            return self.analyze(expr.body, env)
-        if isinstance(expr, A.Pair):
-            return APair(
-                self.analyze(expr.left, env), self.analyze(expr.right, env)
-            )
-        if isinstance(expr, A.Inl):
-            return ASum(self.analyze(expr.body, env), None)
-        if isinstance(expr, A.Inr):
-            return ASum(None, self.analyze(expr.body, env))
-        if isinstance(expr, (A.Let, A.DLet)):
-            bound = self.analyze(expr.bound, env)
-            inner = dict(env)
-            inner[expr.name] = bound
-            return self.analyze(expr.body, inner)
-        if isinstance(expr, (A.LetPair, A.DLetPair)):
-            bound = self.analyze(expr.bound, env)
-            if not isinstance(bound, APair):
-                raise BeanTypeError("pair elimination of non-pair abstraction")
-            inner = dict(env)
-            inner[expr.left] = bound.left
-            inner[expr.right] = bound.right
-            return self.analyze(expr.body, inner)
-        if isinstance(expr, A.Case):
-            scrut = self.analyze(expr.scrutinee, env)
-            if not isinstance(scrut, ASum):
-                raise BeanTypeError("case of non-sum abstraction")
-            result: Optional[AbstractValue] = None
-            if scrut.left is not None:
-                inner = dict(env)
-                inner[expr.left_name] = scrut.left
-                result = join_values(
-                    result, self.analyze(expr.left, inner), domain
-                )
-            if scrut.right is not None:
-                inner = dict(env)
-                inner[expr.right_name] = scrut.right
-                result = join_values(
-                    result, self.analyze(expr.right, inner), domain
-                )
-            if result is None:
-                raise BeanTypeError("case with no reachable branch")
-            return result
-        if isinstance(expr, A.PrimOp):
-            left = self.analyze(expr.left, env)
-            right = self.analyze(expr.right, env)
-            if not isinstance(left, ANum) or not isinstance(right, ANum):
-                raise BeanTypeError("arithmetic on non-numeric abstraction")
-            if expr.op is A.Op.ADD:
-                return ANum(domain.add(left.leaf, right.leaf))
-            if expr.op is A.Op.SUB:
-                return ANum(domain.sub(left.leaf, right.leaf))
-            if expr.op in (A.Op.MUL, A.Op.DMUL):
-                return ANum(domain.mul(left.leaf, right.leaf))
-            if expr.op is A.Op.DIV:
-                return ASum(ANum(domain.div(left.leaf, right.leaf)), AUnit())
-            raise BeanTypeError(f"unknown op {expr.op}")
-        if isinstance(expr, A.Rnd):
-            inner_val = self.analyze(expr.body, env)
-            if not isinstance(inner_val, ANum):
-                raise BeanTypeError("rnd of non-numeric abstraction")
-            return ANum(domain.rnd(inner_val.leaf))
-        if isinstance(expr, A.Call):
-            if self.program is None or expr.name not in self.program:
-                raise BeanTypeError(f"call to unknown definition {expr.name!r}")
-            callee = self.program[expr.name]
-            frame = {
-                p.name: self.analyze(a, env)
-                for p, a in zip(callee.params, expr.args)
-            }
-            return self.analyze(callee.body, frame)
-        raise BeanTypeError(f"cannot analyze {expr!r}")
-
-
 def interval_forward_bound(
     definition: A.Definition,
     program: Optional[A.Program] = None,
@@ -387,7 +277,6 @@ def interval_forward_bound(
         Mapping[str, Sequence[Tuple[float, float]]]
     ] = None,
     u: float = 2.0**-53,
-    method: str = "ir",
 ) -> float:
     """A relative forward error bound from interval hypotheses.
 
@@ -398,14 +287,21 @@ def interval_forward_bound(
     length mismatch raises ``ValueError``), taking precedence over
     ``ranges`` for the parameters it names.  Returns the bound on
     ``RP(f̃(x), f(x))`` (``math.inf`` if the intervals cannot exclude
-    cancellation through zero).  ``method`` selects the iterative
-    flat-IR sweep (``"ir"``, the default) or the recursive reference
-    walker (``"recursive"``).
+    cancellation through zero).
     """
-    if method not in ("ir", "recursive"):
-        raise ValueError(f"unknown interval analysis method {method!r}")
-    eps = eps_from_roundoff(u)
-    domain = IntervalDomain(eps)
+    domain = IntervalDomain(eps_from_roundoff(u))
+    env = _input_env(definition, input_range, ranges, leaf_ranges)
+    result = TransferInterpreter(domain, program).analyze_definition(definition, env)
+    return float(worst_measure(result, domain))
+
+
+def _input_env(
+    definition: A.Definition,
+    input_range: Tuple[float, float],
+    ranges: Optional[Mapping[str, Tuple[float, float]]],
+    leaf_ranges: Optional[Mapping[str, Sequence[Tuple[float, float]]]],
+) -> Dict[str, AbstractValue]:
+    """The abstract input of each parameter from the interval hypotheses."""
     env: Dict[str, AbstractValue] = {}
     for p in definition.params:
         per_leaf = leaf_ranges.get(p.name) if leaf_ranges else None
@@ -420,12 +316,4 @@ def interval_forward_bound(
             continue
         rng = ranges.get(p.name, input_range) if ranges else input_range
         env[p.name] = abstract_of_type(p.ty, _ILeaf(Interval(*rng), 0.0))
-    if method == "recursive":
-        result = _RecursiveIntervalAnalyzer(program, domain).analyze(
-            definition.body, env
-        )
-    else:
-        result = TransferInterpreter(domain, program).analyze_definition(
-            definition, env
-        )
-    return float(worst_measure(result, domain))
+    return env

@@ -1,7 +1,7 @@
 """The built-in engines, as registry adapters.
 
 Each adapter wraps one pre-existing implementation — the scalar witness
-runner through the IR or recursive lens, the vectorized NumPy batch
+runner through the slot-executor lens, the vectorized NumPy batch
 engine, the multiprocess sharded runner, the static analyzers in
 :mod:`repro.analysis`, and the reduced-precision sweep over the batch
 engine — behind the uniform :class:`~repro.api.registry.Engine`
@@ -9,10 +9,10 @@ protocol.  The heavy imports (NumPy, the process-pool machinery, the
 analyzers) stay inside ``audit`` so that importing :mod:`repro.api`
 costs no more than the CLI's start-up budget allows.
 
-:class:`ScalarLensEngine` is exported as a convenience base for
-plugins and tests: subclass it, point ``lens_engine`` at a lens
-implementation, and register the subclass under a new name to get a
-fully wired engine whose payloads carry that name.
+:class:`ScalarLensEngine` (the ``ir`` engine) is exported as a
+convenience base for plugins and tests: subclass it and register the
+subclass under a new name to get a fully wired engine whose payloads
+carry that name.
 
 The ``caps.static`` engines (``interval``, ``forward``) never execute
 the program: an audit returns sound *bounds* in the versioned
@@ -46,7 +46,7 @@ from .result import (
 __all__ = ["SWEEP_PRECISIONS", "RemoteEngine", "ScalarLensEngine"]
 
 
-def _composed_lens(request: AuditRequest, lens_engine: str = "ir") -> Tuple[Any, Any]:
+def _composed_lens(request: AuditRequest) -> Tuple[Any, Any]:
     """A lens whose grades come from composed per-definition summaries.
 
     Returns ``(lens, composed)``: the judgment handed to the lens is the
@@ -62,7 +62,6 @@ def _composed_lens(request: AuditRequest, lens_engine: str = "ir") -> Tuple[Any,
         request.definition,
         composed.judgments[request.definition.name],
         request.program,
-        engine=lens_engine,
     )
     return lens, composed
 
@@ -105,18 +104,17 @@ def _execution_fallbacks(
     return inline_fallback_info(ir)
 
 
+@register_engine(
+    "ir",
+    compose=True,
+    description="unboxed slot executor over the flat IR (the default)",
+)
 class ScalarLensEngine:
-    """One-environment witness runs through a scalar lens implementation.
-
-    ``lens_engine`` selects the lens internals
-    (:func:`repro.semantics.interp.lens_of_program`'s ``engine=``):
-    ``"ir"`` for the unboxed slot executor's flat-IR sweeps,
-    ``"recursive"`` for the structural reference interpreters.
-    """
+    """One-environment witness runs through the scalar lens
+    (:func:`repro.semantics.interp.lens_of_program`)."""
 
     #: stamped by ``register_engine`` at registration time
     name: str
-    lens_engine: str = "ir"
 
     def audit(self, request: AuditRequest) -> AuditResult:
         from ..semantics.interp import lens_of_program
@@ -124,12 +122,10 @@ class ScalarLensEngine:
 
         provenance = None
         if request.compose:
-            lens, composed = _composed_lens(request, self.lens_engine)
+            lens, composed = _composed_lens(request)
             provenance = _compose_provenance(request, composed, "scalar")
         else:
-            lens = lens_of_program(
-                request.program, request.definition.name, engine=self.lens_engine
-            )
+            lens = lens_of_program(request.program, request.definition.name)
         lens.precision_bits = request.precision_bits
         report = run_witness(
             request.definition,
@@ -146,24 +142,6 @@ class ScalarLensEngine:
             precision_bits=request.precision_bits,
         )
         return AuditResult(report, payload, report.sound, False, provenance)
-
-
-@register_engine(
-    "ir",
-    compose=True,
-    description="unboxed slot executor over the flat IR (the default)",
-)
-class IrEngine(ScalarLensEngine):
-    lens_engine = "ir"
-
-
-@register_engine(
-    "recursive",
-    reference=True,
-    description="structural recursive interpreters, quadratic backward map",
-)
-class RecursiveEngine(ScalarLensEngine):
-    lens_engine = "recursive"
 
 
 @register_engine(

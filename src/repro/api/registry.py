@@ -17,9 +17,9 @@ An engine is any object satisfying the :class:`Engine` protocol: a
 :class:`~repro.api.result.AuditResult`.  Capability flags are what
 consumers branch on instead of name lists — the CLI decides whether to
 send batch rows from ``caps.batched``, the parity harness keeps slow
-reference/multiprocess engines out of its hypothesis inner loop via
-``caps.reference`` / ``caps.multiprocess``, and the README's engine
-table is generated by :func:`format_engine_table`.
+multiprocess engines out of its hypothesis inner loop via
+``caps.multiprocess``, and the README's engine table is generated by
+:func:`format_engine_table`.
 """
 
 from __future__ import annotations
@@ -66,9 +66,7 @@ class EngineCaps:
     ``batched`` — consumes environment *rows* (one environment per row)
     rather than a single environment; ``multiprocess`` — fans work out
     to worker processes (honours ``workers`` / ``mp_context``);
-    ``needs_numpy`` — requires NumPy at audit time; ``reference`` — a
-    deliberately slow reference implementation kept for differential
-    testing, not for production traffic; ``static`` — a static
+    ``needs_numpy`` — requires NumPy at audit time; ``static`` — a static
     analyzer: never executes the program, produces no per-row witness,
     returns sound bounds instead (its ``inputs`` are hypotheses such as
     interval ranges, not environments); ``remote`` — a dispatcher that
@@ -87,7 +85,6 @@ class EngineCaps:
     batched: bool = False
     multiprocess: bool = False
     needs_numpy: bool = False
-    reference: bool = False
     static: bool = False
     remote: bool = False
     rows: bool = False
@@ -166,7 +163,6 @@ def register_engine(
     batched: bool = False,
     multiprocess: bool = False,
     needs_numpy: bool = False,
-    reference: bool = False,
     static: bool = False,
     remote: bool = False,
     rows: bool = False,
@@ -185,7 +181,6 @@ def register_engine(
         batched=batched,
         multiprocess=multiprocess,
         needs_numpy=needs_numpy,
-        reference=reference,
         static=static,
         remote=remote,
         rows=rows,
@@ -258,8 +253,6 @@ def format_engine_table() -> str:
     for name, engine in engines().items():
         caps = engine.caps
         role = caps.description or "-"
-        if caps.reference:
-            role += " (reference)"
         rows.append(
             f"| `{name}` | {yn[caps.batched]} | {yn[caps.multiprocess]} "
             f"| {yn[caps.needs_numpy]} | {yn[caps.static]} | {yn[caps.rows]} "

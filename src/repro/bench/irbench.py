@@ -1,17 +1,16 @@
-"""Recursive-AST vs. flat-IR benchmark, plus batch witness throughput.
+"""Flat-IR timings plus batch witness throughput.
 
-Three comparisons, over the Table 1 program families plus the div+case
-``SafeDiv`` kernel:
+Over the Table 1 program families plus the div+case ``SafeDiv`` kernel:
 
-* **check** — grade inference via the recursive reference engine
-  (deep-stack structural recursion) vs. the iterative IR sweep;
-* **eval**  — approximate evaluation via the recursive interpreter vs.
-  the IR forward sweep;
+* **check** — cold grade inference (lowering + the IR reverse sweep);
+* **eval**  — one approximate evaluation (the IR forward sweep);
 * **witness** — ``run_witness`` looped over N environments vs.
   :class:`repro.semantics.batch.BatchWitnessEngine` on the same N
   environments (and, with ``workers > 1``, vs.
   :func:`repro.semantics.shard.run_witness_sharded` across processes),
-  asserting the soundness verdicts agree row-for-row.
+  asserting the soundness verdicts agree row-for-row.  Each timed
+  witness cell starts from a fresh ``gc.collect()``, so a generation-2
+  pause left over by an earlier cell is not charged to it.
 
 Used by ``repro-bean bench`` and ``benchmarks/bench_ir.py`` /
 ``benchmarks/bench_shard.py``.
@@ -19,6 +18,7 @@ Used by ``repro-bean bench`` and ``benchmarks/bench_ir.py`` /
 
 from __future__ import annotations
 
+import gc
 import time
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
@@ -50,9 +50,7 @@ DEFAULT_SPECS: Tuple[Tuple[str, int, int], ...] = (
 class IRBenchRow:
     name: str
     ops: int
-    check_ast_s: float
     check_ir_s: float
-    eval_ast_s: float
     eval_ir_s: float
     n_envs: int
     witness_loop_s: Optional[float]
@@ -62,14 +60,6 @@ class IRBenchRow:
     shard_agree: Optional[bool] = None
     witness_dec_s: Optional[float] = None
     dec_agree: Optional[bool] = None
-
-    @property
-    def check_speedup(self) -> float:
-        return self.check_ast_s / self.check_ir_s if self.check_ir_s else float("inf")
-
-    @property
-    def eval_speedup(self) -> float:
-        return self.eval_ast_s / self.eval_ir_s if self.eval_ir_s else float("inf")
 
     @property
     def batch_speedup(self) -> Optional[float]:
@@ -125,7 +115,7 @@ def run_ir_bench(
     seed: int = 0,
     workers: Optional[int] = None,
 ) -> List[IRBenchRow]:
-    """Time recursive-AST vs IR paths on each (family, size, n_envs) cell.
+    """Time the IR paths and witness engines on each (family, size, n_envs) cell.
 
     ``workers > 1`` adds a sharded-witness timing per cell (pool
     startup included — this is the price a caller actually pays).
@@ -140,31 +130,24 @@ def run_ir_bench(
         definition = BENCHMARK_FAMILIES[family](size)
         name = definition.name
 
-        start = time.perf_counter()
-        j_ast = check_definition(definition, engine="recursive")
-        check_ast = time.perf_counter() - start
         # The definition object is freshly generated, so this is a cold
         # (cache-miss) lowering + inference timing.
         start = time.perf_counter()
-        j_ir = check_definition(definition, engine="ir")
+        check_definition(definition)
         check_ir = time.perf_counter() - start
-        assert j_ast.max_linear_grade() == j_ir.max_linear_grade()
 
         columns = _random_columns(definition, max(n_envs, 1), rng)
         env = _row_env(definition, columns, 0)
         start = time.perf_counter()
-        v_ast = evaluate(definition.body, env, engine="recursive")
-        eval_ast = time.perf_counter() - start
-        start = time.perf_counter()
-        v_ir = evaluate(definition.body, env, engine="ir")
+        evaluate(definition.body, env)
         eval_ir = time.perf_counter() - start
-        assert repr(v_ast) == repr(v_ir)
 
         witness_loop = witness_batch = witness_shard = witness_dec = None
         agree = shard_agree = dec_agree = None
         if include_batch:
             engine = BatchWitnessEngine(definition)
             engine.run({k: v[:1] for k, v in columns.items()})  # warm caches
+            gc.collect()
             start = time.perf_counter()
             batch_report = engine.run(columns)
             witness_batch = time.perf_counter() - start
@@ -173,6 +156,7 @@ def run_ir_bench(
                     definition, exact_backend="decimal"
                 )
                 dec_engine.run({k: v[:1] for k, v in columns.items()})
+                gc.collect()
                 start = time.perf_counter()
                 dec_report = dec_engine.run(columns)
                 witness_dec = time.perf_counter() - start
@@ -186,12 +170,14 @@ def run_ir_bench(
             if workers and workers > 1:
                 from ..semantics.shard import run_witness_sharded
 
+                gc.collect()
                 start = time.perf_counter()
                 shard_report = run_witness_sharded(
                     definition, columns, workers=workers
                 )
                 witness_shard = time.perf_counter() - start
                 shard_agree = list(shard_report.sound) == list(batch_report.sound)
+            gc.collect()
             start = time.perf_counter()
             loop_sound = []
             for i in range(n_envs):
@@ -211,9 +197,7 @@ def run_ir_bench(
             IRBenchRow(
                 name=name,
                 ops=count_flops(definition.body),
-                check_ast_s=check_ast,
                 check_ir_s=check_ir,
-                eval_ast_s=eval_ast,
                 eval_ir_s=eval_ir,
                 n_envs=n_envs,
                 witness_loop_s=witness_loop,
@@ -232,8 +216,8 @@ def format_ir_bench(rows: List[IRBenchRow]) -> str:
     sharded = any(r.witness_shard_s is not None for r in rows)
     decimal_timed = any(r.witness_dec_s is not None for r in rows)
     header = (
-        f"{'Benchmark':<14}{'Ops':>8}{'check AST':>11}{'check IR':>10}"
-        f"{'eval AST':>10}{'eval IR':>9}{'N':>6}{'loop':>9}{'batch':>9}"
+        f"{'Benchmark':<14}{'Ops':>8}{'check IR':>10}"
+        f"{'eval IR':>9}{'N':>6}{'loop':>9}{'batch':>9}"
         f"{'x':>6}"
         + (f"{'decimal':>9}{'dd x':>7}" if decimal_timed else "")
         + (f"{'shard':>9}{'x':>6}" if sharded else "")
@@ -248,8 +232,8 @@ def format_ir_bench(rows: List[IRBenchRow]) -> str:
         if r.shard_agree is False or r.dec_agree is False:
             agree = "NO"
         line = (
-            f"{r.name:<14}{r.ops:>8}{r.check_ast_s:>11.3f}{r.check_ir_s:>10.3f}"
-            f"{r.eval_ast_s:>10.3f}{r.eval_ir_s:>9.3f}{r.n_envs:>6}"
+            f"{r.name:<14}{r.ops:>8}{r.check_ir_s:>10.3f}"
+            f"{r.eval_ir_s:>9.3f}{r.n_envs:>6}"
             f"{loop:>9}{batch:>9}{batch_x:>6}"
         )
         if decimal_timed:

@@ -74,15 +74,21 @@ def _parse_precision_bits(text: str) -> tuple:
     return (widths[0], None) if len(parts) == 1 else (None, widths)
 
 
-def _engine_choices() -> List[str]:
-    """The ``--engine`` choice list, straight from the engine registry.
+def _engine_arg(name: str) -> str:
+    """An ``--engine`` value, resolved against the engine registry.
 
-    Evaluated at parser-build time, so engines registered by plugins or
-    tests before :func:`main` runs are selectable without CLI changes.
+    Engines registered by plugins or tests before :func:`main` runs are
+    selectable without CLI changes.  An unregistered name is a usage
+    error carrying the registry's unknown-engine message, the same text
+    the Python API raises and ``repro serve`` answers with a 400.
     """
-    from .api import engine_names
+    from .api import UnknownEngineError, get_engine
 
-    return list(engine_names())
+    try:
+        get_engine(name)
+    except UnknownEngineError as exc:
+        raise argparse.ArgumentTypeError(str(exc)) from None
+    return name
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -200,7 +206,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     witness.add_argument(
         "--engine",
-        choices=_engine_choices(),
+        type=_engine_arg,
         default="ir",
         help=(
             "audit engine, any registered name (--batch overrides to "
@@ -332,7 +338,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     client.add_argument(
         "--engine",
-        choices=_engine_choices(),
+        type=_engine_arg,
         default="ir",
         help="audit engine, any registered name (--batch overrides)",
     )
@@ -426,7 +432,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     bench = sub.add_parser(
         "bench",
-        help="benchmark the flat-IR engine against the recursive reference",
+        help="time flat-IR checking/evaluation and batched vs. looped witnesses",
     )
     bench.add_argument(
         "--family",

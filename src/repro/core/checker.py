@@ -345,7 +345,7 @@ def infer(
 ) -> Tuple[LinearContext, Type]:
     """Infer the tightest context and type of a bare expression.
 
-    This entry point runs the recursive reference engine (the rule-by-rule
+    This entry point runs :class:`InferenceEngine` (the rule-by-rule
     transcription of Figure 7); whole definitions go through the iterative
     IR path of :func:`check_definition` instead.
     """
@@ -365,39 +365,42 @@ def _judgment_cache():
     if _JUDGMENT_CACHE is None:
         from ..ir.cache import IdentityCache
 
-        _JUDGMENT_CACHE = IdentityCache(
-            lambda d: _check_definition_uncached(d, None, "ir")
-        )
+        _JUDGMENT_CACHE = IdentityCache(lambda d: _check_definition_uncached(d, None))
     return _JUDGMENT_CACHE
 
 
 def check_definition(
     definition: A.Definition,
     judgments: Optional[Mapping[str, Judgment]] = None,
-    *,
-    engine: str = "ir",
 ) -> Judgment:
     """Check one definition and infer its judgment.
 
     Parameters annotated with a discrete type enter Φ; the rest form the
-    skeleton Γ• whose tightest grades the algorithm infers.
-
-    ``engine`` selects the inference implementation: ``"ir"`` (default)
-    compiles the body to the flat IR and runs grade inference as a single
-    reverse sweep — fully iterative, so Sum 10000 checks under the default
-    recursion limit; ``"recursive"`` runs the structural reference engine
-    on a deep auxiliary stack.  Both produce identical judgments.
+    skeleton Γ• whose tightest grades the algorithm infers.  The body is
+    compiled to the flat IR and grade inference runs as a single reverse
+    sweep — fully iterative, so Sum 10000 checks under the default
+    recursion limit.  It produces the judgments of
+    :class:`InferenceEngine`, the rule-by-rule transcription of Figure 7.
     """
-    if engine == "ir" and not judgments:
+    if not judgments:
         return _judgment_cache().get(definition)
-    return _check_definition_uncached(definition, judgments, engine)
+    return _check_definition_uncached(definition, judgments)
 
 
 def _check_definition_uncached(
-    definition: A.Definition,
-    judgments: Optional[Mapping[str, Judgment]],
-    engine: str,
+    definition: A.Definition, judgments: Optional[Mapping[str, Judgment]]
 ) -> Judgment:
+    from ..ir.cache import adopt_checked_ir
+    from ..ir.infer import infer_definition_ir
+
+    phi, _ = _parameter_contexts(definition)
+    ctx, ty, ir = infer_definition_ir(definition, judgments)
+    adopt_checked_ir(definition, ir)
+    return _judgment(definition, phi, ctx, ty)
+
+
+def _parameter_contexts(definition: A.Definition) -> Tuple[DiscreteContext, Skeleton]:
+    """Φ (the discrete parameters) and the skeleton Γ• (the rest)."""
     phi = DiscreteContext()
     skel = Skeleton()
     for p in definition.params:
@@ -409,17 +412,14 @@ def _check_definition_uncached(
             phi = phi.bind(p.name, p.ty)
         else:
             skel = skel.bind(p.name, p.ty)
-    if engine == "ir":
-        from ..ir.cache import adopt_checked_ir
-        from ..ir.infer import infer_definition_ir
+    return phi, skel
 
-        ctx, ty, ir = infer_definition_ir(definition, judgments)
-        adopt_checked_ir(definition, ir)
-    elif engine == "recursive":
-        rec = InferenceEngine(judgments)
-        ctx, ty = call_with_deep_stack(rec.infer, definition.body, phi, skel)
-    else:
-        raise ValueError(f"unknown inference engine {engine!r}")
+
+def _judgment(
+    definition: A.Definition, phi: DiscreteContext, ctx: LinearContext, ty: Type
+) -> Judgment:
+    """The definition's judgment from its inferred context and type, with
+    the declared result type and stability contracts enforced."""
     if definition.declared_result is not None and definition.declared_result != ty:
         raise BeanTypeError(
             f"{definition.name!r} declares result type "
@@ -448,29 +448,22 @@ def _check_definition_uncached(
 _PROGRAM_CACHE = None
 
 
-def check_program(program: A.Program, *, engine: str = "ir") -> Dict[str, Judgment]:
+def check_program(program: A.Program) -> Dict[str, Judgment]:
     """Check every definition in order; later defs may call earlier ones.
 
-    Results for the default engine are cached by program identity, so
-    repeatedly building lenses / witnesses over the same parsed program
-    re-checks nothing.
+    Results are cached by program identity, so repeatedly building
+    lenses / witnesses over the same parsed program re-checks nothing.
     """
-    if engine == "ir":
-        global _PROGRAM_CACHE
-        if _PROGRAM_CACHE is None:
-            from ..ir.cache import IdentityCache
+    global _PROGRAM_CACHE
+    if _PROGRAM_CACHE is None:
+        from ..ir.cache import IdentityCache
 
-            _PROGRAM_CACHE = IdentityCache(_check_program_uncached)
-        return _PROGRAM_CACHE.get(program)
-    return _check_program_uncached(program, engine=engine)
+        _PROGRAM_CACHE = IdentityCache(_check_program_uncached)
+    return _PROGRAM_CACHE.get(program)
 
 
-def _check_program_uncached(
-    program: A.Program, engine: str = "ir"
-) -> Dict[str, Judgment]:
+def _check_program_uncached(program: A.Program) -> Dict[str, Judgment]:
     judgments: Dict[str, Judgment] = {}
     for definition in program:
-        judgments[definition.name] = check_definition(
-            definition, judgments, engine=engine
-        )
+        judgments[definition.name] = check_definition(definition, judgments)
     return judgments

@@ -379,7 +379,7 @@ class _Lowerer:
                 e = item[1]
                 slot = vstack.pop()
                 if type(e.bound) is A.Var and slot in self.param_slots:
-                    # The recursive evaluator reads a let-bound variable
+                    # Figure 6's let rule reads a let-bound variable
                     # eagerly; a pure slot alias would skip the read (and
                     # its unbound-input check) when the binder is dead.
                     # An identity op keeps the strictness observable.
@@ -694,7 +694,7 @@ def lower_expr(
 
     Free variables not covered by ``params`` become implicit linear
     parameters read from the evaluation environment, mirroring the
-    recursive Λ_S evaluator's env lookup.
+    Λ_S big-step semantics' env lookup.
     """
     low = _Lowerer(False, None)
     param_slots = []

@@ -1238,11 +1238,12 @@ class BatchWitnessEngine:
 
     def _stochastic_binary(self, code: int, a, b, active: np.ndarray,
                            risky: np.ndarray) -> np.ndarray:
-        """Per-row replay of :meth:`_Interp._binary_stochastic`.
+        """Per-row replay of the slot executor's stochastic kernels
+        (:func:`repro.lam_s.executor._stochastic_table`).
 
         Each rounding decision is a pure function of (seed, op name,
         operand bit patterns) — the same ``random.Random`` keying the
-        scalar interpreter uses — so the stream reproduces bit-for-bit
+        scalar executor uses — so the stream reproduces bit-for-bit
         per row regardless of batching.  Rows with non-finite operands
         or zero divisors are flagged risky and certified scalar.
         """

@@ -13,13 +13,12 @@ Given a checked Bean definition and concrete inputs, the witness runner
    it against the inferred grade ``rᵢ`` (Property 1 / the soundness
    bound), with discrete parameters verified unperturbed.
 
-On the default engine all four steps run on the unboxed slots of the
-slot executor (:class:`~repro.semantics.interp._SlotExecutor`):
-closeness and distances read the raw values, a tensor of ``num``
-leaves takes one ``ln`` per parameter
-(:func:`~repro.semantics.spaces.rp_max_distance`), and only the report's
-fields are boxed into :class:`~repro.lam_s.values.Value` trees.  The
-recursive reference engine runs the same steps on boxed values.
+All four steps run on the unboxed slots of the slot executor
+(:class:`~repro.semantics.interp._LensExecutor`): closeness and
+distances read the raw values, a tensor of ``num`` leaves takes one
+``ln`` per parameter (:func:`~repro.semantics.spaces.rp_max_distance`),
+and only the report's fields are boxed into
+:class:`~repro.lam_s.values.Value` trees.
 
 Bean's error model assumes no overflow.  A witness whose inputs or
 binary64 forward values are non-finite, and whose Decimal arithmetic
@@ -41,14 +40,12 @@ from typing import Dict, Mapping, Optional, Sequence, Union
 from ..core import ast_nodes as A
 from ..core.grades import BINARY64_UNIT_ROUNDOFF, Grade
 from ..core.types import is_discrete
-from ..lam_s.values import Value, VNum, values_close, vector_value
+from ..lam_s.executor import _box, _Frame, _unbox
+from ..lam_s.values import Value, VNum, vector_value
 from .interp import (
     BeanLens,
-    _box,
-    _Frame,
     _non_finite_reason,
     _paired_num_leaves,
-    _unbox,
     _values_close_raw,
     lens_of_definition,
 )
@@ -145,8 +142,6 @@ def run_witness(
         lens = lens_of_definition(definition, program=program)
     env = env_from_pythons(definition, inputs)
     try:
-        if lens.engine == "recursive":
-            return _boxed_witness(definition, env, lens, u)
         return _slot_witness(definition, env, lens, u)
     except _DECIMAL_SIGNALS as exc:
         error = _non_finite_error(env, lens)
@@ -192,32 +187,6 @@ def _slot_witness(
             bound = grade_bound(grade, u)
         params[name] = ParamWitness(name, original, new, distance, bound, grade)
     return WitnessReport(_box(approx_raw), _box(ideal_raw), exact, params)
-
-
-def _boxed_witness(
-    definition: A.Definition, env: Dict[str, Value], lens: BeanLens, u: float
-) -> WitnessReport:
-    approx_value = lens.approx(env)
-    perturbed = lens.backward(env, approx_value)
-    ideal_value = lens.ideal(perturbed)
-    exact = values_close(ideal_value, approx_value)
-
-    params: Dict[str, ParamWitness] = {}
-    for param in definition.params:
-        original = env[param.name]
-        new = perturbed[param.name]
-        if is_discrete(param.ty):
-            distance = Decimal(0) if values_close(original, new) else INF
-            bound = Decimal(0)
-            grade = Grade(0)
-        else:
-            distance = type_distance(param.ty, original, new)
-            grade = lens.judgment.grade_of(param.name)
-            bound = grade_bound(grade, u)
-        params[param.name] = ParamWitness(
-            param.name, original, new, distance, bound, grade
-        )
-    return WitnessReport(approx_value, ideal_value, exact, params)
 
 
 def _non_finite_error(env: Dict[str, Value], lens: BeanLens) -> Optional[LensDomainError]:

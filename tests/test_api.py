@@ -56,12 +56,11 @@ class TestRegistry:
     def test_builtins_registered_in_order(self):
         names = api.engine_names()
         assert names[0] == "ir"  # the default engine leads
-        assert set(names) >= {"ir", "recursive", "batch", "sharded"}
+        assert set(names) >= {"ir", "batch", "sharded"}
 
     def test_capability_flags(self):
         engines = api.engines()
         assert not engines["ir"].caps.batched
-        assert engines["recursive"].caps.reference
         assert engines["batch"].caps.batched
         assert engines["batch"].caps.needs_numpy
         assert engines["sharded"].caps.multiprocess
@@ -74,7 +73,7 @@ class TestRegistry:
         assert engines["remote"].caps.remote
         assert engines["remote"].caps.batched
         assert not engines["remote"].caps.needs_numpy
-        for name in ("ir", "recursive", "batch", "sharded"):
+        for name in ("ir", "batch", "sharded"):
             assert not engines[name].caps.static
             assert not engines[name].caps.remote
 
@@ -380,9 +379,48 @@ class TestUnknownEngineSurfaces:
         assert status == 400
         assert "test-listed" in json.loads(body)["error"]
 
+    @pytest.mark.parametrize("surface", ["session", "cli", "http"])
+    def test_recursive_rejected_alike_on_every_surface(
+        self, surface, served, tmp_path, capsys
+    ):
+        # The structural reference interpreters are test oracles, not an
+        # engine: every surface rejects the name with the registry's
+        # one unknown-engine message.
+        expected = str(UnknownEngineError("recursive", api.engine_names()))
+        if surface == "session":
+            with pytest.raises(UnknownEngineError) as excinfo:
+                Session().audit(SOURCE, inputs=SCALAR_INPUTS, engine="recursive")
+            assert str(excinfo.value) == expected
+        elif surface == "cli":
+            from repro.cli import main
+
+            path = tmp_path / "prog.bean"
+            path.write_text(SOURCE)
+            with pytest.raises(SystemExit) as excinfo:
+                main(
+                    [
+                        "witness", str(path),
+                        "--inputs", json.dumps(SCALAR_INPUTS),
+                        "--engine", "recursive",
+                    ]
+                )
+            assert excinfo.value.code == 2
+            err = capsys.readouterr().err
+            assert err.rstrip().endswith(f"argument --engine: {expected}")
+        else:
+            from repro.service.client import audit
+
+            status, body = audit(
+                served.host,
+                served.port,
+                {"source": SOURCE, "inputs": SCALAR_INPUTS, "engine": "recursive"},
+            )
+            assert status == 400
+            assert json.loads(body)["error"] == expected
+
     def test_cli_renders_unknown_engine_as_error_line(self, tmp_path, capsys):
-        # The argparse choices come from the registry, so an unknown
-        # name never reaches the audit; register a transient engine,
+        # The --engine values are checked against the registry, so an
+        # unknown name never reaches the audit; register a transient engine,
         # build the spec against it, then unregister to hit the
         # audit-time failure the CLI must render as `error:`, not a
         # traceback.
@@ -441,7 +479,7 @@ class TestRuntimeRegisteredEngineParity:
             "mirror", description="test-only scalar engine (IR lens)"
         )
         class Mirror(ScalarLensEngine):
-            lens_engine = "ir"
+            pass
 
         try:
             yield "mirror"

@@ -137,7 +137,7 @@ class TestWitness:
                 ]
             )
         assert excinfo.value.code == 2  # argparse usage error
-        assert "invalid choice: 'decimal'" in capsys.readouterr().err
+        assert "argument --engine: unknown engine 'decimal'" in capsys.readouterr().err
 
     def test_witness_non_ascii_numeral_is_an_error_line(self, tmp_path, capsys):
         bad = tmp_path / "bad.bean"

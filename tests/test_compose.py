@@ -351,15 +351,26 @@ class TestComposedAuditParity:
         assert composed.to_json() == plain.to_json()
 
     def test_compose_rejected_for_incapable_engines(self):
-        session = Session()
-        with pytest.raises(ValueError, match="cannot compose"):
-            session.audit(
-                CHAIN,
-                "Main",
-                inputs=CHAIN_INPUTS,
-                engine="recursive",
-                compose=True,
-            )
+        from repro.api import ScalarLensEngine, register_engine, unregister_engine
+
+        # The ir engine's implementation, registered without ``compose``:
+        # the flag, not the implementation, is what the session checks.
+        @register_engine("test-no-compose")
+        class NoCompose(ScalarLensEngine):
+            pass
+
+        try:
+            assert not Session().engines()["test-no-compose"].caps.compose
+            with pytest.raises(ValueError, match="cannot compose"):
+                Session().audit(
+                    CHAIN,
+                    "Main",
+                    inputs=CHAIN_INPUTS,
+                    engine="test-no-compose",
+                    compose=True,
+                )
+        finally:
+            unregister_engine("test-no-compose")
 
     def test_session_level_compose_default(self):
         session = Session(compose=True)

@@ -1,7 +1,6 @@
-"""Cross-engine differential harness: five engines, one bit pattern.
+"""Cross-engine differential harness: four engines and an oracle, one bit pattern.
 
-The repository now certifies the soundness theorem through five
-engines — the recursive reference interpreters (``engine="recursive"``),
+The repository certifies the soundness theorem through four engines —
 the iterative IR sweeps (``engine="ir"``), the vectorized
 :class:`~repro.semantics.batch.BatchWitnessEngine`, the multiprocess
 :func:`~repro.semantics.shard.run_witness_sharded`, and the **served**
@@ -10,7 +9,9 @@ contract between them is not "approximately equal": identical float
 approximants, identical Decimal perturbed inputs and distances,
 identical verdicts, identical captured exceptions, row for row.  For
 the served engine the contract is byte-level: the response body equals
-the ``repro witness --json`` stdout for the same audit.
+the ``repro witness --json`` stdout for the same audit.  The recursive
+reference interpreters of ``tests/oracles/`` (Figure 6 and Appendix C,
+one syntax case at a time) are the oracle all of them answer to.
 
 This module is the fuzz oracle for that contract.  Hypothesis drives
 randomly generated well-typed Bean programs across the *whole* language
@@ -32,6 +33,7 @@ import json
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
+from oracles.interp_ref import reference_lens, run_witness_ref
 from strategies import (
     batch_row,
     random_batch_inputs,
@@ -41,29 +43,23 @@ from strategies import (
 from repro.api import batch_report_payload, render_payload
 from repro.api import engines as registered_engines
 from repro.semantics.batch import BatchWitnessEngine
-from repro.semantics.interp import lens_of_definition
 from repro.semantics.witness import run_witness
 
 #: Engine sets derived from the registry's capability flags — never a
 #: hand-maintained name list.  "Fast" engines go into hypothesis inner
-#: loops; reference interpreters and process pools are too slow for
-#: that and get fixed-seed coverage instead.  Remote engines dispatch
-#: to external serve nodes and are exercised by tests/test_fleet.py,
-#: not the in-process parity loops.
+#: loops; process pools are too slow for that and get fixed-seed
+#: coverage instead.  Remote engines dispatch to external serve nodes
+#: and are exercised by tests/test_fleet.py, not the in-process parity
+#: loops.
 FAST_ENGINES = [
     name
     for name, engine in registered_engines().items()
-    if not (
-        engine.caps.multiprocess
-        or engine.caps.reference
-        or engine.caps.remote
-    )
+    if not (engine.caps.multiprocess or engine.caps.remote)
 ]
 SLOW_ENGINES = [
     name
     for name, engine in registered_engines().items()
-    if (engine.caps.multiprocess or engine.caps.reference)
-    and not engine.caps.remote
+    if engine.caps.multiprocess and not engine.caps.remote
 ]
 
 #: Examples budgets scale with the loaded hypothesis profile (40 for
@@ -154,7 +150,7 @@ def engine_cases(draw):
 @given(case=engine_cases(), data=st.data())
 @settings(max_examples=_BUDGET, deadline=None)
 def test_engines_bitwise_agree(case, data):
-    """The differential property: recursive ≡ IR ≡ batch, bit for bit."""
+    """The differential property: reference ≡ IR ≡ batch, bit for bit."""
     spec, engine_options = case
     n_rows = data.draw(st.integers(2, 5), label="n_rows")
     input_seed = data.draw(st.integers(0, 2**20), label="input_seed")
@@ -175,19 +171,17 @@ def test_engines_bitwise_agree(case, data):
     # Batch vs the scalar loop on every row (including captured errors).
     assert_batch_matches_scalar_loop(report, spec, engine, columns, n_rows)
 
-    # IR vs recursive reference engines on one clean row (row 0 is never
-    # poisoned): same lens semantics, structurally different execution.
-    recursive_lens = lens_of_definition(
-        spec.definition,
-        program=spec.program,
-        engine="recursive",
-        **engine_options,
+    # IR vs the recursive reference oracle on one clean row (row 0 is
+    # never poisoned): same lens semantics, structurally different
+    # execution.
+    recursive_lens = reference_lens(
+        spec.definition, program=spec.program, **engine_options
     )
     row = batch_row(columns, 0)
     ir_report = run_witness(
         spec.definition, row, program=spec.program, u=engine.u, lens=engine.lens
     )
-    recursive_report = run_witness(
+    recursive_report = run_witness_ref(
         spec.definition, row, program=spec.program, u=engine.u,
         lens=recursive_lens,
     )
@@ -431,8 +425,8 @@ class TestServedParity:
 
     @pytest.mark.parametrize("engine", SLOW_ENGINES)
     def test_served_slow_engines_bitwise(self, served, tmp_path, engine):
-        # One fixed seed per engine: the recursive lens and the process
-        # pool are too slow for a hypothesis inner loop.
+        # One fixed seed per engine: the process pool is too slow for a
+        # hypothesis inner loop.
         from repro.core import pretty_program
 
         spec = random_program(5, n_helpers=1, allow_div=True)

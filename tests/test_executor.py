@@ -1,14 +1,14 @@
-"""The unboxed slot executor against the structural reference engine.
+"""The unboxed slot executor against the structural reference lens.
 
 Four contracts:
 
 * **differential parity** — for generated programs (``case``/``div``,
   defined-function ``call``s, promotion, ``rnd``) under nearest,
   seeded stochastic and ``precision_bits`` 11/24 rounding, the slot
-  executor (``engine="ir"``) and the recursive reference interpreters
-  (``engine="recursive"``) give the same approximate value, perturbed
-  inputs, ideal value and distance strings — or the same error, type
-  and message;
+  executor and the recursive reference interpreters
+  (:mod:`oracles.interp_ref`) give the same approximate value,
+  perturbed inputs, ideal value and distance strings — or the same
+  error, type and message;
 * **the one-``ln`` distance** — :func:`rp_max_distance` prints exactly
   what the per-leaf :func:`type_distance` prints, on inputs built at
   its boundaries (ratios of exactly 1, zeros, sign flips, subnormals,
@@ -32,6 +32,7 @@ from decimal import Decimal
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from oracles.interp_ref import reference_lens, run_witness_ref
 from strategies import DefinitionSpec, random_definition, random_inputs, random_program
 from repro.core.types import NUM, vector
 from repro.lam_s.values import VNum, vector_value
@@ -44,13 +45,18 @@ from repro.semantics.witness import run_witness
 
 _BUDGET = settings().max_examples
 
+#: The product lens and witness runner, and the reference oracles.
+_ENGINES = {
+    "ir": (lens_of_definition, run_witness),
+    "recursive": (reference_lens, run_witness_ref),
+}
+
 
 def _outcome(spec, inputs, options, engine):
-    lens = lens_of_definition(
-        spec.definition, program=spec.program, engine=engine, **options
-    )
+    make_lens, witness = _ENGINES[engine]
+    lens = make_lens(spec.definition, program=spec.program, **options)
     try:
-        report = run_witness(spec.definition, inputs, program=spec.program, lens=lens)
+        report = witness(spec.definition, inputs, program=spec.program, lens=lens)
     except Exception as exc:  # noqa: BLE001 - compared type+message below
         return ("error", type(exc), str(exc))
     return (
@@ -123,10 +129,8 @@ class TestDifferential:
         spec, options, inputs = case
         env = env_from_pythons(spec.definition, inputs)
         results = []
-        for engine in ("ir", "recursive"):
-            lens = lens_of_definition(
-                spec.definition, program=spec.program, engine=engine, **options
-            )
+        for make_lens in (lens_of_definition, reference_lens):
+            lens = make_lens(spec.definition, program=spec.program, **options)
             try:
                 approx = lens.approx(env)
                 out = (
@@ -327,9 +331,10 @@ class TestNonFinite:
     @pytest.mark.parametrize("engine", ["ir", "recursive"])
     def test_python_raises_lens_domain_error(self, inputs, message, engine):
         program, definition = _sum3()
-        lens = lens_of_definition(definition, program=program, engine=engine)
+        make_lens, witness = _ENGINES[engine]
+        lens = make_lens(definition, program=program)
         with pytest.raises(LensDomainError) as caught:
-            run_witness(definition, inputs, program=program, lens=lens)
+            witness(definition, inputs, program=program, lens=lens)
         assert str(caught.value) == message
 
     def test_overflow_inside_a_call_names_the_callee_op(self):

@@ -9,7 +9,9 @@ from repro.analysis.intervals import DEFAULT_RANGE, Interval, interval_forward_b
 from repro.analysis.metrics import rp
 from repro.core import check_program, parse_program
 from repro.lam_s import VNum, evaluate
-from repro.programs.generators import dot_prod, vec_sum
+from repro.programs.generators import dot_prod, mat_vec_mul, vec_sum
+
+from oracles.intervals_ref import interval_forward_bound_ref
 
 
 def bound_of(src, name=None, **kw):
@@ -97,9 +99,8 @@ class TestAnalyzer:
 
 
 class TestRecursiveReferenceParity:
-    """The retired recursive AST walker, kept as the bit-parity
-    reference for the iterative IR sweep (the analysis-side mirror of
-    the witness engines' ``engine="recursive"`` pattern)."""
+    """The retired recursive AST walker (:mod:`oracles.intervals_ref`),
+    kept as the bit-parity oracle for the iterative IR sweep."""
 
     @pytest.mark.parametrize("seed", [1, 5, 9, 13, 21])
     def test_ir_equals_recursive_bit_for_bit(self, seed):
@@ -107,24 +108,18 @@ class TestRecursiveReferenceParity:
 
         spec = random_program(seed, n_helpers=2, allow_div=True)
         ir = interval_forward_bound(spec.definition, spec.program)
-        rec = interval_forward_bound(
-            spec.definition, spec.program, method="recursive"
-        )
+        rec = interval_forward_bound_ref(spec.definition, spec.program)
         assert ir == rec  # identical floats, not approx
         spec2 = random_definition(seed, allow_case=True, allow_div=True)
         ir2 = interval_forward_bound(spec2.definition)
-        rec2 = interval_forward_bound(spec2.definition, method="recursive")
+        rec2 = interval_forward_bound_ref(spec2.definition)
         assert ir2 == rec2
 
     def test_benchmark_kernels_bit_for_bit(self):
-        for definition in (vec_sum(64), dot_prod(32)):
+        for definition in (vec_sum(64), dot_prod(32), vec_sum(200), mat_vec_mul(12)):
             assert interval_forward_bound(definition) == (
-                interval_forward_bound(definition, method="recursive")
+                interval_forward_bound_ref(definition)
             )
-
-    def test_unknown_method_rejected(self):
-        with pytest.raises(ValueError):
-            interval_forward_bound(vec_sum(4), method="ast")
 
 
 class TestEmpiricalSoundness:

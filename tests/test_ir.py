@@ -7,9 +7,10 @@ Two families of properties:
   with the *default* recursion limit in force (the IR pipeline's only
   recursion is over case/call nesting, never program length).
 * **Engine parity** — the IR checker, evaluator, and backward sweep
-  agree with the recursive reference engines result-for-result
-  (grades, types, values, perturbed environments, raised errors) on
-  randomized programs covering let/pair/case/div/dlet/bang/rnd/call.
+  agree with the recursive reference engines in ``tests/oracles/``
+  result-for-result (grades, types, values, perturbed environments,
+  raised errors) on randomized programs covering
+  let/pair/case/div/dlet/bang/rnd/call.
 """
 
 from __future__ import annotations
@@ -19,6 +20,10 @@ from pathlib import Path
 
 import pytest
 
+from oracles.checker_ref import check_definition_ref
+from oracles.eval_ref import evaluate_ref
+from oracles.interp_ref import reference_lens, run_witness_ref
+from oracles.intervals_ref import interval_forward_bound_ref
 from strategies import random_definition, random_inputs
 from repro.core import check_definition, parse_program, pretty_program
 from repro.core.checker import check_program
@@ -167,8 +172,8 @@ class TestEngineParity:
     def test_checker_parity(self, seed):
         spec = random_definition(seed, n_linear=5, n_steps=5)
         d = spec.definition
-        j_ir = check_definition(d, engine="ir")
-        j_rec = check_definition(d, engine="recursive")
+        j_ir = check_definition(d)
+        j_rec = check_definition_ref(d)
         assert j_ir.result == j_rec.result
         assert j_ir.linear.domain() == j_rec.linear.domain()
         for name, binding in j_rec.linear.items():
@@ -181,10 +186,8 @@ class TestEngineParity:
         inputs = random_inputs(spec, seed + 1000)
         env = env_from_pythons(spec.definition, inputs)
         for mode in ("approx", "ideal"):
-            v_ir = evaluate(spec.definition.body, env, mode=mode, engine="ir")
-            v_rec = evaluate(
-                spec.definition.body, env, mode=mode, engine="recursive"
-            )
+            v_ir = evaluate(spec.definition.body, env, mode=mode)
+            v_rec = evaluate_ref(spec.definition.body, env, mode=mode)
             assert repr(v_ir) == repr(v_rec)
 
     @pytest.mark.parametrize("seed", range(20))
@@ -195,8 +198,8 @@ class TestEngineParity:
         inputs = random_inputs(spec, seed + 2000)
         d = spec.definition
         env = env_from_pythons(d, inputs)
-        lens_ir = lens_of_definition(d, engine="ir")
-        lens_rec = lens_of_definition(d, engine="recursive")
+        lens_ir = lens_of_definition(d)
+        lens_rec = reference_lens(d)
         target = lens_ir.approx(env)
         assert repr(target) == repr(lens_rec.approx(env))
         try:
@@ -226,7 +229,7 @@ class TestEngineParity:
             """
         )
         j_ir = check_program(program)["F"]
-        j_rec = check_definition(program["F"], engine="recursive")
+        j_rec = check_definition_ref(program["F"])
         assert j_ir.grade_of("s") == j_rec.grade_of("s")
         assert j_ir.grade_of("s").coeff == 1  # ε from the rnd
 
@@ -240,9 +243,9 @@ class TestEngineParity:
         expr = B.let_("y", B.var("z"), B.var("x"))
         env = {"x": VNum(1.0)}
         with pytest.raises(EvalError, match="unbound variable 'z'"):
-            evaluate(expr, env, engine="recursive")
+            evaluate_ref(expr, env)
         with pytest.raises(EvalError, match="unbound variable 'z'"):
-            evaluate(expr, env, engine="ir")
+            evaluate(expr, env)
 
     def test_call_parity(self):
         program = parse_program(
@@ -258,8 +261,8 @@ class TestEngineParity:
         assert judgments["Main"].grade_of("x").coeff == 2
         d = program["Main"]
         env = env_from_pythons(d, {"x": 1.5, "y": -2.25, "c": 3.25})
-        lens_ir = lens_of_definition(d, program=program, engine="ir")
-        lens_rec = lens_of_definition(d, program=program, engine="recursive")
+        lens_ir = lens_of_definition(d, program=program)
+        lens_rec = reference_lens(d, program=program)
         target = lens_ir.approx(env)
         p_ir = lens_ir.backward(env, target)
         p_rec = lens_rec.backward(env, target)
@@ -270,22 +273,18 @@ class TestEngineParity:
     def test_analyzer_parity(self, seed):
         # The forward analyzer's recursive walker is gone (its rules are
         # pinned by closed forms in test_forward.py); the interval
-        # analyzer keeps a recursive reference, compared bit for bit.
-        from repro.analysis.intervals import interval_forward_bound
-
+        # analyzer's walker is a test oracle, compared bit for bit.
         spec = random_definition(seed, n_linear=5, n_steps=5)
         d = spec.definition
-        via_ast = interval_forward_bound(d, method="recursive")
-        via_ir = interval_forward_bound(d, method="ir")
+        via_ast = interval_forward_bound_ref(d)
+        via_ir = interval_forward_bound(d)
         assert via_ast == via_ir
 
     def test_witness_on_ir_path_matches_recursive(self):
         d = vec_sum(50)
         xs = [0.5 + 0.125 * i for i in range(50)]
-        rep_ir = run_witness(d, {"x": xs}, lens=lens_of_definition(d, engine="ir"))
-        rep_rec = run_witness(
-            d, {"x": xs}, lens=lens_of_definition(d, engine="recursive")
-        )
+        rep_ir = run_witness(d, {"x": xs}, lens=lens_of_definition(d))
+        rep_rec = run_witness_ref(d, {"x": xs}, lens=reference_lens(d))
         assert rep_ir.sound and rep_rec.sound
         assert str(rep_ir.params["x"].distance) == str(rep_rec.params["x"].distance)
         assert repr(rep_ir.params["x"].perturbed) == repr(
@@ -369,7 +368,7 @@ def _count_passes(monkeypatch):
     """Record every lowering (its ``checked`` flag) and every approx and
     ideal sweep the process runs from here on."""
     from repro.ir import lower as L
-    from repro.semantics.interp import _SlotExecutor
+    from repro.lam_s.executor import _SlotExecutor
 
     lowerings = []
     sweeps = []

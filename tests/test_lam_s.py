@@ -159,3 +159,46 @@ class TestInlining:
         direct = evaluate(spec.definition.body, env, mode="approx")
         erased = evaluate(erase_expr(spec.definition.body), env, mode="approx")
         assert values_close(direct, erased)
+
+
+def _imported_modules(path, package):
+    """Every module an ``import``/``from ... import`` in ``path`` names,
+    at any nesting depth, with relative imports resolved against
+    ``package``."""
+    import ast
+
+    tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            for alias in node.names:
+                yield alias.name
+        elif isinstance(node, ast.ImportFrom):
+            if node.level:
+                parts = package.split(".")
+                base = ".".join(parts[: len(parts) - node.level + 1])
+            else:
+                base = ""
+            module = ".".join(p for p in (base, node.module) if p)
+            yield module
+            for alias in node.names:
+                yield f"{module}.{alias.name}"
+
+
+class TestLayering:
+    def test_lam_s_does_not_import_semantics(self):
+        # Λ_S (⇓_id / ⇓_ap and their executor) sits below the lens
+        # semantics built on it; no import may point back up.
+        import pathlib
+
+        import repro.lam_s
+
+        root = pathlib.Path(repro.lam_s.__file__).parent
+        modules = sorted(root.glob("*.py"))
+        assert any(p.name == "eval.py" for p in modules)
+        offenders = [
+            f"{path.name}: {name}"
+            for path in modules
+            for name in _imported_modules(path, "repro.lam_s")
+            if name == "repro.semantics" or name.startswith("repro.semantics.")
+        ]
+        assert offenders == []

@@ -549,13 +549,12 @@ class TestServeSoak:
         source = SAFEDIV_SOURCE
         handle = serve(AuditServer(port=0))
         try:
-            # The golden bodies, one per non-reference engine (the
-            # soak mix mirrors production traffic; the quadratic
-            # reference engine has its own parity coverage).
+            # The golden bodies, one per local engine (the soak mix
+            # mirrors production traffic).
             soak_engines = [
                 name
                 for name, eng in repro_api.engines().items()
-                if not (eng.caps.reference or eng.caps.remote)
+                if not eng.caps.remote
             ]
             golden = {}
             for engine in soak_engines:

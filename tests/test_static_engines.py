@@ -5,7 +5,7 @@ Three contracts:
 * **Soundness cross-check** — for random programs and inputs, the
   ``interval`` and ``forward`` engines' static bounds must contain the
   forward error actually observed by every *executed* witness engine
-  (ir / recursive / batch / sharded) on the same inputs.
+  (ir / batch / sharded) on the same inputs.
 * **Sweep bit-parity** — the ``sweep`` engine's ``per_precision``
   sections must equal independently run single-precision batch audits
   bit for bit, and its per-row tightest precision must follow from
@@ -97,8 +97,7 @@ class TestSoundnessCrossCheck:
         program = spec.program or Program([spec.definition])
         session = Session()
         engine_names = (
-            [n for n in EXECUTED_ENGINES if not engines()[n].caps.multiprocess
-             and not engines()[n].caps.reference]
+            [n for n in EXECUTED_ENGINES if not engines()[n].caps.multiprocess]
             if fast_only
             else EXECUTED_ENGINES
         )
@@ -179,8 +178,8 @@ class TestSoundnessCrossCheck:
 
     @pytest.mark.parametrize("seed", [3, 11])
     def test_all_executed_engines_pinned_seed(self, seed):
-        # The reference interpreters and the process pool are too slow
-        # for the hypothesis inner loop; pinned seeds cover them.
+        # The process pool is too slow for the hypothesis inner loop;
+        # pinned seeds cover it.
         spec = random_program(seed, n_helpers=1)
         columns = random_batch_inputs(spec, seed + 7, 4, positive=True)
         self.assert_bounds_contain_observed(spec, columns, 4, fast_only=False)
