@@ -66,15 +66,17 @@ _FRESH = itertools.count()
 
 
 def fresh_name(hint: str = "t") -> str:
-    """A program-unique variable name (used by desugaring).
+    """A process-unique variable name (used by builders and renaming).
 
     The leading underscore keeps generated names lexable (so printed
     programs re-parse) while staying out of the way of ordinary user
     names; the global counter makes collisions with *other generated*
     names impossible, and the checker's no-shadowing rule flags any
-    collision with user code.
+    collision with user code.  The hint's own leading underscores are
+    dropped, so these names start with exactly one: the parser's
+    per-definition names start with two and never meet them.
     """
-    return f"_{hint}{next(_FRESH)}"
+    return f"_{hint.lstrip('_')}{next(_FRESH)}"
 
 
 class Expr:

@@ -9,8 +9,8 @@ The surface syntax mirrors the paper's listings (Section 4)::
       let v = dmul a x1 in
       (u, v)
 
-Token grammar (space, tab and CR are blanks; ``//`` and ``#`` comments
-run to end of line)::
+Token grammar (space, tab, CR and newline are blanks; ``//`` and ``#``
+comments run to end of line)::
 
     IDENT   ::= (letter | '_') (letter | digit | '_' | "'")*, not a KEYWORD
     KEYWORD ::= let dlet in case of inl inr add sub mul dmul div rnd
@@ -24,20 +24,25 @@ such as ``²`` or ``٣`` is an unexpected character, never a number.
 Every character outside this grammar is a :class:`BeanSyntaxError` at
 its line:column.  ``!`` marks discrete types / promotion.
 
-The scanner is one compiled master pattern, applied to each line with
-``findall``: every match is one token (or comment) with its leading
-blanks folded in, so the per-character work happens in the regex
-engine and Python only sees one tuple per token.
+One compiled master pattern drives both entry points.  :func:`scan` is
+the parser's: one ``findall`` over the whole source yields the token
+texts alone, ending in an ``""`` EOF sentinel.  No two token classes
+share a spelling, so a token's kind is a function of its text
+(:func:`kind_of`), and bad characters are found by classifying the
+*distinct* texts, not every token.  Positions are never computed on
+that path.  :func:`tokenize` runs the same pattern with ``finditer``
+and returns positioned :class:`Token` s; it is the one place that
+computes line:column, and the parser calls it only to report an error.
 """
 
 from __future__ import annotations
 
 import re
-from typing import List, NamedTuple
+from typing import FrozenSet, List, NamedTuple, Optional, Tuple
 
 from .errors import BeanSyntaxError
 
-__all__ = ["Token", "TokenKind", "tokenize"]
+__all__ = ["Token", "TokenKind", "kind_of", "scan", "tokenize"]
 
 KEYWORDS = frozenset(
     "let dlet in case of inl inr add sub mul dmul div rnd num R unit vec mat".split()
@@ -65,72 +70,85 @@ class Token(NamedTuple):
     line: int
     column: int
 
-    def is_keyword(self, word: str) -> bool:
-        return self.kind == TokenKind.KEYWORD and self.text == word
 
-    def is_symbol(self, sym: str) -> bool:
-        return self.kind == TokenKind.SYMBOL and self.text == sym
-
-    def describe(self) -> str:
-        if self.kind == TokenKind.EOF:
-            return "end of input"
-        return repr(self.text)
-
-
-# One capture group per token class, tried in order after the blanks,
-# matched against one line at a time.  The identifier class ``[^\W\d]``
-# is "a word character but not a decimal digit"; it also admits numerals
-# such as ``²`` that are not letters, so the scanner rejects a match
-# whose first character fails ``isalpha``.  ``.`` catches any other
-# character as an error; the empty ``$`` alternative absorbs trailing
-# blanks, so the matches tile each line exactly.
-_LINE_TOKENS = re.compile(
-    r"([ \t\r]*)(?:"
-    r"([^\W\d][\w']*)"
-    r"|((?://|\#).*)"
-    r"|(" + "|".join(re.escape(s) for s in SYMBOLS) + r")"
-    r"|([0-9]+)"
-    r"|(.)"
-    r"|$)"
+# A token, then the blanks and comments after it, consumed possessively
+# so a comment is never backtracked into and re-read as ``/`` ``/``.
+# The identifier class ``[^\W\d]`` is "a word character but not a
+# decimal digit"; it also admits numerals such as ``²`` that are not
+# letters, which :func:`kind_of` rejects.  ``.`` catches any other
+# character as an error, and the empty ``$`` alternative is the EOF
+# sentinel.  Leading blanks are skipped once with ``_BLANKS``, so the
+# matches tile the source exactly and ``$`` matches once, at its end.
+_BLANKS = r"(?:[ \t\r\n]+|(?://|\#)[^\n]*)*+"
+_SKIP = re.compile(_BLANKS)
+_TOKENS = re.compile(
+    r"([^\W\d][\w']*"
+    r"|" + "|".join(re.escape(s) for s in SYMBOLS)
+    + r"|[0-9]+"
+    r"|."
+    r"|$)" + _BLANKS
 )
 
-_new_token = tuple.__new__  # Token(...) without the Python-level __new__
+_DIGITS = "0123456789"
+_FIXED_KINDS = {
+    "": TokenKind.EOF,
+    **{s: TokenKind.SYMBOL for s in SYMBOLS},
+    **{k: TokenKind.KEYWORD for k in KEYWORDS},
+}
+
+
+def _first_token(source: str) -> int:
+    """The offset of the first token: past leading blanks and comments."""
+    blanks = _SKIP.match(source)
+    assert blanks is not None  # the pattern matches the empty string
+    return blanks.end()
+
+
+def kind_of(text: str) -> Optional[str]:
+    """The kind of a scanned token text; ``None`` for a bad character."""
+    kind = _FIXED_KINDS.get(text)
+    if kind is not None:
+        return kind
+    first = text[0]
+    if first in _DIGITS:
+        return TokenKind.INT
+    if first.isalpha() or first == "_":
+        return TokenKind.IDENT
+    return None
+
+
+def scan(source: str) -> Tuple[List[str], FrozenSet[str]]:
+    """The token texts of ``source`` (``""``-terminated) and its identifiers.
+
+    Raises :class:`BeanSyntaxError` at the first bad character, with the
+    position :func:`tokenize` computes.
+    """
+    texts = _TOKENS.findall(source, _first_token(source))
+    rest = set(texts).difference(_FIXED_KINDS)
+    idents = frozenset([t for t in rest if t[0].isalpha() or t[0] == "_"])
+    if any(t[0] not in _DIGITS for t in rest.difference(idents)):
+        tokenize(source)  # raises at the first bad character
+    return texts, idents
 
 
 def tokenize(source: str) -> List[Token]:
     """Tokenize ``source``; raises :class:`BeanSyntaxError` on bad input."""
     tokens: List[Token] = []
-    append = tokens.append
-    keywords = KEYWORDS
-    KEYWORD, IDENT, SYMBOL, INT = (
-        TokenKind.KEYWORD, TokenKind.IDENT, TokenKind.SYMBOL, TokenKind.INT
-    )
-    line = 0
-    col = 1
-    for text in source.split("\n"):
-        line += 1
-        col = 1
-        for blanks, ident, comment, symbol, digits, bad in _LINE_TOKENS.findall(text):
-            col += len(blanks)
-            if ident:
-                first = ident[0]
-                if not (first.isalpha() or first == "_"):
-                    bad = first
-                    break
-                kind = KEYWORD if ident in keywords else IDENT
-                append(_new_token(Token, (kind, ident, line, col)))
-                col += len(ident)
-            elif symbol:
-                append(_new_token(Token, (SYMBOL, symbol, line, col)))
-                col += len(symbol)
-            elif digits:
-                append(_new_token(Token, (INT, digits, line, col)))
-                col += len(digits)
-            elif bad:
-                break
-            else:
-                col += len(comment)
-        if bad:
-            raise BeanSyntaxError(f"unexpected character {bad!r}", line, col)
-    append(_new_token(Token, (TokenKind.EOF, "", line, col)))
+    line = 1
+    line_start = 0  # source offset of the current line
+    at = 0  # offset up to which newlines are counted
+    for match in _TOKENS.finditer(source, _first_token(source)):
+        start = match.start()
+        newlines = source.count("\n", at, start)
+        if newlines:
+            line += newlines
+            line_start = source.rindex("\n", at, start) + 1
+        at = start
+        text = match.group(1)
+        kind = kind_of(text)
+        if kind is None:
+            raise BeanSyntaxError(
+                f"unexpected character {text[0]!r}", line, start - line_start + 1
+            )
+        tokens.append(Token(kind, text, line, start - line_start + 1))
     return tokens

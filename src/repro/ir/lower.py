@@ -2,7 +2,10 @@
 
 The lowering machine is a small explicit-stack interpreter over the AST,
 so arbitrarily deep ``let`` chains (Sum 10000 nests ten thousand binders)
-lower under the default recursion limit.  ``case`` branches become nested
+lower under the default recursion limit.  A let-spine whose bounds are
+variables or primops on two variables (every binder of the paper's
+families) is walked in place, with one ``unbind`` work item for the
+whole chain instead of four items per ``let`` and per primop.  ``case`` branches become nested
 *regions* — contiguous op lists with their own payload and result slots —
 sharing the global slot numbering, the same structured-control-flow shape
 WASM and MLIR use; the only recursion anywhere in the IR pipeline is over
@@ -119,6 +122,17 @@ _PRIM_CODE = {
     A.Op.MUL: MUL,
     A.Op.DIV: DIV,
     A.Op.DMUL: DMUL,
+}
+
+_DNUM = Discrete(NUM)
+_DIV_TY = Sum(NUM, UNIT_TY)
+
+#: The work-stack action that binds each let form, and its binder count.
+_LET_ACTIONS = {
+    A.Let: ("bind_let", 1),
+    A.DLet: ("bind_let", 1),
+    A.LetPair: ("bind_pair", 2),
+    A.DLetPair: ("bind_pair", 2),
 }
 
 #: Inverse of ``_PRIM_CODE``: arithmetic opcode back to the AST operator.
@@ -311,7 +325,8 @@ class _Lowerer:
         return self.types[slot] if self.types is not None else None
 
     @staticmethod
-    def _require_num(ty, op: str) -> None:
+    def _require_num(ty, op) -> None:
+        # ``op`` is a name or an ``A.Op``; either formats as the name.
         if not isinstance(ty, Num):
             raise BeanTypeError(f"{op} requires num operands, got {ty}")
 
@@ -331,11 +346,8 @@ class _Lowerer:
 
                 if cls is A.Var:
                     vstack.append(self._lower_var(e.name))
-                elif cls is A.Let or cls is A.DLet:
-                    push(("unbind", 1))
-                    push(("expr", e.body))
-                    push(("bind_let", e))
-                    push(("expr", e.bound))
+                elif cls in _LET_ACTIONS:
+                    self._lower_let_spine(e, push)
                 elif cls is A.PrimOp:
                     push(("primop", e))
                     push(("expr", e.right))
@@ -345,11 +357,6 @@ class _Lowerer:
                     push(("pair",))
                     push(("expr", e.right))
                     push(("expr", e.left))
-                elif cls is A.LetPair or cls is A.DLetPair:
-                    push(("unbind", 2))
-                    push(("expr", e.body))
-                    push(("bind_pair", e))
-                    push(("expr", e.bound))
                 elif cls is A.Bang:
                     push(("bang",))
                     push(("expr", e.body))
@@ -376,31 +383,7 @@ class _Lowerer:
                     raise BeanTypeError(f"cannot lower {e!r}")
 
             elif tag == "bind_let":
-                e = item[1]
-                slot = vstack.pop()
-                if type(e.bound) is A.Var and slot in self.param_slots:
-                    # Figure 6's let rule reads a let-bound variable
-                    # eagerly; a pure slot alias would skip the read (and
-                    # its unbound-input check) when the binder is dead.
-                    # An identity op keeps the strictness observable.
-                    # Checked mode emits it too, typed as the parameter
-                    # (grade inference passes ``!`` through), so both
-                    # modes produce the same ops.
-                    slot = self.emit(BANG, slot, ty=self.ty_of(slot))
-                if type(e) is A.DLet:
-                    if self.checked:
-                        ty = self.ty_of(slot)
-                        if not is_discrete(ty):
-                            raise BeanTypeError(
-                                "dlet requires a discrete (m-typed) bound "
-                                f"expression, got {ty}"
-                            )
-                        self.check_fresh(e.name)
-                    self.bind(e.name, slot, True, self.ty_of(slot))
-                else:
-                    if self.checked:
-                        self.check_fresh(e.name)
-                    self.bind(e.name, slot, False, self.ty_of(slot))
+                self._bind_let(item[1], vstack.pop())
 
             elif tag == "bind_pair":
                 self._bind_pair(item[1], vstack.pop())
@@ -410,27 +393,11 @@ class _Lowerer:
 
             elif tag == "primop_mid":
                 if self.checked:
-                    e = item[1]
-                    ty1 = self.ty_of(vstack[-1])
-                    if e.op is A.Op.DMUL:
-                        if ty1 != Discrete(NUM):
-                            raise BeanTypeError(
-                                "dmul's first operand must be discrete "
-                                f"m(num), got {ty1}"
-                            )
-                    else:
-                        self._require_num(ty1, str(e.op))
+                    self._primop_mid(item[1], vstack[-1])
 
             elif tag == "primop":
-                e = item[1]
                 b = vstack.pop()
-                a = vstack.pop()
-                result_ty = None
-                if self.checked:
-                    ty2 = self.ty_of(b)
-                    self._require_num(ty2, "dmul" if e.op is A.Op.DMUL else str(e.op))
-                    result_ty = Sum(NUM, UNIT_TY) if e.op is A.Op.DIV else NUM
-                vstack.append(self.emit(_PRIM_CODE[e.op], a, b, ty=result_ty))
+                vstack.append(self._primop(item[1], vstack.pop(), b))
 
             elif tag == "pair":
                 b = vstack.pop()
@@ -521,6 +488,91 @@ class _Lowerer:
                 )
             self.used.add(bind)
         return bind.slot
+
+    def _lower_let_spine(self, e, push) -> None:
+        """Lower a chain of lets in place, with one ``unbind`` for all.
+
+        The walk goes on while each bound is a variable or a primop on
+        two variables, which covers every binder of the paper's
+        families.  It stops at the spine's tail, or at a let with any
+        other bound, and hands that node to the general work stack.
+        """
+        n = 0
+        action = _LET_ACTIONS.get(type(e))
+        while action is not None:
+            bound = e.bound
+            bcls = type(bound)
+            if bcls is A.Var:
+                slot = self._lower_var(bound.name)
+            elif (
+                bcls is A.PrimOp
+                and type(bound.left) is A.Var
+                and type(bound.right) is A.Var
+            ):
+                a = self._lower_var(bound.left.name)
+                if self.checked:
+                    self._primop_mid(bound, a)
+                slot = self._primop(bound, a, self._lower_var(bound.right.name))
+            else:
+                tag, count = action
+                push(("unbind", n + count))
+                push(("expr", e.body))
+                push((tag, e))
+                push(("expr", bound))
+                return
+            if action[1] == 1:
+                self._bind_let(e, slot)
+            else:
+                self._bind_pair(e, slot)
+            n += action[1]
+            e = e.body
+            action = _LET_ACTIONS.get(type(e))
+        push(("unbind", n))
+        push(("expr", e))
+
+    def _bind_let(self, e, slot: int) -> None:
+        """Bind a ``Let``/``DLet`` name to its bound's ``slot``."""
+        if type(e.bound) is A.Var and slot in self.param_slots:
+            # Figure 6's let rule reads a let-bound variable eagerly; a
+            # pure slot alias would skip the read (and its unbound-input
+            # check) when the binder is dead.  An identity op keeps the
+            # strictness observable.  Checked mode emits it too, typed
+            # as the parameter (grade inference passes ``!`` through),
+            # so both modes produce the same ops.
+            slot = self.emit(BANG, slot, ty=self.ty_of(slot))
+        if type(e) is A.DLet:
+            if self.checked:
+                ty = self.ty_of(slot)
+                if not is_discrete(ty):
+                    raise BeanTypeError(
+                        "dlet requires a discrete (m-typed) bound "
+                        f"expression, got {ty}"
+                    )
+                self.check_fresh(e.name)
+            self.bind(e.name, slot, True, self.ty_of(slot))
+        else:
+            if self.checked:
+                self.check_fresh(e.name)
+            self.bind(e.name, slot, False, self.ty_of(slot))
+
+    def _primop_mid(self, e: A.PrimOp, a: int) -> None:
+        """Checked mode: the left operand's type, before the right lowers."""
+        ty1 = self.ty_of(a)
+        if e.op is A.Op.DMUL:
+            if ty1 != _DNUM:
+                raise BeanTypeError(
+                    f"dmul's first operand must be discrete m(num), got {ty1}"
+                )
+        else:
+            self._require_num(ty1, e.op)
+
+    def _primop(self, e: A.PrimOp, a: int, b: int) -> int:
+        """Emit ``e.op`` on slots ``a`` and ``b`` (checking ``b`` first)."""
+        result_ty = None
+        if self.checked:
+            self._require_num(self.ty_of(b), e.op)
+            result_ty = _DIV_TY if e.op is A.Op.DIV else NUM
+        return self.emit(_PRIM_CODE[e.op], a, b, ty=result_ty)
 
     def _bind_pair(self, e, slot: int) -> None:
         """Pair elimination, shared by ``LetPair`` and ``DLetPair``."""

@@ -162,15 +162,15 @@ def _freshen(expr: A.Expr, renaming: Dict[str, str]) -> A.Expr:
         return A.Inr(_freshen(expr.body, renaming), expr.other)
     if isinstance(expr, (A.Let, A.DLet)):
         bound = _freshen(expr.bound, renaming)
-        fresh = A.fresh_name(expr.name.lstrip("_"))
+        fresh = A.fresh_name(expr.name)
         inner = dict(renaming)
         inner[expr.name] = fresh
         ctor = A.Let if isinstance(expr, A.Let) else A.DLet
         return ctor(fresh, bound, _freshen(expr.body, inner))
     if isinstance(expr, (A.LetPair, A.DLetPair)):
         bound = _freshen(expr.bound, renaming)
-        fresh_l = A.fresh_name(expr.left.lstrip("_"))
-        fresh_r = A.fresh_name(expr.right.lstrip("_"))
+        fresh_l = A.fresh_name(expr.left)
+        fresh_r = A.fresh_name(expr.right)
         inner = dict(renaming)
         inner[expr.left] = fresh_l
         inner[expr.right] = fresh_r
@@ -178,8 +178,8 @@ def _freshen(expr: A.Expr, renaming: Dict[str, str]) -> A.Expr:
         return ctor(fresh_l, fresh_r, bound, _freshen(expr.body, inner))
     if isinstance(expr, A.Case):
         scrut = _freshen(expr.scrutinee, renaming)
-        fresh_l = A.fresh_name(expr.left_name.lstrip("_"))
-        fresh_r = A.fresh_name(expr.right_name.lstrip("_"))
+        fresh_l = A.fresh_name(expr.left_name)
+        fresh_r = A.fresh_name(expr.right_name)
         left_env = dict(renaming)
         left_env[expr.left_name] = fresh_l
         right_env = dict(renaming)

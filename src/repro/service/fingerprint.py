@@ -7,11 +7,14 @@ which parse produced it.  Two things rule out the obvious approaches:
 
 * **object identity** (what :mod:`repro.ir.cache` uses in-memory) means
   nothing across processes;
-* **raw structural hashing** is unstable because the parser desugars
-  call arguments and wildcard patterns through a process-global
-  fresh-name counter (:func:`repro.core.ast_nodes.fresh_name`): parsing
-  the same source twice in one process yields alpha-equivalent ASTs
-  with *different* binder names.
+* **raw structural hashing** is unstable because binder names carry
+  no meaning.  The parser's own names depend only on the text (each
+  definition numbers its desugared pattern binders from zero), but the
+  program builders and the Λ_S renamer draw names from the
+  process-global :func:`repro.core.ast_nodes.fresh_name` counter, so
+  building the same program twice yields alpha-equivalent ASTs with
+  *different* binder names, and so do two texts that differ only in
+  the names they bind.
 
 So the fingerprint here is an **alpha-invariant** canonical encoding:
 binders are numbered de Bruijn-style in traversal order, bound

@@ -6,7 +6,7 @@ from hypothesis import strategies as st
 
 from oracles.lexer_ref import reference_tokens
 from repro.core.errors import BeanSyntaxError
-from repro.core.lexer import KEYWORDS, SYMBOLS, Token, TokenKind, tokenize
+from repro.core.lexer import KEYWORDS, SYMBOLS, TokenKind, kind_of, scan, tokenize
 
 
 def kinds(source):
@@ -77,21 +77,6 @@ class TestPositions:
             tokenize("ok\n   $")
         assert exc.value.line == 2
         assert exc.value.column == 4
-
-
-class TestTokenHelpers:
-    def test_is_keyword(self):
-        tok = Token(TokenKind.KEYWORD, "let", 1, 1)
-        assert tok.is_keyword("let")
-        assert not tok.is_keyword("in")
-
-    def test_is_symbol(self):
-        tok = Token(TokenKind.SYMBOL, "(", 1, 1)
-        assert tok.is_symbol("(")
-        assert not tok.is_symbol(")")
-
-    def test_describe_eof(self):
-        assert Token(TokenKind.EOF, "", 1, 1).describe() == "end of input"
 
 
 class TestTokenGrammarFixes:
@@ -244,3 +229,68 @@ class TestReferenceDifferential:
         assert sources
         for source in sources:
             assert _outcome(tokenize, source) == _outcome(reference_tokens, source)
+
+
+# ---------------------------------------------------------------------------
+# The parser's scan: texts alone, positions only on error
+# ---------------------------------------------------------------------------
+
+
+def _scan_outcome(source):
+    try:
+        texts, idents = scan(source)
+    except BeanSyntaxError as exc:
+        return ("error", str(exc), exc.line, exc.column)
+    return ("ok", texts, idents)
+
+
+class TestScan:
+    @given(bean_text)
+    @example("F (x : num) := // c")
+    @example("x  \t ")
+    @example("a\r\n\tb\r")
+    @example("vec(1٣) ²")
+    @example("add x\n` y")
+    @example("a//b\n/c # d")
+    def test_matches_tokenize_and_the_reference(self, source):
+        expected = _expected(source)
+        got = _scan_outcome(source)
+        if expected[0] == "error":
+            assert got == expected
+            return
+        tokens = [tuple(t) for t in tokenize(source)]
+        assert tokens == expected[1]
+        assert got[1] == [text for _, text, _, _ in tokens]
+        assert got[2] == {text for kind, text, _, _ in tokens if kind == TokenKind.IDENT}
+        assert all(kind_of(text) == kind for kind, text, _, _ in tokens)
+
+    def test_eof_sentinel_is_the_only_empty_text(self):
+        for source in ("", "  ", "x", "x  ", "x // c", "x\n# c\n", "// c"):
+            texts, _ = scan(source)
+            assert texts[-1] == "" and "" not in texts[:-1]
+
+    @pytest.mark.parametrize(
+        "source, message",
+        [
+            # A comment or blanks at the end of input.
+            ("F (x : num) := # c", "1:19: expected an expression, found end of input"),
+            ("F (x : num) := add x // c", "1:26: expected an expression, found end of input"),
+            ("F (x : num) :=   \t ", "1:20: expected an expression, found end of input"),
+            # CR and tab are blanks one column wide.
+            ("F (x : num) :=\r\n\tlet y =\r\n", "3:1: expected an expression, found end of input"),
+            ("F (x :\tmat(2 3)) := x", "1:14: expected ',', found '3'"),
+            # Non-ASCII numerals are bad characters, not numbers.
+            ("F (x : vec(٣)) := x", "1:12: unexpected character '٣'"),
+            ("F (x : num) := x\n\n  ½", "3:3: unexpected character '½'"),
+            # A bad character wins over an earlier parse error.
+            ("F (x num) := x $", "1:16: unexpected character '$'"),
+            ("F (x : num) := add x\nG (y : num) := y ` z", "2:18: unexpected character '`'"),
+            ("\t\r\n", "2:1: a program must contain at least one definition"),
+        ],
+    )
+    def test_parser_error_positions(self, source, message):
+        from repro.core.parser import parse_program
+
+        with pytest.raises(BeanSyntaxError) as exc:
+            parse_program(source)
+        assert str(exc.value) == message

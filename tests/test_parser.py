@@ -198,3 +198,70 @@ class TestDefinitions:
     def test_duplicate_definitions_rejected(self):
         with pytest.raises(ValueError):
             parse_program("F (x : num) := x\nF (y : num) := y")
+
+
+class TestDesugaredBinderNames:
+    """Names the parser invents depend on the source text alone."""
+
+    TUPLE_PARAM = "F ((a, b) : num * num) := let _arg0 = a in add _arg0 b"
+
+    def test_accepted_on_every_parse(self):
+        # The user's ``_arg0`` once collided with the generated parameter
+        # name of the first parse in a process, rejected as shadowing.
+        import os
+        import subprocess
+        import sys
+
+        import repro
+        from repro.core.checker import check_program
+
+        code = (
+            "from repro.core import check_program, parse_program\n"
+            f"check_program(parse_program({self.TUPLE_PARAM!r}))\n"
+        )
+        src = os.path.dirname(os.path.dirname(repro.__file__))
+        env = {**os.environ, "PYTHONPATH": src}
+        subprocess.run([sys.executable, "-c", code], check=True, env=env)
+        for _ in range(3):
+            program = parse_program(self.TUPLE_PARAM)
+            check_program(program)
+            assert program["F"].params[0].name == "__arg0"
+
+    def test_parameter_key_is_stable_across_parses(self):
+        from repro.api import Session
+
+        session = Session()
+        keys = []
+        for _ in range(2):
+            program = session.parse(self.TUPLE_PARAM)
+            parse_program("G ((c, d, e) : vec(3)) := let (x, y) = (c, d) in e")
+            result = session.audit(program, inputs={"__arg0": [1.5, 2.5]})
+            assert result.sound
+            keys.append(list(result.payload["params"]))
+        assert keys == [["__arg0"], ["__arg0"]]
+
+    def test_fingerprint_is_stable_across_parses(self):
+        from repro.service.fingerprint import fingerprint_program
+
+        first = fingerprint_program(parse_program(self.TUPLE_PARAM))
+        parse_program("G ((c, (d, e)) : num * (num * num)) := add c d")
+        assert fingerprint_program(parse_program(self.TUPLE_PARAM)) == first
+
+    def test_source_identifiers_are_skipped(self):
+        program = parse_program(
+            "F ((a, b) : num * num) ((c, d) : num * num) :=\n"
+            "  let __arg0 = add a c in let __arg2 = add b d in add __arg0 __arg2"
+        )
+        assert [p.name for p in program["F"].params] == ["__arg1", "__arg3"]
+
+    def test_each_definition_counts_from_zero(self):
+        program = parse_program(
+            "F ((a, b) : num * num) := add a b\n"
+            "G ((a, (b, c)) : num * (num * num)) := let (x, (y, z)) = (a, (b, c)) in x"
+        )
+        assert program["F"].params[0].name == "__arg0"
+        assert program["G"].params[0].name == "__arg0"
+
+    def test_global_supply_never_spells_a_parser_name(self):
+        for hint in ("arg", "_arg", "__l"):
+            assert not A.fresh_name(hint).startswith("__")

@@ -81,11 +81,11 @@ class TestFingerprint:
         assert fingerprint_program(p1) == fingerprint_program(p2)
 
     def test_stable_under_fresh_name_drift(self):
-        # Desugared call arguments mint fresh names from a process-global
-        # counter; interleaving another parse shifts the counter.
+        # Two parses of one text build distinct but equal ASTs; a parse
+        # in between must not change the second one's fingerprint.
         source = "H (x : num) (y : num) : num := add (mul x y) y"
         p1 = parse_program(source)
-        parse_program(DOTPROD)  # bump the fresh-name counter
+        parse_program(DOTPROD)
         p2 = parse_program(source)
         assert p1.main.body is not p2.main.body
         assert fingerprint_definition(p1.main, p1) == fingerprint_definition(
