@@ -25,6 +25,8 @@ The pieces:
   uniform :class:`UnknownEngineError`; the CLI ``--engine`` choices,
   the server's accepted engine set, and the parity harness all derive
   from it;
+* the audit options (:mod:`repro.api.options`), declared once and read
+  by every surface;
 * :class:`AuditResult` (:mod:`repro.api.result`) — the structured,
   ``schema_version``-stamped result owning the canonical JSON payload
   every surface emits byte-identically.
@@ -64,13 +66,14 @@ from .result import (
     sweep_report_payload,
     witness_row,
 )
-from .session import (
+from .options import (
     MAX_PRECISION_BITS,
     PRECISION_BITS_ERROR,
-    Session,
+    OptionError,
     check_precision_bits,
     parse_roundoff,
 )
+from .session import Session
 from .stream import RowStream
 from .builtin import SWEEP_PRECISIONS, RemoteEngine, ScalarLensEngine
 
@@ -85,6 +88,7 @@ __all__ = [
     "AuditResult",
     "Engine",
     "EngineCaps",
+    "OptionError",
     "RemoteEngine",
     "RowStream",
     "ScalarLensEngine",

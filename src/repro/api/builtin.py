@@ -717,26 +717,21 @@ class RemoteEngine:
 
     def _spec_of_request(self, request: AuditRequest) -> Dict[str, Any]:
         from ..core import pretty_program
+        from .options import to_spec
 
-        spec: Dict[str, Any] = {
-            "source": pretty_program(request.program),
-            "name": request.definition.name,
-            "inputs": _wire_inputs(request.inputs),
-            "engine": self._inner_engine,
-            "precision_bits": request.precision_bits,
-            "u": request.u,
-        }
-        if self._inner_engine == "sharded":
-            spec["workers"] = request.workers
-        if request.exact_backend is not None:
-            spec["exact_backend"] = request.exact_backend
-        if request.collect_rows:
-            spec["rows"] = True
-        if request.sweep_bits is not None:
-            spec["sweep_bits"] = list(request.sweep_bits)
-        if request.compose:
-            spec["compose"] = True
-        return spec
+        return to_spec(
+            pretty_program(request.program),
+            _wire_inputs(request.inputs),
+            request.definition.name,
+            engine=self._inner_engine,
+            workers=request.workers if self._inner_engine == "sharded" else None,
+            precision_bits=request.precision_bits,
+            u=request.u,
+            exact_backend=request.exact_backend,
+            rows=request.collect_rows,
+            sweep_bits=request.sweep_bits,
+            compose=request.compose,
+        )
 
     def _route_fingerprint(self, request: AuditRequest) -> Optional[str]:
         from ..service.fingerprint import (

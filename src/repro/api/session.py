@@ -24,7 +24,6 @@ CLI prints and the audit server serves, byte for byte.
 from __future__ import annotations
 
 import dataclasses
-import numbers
 import threading
 from typing import (
     TYPE_CHECKING,
@@ -33,7 +32,6 @@ from typing import (
     Mapping,
     Optional,
     Sequence,
-    Tuple,
     Union,
 )
 
@@ -43,112 +41,12 @@ if TYPE_CHECKING:
     from ..semantics.pool import ShardWorkerPool
 from ..core.checker import Judgment, check_program
 from ..core.parser import parse_program
+from . import options
 from .registry import AuditRequest, Engine, engines, get_engine
 from .result import AuditResult
-from .stream import RowStream
+from .stream import RowStream, batch_row_count
 
-__all__ = [
-    "MAX_PRECISION_BITS",
-    "PRECISION_BITS_ERROR",
-    "Session",
-    "check_precision_bits",
-    "parse_roundoff",
-]
-
-
-#: The widest significand a run can simulate.  Approximate arithmetic
-#: runs in binary64; a wider format would be judged against a bound
-#: that binary64's own rounding already exceeds — a bogus verdict.
-MAX_PRECISION_BITS = 53
-
-#: The one message every surface (Session, sweep widths, CLI, server)
-#: rejects an unusable significand width with.
-PRECISION_BITS_ERROR = (
-    f"precision_bits must be an integer in [1, {MAX_PRECISION_BITS}]: "
-    "binary64 arithmetic cannot simulate a wider significand"
-)
-
-
-def check_precision_bits(bits: object) -> int:
-    """``bits`` as an int if a run can honor that width, else ValueError."""
-    if isinstance(bits, bool) or not isinstance(bits, numbers.Integral):
-        raise ValueError(PRECISION_BITS_ERROR)
-    width = int(bits)
-    if not 1 <= width <= MAX_PRECISION_BITS:
-        raise ValueError(PRECISION_BITS_ERROR)
-    return width
-
-
-def _validate_limits(
-    precision_bits: Optional[int], workers: Optional[int]
-) -> None:
-    if precision_bits is not None:
-        check_precision_bits(precision_bits)
-    if workers is not None and workers < 1:
-        raise ValueError("workers must be a positive integer")
-
-
-def _validate_sweep_bits(
-    sweep_bits: Optional[Sequence[int]],
-) -> Optional[Tuple[int, ...]]:
-    """Normalize a sweep precision list: widths in [1, 53], strictly
-    increasing (narrowest first, the order the sweep payload reports)."""
-    if sweep_bits is None:
-        return None
-    widths = list(sweep_bits)
-    if not widths:
-        raise ValueError(
-            "sweep precision list must name at least one significand width"
-        )
-    widths = [check_precision_bits(bits) for bits in widths]
-    if any(a >= b for a, b in zip(widths, widths[1:])):
-        raise ValueError(
-            "sweep precision widths must be strictly increasing "
-            f"(got {widths})"
-        )
-    return tuple(widths)
-
-
-def _batch_row_count(inputs: Mapping[str, Any]) -> int:
-    """The common row count of batch-shaped inputs; loud on mismatch."""
-    n_rows: Optional[int] = None
-    for name, value in inputs.items():
-        try:
-            length = len(value)
-        except TypeError:
-            raise ValueError(
-                "streaming needs batch-shaped inputs (one row list per "
-                f"parameter); {name!r} has no row count"
-            ) from None
-        if n_rows is None:
-            n_rows = length
-        elif length != n_rows:
-            raise ValueError(
-                f"input rows disagree: {name!r} has {length} row(s), "
-                f"other inputs have {n_rows}"
-            )
-    if n_rows is None:
-        raise ValueError("streaming needs at least one input column")
-    return n_rows
-
-
-def _validate_exact_backend(exact_backend: Optional[str]) -> None:
-    if exact_backend is not None and exact_backend not in ("eft", "decimal"):
-        raise ValueError(
-            f"exact_backend must be 'eft' or 'decimal', got {exact_backend!r}"
-        )
-
-
-def parse_roundoff(text: Union[str, float, int]) -> float:
-    """Accept '2^-53', '2**-53', or a literal float."""
-    if isinstance(text, (int, float)):
-        return float(text)
-    text = text.strip()
-    for marker in ("^", "**"):
-        if marker in text:
-            base, _, exponent = text.partition(marker)
-            return float(base) ** float(exponent)
-    return float(text)
+__all__ = ["Session"]
 
 
 class Session:
@@ -187,15 +85,15 @@ class Session:
         mp_context: Optional[str] = None,
         compose: bool = False,
     ) -> None:
-        _validate_limits(precision_bits, workers)
-        self.precision_bits = precision_bits
+        self.workers = options.OPTION["workers"].normalize(workers)
+        self.precision_bits = options.check_precision_bits(precision_bits)
+        options.OPTION["u"].normalize(u)
         self.u = u
-        self.workers = workers
         self.mp_context = mp_context
         #: default for :meth:`audit`'s ``compose`` keyword — derive
         #: grades from cached per-definition summaries
         #: (:mod:`repro.compose`) instead of re-checking the program.
-        self.compose = compose
+        self.compose = options.OPTION["compose"].normalize(compose)
         self._pool: Optional["ShardWorkerPool"] = None
         self._pool_lock = threading.Lock()
 
@@ -205,7 +103,7 @@ class Session:
     def roundoff(self) -> float:
         """The session's unit roundoff as a float."""
         if self.u is not None:
-            return parse_roundoff(self.u)
+            return options.parse_roundoff(self.u)
         return 2.0**-self.precision_bits
 
     def engines(self) -> Dict[str, Engine]:
@@ -268,10 +166,10 @@ class Session:
         u: Optional[Union[str, float]] = None,
         exact_backend: Optional[str] = None,
         rows: bool = False,
-        sweep_bits: Optional[Sequence[int]] = None,
         stream: bool = False,
-        stream_chunk_rows: Optional[int] = None,
+        sweep_bits: Optional[Sequence[int]] = None,
         compose: Optional[bool] = None,
+        stream_chunk_rows: Optional[int] = None,
     ) -> Union[AuditResult, RowStream]:
         """Audit ``name`` (default: the last definition) on ``inputs``.
 
@@ -304,55 +202,45 @@ class Session:
         ``caps.compose`` only.  The payload is byte-identical to the
         non-composed audit; the result's ``provenance`` records what
         composition reused, built, and how execution was planned.
+
+        Every keyword but ``inputs`` and ``stream_chunk_rows`` is an
+        audit option of :data:`repro.api.options.OPTIONS`, validated
+        there: a value no run can honor raises
+        :class:`~repro.api.options.OptionError` (a ``ValueError``) with
+        the message the CLI and the audit server give for it too.
         """
-        resolved = get_engine(engine)
-        # Per-call overrides face the same bounds as the constructor:
-        # reject at the API boundary, not deep in an engine.
-        _validate_limits(precision_bits, workers)
-        _validate_exact_backend(exact_backend)
-        swept = _validate_sweep_bits(sweep_bits)
-        if stream:
-            rows = True
-        if rows and not resolved.caps.rows:
-            capable = [
-                n for n, e in engines().items() if e.caps.rows
-            ]
-            raise ValueError(
-                f"engine {engine!r} cannot materialize per-row witnesses; "
-                f"rows/stream need one of: {', '.join(capable)}"
-            )
-        composed = self.compose if compose is None else compose
-        if composed and not resolved.caps.compose:
-            capable = [n for n, e in engines().items() if e.caps.compose]
-            raise ValueError(
-                f"engine {engine!r} cannot compose summaries; "
-                f"compose needs one of: {', '.join(capable)}"
-            )
+        # Every option, per-call or session default, faces the one
+        # option table: reject at the API boundary, not deep in an
+        # engine.
+        opts = options.resolve(
+            dict(engine=engine, workers=workers, precision_bits=precision_bits,
+                 u=u, exact_backend=exact_backend, rows=rows, stream=stream,
+                 sweep_bits=sweep_bits, compose=compose),
+            dict(workers=self.workers, precision_bits=self.precision_bits,
+                 u=self.u, compose=self.compose),
+        )
+        resolved = get_engine(opts["engine"])
         if isinstance(program, str):
             program = self.parse(program)
         definition = program[name] if name else program.main
-        bits = self.precision_bits if precision_bits is None else precision_bits
-        spelled = self.u if u is None else u
-        roundoff = (
-            parse_roundoff(spelled) if spelled is not None else 2.0**-bits
-        )
+        bits = opts["precision_bits"]
         request = AuditRequest(
             program=program,
             definition=definition,
             inputs=inputs,
-            u=roundoff,
+            u=2.0**-bits if opts["u"] is None else opts["u"],
             precision_bits=bits,
-            workers=self.workers if workers is None else workers,
+            workers=opts["workers"],
             mp_context=self.mp_context,
-            exact_backend=exact_backend,
-            collect_rows=rows,
-            sweep_bits=swept,
-            compose=composed,
+            exact_backend=opts["exact_backend"],
+            collect_rows=opts["rows"],
+            sweep_bits=opts["sweep_bits"],
+            compose=bool(opts["compose"]),
             pool=(
                 self._shard_pool() if resolved.caps.multiprocess else None
             ),
         )
-        if not stream:
+        if not opts["stream"]:
             return resolved.audit(request)
         return self._stream(resolved, request, stream_chunk_rows)
 
@@ -378,7 +266,7 @@ class Session:
             raise ValueError("stream_chunk_rows must be >= 1")
         if engine.caps.remote:
             return RowStream(engine.audit_stream(request))  # type: ignore[attr-defined]
-        n_rows = _batch_row_count(request.inputs)
+        n_rows = batch_row_count(request.inputs)
         inputs = request.inputs
 
         def audit_chunk(lo: int, hi: int) -> Dict[str, Any]:

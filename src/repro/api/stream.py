@@ -27,7 +27,7 @@ the buffered audit of the same request.
 from __future__ import annotations
 
 from decimal import Decimal
-from typing import Any, Callable, Dict, Iterable, Iterator, List, Tuple
+from typing import Any, Callable, Dict, Iterable, Iterator, List, Mapping, Optional, Tuple
 
 from .result import (
     AuditResult,
@@ -42,6 +42,7 @@ __all__ = [
     "DEFAULT_CHUNK_ROWS",
     "RowStream",
     "StreamProtocolError",
+    "batch_row_count",
     "chunk_bounds",
     "events_of_lines",
     "merge_stream_trailers",
@@ -71,6 +72,32 @@ class StreamProtocolError(ValueError):
     header, server-side abort line, trailing garbage).  Subclasses
     ``ValueError`` so every surface's existing error rendering (CLI
     ``error:`` line, HTTP 422) applies unchanged."""
+
+
+def batch_row_count(inputs: Mapping[str, Any]) -> int:
+    """The common row count of batch-shaped inputs (one row sequence
+    per parameter); ``ValueError`` when there is none."""
+    n_rows: Optional[int] = None
+    for name, value in inputs.items():
+        try:
+            if isinstance(value, (str, bytes, Mapping)):
+                raise TypeError(value)
+            length = len(value)
+        except TypeError:
+            raise ValueError(
+                "streaming needs batch-shaped inputs (one row list per "
+                f"parameter); {name!r} has no row count"
+            ) from None
+        if n_rows is None:
+            n_rows = length
+        elif length != n_rows:
+            raise ValueError(
+                f"input rows disagree: {name!r} has {length} row(s), "
+                f"other inputs have {n_rows}"
+            )
+    if n_rows is None:
+        raise ValueError("streaming needs at least one input column")
+    return n_rows
 
 
 def chunk_bounds(n_rows: int, chunk_rows: int) -> List[int]:

@@ -43,23 +43,15 @@ from .core.types import is_discrete
 __all__ = ["main", "build_parser"]
 
 
-def _parse_roundoff(text: str) -> float:
-    """Accept '2^-53', '2**-53', or a literal float."""
-    from .api import parse_roundoff
-
-    return parse_roundoff(text)
-
-
 def _parse_precision_bits(text: str) -> tuple:
     """Parse ``--precision-bits``: one width, or a comma list for sweeps.
 
     Returns ``(precision_bits, sweep_bits)`` — exactly one is non-None.
     ``"53"`` is a plain simulated width; ``"8,16,24,53"`` is a sweep
     precision list (engine=sweep audits every width; other engines
-    ignore it, like an unused ``--workers``).
+    ignore it, like an unused ``--workers``).  Only the syntax is
+    checked here; the widths face the audit option table.
     """
-    from .api import check_precision_bits
-
     parts = str(text).split(",")
     try:
         widths = [int(part) for part in parts if part.strip()]
@@ -70,7 +62,6 @@ def _parse_precision_bits(text: str) -> tuple:
             "--precision-bits must be an integer or a comma-separated "
             f"integer list, got {str(text).strip()!r}"
         )
-    widths = [check_precision_bits(bits) for bits in widths]
     return (widths[0], None) if len(parts) == 1 else (None, widths)
 
 
@@ -89,6 +80,49 @@ def _engine_arg(name: str) -> str:
     except UnknownEngineError as exc:
         raise argparse.ArgumentTypeError(str(exc)) from None
     return name
+
+
+#: CLI-only syntax on top of the shared audit flags.
+_FLAG_OVERRIDES = {
+    "engine": {"type": _engine_arg},
+    "precision_bits": {
+        "help": (
+            "simulated significand width of the run (53=binary64, "
+            "24=binary32, 11=binary16); a comma list like '8,16,24,53' "
+            "sets the sweep precision ladder for --engine sweep"
+        ),
+    },
+}
+
+
+def _add_audit_flags(command: argparse.ArgumentParser, *skip: str) -> None:
+    """One flag per audit option that has one (see repro.api.options)."""
+    from .api.options import OPTIONS
+
+    for option in OPTIONS:
+        if option.flag is None or option.name in skip:
+            continue
+        keywords = {"help": option.doc, **option.flag}
+        keywords.update(_FLAG_OVERRIDES.get(option.name, {}))
+        command.add_argument(
+            "--" + option.name.replace("_", "-"), **keywords
+        )
+
+
+def _audit_values(args: argparse.Namespace) -> dict:
+    """The audit options a witness/client command line sets."""
+    from .api.options import OPTIONS
+
+    values = {
+        option.name: getattr(args, option.name)
+        for option in OPTIONS
+        if hasattr(args, option.name)
+    }
+    values["engine"] = _engine_name(args.batch, args.workers, args.engine)
+    values["precision_bits"], values["sweep_bits"] = _parse_precision_bits(
+        args.precision_bits
+    )
+    return values
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -168,72 +202,11 @@ def build_parser() -> argparse.ArgumentParser:
         help=(
             "treat each input as a whole batch (one row per environment: "
             "a list of scalars for scalar parameters, a list of vectors "
-            "for vec parameters) and run the vectorized witness engine"
+            "for vec parameters) and run the vectorized witness engine, "
+            "sharded when --workers is above 1 (overrides --engine)"
         ),
     )
-    witness.add_argument(
-        "--workers",
-        type=int,
-        default=1,
-        help=(
-            "with --batch: shard the environment rows across this many "
-            "worker processes (verdicts are bitwise identical to one "
-            "process; 1 = in-process)"
-        ),
-    )
-    witness.add_argument(
-        "--precision-bits",
-        default="53",
-        help=(
-            "simulated significand width of the run (53=binary64, "
-            "24=binary32, 11=binary16); a comma list like '8,16,24,53' "
-            "sets the sweep precision ladder for --engine sweep"
-        ),
-    )
-    witness.add_argument(
-        "--rows",
-        action="store_true",
-        help=(
-            "materialize the per-row witness section (schema v5): one "
-            "verdict + per-parameter distance entry per environment "
-            "(row-capable engines only)"
-        ),
-    )
-    witness.add_argument(
-        "--u",
-        default=None,
-        help="unit roundoff for the bound check (default: 2^-precision_bits)",
-    )
-    witness.add_argument(
-        "--engine",
-        type=_engine_arg,
-        default="ir",
-        help=(
-            "audit engine, any registered name (--batch overrides to "
-            "the batch/sharded engines; batched engines expect one row "
-            "per environment in --inputs)"
-        ),
-    )
-    witness.add_argument(
-        "--exact-backend",
-        default=None,
-        help=(
-            "exact-arithmetic backend for batched engines: 'eft' "
-            "(double-double float kernels) or 'decimal' (the 50-digit "
-            "reference); verdicts and distances are bit-identical "
-            "either way (default: $REPRO_EXACT_BACKEND, else eft)"
-        ),
-    )
-    witness.add_argument(
-        "--compose",
-        action="store_true",
-        help=(
-            "derive grades by composing cached per-definition summaries "
-            "at call sites instead of re-checking the whole program "
-            "(compose-capable engines only); the payload is byte-"
-            "identical, and a one-line compose provenance goes to stderr"
-        ),
-    )
+    _add_audit_flags(witness, "stream")
     witness.add_argument(
         "--json",
         action="store_true",
@@ -328,62 +301,11 @@ def build_parser() -> argparse.ArgumentParser:
         help="JSON object mapping parameters to scalars/vectors (or batches)",
     )
     client.add_argument(
-        "--batch", action="store_true", help="audit with the batch engine"
-    )
-    client.add_argument(
-        "--workers",
-        type=int,
-        default=1,
-        help="with --batch: shard rows across this many server-side processes",
-    )
-    client.add_argument(
-        "--engine",
-        type=_engine_arg,
-        default="ir",
-        help="audit engine, any registered name (--batch overrides)",
-    )
-    client.add_argument(
-        "--precision-bits", default="53",
-        help=(
-            "simulated significand width of the run; a comma list like "
-            "'8,16,24,53' sets the sweep precision ladder for "
-            "--engine sweep"
-        ),
-    )
-    client.add_argument(
-        "--rows",
+        "--batch",
         action="store_true",
-        help="ask the server for the per-row witness section (schema v5)",
+        help="audit with the batch engine, sharded when --workers is above 1",
     )
-    client.add_argument(
-        "--stream",
-        action="store_true",
-        help=(
-            "stream the audit as NDJSON (header line, one row per "
-            "line, trailer) and print each line as it arrives instead "
-            "of waiting for the buffered payload"
-        ),
-    )
-    client.add_argument(
-        "--compose",
-        action="store_true",
-        help=(
-            "ask the server to derive grades from its cached "
-            "per-definition summaries (compose-capable engines only); "
-            "the response bytes are identical either way"
-        ),
-    )
-    client.add_argument(
-        "--exact-backend",
-        default=None,
-        help=(
-            "exact-arithmetic backend for batched engines on the "
-            "server: 'eft' or 'decimal' (bit-identical results)"
-        ),
-    )
-    client.add_argument(
-        "--u", default=None, help="unit roundoff for the bound check"
-    )
+    _add_audit_flags(client)
     client.add_argument(
         "--timeout", type=float, default=300.0, help="request timeout (s)"
     )
@@ -467,7 +389,9 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _cmd_check(args: argparse.Namespace) -> int:
-    u = _parse_roundoff(args.u)
+    from .api import parse_roundoff
+
+    u = parse_roundoff(args.u)
     with open(args.file, encoding="utf-8") as handle:
         source = handle.read()
     start = time.perf_counter()
@@ -572,7 +496,16 @@ def _configure_remote(
     )
 
 
-def _cmd_witness(args: argparse.Namespace) -> int:
+def _inputs(args: argparse.Namespace) -> object:
+    try:
+        return json.loads(args.inputs)
+    except json.JSONDecodeError as exc:
+        raise ValueError(f"--inputs is not valid JSON: {exc}") from None
+
+
+def _audit_here(args: argparse.Namespace, values: dict) -> object:
+    """Audit ``args.file`` in this process (``witness``, and ``client
+    --engine remote``); an int return is the exit code of a failure."""
     from .api import Session
 
     with open(args.file, encoding="utf-8") as handle:
@@ -586,31 +519,29 @@ def _cmd_witness(args: argparse.Namespace) -> int:
     # Flags and input data are user-supplied: render bad-option/shape/
     # JSON/missing-parameter problems as CLI errors, not tracebacks.
     try:
-        engine = _engine_name(args.batch, args.workers, args.engine)
-        if engine == "remote":
-            _configure_remote(args.nodes, args.workers)
-        precision_bits, sweep_bits = _parse_precision_bits(args.precision_bits)
-        session = Session(
-            precision_bits=precision_bits if precision_bits is not None else 53,
-            u=args.u,
-            workers=args.workers,
-        )
-        inputs = json.loads(args.inputs)
-        with session:
-            result = session.audit(
-                program,
-                args.name,
-                inputs=inputs,
-                engine=engine,
-                exact_backend=args.exact_backend,
-                rows=args.rows,
-                sweep_bits=sweep_bits,
-                compose=args.compose,
+        if values["engine"] == "remote":
+            _configure_remote(
+                args.nodes, args.workers, getattr(args, "timeout", None)
+            )
+        with Session() as session:
+            return session.audit(
+                program, args.name, inputs=_inputs(args), **values
             )
     except (ValueError, KeyError) as exc:
         message = exc.args[0] if exc.args else exc
         print(f"error: {message}", file=sys.stderr)
         return 1
+
+
+def _cmd_witness(args: argparse.Namespace) -> int:
+    try:
+        values = _audit_values(args)
+    except ValueError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 1
+    result = _audit_here(args, values)
+    if isinstance(result, int):
+        return result
     if result.provenance is not None:
         # Provenance never joins the payload (byte parity with the
         # non-composed audit); stderr keeps --json output clean.
@@ -670,67 +601,27 @@ def _cmd_serve(args: argparse.Namespace) -> int:
     return 0
 
 
-def _cmd_client_remote(args: argparse.Namespace) -> int:
+def _cmd_client_remote(args: argparse.Namespace, values: dict) -> int:
     """``client --engine remote``: fleet-dispatch from this process.
 
     The response printed is byte-identical to the single-node body (and
     to ``witness --json`` with the inner engine), including after node
     deaths mid-run — that is the dispatcher's merge contract.
     """
-    from .api import Session
-
-    with open(args.file, encoding="utf-8") as handle:
-        program = parse_program(handle.read())
-    if args.name and args.name not in program:
-        print(
-            f"error: no definition named {args.name!r} in {args.file}",
-            file=sys.stderr,
-        )
-        return 1
+    result = _audit_here(args, values)
+    if isinstance(result, int):
+        return result
+    if not values["stream"]:
+        sys.stdout.write(result.to_json() + "\n")
+        return 0 if result.sound else 2
     try:
-        inputs = json.loads(args.inputs)
-    except json.JSONDecodeError as exc:
-        print(f"error: --inputs is not valid JSON: {exc}", file=sys.stderr)
+        for line in result.lines():
+            sys.stdout.write(line)
+            sys.stdout.flush()
+    except ValueError as exc:
+        print(f"error: {exc}", file=sys.stderr)
         return 1
-    try:
-        _configure_remote(args.nodes, args.workers, timeout=args.timeout)
-        precision_bits, sweep_bits = _parse_precision_bits(args.precision_bits)
-        session = Session(
-            precision_bits=precision_bits if precision_bits is not None else 53,
-            u=args.u,
-            workers=args.workers,
-        )
-        if args.stream:
-            stream = session.audit(
-                program,
-                args.name,
-                inputs=inputs,
-                engine="remote",
-                exact_backend=args.exact_backend,
-                sweep_bits=sweep_bits,
-                stream=True,
-                compose=args.compose,
-            )
-            for line in stream.lines():
-                sys.stdout.write(line)
-                sys.stdout.flush()
-            return 0 if stream.trailer.get("all_sound") else 2
-        result = session.audit(
-            program,
-            args.name,
-            inputs=inputs,
-            engine="remote",
-            exact_backend=args.exact_backend,
-            rows=args.rows,
-            sweep_bits=sweep_bits,
-            compose=args.compose,
-        )
-    except (ValueError, KeyError) as exc:
-        message = exc.args[0] if exc.args else exc
-        print(f"error: {message}", file=sys.stderr)
-        return 1
-    sys.stdout.write(result.to_json() + "\n")
-    return 0 if result.sound else 2
+    return 0 if result.trailer.get("all_sound") else 2
 
 
 def _client_stream(args: argparse.Namespace, spec: dict) -> int:
@@ -744,7 +635,6 @@ def _client_stream(args: argparse.Namespace, spec: dict) -> int:
     from .api.stream import RowStream, events_of_lines
     from .service.client import ClientError, ClientStatusError, audit_stream
 
-    spec = dict(spec, stream=True)
     try:
         stream = RowStream(
             events_of_lines(
@@ -768,40 +658,19 @@ def _client_stream(args: argparse.Namespace, spec: dict) -> int:
 
 
 def _cmd_client(args: argparse.Namespace) -> int:
+    from .api.options import to_spec
     from .service.client import ClientError, audit
 
-    if _engine_name(args.batch, args.workers, args.engine) == "remote":
-        return _cmd_client_remote(args)
-    with open(args.file, encoding="utf-8") as handle:
-        source = handle.read()
     try:
-        inputs = json.loads(args.inputs)
-    except json.JSONDecodeError as exc:
-        print(f"error: --inputs is not valid JSON: {exc}", file=sys.stderr)
-        return 1
-    try:
-        precision_bits, sweep_bits = _parse_precision_bits(args.precision_bits)
+        values = _audit_values(args)
+        if values["engine"] == "remote":
+            return _cmd_client_remote(args, values)
+        with open(args.file, encoding="utf-8") as handle:
+            spec = to_spec(handle.read(), _inputs(args), args.name, **values)
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    spec = {
-        "source": source,
-        "name": args.name,
-        "inputs": inputs,
-        "engine": _engine_name(args.batch, args.workers, args.engine),
-        "workers": args.workers,
-        "precision_bits": precision_bits if precision_bits is not None else 53,
-        "u": args.u,
-    }
-    if sweep_bits is not None:
-        spec["sweep_bits"] = sweep_bits
-    if args.rows:
-        spec["rows"] = True
-    if args.compose:
-        spec["compose"] = True
-    if args.exact_backend is not None:
-        spec["exact_backend"] = args.exact_backend
-    if args.stream:
+    if values["stream"]:
         return _client_stream(args, spec)
     try:
         status, body = audit(
@@ -831,15 +700,11 @@ def _cmd_client(args: argparse.Namespace) -> int:
 
 
 def _cmd_watch(args: argparse.Namespace) -> int:
-    from .api import check_precision_bits
+    from .api import check_precision_bits, parse_roundoff
     from .compose import watch_file
 
-    u = _parse_roundoff(args.u) if args.u is not None else None
-    try:
-        check_precision_bits(args.precision_bits)
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
+    u = parse_roundoff(args.u) if args.u is not None else None
+    check_precision_bits(args.precision_bits)
     if args.interval <= 0:
         print("error: --interval must be positive", file=sys.stderr)
         return 1
@@ -892,13 +757,13 @@ def _cmd_bench(args: argparse.Namespace) -> int:
 
 
 def _cmd_report(args: argparse.Namespace) -> int:
+    from .api import parse_roundoff
     from .report import analyze
 
+    u = parse_roundoff(args.u)
     with open(args.file, encoding="utf-8") as handle:
         source = handle.read()
-    result = analyze(
-        source, u=_parse_roundoff(args.u), condition_number=args.kappa
-    )
+    result = analyze(source, u=u, condition_number=args.kappa)
     if args.json:
         print(json.dumps(result.to_dict(), indent=2))
     else:
@@ -973,6 +838,7 @@ _COMMANDS = {
 
 
 def main(argv: Optional[List[str]] = None) -> int:
+    from .api import OptionError
     from .lam_s.eval import EvalError
     from .semantics.lens import LensDomainError
 
@@ -980,7 +846,7 @@ def main(argv: Optional[List[str]] = None) -> int:
     args = parser.parse_args(argv)
     try:
         return _COMMANDS[args.command](args)
-    except BeanError as exc:
+    except (BeanError, OptionError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except FileNotFoundError as exc:

@@ -17,10 +17,15 @@ Two modes:
 * **checked** (``checked=True``): re-implements the well-formedness side
   of the Figure 7 inference algorithm — structural types per slot,
   strict-linearity use tracking (forked and re-joined across case
-  branches), no-shadowing freshness, and the per-rule type checks — and
-  raises exactly the errors :class:`repro.core.checker.InferenceEngine`
-  would, in the same order.  Calls are typed compositionally from the
-  callee's judgment, like the recursive checker.
+  branches), no-shadowing freshness, and the per-rule type checks.  On
+  a let-spine with one fault it raises the error
+  :class:`repro.core.checker.InferenceEngine` raises, type and text
+  (``tests/test_lower_spine.py`` pins this).  With several faults it
+  rejects the definition too, but may report a different fault first:
+  the lowering raises a linearity error where a variable is used a
+  second time, the engine when contexts merge after typing the body.
+  Calls are typed compositionally from the callee's judgment, like the
+  recursive checker.
 * **semantic** (``checked=False``): lowers any *runnable* term, exactly
   as permissive as the Λ_S big-step evaluator (shadowing allowed, no
   linearity, unknown variables fail at use time, Λ_S constants allowed).

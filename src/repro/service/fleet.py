@@ -72,6 +72,7 @@ from ..api.result import SCHEMA_VERSION, AuditResult, render_payload
 from ..api.stream import (
     StreamEvent,
     StreamProtocolError,
+    batch_row_count,
     events_of_lines,
     merge_stream_trailers,
 )
@@ -714,19 +715,15 @@ class FleetDispatcher:
 
     @staticmethod
     def _batch_rows(spec: Mapping[str, Any]) -> Optional[int]:
-        """The row count of a batch-shaped ``inputs``, else ``None``."""
+        """The row count of a batch-shaped ``inputs``, else ``None``
+        (the audit is then dispatched unsplit)."""
         inputs = spec.get("inputs")
-        if not isinstance(inputs, dict) or not inputs:
+        if not isinstance(inputs, dict):
             return None
-        n_rows: Optional[int] = None
-        for rows in inputs.values():
-            if not isinstance(rows, list):
-                return None
-            if n_rows is None:
-                n_rows = len(rows)
-            elif len(rows) != n_rows:
-                return None
-        return n_rows
+        try:
+            return batch_row_count(inputs)
+        except ValueError:
+            return None
 
     def _dispatch(
         self, spec: Mapping[str, Any], preference: Sequence[Node]

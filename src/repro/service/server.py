@@ -14,6 +14,7 @@ Protocol (HTTP/1.1, JSON bodies)::
     POST /audit    {"source": "...bean text...", "inputs": {...},
                     "name": null, "engine": "batch", "workers": 2,
                     "precision_bits": 53, "u": "2^-53"}
+                   (every option of repro.api.options.OPTIONS)
     GET  /healthz  liveness + uptime counters
     GET  /stats    request/coalescing/pool statistics
 
@@ -36,8 +37,7 @@ import os
 import threading
 from typing import Any, Dict, List, Optional, Tuple, Union
 
-from ..api import Session, UnknownEngineError, check_precision_bits
-from ..api.registry import get_engine
+from ..api import Session, UnknownEngineError, options
 from ..api.result import (
     render_payload,
     render_stream_line,
@@ -46,6 +46,7 @@ from ..api.result import (
 )
 from ..api.stream import (
     DEFAULT_CHUNK_ROWS,
+    batch_row_count,
     merge_stream_trailers,
     ramp_chunk_bounds,
 )
@@ -361,14 +362,17 @@ class AuditServer:
                 max_workers=self.max_request_workers,
             )
         except HttpError as exc:
-            self.stats["http_errors"] += 1
+            # A 422 is an option the engine cannot honor: an audit
+            # failure, like the Bean-level 422s.
+            failure = "audit_failures" if exc.status == 422 else "http_errors"
+            self.stats[failure] += 1
             return exc.status, _error_body(exc.message)
         if stream:
             try:
-                n_rows = _stream_row_count(kwargs["inputs"])
-            except HttpError as exc:
+                n_rows = batch_row_count(kwargs["inputs"])
+            except ValueError as exc:
                 self.stats["http_errors"] += 1
-                return exc.status, _error_body(exc.message)
+                return 400, _error_body(str(exc))
             try:
                 prepared = await self._prepare(source)
             except Exception as exc:  # noqa: BLE001 - mapped below
@@ -412,8 +416,6 @@ class AuditServer:
         when a plugin unregisters); Bean-level and ill-shaped-input
         errors are 422 (the CLI renders the same exceptions as
         ``error:`` lines); anything else is the 500 of last resort.
-        ``OverflowError`` covers absurd roundoff spellings like
-        ``2^99999``.
         """
         if isinstance(exc, UnknownEngineError):
             self.stats["http_errors"] += 1
@@ -572,38 +574,16 @@ def _error_body(message: str) -> bytes:
     return (render_payload({"error": message}) + "\n").encode("utf-8")
 
 
-def _stream_row_count(inputs: Dict[str, Any]) -> int:
-    """The common row count of batch-shaped streaming inputs.
-
-    A streamed audit is chunked before it is dispatched, so the shape
-    check that the batched engines would run per-request has to happen
-    here — with the same 400 discipline as the rest of the spec.
-    """
-    n_rows: Optional[int] = None
-    for name, value in inputs.items():
-        if not isinstance(value, list):
-            raise HttpError(
-                400,
-                "streaming needs batch-shaped inputs (one row list per "
-                f"parameter); {name!r} is not a list",
-            )
-        if n_rows is None:
-            n_rows = len(value)
-        elif len(value) != n_rows:
-            raise HttpError(
-                400,
-                f"input rows disagree: {name!r} has {len(value)} row(s), "
-                f"other inputs have {n_rows}",
-            )
-    if n_rows is None:
-        raise HttpError(400, "streaming needs at least one input column")
-    return n_rows
-
-
 def _validate_audit_spec(
     spec: Any, *, default_workers: int, max_workers: int
 ) -> Tuple[str, Optional[str], Dict[str, Any], bool]:
-    """Check an /audit request body; raise :class:`HttpError` 400 on bad."""
+    """Turn an /audit request body into Session.audit kwargs.
+
+    The fields of the program itself are checked here; every audit
+    option goes through the one option table
+    (:func:`repro.api.options.resolve`), whose rejections carry their
+    own status (400 malformed, 422 conflicting).
+    """
     if not isinstance(spec, dict):
         raise HttpError(400, "audit request must be a JSON object")
     source = spec.get("source")
@@ -615,19 +595,18 @@ def _validate_audit_spec(
     name = spec.get("name")
     if name is not None and not isinstance(name, str):
         raise HttpError(400, "'name' must be a string or null")
-    engine = spec.get("engine", "ir")
-    if not isinstance(engine, str):
-        raise HttpError(400, "'engine' must be a string")
     try:
-        get_engine(engine)
+        kwargs = options.resolve(spec)
+    except options.OptionError as exc:
+        raise HttpError(exc.status, str(exc)) from None
     except UnknownEngineError as exc:
         # The one unknown-engine failure, uniform across surfaces: the
         # registry's error text becomes the HTTP 400 body.
         raise HttpError(400, str(exc)) from None
-    workers = spec.get("workers", default_workers)
-    # bool is an int subclass; reject it explicitly or True would pass.
-    if isinstance(workers, bool) or not isinstance(workers, int) or workers < 1:
-        raise HttpError(400, "'workers' must be a positive integer")
+    unknown = set(spec) - {"source", "inputs", "name"} - set(options.OPTION)
+    if unknown:
+        raise HttpError(400, f"unknown request field(s): {sorted(unknown)}")
+    workers = kwargs["workers"] or default_workers
     if workers > max_workers:
         # Rejecting (not clamping) preserves the byte-parity contract:
         # a served response always matches the CLI run it claims.
@@ -636,68 +615,8 @@ def _validate_audit_spec(
             f"'workers' capped at {max_workers} on this server "
             "(--max-request-workers)",
         )
-    precision_bits = spec.get("precision_bits", 53)
-    try:
-        check_precision_bits(precision_bits)
-    except ValueError as exc:
-        raise HttpError(400, str(exc)) from None
-    u = spec.get("u")
-    if u is not None:
-        if not isinstance(u, (str, int, float)):
-            raise HttpError(
-                400, "'u' must be a number or a string like '2^-53'"
-            )
-        from ..api import parse_roundoff
-
-        try:
-            parse_roundoff(u)
-        except (ValueError, OverflowError):
-            raise HttpError(400, f"cannot parse 'u': {u!r}")
-    exact_backend = spec.get("exact_backend")
-    if exact_backend is not None and exact_backend not in ("eft", "decimal"):
-        raise HttpError(
-            400, "'exact_backend' must be 'eft', 'decimal', or null"
-        )
-    rows = spec.get("rows", False)
-    if not isinstance(rows, bool):
-        raise HttpError(400, "'rows' must be a boolean")
-    stream = spec.get("stream", False)
-    if not isinstance(stream, bool):
-        raise HttpError(400, "'stream' must be a boolean")
-    compose = spec.get("compose", False)
-    if not isinstance(compose, bool):
-        raise HttpError(400, "'compose' must be a boolean")
-    sweep_bits = spec.get("sweep_bits")
-    if sweep_bits is not None:
-        # Shape and widths only: the Session owns the strictly-increasing
-        # rule and renders it as a 422 like any other ill-shaped audit
-        # input.
-        if not isinstance(sweep_bits, list) or not sweep_bits:
-            raise HttpError(
-                400, "'sweep_bits' must be a non-empty list of widths"
-            )
-        try:
-            for bits in sweep_bits:
-                check_precision_bits(bits)
-        except ValueError as exc:
-            raise HttpError(400, str(exc)) from None
-    unknown = set(spec) - {
-        "source", "inputs", "name", "engine", "workers", "precision_bits",
-        "u", "exact_backend", "rows", "stream", "sweep_bits", "compose",
-    }
-    if unknown:
-        raise HttpError(400, f"unknown request field(s): {sorted(unknown)}")
-    kwargs: Dict[str, Any] = {
-        "inputs": inputs,
-        "engine": engine,
-        "workers": workers,
-        "precision_bits": precision_bits,
-        "u": u,
-        "exact_backend": exact_backend,
-        "rows": rows or stream,
-        "sweep_bits": sweep_bits,
-        "compose": compose,
-    }
+    stream = kwargs.pop("stream")
+    kwargs["inputs"] = inputs
     return source, name, kwargs, stream
 
 

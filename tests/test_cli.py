@@ -4,7 +4,8 @@ import json
 
 import pytest
 
-from repro.cli import _parse_roundoff, main
+from repro.api import parse_roundoff
+from repro.cli import main
 
 DOTPROD = """
 DotProd2 (x : vec(2)) (y : vec(2)) : num :=
@@ -25,13 +26,13 @@ def bean_file(tmp_path):
 
 class TestRoundoffParsing:
     def test_caret(self):
-        assert _parse_roundoff("2^-53") == 2.0**-53
+        assert parse_roundoff("2^-53") == 2.0**-53
 
     def test_double_star(self):
-        assert _parse_roundoff("2**-24") == 2.0**-24
+        assert parse_roundoff("2**-24") == 2.0**-24
 
     def test_literal(self):
-        assert _parse_roundoff("1e-8") == 1e-8
+        assert parse_roundoff("1e-8") == 1e-8
 
 
 class TestCheck:

@@ -8,8 +8,10 @@ change:
 * the checked IR of every Table-1 family (at the paper's sizes), the
   SafeDiv kernel and the example programs, as digests recorded from the
   lowering that pushed four work items per ``let`` and per primop;
-* the checked-mode error on a let-spine, which must be the rule-by-rule
-  checker's (``tests/oracles/checker_ref.py``) word for word;
+* the checked-mode error on a let-spine with one fault, which must be
+  the rule-by-rule checker's (``tests/oracles/checker_ref.py``) word for
+  word; with two faults both checkers reject, possibly naming different
+  faults;
 * Sum 10000, parsed from paper-style text, checks under the default
   recursion limit.
 """
@@ -153,6 +155,24 @@ def test_spine_errors_match_the_rule_by_rule_checker(source):
         check_definition_ref(definition)
     assert type(ours.value) is type(ref.value)
     assert str(ours.value) == str(ref.value)
+
+
+#: Two faults: ``s`` is used twice (linearity) and ``dmul``'s first
+#: operand ``s`` is not discrete (typing).  The lowering meets the reuse
+#: first; the rule-by-rule checker types the body before it merges
+#: contexts, so it meets the ``dmul`` first.
+TWO_FAULTS = (
+    "F ((a, b, c) : vec(3)) (z : !num) :=\n"
+    "  let s = add a b in let t = dmul z s in let u = dmul s c in u"
+)
+
+
+def test_two_fault_spine_is_rejected_by_both_checkers():
+    definition = parse_program(TWO_FAULTS).main
+    with pytest.raises(BeanError):
+        check_definition(definition)
+    with pytest.raises(BeanError):
+        check_definition_ref(definition)
 
 
 def test_parameter_alias_emits_bang():
