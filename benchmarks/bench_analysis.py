@@ -1,16 +1,11 @@
 """Static-analysis benchmarks: the interval IR sweep, and the sweep
 engine vs. independent per-precision audits.
 
-Two ratios are gated:
-
-* **sweep vs independent** — the ``sweep`` engine fans one audit across
-  ``SWEEP_PRECISIONS`` through the same batch engine an independent
-  per-precision audit uses, so it must not cost more than running the
-  audits separately (ratio ~1x, gated against drift; the per-precision
-  payload sections are asserted equal byte for byte first);
-* **sweep EFT vs Decimal** — the same sweep with the exact-arithmetic
-  backend pinned to Decimal, sections asserted equal modulo the
-  backend stamp.
+One ratio is gated: **sweep vs independent** — the ``sweep`` engine
+fans one audit across ``SWEEP_PRECISIONS`` through the same batch engine
+an independent per-precision audit uses, so it must not cost more than
+running the audits separately (ratio ~1x, gated against drift; the
+per-precision payload sections are asserted equal byte for byte first).
 
 Also recorded (ungated): the interval analyzer's iterative sweep over
 the flat IR on Sum 200, MatVecMul 12 and Sum 10000 — a depth no
@@ -37,11 +32,8 @@ MATVEC_SIZE = 12
 DEEP_SUM_SIZE = 10_000
 
 SWEEP_KERNEL_SIZE = 20  #: Sum kernel size for the sweep comparison
-#: Environment rows per sweep audit.  Sized so the 53-bit section —
-#: the only one the EFT backend accelerates (11/24-bit audits run the
-#: Decimal sweeps under either backend) — carries enough weight for
-#: ``sweep_eft_vs_decimal_x`` to measure the kernels, not fixed
-#: per-audit overhead.
+#: Environment rows per sweep audit: enough that the batch kernels,
+#: not fixed per-audit overhead, dominate each section.
 SWEEP_ENVS = 400
 REPS = 5  #: timing repetitions per side
 
@@ -109,28 +101,6 @@ class AnalysisBench:
 
         self.independent_s = _best_of(independents, reps=3)
 
-        # -- sweep engine: EFT backend vs the Decimal reference -----------
-        # Same audit, exact-arithmetic backend pinned to Decimal; every
-        # per-precision section must match the EFT run's bytes modulo
-        # the informational backend stamp, and the timing ratio records
-        # how much of the sweep's cost the EFT kernels removed.
-        dec_sweep = session.audit(
-            program, inputs=inputs, engine="sweep", exact_backend="decimal"
-        )
-        for bits in SWEEP_PRECISIONS:
-            eft_section = dict(sweep.per_precision[str(bits)])
-            dec_section = dict(dec_sweep.per_precision[str(bits)])
-            assert eft_section.pop("exact_backend") == "eft"
-            assert dec_section.pop("exact_backend") == "decimal"
-            assert eft_section == dec_section, bits
-        self.sweep_dec_s = _best_of(
-            lambda: session.audit(
-                program, inputs=inputs, engine="sweep",
-                exact_backend="decimal",
-            ),
-            reps=3,
-        )
-
 
 @pytest.fixture(scope="module")
 def bench():
@@ -147,13 +117,8 @@ def test_analysis_bench_report(bench):
             "sweep_total_s": bench.sweep_s,
             "independent_audits_total_s": bench.independent_s,
             "sweep_vs_independent_x": bench.independent_s / bench.sweep_s,
-            "sweep_decimal_total_s": bench.sweep_dec_s,
-            "sweep_eft_vs_decimal_x": bench.sweep_dec_s / bench.sweep_s,
         },
-        gate_metrics=[
-            "sweep_vs_independent_x",
-            "sweep_eft_vs_decimal_x",
-        ],
+        gate_metrics=["sweep_vs_independent_x"],
         meta={
             "sum_size": SUM_SIZE,
             "matvec_size": MATVEC_SIZE,

@@ -23,9 +23,6 @@ SPECS = [
     ("SafeDiv", 100, 1000),
 ]
 
-#: Cells the EFT-vs-Decimal witness-sweep gate must clear at ≥3x.
-EFT_GATED_CELLS = ("sum100", "dotprod100", "safediv100", "horner100")
-
 
 @pytest.fixture(scope="module")
 def ir_rows():
@@ -46,31 +43,11 @@ def test_ir_bench_report(ir_rows):
         if row.batch_speedup is not None:
             metrics[f"{cell}_batch_speedup_x"] = row.batch_speedup
             gated.append(f"{cell}_batch_speedup_x")
-        if row.eft_speedup is not None:
-            metrics[f"{cell}_eft_speedup_x"] = row.eft_speedup
-            gated.append(f"{cell}_eft_speedup_x")
     write_bench_json("ir", metrics, gate_metrics=gated)
 
 
 def test_batch_witness_verdicts_agree(ir_rows):
     assert all(r.verdicts_agree for r in ir_rows)
-
-
-def test_decimal_backend_verdicts_agree(ir_rows):
-    """EFT and Decimal backends agree (verdicts and max distances)."""
-    assert all(r.dec_agree for r in ir_rows)
-
-
-def test_eft_witness_speedup(ir_rows):
-    """EFT sweeps clear 3x over the Decimal hot path they replaced."""
-    by_cell = {r.name.lower(): r for r in ir_rows}
-    for cell in EFT_GATED_CELLS:
-        row = by_cell[cell]
-        assert row.eft_speedup is not None, cell
-        assert row.eft_speedup >= 3.0, (
-            f"{row.name}: EFT speedup {row.eft_speedup:.2f}x < 3x "
-            f"(decimal {row.witness_dec_s:.3f}s, eft {row.witness_batch_s:.3f}s)"
-        )
 
 
 def test_batch_witness_throughput(ir_rows):

@@ -180,7 +180,6 @@ class BatchEngine:
             program=request.program,
             u=request.u,
             lens=lens,
-            exact_backend=request.exact_backend,
             collect_rows=request.collect_rows,
             **engine_options,
         )
@@ -237,7 +236,6 @@ class ShardedEngine:
             mp_context=request.mp_context,
             pool=request.pool,
             compose=request.compose,
-            exact_backend=request.exact_backend,
             collect_rows=request.collect_rows,
         )
         payload = batch_report_payload(
@@ -579,7 +577,6 @@ class SweepEngine:
                 program=request.program,
                 u=u_bits,
                 lens=lens,
-                exact_backend=request.exact_backend,
             )
             reports[bits] = report
             # Each entry is the complete batch-engine payload for this
@@ -727,7 +724,6 @@ class RemoteEngine:
             workers=request.workers if self._inner_engine == "sharded" else None,
             precision_bits=request.precision_bits,
             u=request.u,
-            exact_backend=request.exact_backend,
             rows=request.collect_rows,
             sweep_bits=request.sweep_bits,
             compose=request.compose,

@@ -113,12 +113,6 @@ def _positive_int(value: object) -> int:
     return int(value)
 
 
-def _exact_backend(value: object) -> str:
-    if value not in ("eft", "decimal"):
-        raise ValueError(value)
-    return str(value)
-
-
 def _flag(value: object) -> bool:
     if not isinstance(value, bool):
         raise TypeError(value)
@@ -194,13 +188,6 @@ OPTIONS: Tuple[AuditOption, ...] = (
         "u", None, parse_roundoff, U_ERROR,
         "unit roundoff of the bound check: a number or a string like "
         "`2^-24`, finite with 0 < u < 1 (default `2^-precision_bits`)",
-        flag={"default": None},
-    ),
-    AuditOption(
-        "exact_backend", None, _exact_backend,
-        "exact_backend must be 'eft' or 'decimal'",
-        "exact arithmetic of the batched engines: `eft` or `decimal`, "
-        "bit-identical results (default `$REPRO_EXACT_BACKEND`, else `eft`)",
         flag={"default": None},
     ),
     AuditOption(

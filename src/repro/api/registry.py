@@ -111,10 +111,6 @@ class AuditRequest:
     precision_bits: int = 53
     workers: int = 2
     mp_context: Optional[str] = None
-    #: exact-arithmetic backend override for batched engines
-    #: (``"eft"`` / ``"decimal"``); ``None`` defers to the engine's
-    #: own resolution (``REPRO_EXACT_BACKEND``, then the EFT default).
-    exact_backend: Optional[str] = None
     #: materialize the schema-v5 per-row witness section (engines with
     #: ``caps.rows`` only).
     collect_rows: bool = False

@@ -302,11 +302,9 @@ def batch_report_payload(
 ) -> Dict[str, Any]:
     """The canonical JSON payload of a batch/sharded witness run.
 
-    ``exact_backend`` is informational metadata (which exact-arithmetic
-    implementation ran the backward/ideal sweeps — ``"eft"`` or
-    ``"decimal"``); the two backends are bit-identical, so every other
-    field's bytes are independent of it and the schema version stays
-    put.
+    ``exact_backend`` is the constant ``"eft"``: the field once named
+    which of two bit-identical exact-arithmetic backends ran the
+    backward/ideal sweeps, and stays so that payload bytes do not move.
 
     ``inline_fallbacks`` surfaces the call sites the inliner left in
     place and why (:func:`repro.ir.inline.inline_fallback_info`:
@@ -321,7 +319,7 @@ def batch_report_payload(
     is stamped schema version 5; every preceding field keeps its v2
     bytes.  The report's row tuples already carry rendered distance
     strings (:func:`~repro.semantics.spaces.render_row_distance`), so
-    every engine and backend emits the same row bytes.
+    every engine, shard and stream chunk emits the same row bytes.
     """
     payload: Dict[str, Any] = {
         "schema_version": (
@@ -331,7 +329,7 @@ def batch_report_payload(
         "engine": engine,
         "u": u,
         "precision_bits": precision_bits,
-        "exact_backend": report.exact_backend,
+        "exact_backend": "eft",
     }
     if inline_fallbacks:
         payload["inline_fallbacks"] = inline_fallbacks

@@ -164,7 +164,6 @@ class Session:
         workers: Optional[int] = None,
         precision_bits: Optional[int] = None,
         u: Optional[Union[str, float]] = None,
-        exact_backend: Optional[str] = None,
         rows: bool = False,
         stream: bool = False,
         sweep_bits: Optional[Sequence[int]] = None,
@@ -177,12 +176,7 @@ class Session:
         (:exc:`~repro.api.errors.UnknownEngineError` lists the choices
         otherwise).  For ``caps.batched`` engines each input is a batch
         of environment rows; otherwise it is one environment.  The
-        keyword overrides apply to this call only.  ``exact_backend``
-        (``"eft"`` / ``"decimal"``) picks the exact-arithmetic backend
-        of the batched engines' backward/ideal sweeps; ``None`` defers
-        to ``REPRO_EXACT_BACKEND`` and then the EFT default.  Results
-        are bit-identical either way — the choice is about speed (and
-        keeping the Decimal reference exercised).
+        keyword overrides apply to this call only.
 
         ``rows=True`` materializes the schema-v5 per-row witness
         section (engines with ``caps.rows`` only).  ``stream=True``
@@ -214,7 +208,7 @@ class Session:
         # engine.
         opts = options.resolve(
             dict(engine=engine, workers=workers, precision_bits=precision_bits,
-                 u=u, exact_backend=exact_backend, rows=rows, stream=stream,
+                 u=u, rows=rows, stream=stream,
                  sweep_bits=sweep_bits, compose=compose),
             dict(workers=self.workers, precision_bits=self.precision_bits,
                  u=self.u, compose=self.compose),
@@ -232,7 +226,6 @@ class Session:
             precision_bits=bits,
             workers=opts["workers"],
             mp_context=self.mp_context,
-            exact_backend=opts["exact_backend"],
             collect_rows=opts["rows"],
             sweep_bits=opts["sweep_bits"],
             compose=bool(opts["compose"]),

@@ -58,8 +58,6 @@ class IRBenchRow:
     verdicts_agree: Optional[bool]
     witness_shard_s: Optional[float] = None
     shard_agree: Optional[bool] = None
-    witness_dec_s: Optional[float] = None
-    dec_agree: Optional[bool] = None
 
     @property
     def batch_speedup(self) -> Optional[float]:
@@ -73,18 +71,6 @@ class IRBenchRow:
         if not self.witness_batch_s or not self.witness_shard_s:
             return None
         return self.witness_batch_s / self.witness_shard_s
-
-    @property
-    def eft_speedup(self) -> Optional[float]:
-        """Decimal-backend batch over the default EFT-backend batch.
-
-        The default batch timing runs the double-double EFT sweeps;
-        this ratio is what killing the Decimal hot path bought on the
-        witness sweep itself.
-        """
-        if not self.witness_batch_s or not self.witness_dec_s:
-            return None
-        return self.witness_dec_s / self.witness_batch_s
 
 
 def _random_columns(definition, n_envs: int, rng) -> Dict[str, np.ndarray]:
@@ -111,7 +97,6 @@ def run_ir_bench(
     specs: Sequence[Tuple[str, int, int]] = DEFAULT_SPECS,
     *,
     include_batch: bool = True,
-    include_decimal: bool = True,
     seed: int = 0,
     workers: Optional[int] = None,
 ) -> List[IRBenchRow]:
@@ -119,10 +104,6 @@ def run_ir_bench(
 
     ``workers > 1`` adds a sharded-witness timing per cell (pool
     startup included — this is the price a caller actually pays).
-    ``include_decimal`` additionally times the batch engine pinned to
-    the 50-digit Decimal exact-arithmetic backend on the same rows and
-    checks its (bit-identical) verdicts/maxima against the default EFT
-    run — the ``eft_speedup`` ratio.
     """
     rng = np.random.default_rng(seed)
     rows: List[IRBenchRow] = []
@@ -142,8 +123,8 @@ def run_ir_bench(
         evaluate(definition.body, env)
         eval_ir = time.perf_counter() - start
 
-        witness_loop = witness_batch = witness_shard = witness_dec = None
-        agree = shard_agree = dec_agree = None
+        witness_loop = witness_batch = witness_shard = None
+        agree = shard_agree = None
         if include_batch:
             engine = BatchWitnessEngine(definition)
             engine.run({k: v[:1] for k, v in columns.items()})  # warm caches
@@ -151,22 +132,6 @@ def run_ir_bench(
             start = time.perf_counter()
             batch_report = engine.run(columns)
             witness_batch = time.perf_counter() - start
-            if include_decimal:
-                dec_engine = BatchWitnessEngine(
-                    definition, exact_backend="decimal"
-                )
-                dec_engine.run({k: v[:1] for k, v in columns.items()})
-                gc.collect()
-                start = time.perf_counter()
-                dec_report = dec_engine.run(columns)
-                witness_dec = time.perf_counter() - start
-                dec_agree = list(dec_report.sound) == list(
-                    batch_report.sound
-                ) and {
-                    k: str(v) for k, v in dec_report.param_max_distance.items()
-                } == {
-                    k: str(v) for k, v in batch_report.param_max_distance.items()
-                }
             if workers and workers > 1:
                 from ..semantics.shard import run_witness_sharded
 
@@ -205,8 +170,6 @@ def run_ir_bench(
                 verdicts_agree=agree,
                 witness_shard_s=witness_shard,
                 shard_agree=shard_agree,
-                witness_dec_s=witness_dec,
-                dec_agree=dec_agree,
             )
         )
     return rows
@@ -214,12 +177,10 @@ def run_ir_bench(
 
 def format_ir_bench(rows: List[IRBenchRow]) -> str:
     sharded = any(r.witness_shard_s is not None for r in rows)
-    decimal_timed = any(r.witness_dec_s is not None for r in rows)
     header = (
         f"{'Benchmark':<14}{'Ops':>8}{'check IR':>10}"
         f"{'eval IR':>9}{'N':>6}{'loop':>9}{'batch':>9}"
         f"{'x':>6}"
-        + (f"{'decimal':>9}{'dd x':>7}" if decimal_timed else "")
         + (f"{'shard':>9}{'x':>6}" if sharded else "")
         + "  agree"
     )
@@ -229,17 +190,13 @@ def format_ir_bench(rows: List[IRBenchRow]) -> str:
         loop = f"{r.witness_loop_s:.3f}" if r.witness_loop_s else "-"
         batch = f"{r.witness_batch_s:.3f}" if r.witness_batch_s else "-"
         agree = {True: "yes", False: "NO", None: "-"}[r.verdicts_agree]
-        if r.shard_agree is False or r.dec_agree is False:
+        if r.shard_agree is False:
             agree = "NO"
         line = (
             f"{r.name:<14}{r.ops:>8}{r.check_ir_s:>10.3f}"
             f"{r.eval_ir_s:>9.3f}{r.n_envs:>6}"
             f"{loop:>9}{batch:>9}{batch_x:>6}"
         )
-        if decimal_timed:
-            dec = f"{r.witness_dec_s:.3f}" if r.witness_dec_s else "-"
-            dec_x = f"{r.eft_speedup:.1f}" if r.eft_speedup else "-"
-            line += f"{dec:>9}{dec_x:>7}"
         if sharded:
             shard = f"{r.witness_shard_s:.3f}" if r.witness_shard_s else "-"
             shard_x = f"{r.shard_speedup:.1f}" if r.shard_speedup else "-"

@@ -261,7 +261,8 @@ def build_parser() -> argparse.ArgumentParser:
         default=None,
         help=(
             "reject audit requests asking for more shard workers than "
-            "this (default: max(cpu count, 8))"
+            "this; at least --workers (default: max(cpu count, 8, "
+            "--workers))"
         ),
     )
     serve.add_argument(

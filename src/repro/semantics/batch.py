@@ -12,23 +12,23 @@ flat IR:
    deterministic, and reduced-precision simulation uses the same
    frexp/round-half-even/ldexp construction, vectorized);
 2. **backward sweep** — one reverse pass whose per-op witness formulas
-   (Appendix C) run on an exact-arithmetic backend: by default
-   double-double float arrays (:mod:`repro.semantics.eft` — plain
-   float64 ufunc expressions, no Python-level dispatch), or object
-   arrays of ``Decimal`` under the same 50-digit context the scalar
-   primitives use (``exact_backend="decimal"``, the reference);
+   (Appendix C) run on double-double float arrays
+   (:mod:`repro.semantics.eft` — plain float64 ufunc expressions, no
+   Python-level dispatch);
 3. **ideal re-evaluation** of the perturbed inputs (Property 2), again
-   as per-op array sweeps on the selected backend;
-4. **distance checks** — relative-precision distances against the
-   inferred grade bounds.  On the Decimal backend these are vectorized
-   60-digit computations; on the EFT backend they are float64 *screens
-   with provable margins* — every row the screen cannot settle with
-   ~1e18 to spare, and every exact number that reaches a report, is
-   decided by the per-row scalar reference, so both backends are
-   bit-for-bit equal to looping :func:`run_witness` (the parity
-   harness enforces this).  Per-row distances in the ``rows`` section
-   render at 8 significant digits, which the screen certifies itself
-   on nearly every row.
+   as per-op dd array sweeps;
+4. **distance checks** — float64 *screens with provable margins* of
+   the relative-precision distances against the inferred grade bounds.
+   Every row the screen cannot settle with ~1e18 to spare, and every
+   exact number that reaches a report, is decided by the per-row
+   scalar reference (the 50-digit :func:`run_witness`), so the engine
+   is bit-for-bit equal to looping :func:`run_witness` (the parity
+   harness enforces this).  Rows where a dd kernel leaves its
+   validated domain — a zero divisor, a negative radicand, a discrete
+   target that is not bitwise the forward value — are marked suspect
+   and settled by the same per-row reference.  Per-row distances in
+   the ``rows`` section render at 8 significant digits, which the
+   screen certifies itself on nearly every row.
 
 The vectorized fragment is the whole language:
 
@@ -53,13 +53,14 @@ The vectorized fragment is the whole language:
 Rows whose forward values are exactly zero or non-finite — where the
 primitive backward maps' sign analyses could legitimately fail — fall
 back to the scalar :func:`run_witness` row-by-row.  Per-row failures on
-a fallback row — a ``LensDomainError``, or a Decimal signal from
-non-finite data inside the primitive backward maps — are captured in
-the report rather than aborting the other rows.  Structure the array
-pipeline does not model (mixed branch tags on screened rows, sum-typed
-discrete data) raises the internal ``_Unvectorizable`` and the whole
-batch is re-certified by the scalar loop, so results match it on every
-program.
+a fallback or rechecked row — a ``LensDomainError``, or a Decimal
+signal from non-finite data inside the primitive backward maps — are
+captured in the report rather than aborting the other rows.  Structure
+the array pipeline does not model (mixed branch tags on screened rows,
+sum-typed discrete data, literals binary64 cannot hold) and lenses
+whose ideal precision is not the 50-digit reference the screens are
+calibrated against run the whole batch through the scalar loop, so
+results match it on every program.
 
 Reports are *aggregated*: verdict arrays, per-parameter worst distances,
 and lazy per-row :class:`~repro.semantics.witness.WitnessReport`
@@ -70,7 +71,6 @@ from __future__ import annotations
 
 import decimal
 import math
-import os
 import random
 from decimal import Decimal
 from typing import Dict, List, Mapping, Optional, Sequence, Tuple, Union
@@ -84,25 +84,17 @@ from ..ir import lower as L
 from ..ir.cache import inlined_definition_ir, semantic_definition_ir
 from ..ir.inline import walk_ops
 from ..lam_s.eval import EvalError, stochastic_round
-from ..lam_s.values import UNIT_VALUE, Value, VInl, VInr, VNum, VPair, values_close
 from . import eft
 from .eft import DD
 from .interp import BeanLens, lens_of_definition
 from .lens import LensDomainError
 from .primitives import BACKWARD_PRECISION
-from .spaces import (
-    DISTANCE_PRECISION,
-    INF,
-    ROW_DISTANCE_DIGITS,
-    grade_bound,
-    render_row_distance,
-)
-from .witness import ParamWitness, WitnessReport, run_witness
+from .spaces import ROW_DISTANCE_DIGITS, grade_bound, render_row_distance
+from .witness import WitnessReport, run_witness
 
 __all__ = ["BatchWitnessEngine", "BatchWitnessReport", "run_witness_batch"]
 
 _DEC_ZERO = Decimal(0)
-_DEC_ONE = Decimal(1)
 
 #: Exceptions a single environment can legitimately raise on the scalar
 #: path — captured per row rather than aborting the batch.  Decimal
@@ -116,28 +108,12 @@ _ROW_ERRORS = (
     decimal.Overflow,
 )
 
-_to_dec = np.frompyfunc(Decimal, 1, 1)
-_sqrt = np.frompyfunc(lambda d: d.sqrt(), 1, 1)
-
-
 class _Unvectorizable(Exception):
     """The batch hit structure the array pipeline does not model.
 
     Raising it aborts the vectorized attempt; the engine re-certifies
     the whole batch with the (bit-identical) scalar loop, so this is a
     performance event, never a correctness one.
-    """
-
-
-class _EftUnsupported(Exception):
-    """The EFT sweep hit a case only the Decimal reference can decide.
-
-    Exact zero divisors and negative radicands (where the Decimal sweep
-    raises and falls back batch-wide), discrete verifies that need
-    ``values_close`` slack, non-binary ideal constants, and scalar
-    rechecks that raised: raising this reruns the whole batch through
-    the Decimal vectorized path, so the engine lands on exactly the
-    reference behavior.  A performance event, never a correctness one.
     """
 
 
@@ -217,41 +193,18 @@ def _pack_columns(ty: Type, columns: List, offset: int = 0):
     raise TypeError(f"cannot batch parameters of type {ty}")
 
 
-def _row_value(tree, i: int) -> Value:
-    """Extract row ``i`` of a batched tree as a scalar Value."""
+def _select_rows(tree, select):
+    """Apply the row selection ``select`` to every leaf array and tag mask."""
     if isinstance(tree, _BPair):
-        return VPair(_row_value(tree.left, i), _row_value(tree.right, i))
+        return _BPair(_select_rows(tree.left, select),
+                      _select_rows(tree.right, select))
     if isinstance(tree, _BSum):
-        if bool(tree.mask[i]):
-            return VInl(_row_value(tree.left, i))
-        return VInr(_row_value(tree.right, i))
-    if tree is _BUNIT:
-        return UNIT_VALUE
-    x = tree[i]
-    if isinstance(x, Decimal):
-        return VNum(x)
-    return VNum(float(x))
-
-
-def _map_tree(tree, fn, mask_fn=None):
-    """Map ``fn`` over numeric leaf arrays (``mask_fn`` over tag masks).
-
-    ``mask_fn`` defaults to the identity so value transforms (e.g. the
-    float->Decimal conversion) never touch boolean tag masks; row
-    selections pass the same function for both.
-    """
-    if isinstance(tree, _BPair):
-        return _BPair(
-            _map_tree(tree.left, fn, mask_fn), _map_tree(tree.right, fn, mask_fn)
-        )
-    if isinstance(tree, _BSum):
-        mask = tree.mask if mask_fn is None else mask_fn(tree.mask)
-        left = None if tree.left is None else _map_tree(tree.left, fn, mask_fn)
-        right = None if tree.right is None else _map_tree(tree.right, fn, mask_fn)
-        return _BSum(mask, left, right)
+        left = None if tree.left is None else _select_rows(tree.left, select)
+        right = None if tree.right is None else _select_rows(tree.right, select)
+        return _BSum(select(tree.mask), left, right)
     if tree is _BUNIT:
         return tree
-    return fn(tree)
+    return select(tree)
 
 
 def _tree_leaves(tree, out: List) -> List:
@@ -323,7 +276,6 @@ class BatchWitnessReport:
         param_max_distance: Dict[str, Decimal],
         param_bound: Dict[str, Decimal],
         fallback_rows: int,
-        exact_backend: str = "eft",
         rows: Optional[List[tuple]] = None,
         rechecked_rows: int = 0,
     ) -> None:
@@ -336,16 +288,12 @@ class BatchWitnessReport:
         self.param_max_distance = param_max_distance
         self.param_bound = param_bound
         self.fallback_rows = fallback_rows
-        #: Which exact-arithmetic backend the engine was configured with
-        #: ("eft" or "decimal").  Informational: results are bit-equal
-        #: either way.
-        self.exact_backend = exact_backend
         #: Per-row witness tuples ``(row, sound, exact, {param: rendered
         #: distance}, error-or-None)``, materialized only when the engine
         #: ran with ``collect_rows=True`` (the schema-v5 ``rows``
         #: section); ``None`` otherwise.  Distances are final strings
         #: (:func:`~repro.semantics.spaces.render_row_distance`), so
-        #: every backend, shard and stream chunk emits the same bytes.
+        #: every path, shard and stream chunk emits the same bytes.
         #: Picklable, so shards and chunked streams can carry them
         #: across processes.
         self.rows = rows
@@ -414,12 +362,10 @@ class BatchWitnessEngine:
         program: Optional[A.Program] = None,
         *,
         u: float = BINARY64_UNIT_ROUNDOFF,
-        precision: int = 50,
         rounding: str = "nearest",
         seed: int = 0,
         precision_bits: int = 53,
         lens: Optional[BeanLens] = None,
-        exact_backend: Optional[str] = None,
         collect_rows: bool = False,
         inlined_ir=None,
     ) -> None:
@@ -427,47 +373,25 @@ class BatchWitnessEngine:
         self.program = program
         self.u = u
         self.collect_rows = collect_rows
-        if exact_backend is None:
-            exact_backend = os.environ.get("REPRO_EXACT_BACKEND") or "eft"
-        if exact_backend not in ("eft", "decimal"):
-            raise ValueError(
-                "exact_backend must be 'eft' or 'decimal', got "
-                f"{exact_backend!r}"
-            )
-        self.exact_backend = exact_backend
         if lens is not None:
             # A caller-provided lens defines the arithmetic; adopting its
             # configuration keeps the vectorized sweep and the scalar
             # fallback rows on the same semantics (and the same bits).
             self.lens = lens
-            self.precision = lens.precision
             self.rounding = lens.rounding
             self.seed = lens.seed
             self.precision_bits = lens.precision_bits
         else:
-            self.precision = precision
             self.rounding = rounding
             self.seed = seed
             self.precision_bits = precision_bits
             self.lens = lens_of_definition(
                 definition,
                 program=program,
-                precision=precision,
                 rounding=rounding,
                 seed=seed,
                 precision_bits=precision_bits,
             )
-        #: The EFT screens are calibrated against the 50-digit reference
-        #: semantics (dd resolves ~32 digits; the margins below assume
-        #: Decimal noise at ~1e-50·cond); any other ideal precision runs
-        #: the Decimal path.  Per-row witnesses run on the EFT path too:
-        #: rows render their distances at ROW_DISTANCE_DIGITS, which the
-        #: dd screen certifies for all but the rows whose band straddles
-        #: a rounding boundary — those are rechecked (see _finish_eft).
-        self._use_eft = (
-            self.exact_backend == "eft"
-            and self.precision == BACKWARD_PRECISION
-        )
         if inlined_ir is not None:
             # A caller-provided pre-flattened IR (the compositional
             # engine plans it from summary metadata, lifting the inline
@@ -484,10 +408,16 @@ class BatchWitnessEngine:
         #: Whether this program runs through the vectorized pipeline.
         #: The op check is the whole language minus un-inlined calls;
         #: the param check excludes implicit (free-variable) parameters,
-        #: which only the scalar environment lookup can resolve.
-        self.vectorized = bool(self.ir.vectorizable) and len(
-            self.ir.params
-        ) == len(definition.params)
+        #: which only the scalar environment lookup can resolve.  The dd
+        #: screens are calibrated against the 50-digit reference
+        #: semantics (dd resolves ~32 digits; the margins assume Decimal
+        #: noise at ~1e-50·cond), so a lens of any other ideal precision
+        #: runs the scalar loop, which honours it.
+        self.vectorized = (
+            bool(self.ir.vectorizable)
+            and len(self.ir.params) == len(definition.params)
+            and self.lens.precision == BACKWARD_PRECISION
+        )
         self._grades: Dict[str, Grade] = {}
         self._bounds: Dict[str, Decimal] = {}
         for p in definition.params:
@@ -563,29 +493,15 @@ class BatchWitnessEngine:
                 {p.name: _DEC_ZERO for p in self.definition.params},
                 dict(self._bounds),
                 fallback_rows=0,
-                exact_backend=self.exact_backend,
                 rows=[] if self.collect_rows else None,
             )
         if not self.vectorized:
             return self._run_scalar(columns, n_rows, range(n_rows))
-        if self._use_eft:
-            try:
-                return self._run_vectorized(columns, n_rows, use_eft=True)
-            except _EftUnsupported:
-                # The dd sweep hit a case whose behavior the Decimal
-                # reference owns (zero divisors, negative radicands,
-                # discrete verifies needing values_close slack): rerun
-                # the whole batch on the Decimal path below.
-                pass
-            except (_Unvectorizable, decimal.InvalidOperation,
-                    decimal.DivisionByZero):
-                return self._run_scalar(columns, n_rows, range(n_rows))
         try:
-            return self._run_vectorized(columns, n_rows, use_eft=False)
-        except (_Unvectorizable, decimal.InvalidOperation, decimal.DivisionByZero):
-            # A row slipped past the risk mask, or the batch hit
-            # structure the array pipeline does not model: certify
-            # everything the slow, per-row way rather than guess.
+            return self._run_vectorized(columns, n_rows)
+        except _Unvectorizable:
+            # The batch hit structure the array pipeline does not model:
+            # certify everything the slow, per-row way rather than guess.
             return self._run_scalar(columns, n_rows, range(n_rows))
 
     # -- scalar fallback ---------------------------------------------------
@@ -633,7 +549,6 @@ class BatchWitnessEngine:
             max_dist,
             dict(self._bounds),
             fallback_rows=n_rows,
-            exact_backend=self.exact_backend,
             rows=row_tuples,
         )
 
@@ -655,12 +570,10 @@ class BatchWitnessEngine:
 
     # -- vectorized pipeline ----------------------------------------------
 
-    def _run_vectorized(self, columns, n_rows: int,
-                        use_eft: bool) -> BatchWitnessReport:
+    def _run_vectorized(self, columns, n_rows: int) -> BatchWitnessReport:
         ir = self.ir
-        # Phase 1: approximate forward sweep (float64 arrays).  This
-        # phase is exact-backend independent; the backend only decides
-        # who runs phases 2-4 on the clean rows.
+        # Phase 1: approximate forward sweep (float64 arrays); phases
+        # 2-4 (_finish) run on the clean rows.
         fvals: List = [None] * ir.n_slots
         for p in ir.params:
             cols = [np.ascontiguousarray(columns[p.name][:, j]) for j in
@@ -697,157 +610,11 @@ class BatchWitnessEngine:
         def fsel(slot: int):
             cached = fsel_cache.get(slot)
             if cached is None:
-                cached = _map_tree(fvals[slot], _sel_leaf, _sel_leaf)
+                cached = _select_rows(fvals[slot], _sel_leaf)
                 fsel_cache[slot] = cached
             return cached
 
-        if use_eft:
-            return self._finish_eft(columns, n_rows, clean, fallback, fsel)
-        return self._finish_decimal(columns, n_rows, clean, fallback, fsel)
-
-    def _finish_decimal(self, columns, n_rows: int, clean: np.ndarray,
-                        fallback: np.ndarray, fsel) -> BatchWitnessReport:
-        ir = self.ir
-        # Phase 2: backward reverse sweep (Decimal object arrays).
-        # Targets stay float arrays while they are pure identity defaults
-        # and become Decimal arrays once a witness formula computes them —
-        # mirroring the scalar path, whose default targets are the float
-        # approximants and whose computed targets are Decimals.
-        ambient = decimal.getcontext()
-        # Decimal conversions share the same id-keyed memoization as row
-        # selections (see _run_vectorized).
-        dec_cache: Dict[int, object] = {}
-        dec_memo: Dict[int, np.ndarray] = {}
-
-        def _dec_leaf(a):
-            r = dec_memo.get(id(a))
-            if r is None:
-                r = _to_dec(a)
-                dec_memo[id(a)] = r
-            return r
-
-        def dec(slot: int):
-            cached = dec_cache.get(slot)
-            if cached is None:
-                cached = _map_tree(fsel(slot), _dec_leaf)
-                dec_cache[slot] = cached
-            return cached
-
-        arith = _DecArith(ambient)
-        with decimal.localcontext() as ctx:
-            ctx.prec = BACKWARD_PRECISION
-            targets: List = [None] * ir.n_slots
-            self._backward(ir.ops, fsel, dec, targets, arith)
-        # The per-parameter perturbed trees.  Leaves the backward sweep
-        # never targeted keep their original float arrays — the scalar
-        # path leaves those env entries untouched, and reports must match
-        # it representation-for-representation.
-        perturbed: Dict[str, object] = {}
-        for p in ir.params:
-            if p.discrete:
-                perturbed[p.name] = fsel(p.slot)
-            else:
-                perturbed[p.name] = _materialize_mixed(targets[p.slot], fsel(p.slot))
-
-        # Phase 3: ideal re-evaluation of the perturbed inputs.  Slots
-        # keep the perturbed representation (floats where the backward
-        # sweep never targeted) and convert to Decimal only where an
-        # arithmetic op consumes them — exactly the scalar interpreter's
-        # behavior, so pass-through results keep their float identity.
-        # Conversions reuse the phase-2 memo: a pass-through leaf the
-        # backward sweep already converted (or several ops consume) is
-        # converted at most once per distinct array — conversion is
-        # exact, so sharing cannot change bits.
-        ivals: List = [None] * ir.n_slots
-        for p in ir.params:
-            ivals[p.slot] = perturbed[p.name]
-        self._ideal_dec(ir.ops, ivals, clean.size, dec_memo)
-        ideal_result = ivals[ir.result]
-
-        # Phase 4: verdicts and distances.
-        exact = np.zeros(n_rows, dtype=bool)
-        approx_sel = fsel(ir.result)
-        closeness = np.ones(clean.size, dtype=bool)
-        _close_rows(ideal_result, approx_sel, closeness,
-                    np.ones(clean.size, dtype=bool))
-        exact[clean] = closeness
-
-        sound = np.zeros(n_rows, dtype=bool)
-        within_all = closeness.copy()
-        distances: Dict[str, object] = {}
-        max_dist: Dict[str, Decimal] = {}
-        with decimal.localcontext() as ctx:
-            ctx.prec = DISTANCE_PRECISION
-            for p in ir.params:
-                if p.discrete:
-                    distances[p.name] = np.full(clean.size, _DEC_ZERO, dtype=object)
-                    max_dist[p.name] = _DEC_ZERO
-                    continue
-                d = self._param_distances(
-                    fsel(p.slot), perturbed[p.name], dec(p.slot),
-                    ivals[p.slot], clean.size, _dec_leaf,
-                )
-                distances[p.name] = d
-                bound = self._bounds[p.name]
-                within_all &= (d <= bound).astype(bool)
-                max_dist[p.name] = max(d, default=_DEC_ZERO) if d.size else _DEC_ZERO
-        sound[clean] = within_all
-
-        reports, errors = self._scalar_fallback_rows(
-            columns, fallback, sound, exact, max_dist
-        )
-        clean_pos = {int(row): j for j, row in enumerate(clean)}
-
-        row_tuples = None
-        if self.collect_rows:
-            def _row_distances(i: int) -> Dict[str, str]:
-                rep = reports.get(i)
-                if rep is not None:  # scalar-fallback row
-                    return _rendered_distances(rep)
-                j = clean_pos[i]
-                return {
-                    p.name: render_row_distance(distances[p.name][j])
-                    for p in self.definition.params
-                }
-
-            row_tuples = self._row_tuples(
-                n_rows, sound, exact, errors, _row_distances
-            )
-
-        def materialize(i: int) -> WitnessReport:
-            rep = reports.get(i)
-            if rep is not None:
-                return rep
-            j = clean_pos[i]
-            approx_v = _row_value(approx_sel, j)
-            ideal_v = _row_value(ideal_result, j)
-            params: Dict[str, ParamWitness] = {}
-            for p in self.definition.params:
-                orig = _row_value(fsel(_slot_of(ir, p.name)), j)
-                new = _row_value(perturbed[p.name], j)
-                params[p.name] = ParamWitness(
-                    p.name,
-                    orig,
-                    new,
-                    distances[p.name][j],
-                    self._bounds[p.name],
-                    self._grades[p.name],
-                )
-            return WitnessReport(approx_v, ideal_v, bool(exact[i]), params)
-
-        return BatchWitnessReport(
-            self.definition,
-            n_rows,
-            sound,
-            exact,
-            errors,
-            materialize,
-            max_dist,
-            dict(self._bounds),
-            fallback_rows=int(fallback.size),
-            exact_backend=self.exact_backend,
-            rows=row_tuples,
-        )
+        return self._finish(columns, n_rows, clean, fallback, fsel)
 
     def _scalar_fallback_rows(self, columns, fallback, sound, exact, max_dist):
         """Witness the risky rows via run_witness (bit-identical)."""
@@ -867,10 +634,10 @@ class BatchWitnessEngine:
                     max_dist[name] = w.distance
         return reports, errors
 
-    # -- the EFT fast path -------------------------------------------------
+    # -- phases 2-4 on dd arrays -------------------------------------------
 
-    def _finish_eft(self, columns, n_rows: int, clean: np.ndarray,
-                    fallback: np.ndarray, fsel) -> BatchWitnessReport:
+    def _finish(self, columns, n_rows: int, clean: np.ndarray,
+                fallback: np.ndarray, fsel) -> BatchWitnessReport:
         """Phases 2-4 on dd (double-double) float arrays.
 
         The dd sweep is a *screen with provable margins*, never a
@@ -887,7 +654,7 @@ class BatchWitnessEngine:
         rounding noise in the 50-digit Decimal reference (~1e-50·cond)
         and in dd (~1e-32·cond) both sit many orders below every
         decision threshold, so whenever dd calls a verdict "sure", the
-        Decimal path provably agrees.
+        50-digit reference provably agrees.
 
         The kernels run on the operands the forward sweep produced
         (:class:`_EftArith`): binary64 forward values enter the witness
@@ -900,7 +667,8 @@ class BatchWitnessEngine:
         dd values.  All of these are ~1e-31 relative, orders of
         magnitude inside every margin below.
         ``rechecked_rows`` on the report counts the clean rows handed to
-        the scalar reference.
+        the scalar reference; a row whose recheck raises keeps the
+        exception as its captured error, like a fallback row.
         """
         ir = self.ir
         m = int(clean.size)
@@ -968,25 +736,26 @@ class BatchWitnessEngine:
                 d_maxes[p.name] = d_max
                 noise_rows[p.name] = noise
 
-        # The scalar reference decides every flagged row — and *is* what
-        # the Decimal batch reports for it (both materialize ambiguous
-        # rows through run_witness).  A row error here means the Decimal
-        # batch itself would have aborted mid-sweep; rerun it to inherit
-        # its exact behavior.
+        # The scalar reference decides every flagged row, bit for bit.
+        # A row whose recheck raises keeps the exception as its captured
+        # error (as a fallback row does) and joins `recheck`, so no
+        # screen below reads its dd values again.
         rechecked: Dict[int, WitnessReport] = {}
+        recheck_errors: Dict[int, BaseException] = {}
 
-        def _recheck_rows(rows) -> None:
-            for j in rows:
-                j = int(j)
-                if j in rechecked:
+        def _recheck_rows(rows) -> bool:
+            """Settle ``rows`` by the scalar reference; True if any raised."""
+            raised = False
+            for j in rows.tolist():
+                if j in rechecked or j in recheck_errors:
                     continue
                 try:
                     rechecked[j] = self._scalar_report(columns, int(clean[j]))
                 except _ROW_ERRORS as exc:
-                    raise _EftUnsupported(
-                        "scalar recheck raised; the Decimal batch owns "
-                        "this input"
-                    ) from exc
+                    recheck_errors[j] = exc
+                    recheck[j] = True
+                    raised = True
+            return raised
 
         _recheck_rows(np.flatnonzero(recheck))
 
@@ -995,31 +764,37 @@ class BatchWitnessEngine:
         # screened maximum are candidates for the true max; recheck them
         # and report the max over exact values only.  (Rows outside the
         # band are provably below the true max by the same margin
-        # argument as the bound screen.)
+        # argument as the bound screen.)  A candidate whose recheck
+        # raises drops out of the max, which may then sit lower: screen
+        # again until every candidate is settled.
         max_dist: Dict[str, Decimal] = {}
         for p in ir.params:
             if p.discrete:
                 max_dist[p.name] = _DEC_ZERO
                 continue
             d_max = d_maxes[p.name]
-            best = 0.0
-            for rep in rechecked.values():
-                dist = rep.params[p.name].distance
-                f = float(dist) if dist.is_finite() else math.inf
-                if f > best:
-                    best = f
-            screened = np.where(recheck, 0.0, d_max)
-            if screened.size:
-                best = max(best, float(screened.max()))
-            if best <= 1e-27:
-                # The param's max sits at (or below) the noise floor:
-                # rows whose tiny leaves the screen deferred can hold
-                # it, and only the scalar reference knows their exact
-                # (evaluation-noise-dominated) Decimal distances.
-                _recheck_rows(np.flatnonzero(noise_rows[p.name]))
-            band = 1e-12 * best + 1e-26
-            cand = ~recheck & (d_max >= best - band) & (d_max > 0.0)
-            _recheck_rows(np.flatnonzero(cand))
+            raised = True
+            while raised:
+                best = 0.0
+                for rep in rechecked.values():
+                    dist = rep.params[p.name].distance
+                    f = float(dist) if dist.is_finite() else math.inf
+                    if f > best:
+                        best = f
+                screened = np.where(recheck, 0.0, d_max)
+                if screened.size:
+                    best = max(best, float(screened.max()))
+                raised = False
+                if best <= 1e-27:
+                    # The param's max sits at (or below) the noise
+                    # floor: rows whose tiny leaves the screen deferred
+                    # can hold it, and only the scalar reference knows
+                    # their exact (evaluation-noise-dominated) Decimal
+                    # distances.
+                    raised = _recheck_rows(np.flatnonzero(noise_rows[p.name]))
+                band = 1e-12 * best + 1e-26
+                cand = ~recheck & (d_max >= best - band) & (d_max > 0.0)
+                raised |= _recheck_rows(np.flatnonzero(cand))
             dist_best = _DEC_ZERO
             for rep in rechecked.values():
                 dist = rep.params[p.name].distance
@@ -1049,12 +824,16 @@ class BatchWitnessEngine:
         for j, rep in rechecked.items():
             exact_clean[j] = rep.exact_match
             sound_clean[j] = rep.sound
+        for j in recheck_errors:
+            exact_clean[j] = sound_clean[j] = False
         exact[clean] = exact_clean
         sound[clean] = sound_clean
 
         reports, errors = self._scalar_fallback_rows(
             columns, fallback, sound, exact, max_dist
         )
+        for j, exc in recheck_errors.items():
+            errors[int(clean[j])] = exc
         clean_pos = {int(row): j for j, row in enumerate(clean)}
 
         row_tuples = None
@@ -1094,9 +873,8 @@ class BatchWitnessEngine:
             max_dist,
             dict(self._bounds),
             fallback_rows=int(fallback.size),
-            exact_backend=self.exact_backend,
             rows=row_tuples,
-            rechecked_rows=len(rechecked),
+            rechecked_rows=len(rechecked) + len(recheck_errors),
         )
 
     def _dist_screen_eft(self, orig_tree, new_tree, m: int,
@@ -1128,8 +906,7 @@ class BatchWitnessEngine:
         programs, some leaf's witness formula is exact in binary on
         most rows, and eagerly rechecking them forfeits the batch win.
         Leaves the backward sweep never targeted (``nw is o``)
-        contribute an exact 0 in both backends, matching the scalar
-        path's ``ln(x/x)``.
+        contribute an exact 0, matching the scalar path's ``ln(x/x)``.
         """
         orig_leaves = _tree_leaves(orig_tree, [])
         new_leaves = _tree_leaves(new_tree, [])
@@ -1252,7 +1029,7 @@ class BatchWitnessEngine:
         n = active.shape[0]
         out = np.full(n, np.nan)
         with decimal.localcontext() as ctx:
-            ctx.prec = self.precision
+            ctx.prec = self.lens.precision
             for i in np.flatnonzero(active):
                 x = float(a[i])
                 y = float(b[i])
@@ -1278,12 +1055,11 @@ class BatchWitnessEngine:
     def _backward(self, ops, fsel, cvt, targets: List, arith) -> None:
         """The Appendix C witness formulas, one array expression per op.
 
-        ``arith`` supplies the exact-arithmetic kernels — Decimal object
-        arrays under the 50-digit backward context (:class:`_DecArith`,
-        the reference) or dd float pairs (:class:`_EftArith`, the
-        screen) — and ``cvt`` converts a slot's forward floats into that
-        representation.  Operand values and the op order inside each
-        formula match :mod:`repro.semantics.primitives` exactly.
+        ``arith`` supplies the exact-arithmetic kernels (dd float pairs,
+        :class:`_EftArith`) and ``cvt`` converts a slot's forward floats
+        into their representation; the seam lets a test oracle run the
+        same sweep on other arithmetic.  Operand values and the op order
+        inside each formula match :mod:`repro.semantics.primitives`.
         Sign/zero domain analysis is unnecessary here: rows whose
         forward values vanish or overflow were diverted to the scalar
         path, and on the remaining rows the backward targets provably
@@ -1386,87 +1162,17 @@ class BatchWitnessEngine:
                 )
             # UNIT / CONST: nothing flows backward.
 
-    def _ideal_dec(self, ops, vals: List, n: int,
-                   dec_memo: Dict[int, np.ndarray]) -> None:
-        prec = self.precision
-
-        def lift(v):
-            if isinstance(v, np.ndarray) and v.dtype != object:
-                r = dec_memo.get(id(v))
-                if r is None:
-                    r = _to_dec(v)
-                    dec_memo[id(v)] = r
-                return r
-            return v
-
-        for op in ops:
-            code = op.code
-            if L.ADD <= code <= L.DMUL:
-                with decimal.localcontext() as ctx:
-                    ctx.prec = prec
-                    # Operand conversion is exact (cf. to_decimal), so
-                    # doing it lazily here matches the scalar ⇓_id bits
-                    # — and memoizing by array identity converts each
-                    # pass-through leaf at most once, however many ops
-                    # consume it.
-                    a, b = lift(vals[op.a]), lift(vals[op.b])
-                    if code == L.ADD:
-                        vals[op.dest] = a + b
-                    elif code == L.SUB:
-                        vals[op.dest] = a - b
-                    elif code == L.DIV:
-                        if bool(np.asarray(b == _DEC_ZERO, dtype=bool).any()):
-                            # ⇓_id maps a zero divisor to inr (); screened
-                            # rows can't reach it, so don't model it.
-                            raise _Unvectorizable("ideal division by zero")
-                        vals[op.dest] = _BSum(
-                            np.ones(n, dtype=bool), a / b, _BUNIT
-                        )
-                    else:  # MUL / DMUL
-                        vals[op.dest] = a * b
-            elif code in (L.DVAR, L.BANG, L.RND):
-                vals[op.dest] = vals[op.a]  # rnd is the identity in ⇓_id
-            elif code == L.PAIR:
-                vals[op.dest] = _BPair(vals[op.a], vals[op.b])
-            elif code == L.FST:
-                vals[op.dest] = vals[op.a].left
-            elif code == L.SND:
-                vals[op.dest] = vals[op.a].right
-            elif code == L.CONST:
-                vals[op.dest] = np.full(n, Decimal(op.aux), dtype=object)
-            elif code == L.UNIT:
-                vals[op.dest] = _BUNIT
-            elif code == L.INL:
-                vals[op.dest] = _BSum(np.ones(n, dtype=bool), vals[op.a], None)
-            elif code == L.INR:
-                vals[op.dest] = _BSum(np.zeros(n, dtype=bool), None, vals[op.a])
-            elif code == L.CASE:
-                scrut = vals[op.a]
-                if not isinstance(scrut, _BSum):
-                    raise _Unvectorizable("case scrutinee is not a batched sum")
-                if _mask_all(scrut.mask) and scrut.left is not None:
-                    region, payload = op.aux[0], scrut.left
-                elif not bool(scrut.mask.any()) and scrut.right is not None:
-                    region, payload = op.aux[1], scrut.right
-                else:
-                    raise _Unvectorizable("mixed case branch tags on screened rows")
-                vals[region.payload] = payload
-                self._ideal_dec(region.ops, vals, n, dec_memo)
-                vals[op.dest] = vals[region.result]
-            else:  # pragma: no cover - CALL is rewritten away or unvectorized
-                raise _Unvectorizable(f"opcode {code} is not vectorizable")
-
     def _ideal_eft(self, ops, vals: List, n: int, arith: "_EftArith") -> None:
-        """Phase 3 on dd arrays: mirrors :meth:`_ideal_dec` op for op.
+        """Phase 3 on dd arrays: the ideal semantics ⇓_id op for op.
 
         dd addition/multiplication carry ~106 bits; against the
         50-digit reference the results agree to ~32 digits, which the
         phase-4 screens' margins absorb.  Leaves the backward map left
         untouched, discrete values and literals stay binary64 arrays,
-        so the ops that read them run the dd∘binary64 kernels.  Cases
-        only Decimal evaluates faithfully — a zero divisor on a
-        non-suspect row, a literal dd cannot represent exactly — raise
-        :class:`_EftUnsupported`.
+        so the ops that read them run the dd∘binary64 kernels.  A zero
+        divisor marks its row suspect (:meth:`_EftArith.div`); a literal
+        binary64 cannot hold exactly (only Λ_S terms carry one) is
+        :class:`_Unvectorizable`.
         """
         for op in ops:
             code = op.code
@@ -1477,9 +1183,8 @@ class BatchWitnessEngine:
                 elif code == L.SUB:
                     vals[op.dest] = arith.sub(a, b)
                 elif code == L.DIV:
-                    # ⇓_id maps a zero divisor to inr (); the Decimal
-                    # sweep raises _Unvectorizable there, and arith.div
-                    # defers such batches to it.
+                    # ⇓_id maps a zero divisor to inr (); arith.div
+                    # leaves such rows to the scalar reference.
                     vals[op.dest] = _BSum(
                         np.ones(n, dtype=bool), arith.div(a, b), _BUNIT
                     )
@@ -1500,7 +1205,7 @@ class BatchWitnessEngine:
                 if Decimal(op.aux) != Decimal(c):
                     # The ideal semantics evaluates the literal as an
                     # exact Decimal; dd can only hold binary64 values.
-                    raise _EftUnsupported("non-binary ideal constant")
+                    raise _Unvectorizable("non-binary ideal constant")
                 vals[op.dest] = np.full(n, c)
             elif code == L.UNIT:
                 vals[op.dest] = _BUNIT
@@ -1524,153 +1229,6 @@ class BatchWitnessEngine:
             else:  # pragma: no cover - CALL is rewritten away or unvectorized
                 raise _Unvectorizable(f"opcode {code} is not vectorizable")
 
-    def _param_distances(self, fsel_tree, mixed_tree, dec_orig_tree,
-                         dec_new_tree, n: int, dec_leaf):
-        """Vectorized ``type_distance`` for plain (slack-0) value trees.
-
-        For a zero-slack tensor tree the distance is the max over leaf RP
-        distances, and only that max is reported, so exact 60-digit
-        ``ln`` evaluation is needed only for the leaves that can attain
-        it.  A float64 approximation (absolute error ~4e-16, vastly
-        inside the 1e-3-relative + 1e-15-absolute candidate band) screens
-        the leaves; the reported Decimal max is then computed with the
-        exact scalar formula over the candidates, so it is bitwise equal
-        to the scalar path's ``type_distance``.  Leaves the backward
-        sweep never perturbed contribute an exact 0 (``ln(x/x)``).
-        """
-        orig_leaves = _tree_leaves(fsel_tree, [])
-        new_leaves = _tree_leaves(mixed_tree, [])
-        dec_orig = _tree_leaves(dec_orig_tree, [])
-        dec_new = _tree_leaves(dec_new_tree, [])
-        k = len(orig_leaves)
-        out = np.full(n, _DEC_ZERO, dtype=object)
-        approx = np.zeros((k, n))
-        anomalous = np.zeros((k, n), dtype=bool)
-        perturbed_leaf = np.zeros(k, dtype=bool)
-        for j in range(k):
-            o, nw = orig_leaves[j], new_leaves[j]
-            if nw is o:
-                continue  # untargeted leaf: d = |ln(x/x)| = 0 exactly
-            perturbed_leaf[j] = True
-            nf = nw.astype(np.float64)
-            bad = (o == 0.0) | (nf == 0.0) | ((o > 0.0) != (nf > 0.0))
-            do, dn = dec_orig[j], dec_new[j]
-            if dn.dtype != object:
-                # A float perturbed leaf (e.g. rnd's backward map hands
-                # the rounded approximant through under reduced
-                # precision): convert exactly, like the scalar
-                # to_decimal, before the Decimal screening arithmetic.
-                # Stored back so the exact candidate pass below sees
-                # Decimals too; conversion goes through the shared
-                # id-keyed memo, so a leaf the other phases already
-                # converted is not converted again.
-                dn = dec_new[j] = dec_leaf(dn)
-            # Perturbations are relative ~1e-16..1e-13 — far below what a
-            # float ratio can resolve.  A 12-digit Decimal difference
-            # captures them exactly enough for screening (~1e-11 relative
-            # error), at a tenth the cost of the 60-digit exact ln.
-            with decimal.localcontext() as ctx:
-                ctx.prec = 12
-                if bad.any():
-                    dn = np.where(bad, _DEC_ONE, dn)
-                    do = np.where(bad, _DEC_ONE, do)
-                delta = (do - dn) / dn
-            with np.errstate(all="ignore"):
-                a = np.abs(np.log1p(delta.astype(np.float64)))
-            ok = np.isfinite(a) & ~bad
-            approx[j] = np.where(ok, a, 0.0)
-            anomalous[j] = ~ok
-        if not perturbed_leaf.any():
-            return out
-        max_approx = approx.max(axis=0)
-        band = 1e-300 + 1e-6 * max_approx
-        candidates = (approx >= (max_approx - band)[None, :]) & perturbed_leaf[
-            :, None
-        ]
-        candidates |= anomalous
-        for j in np.flatnonzero(candidates.any(axis=1)):
-            do, dn = dec_orig[j], dec_new[j]
-            for i in np.flatnonzero(candidates[j]):
-                d = _rp_exact(do[i], dn[i])
-                if d > out[i]:
-                    out[i] = d
-        return out
-
-    # -- misc --------------------------------------------------------------
-
-
-class _DecArith:
-    """Backward/ideal kernels on Decimal object arrays (the reference).
-
-    Formula bodies are verbatim from the pre-refactor sweep: expression
-    order and working precision match
-    :mod:`repro.semantics.primitives`, so results are bitwise equal to
-    the scalar path.
-    """
-
-    def __init__(self, ambient: decimal.Context) -> None:
-        self.ambient = ambient
-
-    @staticmethod
-    def ensure(tree):
-        return _ensure_dec(tree)
-
-    def add_backward(self, x1, x2, x3):
-        s = x1 + x2
-        return x3 * x1 / s, x3 * x2 / s
-
-    def sub_backward(self, x1, x2, x3):
-        d = x1 - x2
-        return x3 * x1 / d, x3 * x2 / d
-
-    def mul_backward(self, x1, x2, x3):
-        p = x1 * x2
-        scale = _sqrt(x3 / p)
-        return x1 * scale, x2 * scale
-
-    def dmul_backward(self, x1, x3):
-        return x3 / x1
-
-    def div_backward(self, x1, x2, x3):
-        """Appendix C Div: signed square-root witnesses, as array ops.
-
-        The target lives in ``num + unit``; screened rows all divided
-        successfully, so a well-formed target is an all-``inl`` batched
-        sum whose payload is the quotient target (the sweep unwraps it
-        before calling here).  Operand signs carry to the witnesses
-        exactly as in ``div_backward``.
-        """
-        magnitude1 = _sqrt(np.abs(x1 * x2 * x3))
-        magnitude2 = _sqrt(np.abs(x1 * x2 / x3))
-        pos1 = np.asarray(x1 > _DEC_ZERO, dtype=bool)
-        pos2 = np.asarray(x2 > _DEC_ZERO, dtype=bool)
-        return (
-            np.where(pos1, magnitude1, -magnitude1),
-            np.where(pos2, magnitude2, -magnitude2),
-        )
-
-    def verify_discrete(self, name: str, current, target) -> None:
-        """Discrete variables absorb no error (per-element check).
-
-        Mirrors the scalar interpreter's ``values_close`` test, run under
-        the ambient context the scalar path would have used.
-        """
-        if target is current:
-            return
-        leaves_cur = _tree_leaves(current, [])
-        leaves_tgt = _tree_leaves(_materialize_b(target, current), [])
-        with decimal.localcontext(self.ambient):
-            for cur, tgt in zip(leaves_cur, leaves_tgt):
-                if cur is tgt:
-                    continue
-                for c, t in zip(cur, tgt):
-                    if c is not t and not values_close(VNum(c), VNum(t)):
-                        raise LensDomainError(
-                            f"discrete variable {name!r} cannot absorb "
-                            f"error: {VNum(c)!r} vs target {VNum(t)!r}"
-                        )
-
-
 class _EftArith:
     """Backward/ideal kernels on dd (hi/lo float64 pair) arrays.
 
@@ -1684,16 +1242,13 @@ class _EftArith:
     Maintains a per-row ``suspect`` mask: rows where a kernel result
     left the range on which the dd soundness arguments hold (overflow,
     underflow, non-finite, or a product/quotient that underflowed to an
-    exact zero Decimal would have kept nonzero).  Suspect rows may carry
-    garbage dd values from then on — the caller settles them through
-    the per-row scalar reference and never reads their dd results.
-
-    Conditions the *whole* Decimal batch would have refused — an exact
-    zero divisor (DivisionByZero) or a negative radicand
-    (InvalidOperation) on a non-suspect row — raise
-    :class:`_EftUnsupported` instead, so the engine reruns the batch on
-    the Decimal path and inherits its exact behavior (including its
-    batch-wide scalar fallback and its error messages).
+    exact zero Decimal would have kept nonzero), and rows where a kernel
+    met an operand outside its domain — an exact zero divisor, a
+    negative radicand, a discrete target that is not bitwise the
+    forward value.  Suspect rows may carry garbage dd values from then
+    on — the caller settles them through the per-row scalar reference,
+    which decides (or raises) what the reference semantics does there,
+    and never reads their dd results.
 
     Zero tests read ``hi`` alone: every dd here is a kernel output (or
     its negation, magnitude or row selection), hence normalized, and a
@@ -1754,8 +1309,7 @@ class _EftArith:
         return self._guard(r)
 
     def div(self, x, y, y_split=None) -> DD:
-        if bool((~_nonzero(y) & ~self.suspect).any()):
-            raise _EftUnsupported("exact zero divisor in dd sweep")
+        self.suspect |= ~_nonzero(y)
         if isinstance(y, DD):
             r = eft.dd_div(eft.as_dd(x), y)
         else:
@@ -1766,8 +1320,7 @@ class _EftArith:
         return self._guard(r)
 
     def sqrt(self, x: DD) -> DD:
-        if bool(((x.hi < 0.0) & ~self.suspect).any()):
-            raise _EftUnsupported("negative radicand in dd sweep")
+        self.suspect |= x.hi < 0.0
         return self._guard(eft.dd_sqrt(x))
 
     def dmul(self, x1, x2) -> DD:
@@ -1778,8 +1331,8 @@ class _EftArith:
 
     # Backward witnesses.  ``x1``/``x2`` are the op's binary64 forward
     # operands; ``x3`` is its target (dd, or binary64 where untargeted).
-    # Each formula is the Decimal reference's up to the order of its
-    # dd-rounded steps, all far inside the screens' margins.
+    # Each formula is the primitive backward map's up to the order of
+    # its dd-rounded steps, all far inside the screens' margins.
 
     def add_backward(self, x1, x2, x3):
         s = self.add(x1, x2)  # exact: TwoSum of binary64 operands
@@ -1812,9 +1365,10 @@ class _EftArith:
     def verify_discrete(self, name: str, current, target) -> None:
         """Exact-equality-only discrete verify.
 
-        The reference applies ``values_close`` slack and embeds value
-        reprs in its error message; dd reproduces neither, so anything
-        short of bitwise equality defers to the Decimal path.
+        The reference applies ``values_close`` slack and raises a
+        ``LensDomainError`` that embeds value reprs; dd reproduces
+        neither, so rows short of bitwise equality are marked suspect
+        and the scalar reference decides them.
         """
         if target is current:
             return
@@ -1827,10 +1381,7 @@ class _EftArith:
                 ok = (tgt.hi == cur) & (tgt.lo == 0.0)
             else:
                 ok = np.asarray(tgt) == cur
-            if not bool(np.all(ok)):
-                raise _EftUnsupported(
-                    "discrete verify needs the Decimal path"
-                )
+            self.suspect |= ~ok
 
 
 def _nonzero(x) -> np.ndarray:
@@ -1855,7 +1406,8 @@ def _close_screen_eft(ideal, approx, close: np.ndarray, recheck: np.ndarray,
     ``close`` accumulates definite verdicts (``&=``); rows whose dd gap
     falls between the sure thresholds are flagged in ``recheck`` and
     left formally close — the scalar reference overrides them.
-    Structure mirrors :func:`_close_rows`.
+    Structure mirrors :func:`repro.lam_s.values.values_close` on the
+    batched value trees.
     """
     if isinstance(approx, _BPair) and isinstance(ideal, _BPair):
         _close_screen_eft(ideal.left, approx.left, close, recheck, active)
@@ -1896,49 +1448,6 @@ def _close_screen_eft(ideal, approx, close: np.ndarray, recheck: np.ndarray,
     close &= ~active  # structural mismatch: not close on any live row
 
 
-def _close_rows(ideal, approx, out: np.ndarray, active: np.ndarray) -> None:
-    """Row-wise ``values_close`` over batched value trees (``&=`` into out).
-
-    ``active`` restricts which rows a subtree is live on (sums narrow it
-    to the rows whose tags select each payload).
-    """
-    if isinstance(approx, _BPair) and isinstance(ideal, _BPair):
-        _close_rows(ideal.left, approx.left, out, active)
-        _close_rows(ideal.right, approx.right, out, active)
-        return
-    if isinstance(approx, _BSum) and isinstance(ideal, _BSum):
-        am, im = approx.mask, ideal.mask
-        out &= ~active | ~(am ^ im)
-        both_inl = active & am & im
-        both_inr = active & ~am & ~im
-        if bool(both_inl.any()):
-            if ideal.left is None or approx.left is None:
-                out &= ~both_inl
-            else:
-                _close_rows(ideal.left, approx.left, out, both_inl)
-        if bool(both_inr.any()):
-            if ideal.right is None or approx.right is None:
-                out &= ~both_inr
-            else:
-                _close_rows(ideal.right, approx.right, out, both_inr)
-        return
-    if approx is _BUNIT and ideal is _BUNIT:
-        return
-    if isinstance(approx, np.ndarray) and isinstance(ideal, np.ndarray):
-        for j in np.flatnonzero(active & out):
-            if not values_close(VNum(ideal[j]), VNum(approx[j])):
-                out[j] = False
-        return
-    out &= ~active  # structural mismatch: not close on any live row
-
-
-def _slot_of(ir, name: str) -> int:
-    for p in ir.params:
-        if p.name == name:
-            return p.slot
-    raise KeyError(name)
-
-
 def _get_b(targets: List, fsel, slot: int):
     t = targets[slot]
     if t is None:
@@ -1946,16 +1455,6 @@ def _get_b(targets: List, fsel, slot: int):
     if isinstance(t, _BPartial):
         return _materialize_b(t, fsel(slot))
     return t
-
-
-def _dec_array(a: np.ndarray) -> np.ndarray:
-    """Exact float->Decimal conversion of one leaf array."""
-    return a if a.dtype == object else _to_dec(a)
-
-
-def _ensure_dec(tree):
-    """Exact float->Decimal conversion of any float leaves (cf. as_decimal)."""
-    return _map_tree(tree, _dec_array)
 
 
 def _materialize_b(t, fallback):
@@ -2040,19 +1539,6 @@ def _screen_row_distances(d_hat: np.ndarray,
             text = _ROW_FORMAT % a
             out.append(text if text == _ROW_FORMAT % b else None)
     return out
-
-
-def _rp_exact(dx: Decimal, dy: Decimal) -> Decimal:
-    """The RP metric (Equation 5) — the scalar formula, verbatim.
-
-    Runs under the caller's 60-digit distance context, like
-    :func:`repro.semantics.spaces.rp_distance`.
-    """
-    if dx == 0 and dy == 0:
-        return _DEC_ZERO
-    if dx == 0 or dy == 0 or (dx > 0) != (dy > 0):
-        return INF
-    return abs((dx / dy).ln())
 
 
 def run_witness_batch(

@@ -295,9 +295,9 @@ def dd_div(x: DD, y: DD) -> DD:
     ``q + R/y`` is ``x/y`` exactly, so the FastTwoSum of ``q`` and the
     correction is within ``13u² + O(u³)`` relative.  Division by an
     exact dd zero is the caller's case to handle — the batch engine
-    either proves the divisor nonzero or defers the batch to the
-    ``Decimal`` reference — so no zero substitution happens here; zero
-    divisors yield inf/nan garbage the suspect mask quarantines.
+    marks the row suspect and leaves it to the per-row ``Decimal``
+    reference — so no zero substitution happens here; zero divisors
+    yield inf/nan garbage the suspect mask quarantines.
     """
     q = x.hi / y.hi
     p, e = two_prod(q, y.hi)
@@ -313,10 +313,10 @@ def dd_sqrt(x: DD) -> DD:
     residual ``x - s²`` formed through the exact :func:`two_prod`
     leading term, doubles the seed's 53-bit accuracy past 106 bits
     (Karp & Markstein 1997).  Exact zeros map to exact zeros.  Negative
-    leading components would produce nan — the engine treats any
-    negative radicand as a ``Decimal``-path case *before* calling this
-    (matching ``Decimal.sqrt``'s InvalidOperation), so nan here only
-    arises on rows already quarantined.
+    leading components would produce nan — the engine marks a row with
+    a negative radicand suspect (the per-row ``Decimal`` reference
+    decides it, ``Decimal.sqrt``'s InvalidOperation included), so nan
+    here only arises on rows already quarantined.
     """
     zero = x.hi == 0.0
     # Avoid 1/sqrt(0) = inf poisoning the zero rows: substitute 1.0

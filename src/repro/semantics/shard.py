@@ -1,8 +1,8 @@
 """Sharding batch witness runs across worker processes.
 
 The vectorized :class:`~repro.semantics.batch.BatchWitnessEngine` spends
-its time in NumPy array kernels and ``Decimal`` object loops — CPU-bound
-pure-Python work the GIL serializes onto one core.
+its time in NumPy array kernels and per-row ``Decimal`` rechecks —
+CPU-bound work the GIL serializes onto one core.
 :func:`run_witness_sharded` splits the environment rows into contiguous
 shards, certifies each shard on a worker of a
 :class:`~repro.semantics.pool.ShardWorkerPool`, and merges the
@@ -90,9 +90,9 @@ def run_witness_sharded(
 
     ``inputs`` takes the same shape as
     :func:`~repro.semantics.batch.run_witness_batch`; ``engine_options``
-    are the engine's configuration kwargs (``precision``, ``rounding``,
-    ``seed``, ``precision_bits``).  A pre-built lens cannot ship to
-    worker processes — pass its configuration instead.  ``mp_context``
+    are the engine's configuration kwargs (``rounding``, ``seed``,
+    ``precision_bits``, ``collect_rows``).  A pre-built lens cannot ship
+    to worker processes — pass its configuration instead.  ``mp_context``
     selects the multiprocessing start method (default: the platform's);
     the workers are spawn-safe either way.
 
@@ -109,16 +109,10 @@ def run_witness_sharded(
     if "lens" in engine_options:
         raise ValueError(
             "run_witness_sharded cannot ship a lens to worker processes; "
-            "pass the engine configuration (precision, rounding, seed, "
+            "pass the engine configuration (rounding, seed, "
             "precision_bits) instead"
         )
     engine = _build_engine(definition, program, u, engine_options, compose)
-    # Pin the parent's resolved exact-arithmetic backend into the
-    # options the workers receive: a worker must never re-resolve
-    # ``REPRO_EXACT_BACKEND`` (or the default) for itself, so every
-    # shard provably runs the same backend as the merged report claims.
-    engine_options = dict(engine_options)
-    engine_options["exact_backend"] = engine.exact_backend
     columns = engine._columns(inputs)
     n_rows = next(iter(columns.values())).shape[0]
     if workers is None:
@@ -187,7 +181,6 @@ def run_witness_sharded(
         max_dist,
         dict(engine._bounds),
         fallback_rows=fallback_rows,
-        exact_backend=engine.exact_backend,
         rows=rows,
         rechecked_rows=rechecked_rows,
     )

@@ -166,9 +166,17 @@ class AuditServer:
         # A client chooses its shard width, but not without bound: each
         # spawned worker is a fresh interpreter + NumPy import, so an
         # unbounded 'workers' field would let one request exhaust the
-        # host.  Over-cap requests are rejected, never clamped.
+        # host.  Over-cap requests are rejected, never clamped.  An
+        # audit that omits 'workers' runs on the default, so the cap
+        # must admit it.
         if max_request_workers is None:
-            max_request_workers = max(os.cpu_count() or 1, 8)
+            max_request_workers = max(os.cpu_count() or 1, 8, default_workers)
+        elif max_request_workers < default_workers:
+            raise ValueError(
+                f"max_request_workers ({max_request_workers}) is below "
+                f"default_workers ({default_workers}): every audit that "
+                "omits 'workers' would be refused"
+            )
         self.max_request_workers = max_request_workers
         # One Session owns the audit-side cross-cutting state,
         # including the shard workers every sharded request leases —

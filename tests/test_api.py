@@ -645,3 +645,30 @@ class TestPackageSurface:
             pathlib.Path(__file__).parent.parent / "README.md"
         ).read_text(encoding="utf-8")
         assert api.format_engine_table() in readme
+
+    def test_readme_quickstart_runs(self):
+        # The Quickstart's two ``>>>`` blocks, run as one doctest: the
+        # second reuses the first's session and program.
+        import doctest
+        import pathlib
+        import re
+
+        readme = (
+            pathlib.Path(__file__).parent.parent / "README.md"
+        ).read_text(encoding="utf-8")
+        quickstart = readme[readme.index("## Quickstart"):
+                            readme.index("## Python API")]
+        blocks = re.findall(r"```python\n(.*?)```", quickstart, re.S)
+        assert len(blocks) == 2
+        test = doctest.DocTestParser().get_doctest(
+            "".join(blocks), {}, "README Quickstart", "README.md", 0
+        )
+        assert len(test.examples) == 13
+        report = io.StringIO()
+        runner = doctest.DocTestRunner()
+        try:
+            runner.run(test, out=report.write, clear_globs=False)
+        finally:
+            # The sharded audit started the session's worker pool.
+            test.globs["session"].close()
+        assert runner.failures == 0, report.getvalue()

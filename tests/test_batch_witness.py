@@ -387,23 +387,24 @@ class TestRowErrors:
 
 class TestDecimalConversionMemo:
     def test_no_array_converted_twice(self, monkeypatch):
-        # Regression for the latent slow-path waste: the ideal sweep
-        # used to re-convert pass-through float arrays the backward
-        # sweep (or a sibling op) had already pushed through _to_dec.
-        # The phases now share one id-keyed memo, so within a run every
-        # distinct float array is converted at most once.
-        from repro.semantics import batch as batch_module
+        # Regression for the latent slow-path waste: the Decimal
+        # reference's ideal sweep used to re-convert pass-through float
+        # arrays the backward sweep (or a sibling op) had already pushed
+        # through _to_dec.  The phases share one id-keyed memo, so
+        # within a run every distinct float array is converted at most
+        # once.
+        from oracles import batch_decimal_ref
 
-        real = batch_module._to_dec
+        real = batch_decimal_ref._to_dec
         counts: dict = {}
 
         def counting(a):
             counts[id(a)] = counts.get(id(a), 0) + 1
             return real(a)
 
-        monkeypatch.setattr(batch_module, "_to_dec", counting)
+        monkeypatch.setattr(batch_decimal_ref, "_to_dec", counting)
         spec = random_definition(11, n_linear=4, n_steps=7, allow_case=False)
-        engine = BatchWitnessEngine(spec.definition, exact_backend="decimal")
+        engine = batch_decimal_ref.DecimalBatchEngine(spec.definition)
         assert engine.vectorized
         columns = random_batch_inputs(spec, seed=77, n_rows=40)
         report = engine.run(columns)
@@ -515,17 +516,12 @@ class TestScreenEfficiency:
     @pytest.mark.parametrize("index", range(5))
     def test_rechecks_one_row(self, index):
         definition, columns, fallback = _screen_batches(1000)[index]
-        report = run_witness_batch(definition, columns, exact_backend="eft")
+        report = run_witness_batch(definition, columns)
         assert report.all_sound
         assert report.fallback_rows == fallback
         # The screen before the binary64-operand kernels rechecked one
         # row on each of these batches; more is a screen that slid.
         assert report.rechecked_rows == 1, definition.name
-
-    def test_decimal_backend_rechecks_nothing(self):
-        definition, columns, _ = _screen_batches(50)[3]
-        report = run_witness_batch(definition, columns, exact_backend="decimal")
-        assert report.rechecked_rows == 0
 
     def test_sharded_counts_sum_over_shards(self):
         definition, columns, _ = _screen_batches(40)[3]
@@ -535,3 +531,213 @@ class TestScreenEfficiency:
         ]
         sharded = run_witness_sharded(definition, columns, workers=2)
         assert sharded.rechecked_rows == sum(h.rechecked_rows for h in halves)
+
+
+#: add (a dd quotient), mul (a dd square root) and dmul over a
+#: destructured discrete pair (a discrete verify) — every kernel whose
+#: domain the dd sweep checks per row.
+_SETTLE_SOURCE = """F (x : num * num) (y : num * num) (w : !(num * num)) :=
+  dlet (w0, w1) = w in
+  let (x0, x1) = x in
+  let (y0, y1) = y in
+  let p = mul x0 y0 in
+  let q = dmul w0 x1 in
+  let r = dmul w1 y1 in
+  let s = add q r in
+  add p s"""
+_SETTLE_ROWS = 2500
+#: The row each test injects its cause into; the last row is
+#: non-finite and takes the scalar fallback.
+_INJECTED = 1234
+
+
+@pytest.fixture(scope="module")
+def settle_case():
+    from repro.api import Session
+
+    program = Session().parse(_SETTLE_SOURCE)
+    rng = np.random.default_rng(21)
+    columns = {
+        "x": rng.uniform(0.5, 4.0, (_SETTLE_ROWS, 2)),
+        "y": rng.uniform(0.5, 4.0, (_SETTLE_ROWS, 2)),
+        "w": rng.uniform(0.5, 4.0, (_SETTLE_ROWS, 2)),
+    }
+    columns["x"][-1, 0] = np.inf
+    engine = BatchWitnessEngine(program.main, program, collect_rows=True)
+    seen = []
+    scalar_report = engine._scalar_report
+
+    def spy(cols, i):
+        seen.append(i)
+        return scalar_report(cols, i)
+
+    engine._scalar_report = spy
+    baseline = engine.run(columns)
+    assert baseline.fallback_rows == 1
+    # Without an injection the screen decides the chosen row itself.
+    assert _INJECTED not in seen
+    return program, columns, baseline
+
+
+def _looped(program, columns, lens, raising=None):
+    """Looping run_witness; ``raising`` maps a row to its injected error."""
+    from repro.semantics.batch import _ROW_ERRORS
+
+    engine = BatchWitnessEngine(program.main, program, lens=lens)
+    reports, errors = {}, {}
+    for i in range(_SETTLE_ROWS):
+        if raising is not None and i in raising:
+            errors[i] = raising[i]
+            continue
+        try:
+            reports[i] = run_witness(
+                program.main, engine._row_inputs(columns, i),
+                program=program, lens=lens,
+            )
+        except _ROW_ERRORS as exc:
+            errors[i] = exc
+    return reports, errors
+
+
+def _assert_matches_loop(report, reports, errors):
+    from repro.semantics.spaces import render_row_distance
+
+    n = _SETTLE_ROWS
+    assert list(report.sound) == [i in reports and reports[i].sound for i in range(n)]
+    assert list(report.exact) == [
+        i in reports and reports[i].exact_match for i in range(n)
+    ]
+    assert set(report.errors) == set(errors)
+    for i, exc in errors.items():
+        assert type(report.errors[i]) is type(exc), i
+        assert str(report.errors[i]) == str(exc), i
+    assert {k: str(v) for k, v in report.param_max_distance.items()} == {
+        name: str(max(rep.params[name].distance for rep in reports.values()))
+        for name in ("x", "y", "w")
+    }
+    for i, sound, exact, distances, exc in report.rows:
+        if i in errors:
+            assert (sound, exact, distances) == (False, False, {}), i
+            assert exc is report.errors[i]
+        else:
+            assert distances == {
+                name: render_row_distance(w.distance)
+                for name, w in reports[i].params.items()
+            }, i
+            assert exc is None
+
+
+class TestPerRowSettlement:
+    """Each case the dd sweep cannot decide goes to the scalar reference
+    for its own row; the other rows stay vectorized.
+
+    No Bean input reaches these cases (the forward risk mask keeps zero
+    divisors and sign flips off the dd path), so each test injects one
+    into row ``_INJECTED`` of a 2.5k-row batch.
+    """
+
+    @staticmethod
+    def _check(settle_case, monkeypatch, kernel, inject):
+        """Run the batch with ``inject`` applied to the operands of the
+        first ``_EftArith.<kernel>`` call, and hold it to the loop."""
+        from repro.semantics.batch import _EftArith
+
+        program, columns, baseline = settle_case
+        original = getattr(_EftArith, kernel)
+        done = []
+
+        def patched(arith, *args):
+            if not done:
+                done.append(True)
+                args = inject(*args)
+            return original(arith, *args)
+
+        monkeypatch.setattr(_EftArith, kernel, patched)
+        engine = BatchWitnessEngine(program.main, program, collect_rows=True)
+        seen = []
+        scalar_report = engine._scalar_report
+
+        def spy(cols, i):
+            seen.append(i)
+            return scalar_report(cols, i)
+
+        monkeypatch.setattr(engine, "_scalar_report", spy)
+        report = engine.run(columns)
+        assert done
+        assert _INJECTED in seen
+        assert report.fallback_rows == baseline.fallback_rows
+        assert report.rechecked_rows <= baseline.rechecked_rows + 1
+        assert report.rechecked_rows <= 0.05 * _SETTLE_ROWS
+        _assert_matches_loop(report, *_looped(program, columns, engine.lens))
+
+    def test_zero_divisor(self, settle_case, monkeypatch):
+        from repro.semantics.eft import DD
+
+        def zero_row(x, y, y_split=None):
+            if isinstance(y, DD):
+                hi, lo = y.hi.copy(), y.lo.copy()
+                hi[_INJECTED] = lo[_INJECTED] = 0.0
+                return x, DD(hi, lo)
+            y = y.copy()
+            y[_INJECTED] = 0.0
+            return x, y
+
+        self._check(settle_case, monkeypatch, "div", zero_row)
+
+    def test_negative_radicand(self, settle_case, monkeypatch):
+        from repro.semantics.eft import DD
+
+        def negate_row(x):
+            hi, lo = x.hi.copy(), x.lo.copy()
+            hi[_INJECTED], lo[_INJECTED] = -hi[_INJECTED], -lo[_INJECTED]
+            return (DD(hi, lo),)
+
+        self._check(settle_case, monkeypatch, "sqrt", negate_row)
+
+    def test_discrete_target_mismatch(self, settle_case, monkeypatch):
+        from repro.semantics.batch import _BPair, _materialize_b
+
+        def nudge_row(name, current, target):
+            target = _materialize_b(target, current)
+            left = np.array(target.left, copy=True)
+            left[_INJECTED] = np.nextafter(left[_INJECTED], np.inf)
+            return name, current, _BPair(left, target.right)
+
+        self._check(settle_case, monkeypatch, "verify_discrete", nudge_row)
+
+    def test_recheck_error_on_the_max_distance_row(self, settle_case,
+                                                   monkeypatch):
+        from repro.semantics.lens import LensDomainError
+
+        program, columns, baseline = settle_case
+        engine = BatchWitnessEngine(program.main, program, collect_rows=True)
+        reports, _ = _looped(program, columns, engine.lens)
+        top = max(reports, key=lambda i: reports[i].params["x"].distance)
+        injected = LensDomainError(f"injected at row {top}")
+        scalar_report = engine._scalar_report
+
+        def raising(cols, i):
+            if i == top:
+                raise injected
+            return scalar_report(cols, i)
+
+        monkeypatch.setattr(engine, "_scalar_report", raising)
+        report = engine.run(columns)
+        assert report.errors[top] is injected
+        assert report.fallback_rows == baseline.fallback_rows
+        assert report.rechecked_rows <= baseline.rechecked_rows + 2
+        _assert_matches_loop(
+            report, *_looped(program, columns, engine.lens, {top: injected})
+        )
+
+    def test_other_ideal_precision_runs_the_scalar_loop(self, settle_case):
+        from repro.semantics.interp import lens_of_definition
+
+        program, columns, _ = settle_case
+        lens = lens_of_definition(program.main, program=program, precision=30)
+        engine = BatchWitnessEngine(program.main, program, lens=lens,
+                                    collect_rows=True)
+        assert not engine.vectorized
+        report = engine.run(columns)
+        assert report.fallback_rows == _SETTLE_ROWS
+        _assert_matches_loop(report, *_looped(program, columns, lens))

@@ -104,27 +104,6 @@ class TestWitness:
 
     BATCH_INPUTS = '{"x": [[1.5, 2.25], [0.5, 4.0]], "y": [[3.1, -0.7], [2.0, 1.25]]}'
 
-    def test_witness_exact_backend_bytes_identical(self, bean_file, capsys):
-        payloads = {}
-        for backend in ("eft", "decimal"):
-            code = main(
-                [
-                    "witness",
-                    bean_file,
-                    "--batch",
-                    "--inputs",
-                    self.BATCH_INPUTS,
-                    "--exact-backend",
-                    backend,
-                    "--json",
-                ]
-            )
-            assert code == 0
-            payloads[backend] = json.loads(capsys.readouterr().out)
-        assert payloads["eft"].pop("exact_backend") == "eft"
-        assert payloads["decimal"].pop("exact_backend") == "decimal"
-        assert payloads["eft"] == payloads["decimal"]
-
     def test_decimal_is_a_backend_not_an_engine(self, bean_file, capsys):
         with pytest.raises(SystemExit) as excinfo:
             main(
@@ -150,22 +129,6 @@ class TestWitness:
         assert "1:12: unexpected character '²'" in err
         assert "Traceback" not in err
 
-    def test_witness_bad_exact_backend_error_line(self, bean_file, capsys):
-        code = main(
-            [
-                "witness",
-                bean_file,
-                "--batch",
-                "--inputs",
-                self.BATCH_INPUTS,
-                "--exact-backend",
-                "quadruple",
-            ]
-        )
-        assert code == 1
-        err = capsys.readouterr().err
-        assert err.startswith("error:")
-        assert "exact_backend must be 'eft' or 'decimal'" in err
 
 
 class TestExamples:

@@ -33,6 +33,7 @@ import json
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
+from oracles.batch_decimal_ref import DecimalBatchEngine
 from oracles.interp_ref import reference_lens, run_witness_ref
 from strategies import (
     batch_row,
@@ -243,27 +244,23 @@ class TestExactBackendParity:
     """The EFT double-double kernels against the Decimal reference.
 
     The batch engine's backward/ideal sweeps run on error-free
-    transformations by default; the contract is that every observable —
-    verdicts, exact-match flags, Decimal distance strings, per-param
-    maxima, perturbed-value reprs, captured error types/messages, and
-    the ``fallback_rows`` accounting — is *bit-for-bit* what the
-    original 50-digit Decimal implementation produces.  With
+    transformations; the contract is that every observable — verdicts,
+    exact-match flags, Decimal distance strings, per-param maxima,
+    perturbed-value reprs, captured error types/messages, and the
+    ``fallback_rows`` accounting — is *bit-for-bit* what the 50-digit
+    Decimal sweeps of :mod:`oracles.batch_decimal_ref` produce.  With
     ``collect_rows`` the rendered payloads, ``rows`` section included,
-    are byte-identical apart from the ``exact_backend`` label.
+    are byte-identical.
     """
 
     @staticmethod
     def _payload_text(report):
-        payload = batch_report_payload(
+        return render_payload(batch_report_payload(
             report, engine="batch", u=2.0**-53, precision_bits=53
-        )
-        del payload["exact_backend"]
-        return render_payload(payload)
+        ))
 
     @classmethod
     def _compare(cls, eft, dec, n_rows, collect_rows=False):
-        assert eft.exact_backend == "eft"
-        assert dec.exact_backend == "decimal"
         assert list(eft.sound) == list(dec.sound)
         assert list(eft.exact) == list(dec.exact)
         assert eft.fallback_rows == dec.fallback_rows
@@ -299,11 +296,11 @@ class TestExactBackendParity:
                 columns[name] = columns[name].copy()
                 columns[name][1] = poison
         reports = {}
-        for backend in ("eft", "decimal"):
-            engine = BatchWitnessEngine(
+        for backend, engine_cls in (("eft", BatchWitnessEngine),
+                                    ("decimal", DecimalBatchEngine)):
+            engine = engine_cls(
                 spec.definition,
                 spec.program,
-                exact_backend=backend,
                 collect_rows=collect_rows,
                 **engine_options,
             )
@@ -320,31 +317,21 @@ class TestExactBackendParity:
         for name in columns:
             columns[name] = columns[name].copy()
             columns[name][3] = float("inf")
-        reports = {}
-        for backend in ("eft", "decimal"):
-            reports[backend] = run_witness_sharded(
+        # The reference runs in-process on the whole batch; sharding
+        # is invisible in every observable the comparison reads.
+        reports = {
+            "eft": run_witness_sharded(
                 spec.definition,
                 columns,
                 program=spec.program,
                 workers=workers,
-                exact_backend=backend,
                 collect_rows=collect_rows,
-            )
+            ),
+            "decimal": DecimalBatchEngine(
+                spec.definition, spec.program, collect_rows=collect_rows
+            ).run(columns),
+        }
         self._compare(reports["eft"], reports["decimal"], 8, collect_rows)
-
-    def test_env_var_selects_backend(self, monkeypatch):
-        spec = random_definition(2)
-        monkeypatch.setenv("REPRO_EXACT_BACKEND", "decimal")
-        assert BatchWitnessEngine(spec.definition).exact_backend == "decimal"
-        monkeypatch.setenv("REPRO_EXACT_BACKEND", "eft")
-        assert BatchWitnessEngine(spec.definition).exact_backend == "eft"
-        # An explicit argument beats the environment.
-        monkeypatch.setenv("REPRO_EXACT_BACKEND", "decimal")
-        engine = BatchWitnessEngine(spec.definition, exact_backend="eft")
-        assert engine.exact_backend == "eft"
-        monkeypatch.setenv("REPRO_EXACT_BACKEND", "bogus")
-        with pytest.raises(ValueError, match="exact_backend"):
-            BatchWitnessEngine(spec.definition)
 
 
 class TestServedParity:

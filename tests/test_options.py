@@ -167,14 +167,14 @@ class TestTable:
         request = api.AuditRequest(
             program=program, definition=program.main, inputs=BATCH_INPUTS,
             u=2.0**-53, precision_bits=53, workers=3, mp_context=None,
-            exact_backend="decimal", collect_rows=True, sweep_bits=None,
+            collect_rows=True, sweep_bits=None,
             compose=False, pool=None,
         )
         spec = engine._spec_of_request(request)
         assert spec == {
             "source": spec["source"], "name": "F", "inputs": BATCH_INPUTS,
             "engine": "sharded", "workers": 3, "precision_bits": 53,
-            "u": 2.0**-53, "exact_backend": "decimal", "rows": True,
+            "u": 2.0**-53, "rows": True,
         }
 
 
@@ -338,9 +338,6 @@ def option_dicts(draw):
             st.just(24.0),
         )),
         "u": draw(st.one_of(st.none(), ROUNDOFFS)),
-        "exact_backend": draw(st.one_of(
-            st.none(), st.sampled_from(["eft", "decimal", "quad", 1, True])
-        )),
         "rows": draw(FLAGS),
         "stream": draw(FLAGS),
         "sweep_bits": draw(st.one_of(
@@ -368,7 +365,6 @@ WITNESS_VALUES = {
     "workers": ([1, 2, 3], [0, -1]),
     "u": ([None, "2^-53", "2**-24", "1e-8", "0.25"],
           ["inf", "nan", "1", "0", "-1", "huge"]),
-    "exact_backend": ([None, "eft", "decimal"], ["quad"]),
     "precision_bits": ([53, 24, 11, 8, 1], [0, 54, -1]),
     "sweep_bits": ([[8, 24], [11, 24, 53], [1, 53]], [[24, 8], [8, 8], [8, 54]]),
 }
@@ -406,9 +402,8 @@ def witness_argv(options):
         )
     else:
         argv.append(f"--precision-bits={options['precision_bits']}")
-    for name in ("u", "exact_backend"):
-        if options[name] is not None:
-            argv.append(f"--{name.replace('_', '-')}={options[name]}")
+    if options["u"] is not None:
+        argv.append(f"--u={options['u']}")
     for name in ("rows", "compose"):
         if options[name]:
             argv.append(f"--{name}")
@@ -430,3 +425,50 @@ def test_unknown_engine_is_the_registry_message(served, session):
         "error", str(UnknownEngineError("warp", api.engine_names()))
     )
     assert http_outcome(served, options) == (kind, message)
+
+
+# --------------------------------------------------------------------------
+# exact_backend: one exact path, no backend option on any surface
+# --------------------------------------------------------------------------
+
+
+class TestNoExactBackend:
+    def test_environment_cannot_select_a_backend(
+        self, served, session, monkeypatch
+    ):
+        # $REPRO_EXACT_BACKEND once picked the batch engine's exact
+        # arithmetic outside the option table (and a bad value failed
+        # batch audits only, with a 422).  It is read nowhere now.
+        options = {"engine": "batch", "inputs": BATCH_INPUTS}
+        want = session_outcome(session, options)
+        assert want[0] == "ok"
+        assert http_outcome(served, options) == want
+        monkeypatch.setenv("REPRO_EXACT_BACKEND", "quad")
+        assert session_outcome(session, options) == want
+        assert http_outcome(served, options) == want
+
+    @pytest.mark.parametrize("command", ["witness", "client"])
+    def test_cli_flag_is_gone(self, served, tmp_path, capsys, command):
+        path = tmp_path / "f.bean"
+        path.write_text(SOURCE)
+        argv = [command, str(path), "--batch",
+                "--inputs", json.dumps(BATCH_INPUTS), "--exact-backend", "eft"]
+        if command == "client":
+            argv += ["--port", str(served.port)]
+        with pytest.raises(SystemExit) as info:
+            main(argv)
+        assert info.value.code == 2  # argparse usage error
+        assert "unrecognized arguments: --exact-backend" in capsys.readouterr().err
+
+    def test_session_and_http_refuse_the_field(self, served, session):
+        with pytest.raises(TypeError, match="exact_backend"):
+            session.audit(SOURCE, inputs=BATCH_INPUTS, engine="batch",
+                          exact_backend="eft")
+        status, body = service_client.audit(served.host, served.port, {
+            "source": SOURCE, "inputs": BATCH_INPUTS, "engine": "batch",
+            "exact_backend": "eft",
+        })
+        assert status == 400
+        assert json.loads(body)["error"] == (
+            "unknown request field(s): ['exact_backend']"
+        )

@@ -22,6 +22,7 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 
 np = pytest.importorskip("numpy")
 
+from oracles.batch_decimal_ref import run_witness_batch_ref
 from strategies import random_batch_inputs, random_program
 from repro.api import Session
 from repro.api.result import render_payload
@@ -104,12 +105,9 @@ class TestPooledParity:
             name: rng.uniform(0.5, 4.0, (9, 5)) for name in ("x", "y", "f")
         }
         columns["y"][4, 2] = 0.0  # one inr row, mid-shard
-        single = run_witness_batch(
-            definition, columns, exact_backend="decimal"
-        )
+        single = run_witness_batch_ref(definition, columns)
         pooled = run_witness_sharded(
             definition, columns, workers=2, pool=pool,
-            exact_backend="decimal",
         )
         _assert_report_parity(pooled, single)
         assert pooled.fallback_rows >= 1

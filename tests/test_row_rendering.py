@@ -26,10 +26,12 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
+from oracles.batch_decimal_ref import DecimalBatchEngine
 from repro.api import Session, render_payload
 from repro.core import Program
 from repro.programs.generators import BENCHMARK_FAMILIES
-from repro.semantics.batch import BatchWitnessEngine, _screen_row_distances
+from repro.semantics import batch as batch_module
+from repro.semantics.batch import _screen_row_distances
 from repro.semantics.spaces import render_row_distance
 
 
@@ -178,20 +180,23 @@ def test_rows_run_on_the_eft_path(monkeypatch, family, n):
     program = Program([BENCHMARK_FAMILIES[family](n)])
     inputs = _inputs(family, n, np.random.default_rng(n))
     finished_decimal = []
-    finish_decimal = BatchWitnessEngine._finish_decimal
+    finish_decimal = DecimalBatchEngine._finish
 
     def spy(self, *args, **kwargs):
-        finished_decimal.append(self.exact_backend)
+        finished_decimal.append(type(self).__name__)
         return finish_decimal(self, *args, **kwargs)
 
-    monkeypatch.setattr(BatchWitnessEngine, "_finish_decimal", spy)
+    monkeypatch.setattr(DecimalBatchEngine, "_finish", spy)
     with Session() as session:
         eft = session.audit(program, inputs=inputs, engine="batch",
-                            rows=True, exact_backend="eft")
-        dec = session.audit(program, inputs=inputs, engine="batch",
-                            rows=True, exact_backend="decimal")
-    assert finished_decimal == ["decimal"]
+                            rows=True)
+        # The same audit with phases 2-4 on the Decimal reference.
+        with monkeypatch.context() as patch:
+            patch.setattr(batch_module, "BatchWitnessEngine",
+                          DecimalBatchEngine)
+            dec = session.audit(program, inputs=inputs, engine="batch",
+                                rows=True)
+    assert finished_decimal == ["DecimalBatchEngine"]
     assert eft.report.rechecked_rows <= 0.01 * _ROWS
     assert eft.payload["exact_backend"] == "eft"
-    relabelled = dict(eft.payload, exact_backend="decimal")
-    assert render_payload(relabelled) == dec.to_json()
+    assert render_payload(eft.payload) == dec.to_json()

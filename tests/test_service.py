@@ -316,6 +316,37 @@ class TestAuditServer:
         # ThreadPoolExecutor traceback.
         assert main(["serve", "--port", "0", "--heavy-threads", "0"]) == 1
 
+    def test_worker_cap_below_default_is_refused(self):
+        with pytest.raises(ValueError, match="max_request_workers"):
+            AuditServer(default_workers=16, max_request_workers=8)
+        assert main(["serve", "--port", "0", "--workers", "16",
+                     "--max-request-workers", "8"]) == 1
+
+    @pytest.mark.parametrize("default_workers, max_request_workers",
+                             [(2, 8), (16, None)])
+    def test_worker_cap_admits_the_default(self, default_workers,
+                                           max_request_workers):
+        handle = serve(AuditServer(
+            port=0, default_workers=default_workers,
+            max_request_workers=max_request_workers,
+        ))
+        try:
+            cap = handle.server.max_request_workers
+            assert cap >= default_workers
+            status, _ = served_audit(handle, {
+                "source": SAFEDIV_SOURCE, "inputs": SCALAR_INPUTS,
+                "engine": "ir",
+            })
+            assert status == 200
+            status, body = served_audit(handle, {
+                "source": SAFEDIV_SOURCE, "inputs": BATCH_INPUTS,
+                "engine": "sharded", "workers": cap + 1,
+            })
+            assert status == 400
+            assert f"'workers' capped at {cap}" in json.loads(body)["error"]
+        finally:
+            handle.stop()
+
     def test_engine_aware_pool_routing(self, audit_server):
         source = SAFEDIV_SOURCE
         before = dict(audit_server.server.stats)

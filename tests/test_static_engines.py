@@ -266,36 +266,33 @@ class TestSweepEngine:
                 independent.to_json()
             )
 
-    def test_per_precision_eft_bitwise_and_decimal_cross(self):
-        # The sweep engine inherits the EFT fast path: explicitly under
-        # exact_backend="eft" its per_precision entries stay bit-equal
-        # to independent batch audits, and — modulo the informational
-        # backend stamp — to the Decimal reference's bytes too.
+    def test_per_precision_eft_bitwise_and_decimal_cross(self, monkeypatch):
+        # The sweep engine inherits the EFT fast path: its
+        # per_precision entries stay bit-equal to independent batch
+        # audits, and to the Decimal reference's bytes too.
+        from oracles.batch_decimal_ref import DecimalBatchEngine
+        from repro.semantics import batch as batch_module
+
         session, program, inputs = self._workload()
-        sweep = session.audit(
-            program, inputs=inputs, engine="sweep", exact_backend="eft"
-        )
+        sweep = session.audit(program, inputs=inputs, engine="sweep")
         for bits in SWEEP_PRECISIONS:
             independent = session.audit(
                 program,
                 inputs=inputs,
                 engine="batch",
                 precision_bits=bits,
-                exact_backend="eft",
             )
             assert sweep.per_precision[str(bits)] == independent.payload, bits
-            reference = session.audit(
-                program,
-                inputs=inputs,
-                engine="batch",
-                precision_bits=bits,
-                exact_backend="decimal",
-            )
-            got = dict(sweep.per_precision[str(bits)])
-            want = dict(reference.payload)
-            assert got.pop("exact_backend") == "eft"
-            assert want.pop("exact_backend") == "decimal"
-            assert got == want, bits
+            with monkeypatch.context() as patch:
+                patch.setattr(batch_module, "BatchWitnessEngine",
+                              DecimalBatchEngine)
+                reference = session.audit(
+                    program,
+                    inputs=inputs,
+                    engine="batch",
+                    precision_bits=bits,
+                )
+            assert sweep.per_precision[str(bits)] == reference.payload, bits
 
     def test_tightest_bits_follow_from_independent_verdicts(self):
         session, program, inputs = self._workload()
