@@ -46,67 +46,26 @@ from .result import (
 __all__ = ["SWEEP_PRECISIONS", "RemoteEngine", "ScalarLensEngine"]
 
 
-def _composed_lens(request: AuditRequest) -> Tuple[Any, Any]:
-    """A lens whose grades come from composed per-definition summaries.
-
-    Returns ``(lens, composed)``: the judgment handed to the lens is the
-    round-trip of the definition's cached (or freshly built) summary —
-    bit-identical to the whole-program check — so the witness run and
-    its payload match the non-composed audit exactly.
-    """
-    from ..compose.engine import composed_judgments
-    from ..semantics.interp import lens_of_definition
-
-    composed = composed_judgments(request.program)
-    lens = lens_of_definition(
-        request.definition,
-        composed.judgments[request.definition.name],
-        request.program,
-    )
-    return lens, composed
-
-
-def _compose_provenance(
-    request: AuditRequest, composed: Any, execution: str
-) -> Any:
-    """The :class:`~repro.compose.engine.ComposeProvenance` of one audit."""
-    from ..compose.engine import ComposeProvenance, composition_plan
-
-    return ComposeProvenance(
-        definition=request.definition.name,
-        definitions=len(composed.judgments),
-        summaries_reused=len(composed.reused),
-        summaries_built=len(composed.built),
-        sites=composition_plan(request.definition, composed.summaries),
-        execution=execution,
-    )
-
-
 def _execution_fallbacks(
-    definition: A.Definition,
-    program: Optional[A.Program],
-    ir: Optional[Any] = None,
+    definition: A.Definition, program: Optional[A.Program]
 ) -> List[Dict[str, Any]]:
     """The inline-fallback section of a batch audit's execution IR.
 
-    ``ir`` is the already-resolved execution IR when the caller has one
-    (the composed path); otherwise the resolution mirrors
+    The resolution mirrors
     :class:`~repro.semantics.batch.BatchWitnessEngine`'s — both lookups
     hit the per-process IR cache, so this costs two dict probes.
     """
     from ..ir.cache import inlined_definition_ir, semantic_definition_ir
     from ..ir.inline import inline_fallback_info
 
-    if ir is None:
-        ir = semantic_definition_ir(definition)
-        if ir.has_calls and program is not None:
-            ir = inlined_definition_ir(definition, program)
+    ir = semantic_definition_ir(definition)
+    if ir.has_calls and program is not None:
+        ir = inlined_definition_ir(definition, program)
     return inline_fallback_info(ir)
 
 
 @register_engine(
     "ir",
-    compose=True,
     description="unboxed slot executor over the flat IR (the default)",
 )
 class ScalarLensEngine:
@@ -120,12 +79,7 @@ class ScalarLensEngine:
         from ..semantics.interp import lens_of_program
         from ..semantics.witness import run_witness
 
-        provenance = None
-        if request.compose:
-            lens, composed = _composed_lens(request)
-            provenance = _compose_provenance(request, composed, "scalar")
-        else:
-            lens = lens_of_program(request.program, request.definition.name)
+        lens = lens_of_program(request.program, request.definition.name)
         lens.precision_bits = request.precision_bits
         report = run_witness(
             request.definition,
@@ -141,7 +95,7 @@ class ScalarLensEngine:
             u=request.u,
             precision_bits=request.precision_bits,
         )
-        return AuditResult(report, payload, report.sound, False, provenance)
+        return AuditResult(report, payload, report.sound, False)
 
 
 @register_engine(
@@ -149,7 +103,6 @@ class ScalarLensEngine:
     batched=True,
     needs_numpy=True,
     rows=True,
-    compose=True,
     description="vectorized NumPy witness over environment rows",
 )
 class BatchEngine:
@@ -159,20 +112,7 @@ class BatchEngine:
         from ..semantics.batch import run_witness_batch
         from ..semantics.interp import lens_of_program
 
-        provenance = None
-        engine_options: Dict[str, Any] = {}
-        ir = None
-        if request.compose:
-            from ..compose.engine import compose_execution_ir
-
-            lens, composed = _composed_lens(request)
-            ir, execution = compose_execution_ir(
-                request.definition, request.program, composed.summaries
-            )
-            engine_options["inlined_ir"] = ir
-            provenance = _compose_provenance(request, composed, execution)
-        else:
-            lens = lens_of_program(request.program, request.definition.name)
+        lens = lens_of_program(request.program, request.definition.name)
         lens.precision_bits = request.precision_bits
         report = run_witness_batch(
             request.definition,
@@ -181,7 +121,6 @@ class BatchEngine:
             u=request.u,
             lens=lens,
             collect_rows=request.collect_rows,
-            **engine_options,
         )
         payload = batch_report_payload(
             report,
@@ -189,10 +128,10 @@ class BatchEngine:
             u=request.u,
             precision_bits=request.precision_bits,
             inline_fallbacks=_execution_fallbacks(
-                request.definition, request.program, ir
+                request.definition, request.program
             ),
         )
-        return AuditResult(report, payload, report.all_sound, True, provenance)
+        return AuditResult(report, payload, report.all_sound, True)
 
 
 @register_engine(
@@ -201,7 +140,6 @@ class BatchEngine:
     multiprocess=True,
     needs_numpy=True,
     rows=True,
-    compose=True,
     description="batch rows fanned out over worker processes",
 )
 class ShardedEngine:
@@ -210,22 +148,6 @@ class ShardedEngine:
     def audit(self, request: AuditRequest) -> AuditResult:
         from ..semantics.shard import run_witness_sharded
 
-        provenance = None
-        ir = None
-        if request.compose:
-            from ..compose.engine import compose_execution_ir, composed_judgments
-
-            # Plan (and record) the composed execution here; the
-            # sharded runner re-plans the same IR — deterministically —
-            # in the parent engine and every worker rather than
-            # shipping it across process pipes.  No composed lens is
-            # needed: composed judgments are bit-identical to the
-            # whole-program check the workers' own lenses run on.
-            composed = composed_judgments(request.program)
-            ir, execution = compose_execution_ir(
-                request.definition, request.program, composed.summaries
-            )
-            provenance = _compose_provenance(request, composed, execution)
         report = run_witness_sharded(
             request.definition,
             request.inputs,
@@ -235,7 +157,6 @@ class ShardedEngine:
             precision_bits=request.precision_bits,
             mp_context=request.mp_context,
             pool=request.pool,
-            compose=request.compose,
             collect_rows=request.collect_rows,
         )
         payload = batch_report_payload(
@@ -245,10 +166,10 @@ class ShardedEngine:
             precision_bits=request.precision_bits,
             workers=request.workers,
             inline_fallbacks=_execution_fallbacks(
-                request.definition, request.program, ir
+                request.definition, request.program
             ),
         )
-        return AuditResult(report, payload, report.all_sound, True, provenance)
+        return AuditResult(report, payload, report.all_sound, True)
 
 
 # --------------------------------------------------------------------------
@@ -621,7 +542,6 @@ class SweepEngine:
     batched=True,
     remote=True,
     rows=True,
-    compose=True,
     description="fleet dispatch: consistent-hash fan-out over serve nodes",
 )
 class RemoteEngine:
@@ -726,7 +646,6 @@ class RemoteEngine:
             u=request.u,
             rows=request.collect_rows,
             sweep_bits=request.sweep_bits,
-            compose=request.compose,
         )
 
     def _route_fingerprint(self, request: AuditRequest) -> Optional[str]:

@@ -215,18 +215,6 @@ OPTIONS: Tuple[AuditOption, ...] = (
         "engines ignore it",
         conflict="unless strictly increasing",
     ),
-    AuditOption(
-        "compose", None, _flag, "compose must be a boolean",
-        "derive grades from cached per-definition summaries; the payload "
-        "is byte-identical (default false)",
-        conflict="on an engine that cannot compose",
-        needs="compose",
-        needs_message=(
-            "engine {engine!r} cannot compose summaries; "
-            "compose needs one of: {capable}"
-        ),
-        flag={"action": "store_true"},
-    ),
 )
 
 #: The options by name.

@@ -75,11 +75,7 @@ class EngineCaps:
     parity harness, the soak driver, every-engine tests — skip it
     unless a node pool is wired up); ``rows`` — can materialize the
     schema-v5 per-row witness section (``collect_rows`` requests and
-    the streaming serving path are valid only for these engines);
-    ``compose`` — can derive grades by composing per-definition
-    summaries at call sites (:mod:`repro.compose`) instead of
-    re-deriving the whole program (``compose`` requests are valid only
-    for these engines).
+    the streaming serving path are valid only for these engines).
     """
 
     batched: bool = False
@@ -88,7 +84,6 @@ class EngineCaps:
     static: bool = False
     remote: bool = False
     rows: bool = False
-    compose: bool = False
     description: str = ""
 
 
@@ -117,10 +112,6 @@ class AuditRequest:
     #: significand widths the sweep engine audits, strictly increasing;
     #: ``None`` means the engine's default list.
     sweep_bits: Optional[Tuple[int, ...]] = None
-    #: derive grades by composing cached per-definition summaries at
-    #: call sites (engines with ``caps.compose`` only); payload bytes
-    #: are identical to the non-composed audit wherever both apply.
-    compose: bool = False
     #: the session's :class:`~repro.semantics.pool.ShardWorkerPool` for
     #: multiprocess engines; ``None`` runs the shards on a transient
     #: pool.  Results are byte-identical either way.
@@ -162,7 +153,6 @@ def register_engine(
     static: bool = False,
     remote: bool = False,
     rows: bool = False,
-    compose: bool = False,
     description: str = "",
     replace: bool = False,
 ) -> Callable[[_E], _E]:
@@ -180,7 +170,6 @@ def register_engine(
         static=static,
         remote=remote,
         rows=rows,
-        compose=compose,
         description=description,
     )
 
@@ -240,9 +229,9 @@ def format_engine_table() -> str:
     """
     header = (
         "| engine | batched rows | multi-process | needs numpy | static "
-        "| per-row witnesses | compose | role |",
+        "| per-row witnesses | role |",
         "|--------|--------------|---------------|-------------|--------"
-        "|-------------------|---------|------|",
+        "|-------------------|------|",
     )
     yn = {True: "yes", False: "no"}
     rows = []
@@ -252,6 +241,6 @@ def format_engine_table() -> str:
         rows.append(
             f"| `{name}` | {yn[caps.batched]} | {yn[caps.multiprocess]} "
             f"| {yn[caps.needs_numpy]} | {yn[caps.static]} | {yn[caps.rows]} "
-            f"| {yn[caps.compose]} | {role} |"
+            f"| {role} |"
         )
     return "\n".join(header + tuple(rows))

@@ -129,21 +129,12 @@ class AuditResult:
     only the payload crossed the wire.  ``payload`` is the canonical
     dict; :meth:`to_json` renders it to the exact string every surface
     emits.
-
-    ``provenance`` records *how* the grades were derived when the audit
-    ran with ``compose=True`` (a
-    :class:`~repro.compose.engine.ComposeProvenance`: summaries reused
-    vs built, per-call-site decisions, execution strategy).  It is
-    in-process metadata only — never serialized into ``payload``, so
-    composed audits stay byte-identical to their inlined reference —
-    and ``None`` for non-composed audits and JSON-rebuilt results.
     """
 
     report: Optional[Any]
     payload: Dict[str, Any]
     sound: bool
     batch: bool
-    provenance: Optional[Any] = None
 
     @property
     def schema_version(self) -> int:

@@ -83,17 +83,12 @@ class Session:
         u: Optional[Union[str, float]] = None,
         workers: int = 2,
         mp_context: Optional[str] = None,
-        compose: bool = False,
     ) -> None:
         self.workers = options.OPTION["workers"].normalize(workers)
         self.precision_bits = options.check_precision_bits(precision_bits)
         options.OPTION["u"].normalize(u)
         self.u = u
         self.mp_context = mp_context
-        #: default for :meth:`audit`'s ``compose`` keyword — derive
-        #: grades from cached per-definition summaries
-        #: (:mod:`repro.compose`) instead of re-checking the program.
-        self.compose = options.OPTION["compose"].normalize(compose)
         self._pool: Optional["ShardWorkerPool"] = None
         self._pool_lock = threading.Lock()
 
@@ -167,7 +162,6 @@ class Session:
         rows: bool = False,
         stream: bool = False,
         sweep_bits: Optional[Sequence[int]] = None,
-        compose: Optional[bool] = None,
         stream_chunk_rows: Optional[int] = None,
     ) -> Union[AuditResult, RowStream]:
         """Audit ``name`` (default: the last definition) on ``inputs``.
@@ -189,14 +183,6 @@ class Session:
         (strictly increasing widths in [1, 53]); like ``workers``, it
         rides on every request and engines that don't sweep ignore it.
 
-        ``compose=True`` (default: the session's ``compose`` flag)
-        derives the audited definition's grades by composing cached
-        per-definition summaries at call sites (:mod:`repro.compose`)
-        instead of re-checking the whole program — engines with
-        ``caps.compose`` only.  The payload is byte-identical to the
-        non-composed audit; the result's ``provenance`` records what
-        composition reused, built, and how execution was planned.
-
         Every keyword but ``inputs`` and ``stream_chunk_rows`` is an
         audit option of :data:`repro.api.options.OPTIONS`, validated
         there: a value no run can honor raises
@@ -209,9 +195,9 @@ class Session:
         opts = options.resolve(
             dict(engine=engine, workers=workers, precision_bits=precision_bits,
                  u=u, rows=rows, stream=stream,
-                 sweep_bits=sweep_bits, compose=compose),
+                 sweep_bits=sweep_bits),
             dict(workers=self.workers, precision_bits=self.precision_bits,
-                 u=self.u, compose=self.compose),
+                 u=self.u),
         )
         resolved = get_engine(opts["engine"])
         if isinstance(program, str):
@@ -228,7 +214,6 @@ class Session:
             mp_context=self.mp_context,
             collect_rows=opts["rows"],
             sweep_bits=opts["sweep_bits"],
-            compose=bool(opts["compose"]),
             pool=(
                 self._shard_pool() if resolved.caps.multiprocess else None
             ),

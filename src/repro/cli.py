@@ -543,10 +543,6 @@ def _cmd_witness(args: argparse.Namespace) -> int:
     result = _audit_here(args, values)
     if isinstance(result, int):
         return result
-    if result.provenance is not None:
-        # Provenance never joins the payload (byte parity with the
-        # non-composed audit); stderr keeps --json output clean.
-        print(result.provenance.describe(), file=sys.stderr)
     if args.json:
         print(result.to_json())
         return 0 if result.sound else 2

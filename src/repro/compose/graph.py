@@ -1,14 +1,15 @@
 """Deep fingerprints and the definition dependency graph.
 
-A summary is only valid while the definition *and everything it calls*
-are unchanged, so summaries are keyed by a **deep fingerprint**: the
+A cached judgment is only valid while the definition *and everything
+it calls* are unchanged, so judgments are keyed by a **deep
+fingerprint**: the
 definition's own alpha-invariant encoding
 (:func:`repro.service.fingerprint.fingerprint_definition`) folded with
 the deep fingerprints of its direct callees, in call order.  Editing a
 definition therefore changes exactly the deep fingerprints of itself
 and its transitive dependents — invalidation is the key change, no
 explicit invalidation protocol needed — while every other definition's
-summary keeps hitting the cache.  That is the O(diff) property the
+judgment keeps hitting the cache.  That is the O(diff) property the
 incremental driver and ``repro watch`` build on.
 """
 
@@ -102,7 +103,7 @@ class DependencyGraph:
 
     ``dependents_of(name)`` answers the invalidation question directly:
     after editing ``name``, exactly ``{name} | dependents_of(name)``
-    need new summaries — everything else keeps its deep fingerprint.
+    need new judgments — everything else keeps its deep fingerprint.
     """
 
     def __init__(self, program: A.Program) -> None:
@@ -121,7 +122,7 @@ class DependencyGraph:
         return frozenset(self._callers.get(name, frozenset()))
 
     def dependents_of(self, name: str) -> FrozenSet[str]:
-        """Every definition whose summary an edit to ``name`` invalidates
+        """Every definition whose judgment an edit to ``name`` invalidates
         (transitive callers; ``name`` itself is not included)."""
         out: Set[str] = set()
         frontier: List[str] = [name]

@@ -1,8 +1,9 @@
 """The O(diff) incremental audit driver.
 
 An :class:`IncrementalAuditor` audits *every* definition of a program —
-summaries compose bottom-up, then each definition gets a scalar witness
-run on synthesized default inputs — and memoizes each definition's
+judgments come from the deep-fingerprint cache, which checks only what
+it misses, then each definition gets a scalar witness run on
+synthesized default inputs — and memoizes each definition's
 outcome under its deep fingerprint.  Re-auditing after an edit then
 re-derives exactly the edited definition and its transitive dependents
 (their deep fingerprints changed); everything else is a dictionary hit.
@@ -22,9 +23,8 @@ from ..core.errors import BeanError
 from ..core.types import Discrete, Num, Tensor, Type, Unit
 from ..lam_s.eval import EvalError
 from ..semantics.lens import LensDomainError
-from .engine import ComposedProgram, composed_judgments
 from .parsing import ParseCache
-from .store import SummaryStore
+from .store import ComposedProgram, SummaryStore, composed_judgments
 
 __all__ = ["DefinitionAudit", "IncrementalAuditor", "IncrementalRun"]
 
@@ -197,7 +197,7 @@ class IncrementalAuditor:
             return DefinitionAudit(definition.name, SKIPPED, None, str(exc))
         except (EvalError, LensDomainError, ArithmeticError, ValueError) as exc:
             # e.g. a lens domain error on the synthesized inputs: the
-            # definition still summarized; record why it has no verdict.
+            # definition still checked; record why it has no verdict.
             return DefinitionAudit(definition.name, SKIPPED, None, str(exc))
         return DefinitionAudit(
             definition.name, AUDITED, bool(report.sound), ""

@@ -1,7 +1,7 @@
 """Incremental parsing: per-definition text blocks, cached by content.
 
 Re-auditing after one edit was O(program) before it even reached the
-summary layer: :func:`repro.core.parser.parse_program` re-lexes the
+judgment cache: :func:`repro.core.parser.parse_program` re-lexes the
 whole file, and fresh ``Definition`` objects miss every identity-keyed
 cache (judgments, lowered IR, deep fingerprints).  The grammar makes a
 cheaper route sound: a Bean definition always starts with a name at

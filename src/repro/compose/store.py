@@ -1,27 +1,40 @@
-"""The summary cache: an in-memory store keyed by deep fingerprint.
+"""The judgment cache: checked judgments keyed by deep fingerprint.
 
-A :class:`SummaryStore` keeps summaries warm for the life of a process
-(the audit server's prepared table, a watch loop, a reused
-:class:`~repro.api.Session`).  Keys are deep fingerprints
-(:func:`repro.compose.graph.deep_fingerprints`): content-addressing
-*is* the invalidation protocol.
+Grade derivation is compositional by construction — the IR sweep's
+``call`` rule charges ``out + callee grade`` per argument from the
+callee's judgment alone — so a definition's judgment depends only on
+its own body and its callees' judgments.  A deep fingerprint
+(:func:`repro.compose.graph.deep_fingerprints`) pins exactly that, so
+content-addressing *is* the invalidation protocol: after an edit,
+:func:`composed_judgments` re-checks only the edited definitions and
+their transitive callers and serves every other judgment from the
+store.  ``repro watch`` and ``repro report`` re-audit across edits
+through it.
 """
 
 from __future__ import annotations
 
-from typing import Dict, Optional
+from dataclasses import dataclass
+from typing import Dict, List, Optional, Tuple
 
-from .summary import DefinitionSummary
+from ..core import ast_nodes as A
+from ..core.checker import Judgment, check_definition
+from .graph import deep_fingerprints
 
-__all__ = ["SummaryStore", "default_store", "reset_default_store"]
+__all__ = [
+    "ComposedProgram",
+    "SummaryStore",
+    "composed_judgments",
+    "default_store",
+    "reset_default_store",
+]
 
 
 class SummaryStore:
-    """In-memory summary storage for the life of a process."""
+    """In-memory judgment storage for the life of a process."""
 
     def __init__(self) -> None:
-        self._memory: Dict[str, DefinitionSummary] = {}
-        #: Observability counters (the server's ``/stats`` reports them).
+        self._memory: Dict[str, Judgment] = {}
         self.stats: Dict[str, int] = {
             "memory_hits": 0,
             "misses": 0,
@@ -31,18 +44,18 @@ class SummaryStore:
     def __len__(self) -> int:
         return len(self._memory)
 
-    def get(self, fingerprint: str) -> Optional[DefinitionSummary]:
-        """The summary keyed by ``fingerprint``, or ``None`` on miss."""
-        summary = self._memory.get(fingerprint)
-        if summary is not None:
+    def get(self, fingerprint: str) -> Optional[Judgment]:
+        """The judgment keyed by ``fingerprint``, or ``None`` on miss."""
+        judgment = self._memory.get(fingerprint)
+        if judgment is not None:
             self.stats["memory_hits"] += 1
-            return summary
+            return judgment
         self.stats["misses"] += 1
         return None
 
-    def put(self, fingerprint: str, summary: DefinitionSummary) -> None:
-        """Record ``summary`` under ``fingerprint``."""
-        self._memory[fingerprint] = summary
+    def put(self, fingerprint: str, judgment: Judgment) -> None:
+        """Record ``judgment`` under ``fingerprint``."""
+        self._memory[fingerprint] = judgment
         self.stats["stores"] += 1
 
 
@@ -50,7 +63,7 @@ _DEFAULT: SummaryStore = SummaryStore()
 
 
 def default_store() -> SummaryStore:
-    """The process-global store engines share (prepared-table reuse)."""
+    """The process-global store ``repro report`` analyses share."""
     return _DEFAULT
 
 
@@ -59,3 +72,48 @@ def reset_default_store() -> SummaryStore:
     global _DEFAULT
     _DEFAULT = SummaryStore()
     return _DEFAULT
+
+
+@dataclass(frozen=True)
+class ComposedProgram:
+    """Every definition's judgment, and which ones the store served."""
+
+    judgments: Dict[str, Judgment]
+    fingerprints: Dict[str, str]
+    reused: Tuple[str, ...]
+    built: Tuple[str, ...]
+
+
+def composed_judgments(
+    program: A.Program,
+    store: Optional[SummaryStore] = None,
+) -> ComposedProgram:
+    """Every definition's judgment, in program order.
+
+    Equal to :func:`repro.core.checker.check_program`'s: a miss runs
+    ``check_definition`` against the judgments of the definitions before
+    it, and a hit was derived from an identical definition with
+    identical callees (its deep fingerprint pins them).
+    """
+    if store is None:
+        store = default_store()
+    fingerprints = deep_fingerprints(program)
+    judgments: Dict[str, Judgment] = {}
+    reused: List[str] = []
+    built: List[str] = []
+    for definition in program:
+        fingerprint = fingerprints[definition.name]
+        judgment = store.get(fingerprint)
+        if judgment is None:
+            judgment = check_definition(definition, judgments)
+            store.put(fingerprint, judgment)
+            built.append(definition.name)
+        else:
+            reused.append(definition.name)
+        judgments[definition.name] = judgment
+    return ComposedProgram(
+        judgments=judgments,
+        fingerprints=fingerprints,
+        reused=tuple(reused),
+        built=tuple(built),
+    )

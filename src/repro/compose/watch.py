@@ -1,7 +1,7 @@
 """``repro watch``: re-audit a Bean source file on every save.
 
 A thin mtime-poll loop over :class:`~repro.compose.incremental.IncrementalAuditor`:
-the first pass summarizes and audits every definition; each save after
+the first pass checks and audits every definition; each save after
 that re-derives only the edited definitions and their dependents (deep
 fingerprints do the invalidation), so the steady-state latency per save
 is milliseconds.  ``once=True`` runs a single pass and returns — the

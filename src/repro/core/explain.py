@@ -5,11 +5,16 @@ by walking the variable's (unique, by linearity) dataflow path to the
 program result and recording every charge along it — the same traversal
 as :mod:`repro.core.pathcost`, instrumented:
 
+    >>> from repro.core import check_definition, parse_program
+    >>> d = parse_program(
+    ...     "F (a0 : num) (y1 : num) (y2 : num) := "
+    ...     "let x = add a0 y1 in add x y2"
+    ... ).main
     >>> trace = explain_variable(check_definition(d), d, "a0")
     >>> print(format_trace(trace))
     a0 : 2ε
-      ε    add a0 y1            (operand of add)
-      ε    add x y2             (operand of add, via x)
+          ε  add a0 y1                                  (operand of add)
+          ε  add x y2                                   (operand of add, via x)
 
 Charges through ``let`` indirection are attributed to the operation
 that consumed the bound variable, with a "via" note.  The CLI surface

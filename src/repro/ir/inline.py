@@ -47,7 +47,9 @@ __all__ = [
     "walk_ops",
 ]
 
-#: Default ceiling on the total instruction count of an inlined program.
+#: Ceiling on the total instruction count of an inlined program.  A call
+#: whose splice would pass it stays a call: its rows run the scalar path
+#: and the payload's ``inline_fallbacks`` section reports ``size-cap``.
 MAX_INLINE_OPS = 200_000
 
 #: The reasons the inliner may leave a ``call`` op in place (the audit

@@ -72,10 +72,10 @@ class AnalysisReport:
 
     u: float
     definitions: List[DefinitionReport] = field(default_factory=list)
-    #: summary-store traffic of this analysis: grades served from
-    #: cached per-definition summaries vs rebuilt by the checker
-    #: (:func:`repro.compose.engine.composed_judgments` — bit-identical
-    #: to a whole-program re-check either way).
+    #: judgment-cache traffic of this analysis: judgments served from
+    #: the deep-fingerprint cache vs derived by the checker
+    #: (:func:`repro.compose.store.composed_judgments` — equal to a
+    #: whole-program re-check either way).
     summaries_reused: int = 0
     summaries_built: int = 0
 
@@ -152,7 +152,7 @@ def analyze(
     :class:`repro.api.Session` — the exact code path ``repro serve``
     and ``repro witness --engine forward|interval`` exercise.
     """
-    from .compose.engine import composed_judgments
+    from .compose.store import composed_judgments
     from .ir.cache import inlined_definition_ir, semantic_definition_ir
     from .ir.inline import inline_fallback_info
 
@@ -161,9 +161,9 @@ def analyze(
         program = source_or_program
     else:
         program = session.parse(source_or_program)
-    # Judgments come through the compositional layer — bit-identical to
+    # Judgments come through the deep-fingerprint cache — equal to
     # session.check's whole-program pass, and the composed result says
-    # how many per-definition summaries this analysis reused vs built
+    # how many per-definition judgments this analysis reused vs built
     # (a repeat analyze() of an edited file rebuilds only the diff).
     composed = composed_judgments(program)
     judgments = composed.judgments

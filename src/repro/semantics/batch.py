@@ -367,7 +367,6 @@ class BatchWitnessEngine:
         precision_bits: int = 53,
         lens: Optional[BeanLens] = None,
         collect_rows: bool = False,
-        inlined_ir=None,
     ) -> None:
         self.definition = definition
         self.program = program
@@ -392,19 +391,12 @@ class BatchWitnessEngine:
                 seed=seed,
                 precision_bits=precision_bits,
             )
-        if inlined_ir is not None:
-            # A caller-provided pre-flattened IR (the compositional
-            # engine plans it from summary metadata, lifting the inline
-            # size cap when the expansion is known safe).  Must be an
-            # execution-equivalent flattening of the definition.
-            self.ir = inlined_ir
-        else:
-            self.ir = semantic_definition_ir(definition)
-            if self.ir.has_calls and program is not None:
-                # Flatten defined-function calls so the array pipeline
-                # sees through them; guarded calls survive and force the
-                # scalar path (see repro.ir.inline).
-                self.ir = inlined_definition_ir(definition, program)
+        self.ir = semantic_definition_ir(definition)
+        if self.ir.has_calls and program is not None:
+            # Flatten defined-function calls so the array pipeline sees
+            # through them; guarded calls survive and force the scalar
+            # path (see repro.ir.inline).
+            self.ir = inlined_definition_ir(definition, program)
         #: Whether this program runs through the vectorized pipeline.
         #: The op check is the whole language minus un-inlined calls;
         #: the param check excludes implicit (free-variable) parameters,

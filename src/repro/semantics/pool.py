@@ -150,36 +150,6 @@ def _write_verdicts(
     return True
 
 
-def _build_engine(
-    definition: A.Definition,
-    program: Optional[A.Program],
-    u: float,
-    engine_options: Dict[str, Any],
-    compose: bool,
-) -> Any:
-    """One configured engine; composed audits plan their execution IR.
-
-    Under ``compose`` the worker re-plans
-    :func:`repro.compose.engine.compose_execution_ir` from locally built
-    summaries — planning is deterministic, so every worker (and the
-    parent) lands on the same IR without shipping a possibly
-    multi-million-op object graph across the pipe, and a warm worker's
-    summary store makes the re-plan a cache hit.
-    """
-    from .batch import BatchWitnessEngine
-
-    options = dict(engine_options)
-    if compose and program is not None:
-        from ..compose.engine import compose_execution_ir, composed_judgments
-
-        composed = composed_judgments(program)
-        ir, _execution = compose_execution_ir(
-            definition, program, composed.summaries
-        )
-        options["inlined_ir"] = ir
-    return BatchWitnessEngine(definition, program, u=u, **options)
-
-
 def _run_task(
     task: Dict[str, Any],
     programs: "OrderedDict[str, Tuple[A.Definition, Optional[A.Program]]]",
@@ -213,9 +183,10 @@ def _run_task(
     engine_key = (fingerprint, task["config_key"])
     engine = None if transient else engines.get(engine_key)
     if engine is None:
-        engine = _build_engine(
-            definition, program, task["u"], task["engine_options"],
-            task["compose"],
+        from .batch import BatchWitnessEngine
+
+        engine = BatchWitnessEngine(
+            definition, program, u=task["u"], **task["engine_options"]
         )
         if not transient:
             engines[engine_key] = engine
@@ -546,7 +517,6 @@ class ShardWorkerPool:
         *,
         u: float,
         engine_options: Dict[str, Any],
-        compose: bool = False,
     ) -> List[ShardResult]:
         """Certify ``bounds``-sliced row shards, one leased worker each.
 
@@ -558,7 +528,7 @@ class ShardWorkerPool:
             raise ValueError("need at least one shard")
         fingerprint, reusable = self._program_key(definition, program)
         blob = self._blob_for(fingerprint, reusable, definition, program)
-        config_key = self._config_key(u, engine_options, compose)
+        config_key = self._config_key(u, engine_options)
         n_rows = int(bounds[-1])
         leased = self._lease(shards)
         self._count(audits=1)
@@ -606,7 +576,6 @@ class ShardWorkerPool:
                     "config_key": config_key,
                     "u": u,
                     "engine_options": engine_options,
-                    "compose": compose,
                     "lo": lo,
                     "hi": hi,
                     "shm": in_spec,
@@ -725,13 +694,9 @@ class ShardWorkerPool:
         return blob
 
     @staticmethod
-    def _config_key(
-        u: float, engine_options: Dict[str, Any], compose: bool
-    ) -> str:
+    def _config_key(u: float, engine_options: Dict[str, Any]) -> str:
         """A stable engine-configuration key (primitive options only)."""
-        return repr(
-            (u, compose, sorted(engine_options.items()))
-        )
+        return repr((u, sorted(engine_options.items())))
 
     @staticmethod
     def _pack_columns(

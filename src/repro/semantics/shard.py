@@ -50,8 +50,8 @@ import numpy as np
 
 from ..core import ast_nodes as A
 from ..core.grades import BINARY64_UNIT_ROUNDOFF
-from .batch import BatchWitnessReport
-from .pool import ShardWorkerPool, _build_engine
+from .batch import BatchWitnessEngine, BatchWitnessReport
+from .pool import ShardWorkerPool
 from .witness import run_witness
 
 __all__ = ["run_witness_sharded", "shard_bounds"]
@@ -83,7 +83,6 @@ def run_witness_sharded(
     workers: Optional[int] = None,
     mp_context: Optional[str] = None,
     pool: Optional[ShardWorkerPool] = None,
-    compose: bool = False,
     **engine_options,
 ) -> BatchWitnessReport:
     """Certify a batch of environments across ``workers`` processes.
@@ -100,11 +99,7 @@ def run_witness_sharded(
     :class:`~repro.semantics.pool.ShardWorkerPool`, whose warm workers
     skip pickling and re-lowering for a known fingerprint; without one,
     a transient pool (``mp_context``) serves this call alone.  Results
-    are byte-identical either way.  With ``compose=True``
-    the execution IR is planned from composed per-definition summaries
-    (:func:`repro.compose.engine.compose_execution_ir`) in the parent
-    and re-planned deterministically in every worker — payload bytes
-    are unchanged vs the non-composed audit.
+    are byte-identical either way.
     """
     if "lens" in engine_options:
         raise ValueError(
@@ -112,7 +107,7 @@ def run_witness_sharded(
             "pass the engine configuration (rounding, seed, "
             "precision_bits) instead"
         )
-    engine = _build_engine(definition, program, u, engine_options, compose)
+    engine = BatchWitnessEngine(definition, program, u=u, **engine_options)
     columns = engine._columns(inputs)
     n_rows = next(iter(columns.values())).shape[0]
     if workers is None:
@@ -130,7 +125,7 @@ def run_witness_sharded(
     with runner as shard_pool:
         results = shard_pool.run_shards(
             definition, program, columns, bounds, u=u,
-            engine_options=engine_options, compose=compose,
+            engine_options=engine_options,
         )
 
     sound = np.concatenate([r[0] for r in results])

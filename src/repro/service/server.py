@@ -192,7 +192,6 @@ class AuditServer:
             "audits_light": 0,
             "audits_heavy": 0,
             "audits_streamed": 0,
-            "audits_composed": 0,
             "inline_fallback_sites": 0,
             "audit_failures": 0,
             "prep_hits": 0,
@@ -338,13 +337,8 @@ class AuditServer:
         }
 
     def _stats_payload(self) -> Dict[str, Any]:
-        from ..compose import default_store
-
         payload: Dict[str, Any] = {"server": dict(self.stats)}
         payload["prepared_programs"] = len(self._prep_tasks)
-        # Composed audits go through the process-wide summary store, so
-        # its hit/miss counters are this server's summary reuse.
-        payload["summaries"] = dict(default_store().stats)
         payload["queues"] = {
             "light": self._queue_stats(self._pool),
             "heavy": self._queue_stats(self._heavy_pool),
@@ -406,8 +400,6 @@ class AuditServer:
             return status, _error_body(message)
         self.stats["audits"] += 1
         self.stats[pool_counter] += 1
-        if kwargs.get("compose"):
-            self.stats["audits_composed"] += 1
         self.stats["inline_fallback_sites"] += sum(
             entry["sites"]
             for entry in result.payload.get("inline_fallbacks", ())
@@ -500,8 +492,6 @@ class AuditServer:
         self.stats["audits"] += 1
         self.stats["audits_streamed"] += 1
         self.stats[plan.pool_counter] += 1
-        if plan.kwargs.get("compose"):
-            self.stats["audits_composed"] += 1
 
     def _pool_for_engine(
         self, engine: str

@@ -1,48 +1,44 @@
-"""Tests for the compositional audit subsystem (:mod:`repro.compose`).
+"""Tests for the judgment cache behind ``repro watch`` and ``repro report``
+(:mod:`repro.compose`).
 
-The contract under test is bit-for-bit: composed judgments must equal
-``check_program``'s exactly, and a ``compose=True`` audit's payload must
-be byte-identical to the non-composed audit of the same request — the
-hypothesis harness below drives both over the random-program generators.
-Beyond parity, the beyond-cap call pyramid exercises the one capability
-only composition has (flattening past ``MAX_INLINE_OPS``), and the
-incremental/watch tests pin the O(diff) invalidation discipline.
+The contract under test is exact: composed judgments must equal
+``check_program``'s, whether the store served them or the checker
+derived them — the hypothesis harness below drives that over the
+random-program generators.  The incremental/watch tests pin the O(diff)
+invalidation discipline, and ``TestNoCompose`` pins that audits have
+one path: no surface takes a ``compose`` option, and the plain bytes
+of a call chain and of a call pyramid past ``MAX_INLINE_OPS`` stay as
+they were.
 """
 
 from __future__ import annotations
 
+import hashlib
 import io
 import json
 
 import pytest
-from hypothesis import HealthCheck, given, settings, strategies as st
+from hypothesis import given, settings, strategies as st
 
-from strategies import random_batch_inputs, random_inputs, random_program
+from strategies import random_program
 from repro.api import Session
 from repro.compose import (
-    COMPOSE_MAX_INLINE_OPS,
-    DefinitionSummary,
     DependencyGraph,
     IncrementalAuditor,
     ParseCache,
     SummaryStore,
-    compose_execution_ir,
     composed_judgments,
-    composition_plan,
     deep_fingerprints,
     direct_callees,
     reset_default_store,
     split_definition_blocks,
-    summary_to_judgment,
     watch_file,
 )
 from repro.core import check_program, is_discrete, parse_program
 from repro.ir.cache import inlined_definition_ir, semantic_definition_ir
 from repro.ir.inline import (
     FALLBACK_SIZE_CAP,
-    MAX_INLINE_OPS,
     count_ops,
-    inline_calls,
     inline_fallback_info,
     walk_ops,
 )
@@ -84,7 +80,7 @@ def fresh_store():
 
 
 # --------------------------------------------------------------------------
-# Summaries: round-trip and judgment equality
+# Judgment equality
 # --------------------------------------------------------------------------
 
 
@@ -101,37 +97,6 @@ class TestSummaries:
                 assert str(got.grade_of(p.name)) == str(
                     judgment.grade_of(p.name)
                 ), (name, p.name)
-
-    def test_summary_json_round_trip(self):
-        program = parse_program(CHAIN)
-        composed = composed_judgments(program)
-        for name, summary in composed.summaries.items():
-            data = json.loads(json.dumps(summary.to_json_dict()))
-            rebuilt = DefinitionSummary.from_json_dict(data)
-            assert rebuilt == summary, name
-            judgment = summary_to_judgment(rebuilt)
-            assert judgment.result == composed.judgments[name].result
-
-    def test_summary_version_mismatch_is_loud(self):
-        program = parse_program(CHAIN)
-        composed = composed_judgments(program)
-        data = next(iter(composed.summaries.values())).to_json_dict()
-        data["version"] = 999
-        with pytest.raises(ValueError, match="version"):
-            DefinitionSummary.from_json_dict(data)
-
-    def test_total_ops_predicts_full_expansion_cap(self):
-        # The summary's op accounting is what makes lifting the inline
-        # cap safe: inlining with max_ops=total_ops must never trip.
-        program = parse_program(pyramid_source(6))
-        composed = composed_judgments(program)
-        top = program["P6"]
-        predicted = composed.summaries["P6"].total_ops
-        ir = inline_calls(
-            semantic_definition_ir(top), program, max_ops=predicted
-        )
-        assert not ir.has_calls
-        assert count_ops(ir.ops) <= predicted
 
     @given(
         seed=st.integers(0, 2**16),
@@ -282,7 +247,7 @@ class TestParseCache:
 
 
 # --------------------------------------------------------------------------
-# The summary store
+# The judgment store
 # --------------------------------------------------------------------------
 
 
@@ -309,134 +274,7 @@ class TestStore:
 
 
 # --------------------------------------------------------------------------
-# Byte-for-byte parity: composed vs inlined-reference audits
-# --------------------------------------------------------------------------
-
-
-class TestComposedAuditParity:
-    def test_scalar_parity_on_the_chain(self):
-        session = Session()
-        plain = session.audit(CHAIN, "Main", inputs=CHAIN_INPUTS)
-        composed = session.audit(
-            CHAIN, "Main", inputs=CHAIN_INPUTS, compose=True
-        )
-        assert composed.to_json() == plain.to_json()
-        assert plain.provenance is None
-        assert composed.provenance is not None
-        assert composed.provenance.execution == "scalar"
-        assert "compose" in composed.provenance.describe()
-
-    def test_batch_parity_on_the_chain(self):
-        pytest.importorskip("numpy")
-        session = Session()
-        inputs = {k: [v, v + 1.0] for k, v in CHAIN_INPUTS.items()}
-        plain = session.audit(CHAIN, "Main", inputs=inputs, engine="batch")
-        composed = session.audit(
-            CHAIN, "Main", inputs=inputs, engine="batch", compose=True
-        )
-        assert composed.to_json() == plain.to_json()
-        assert composed.provenance.execution == "shared-inlined"
-
-    def test_rows_section_parity(self):
-        pytest.importorskip("numpy")
-        session = Session()
-        inputs = {k: [v, v + 1.0] for k, v in CHAIN_INPUTS.items()}
-        plain = session.audit(
-            CHAIN, "Main", inputs=inputs, engine="batch", rows=True
-        )
-        composed = session.audit(
-            CHAIN, "Main", inputs=inputs, engine="batch", rows=True,
-            compose=True,
-        )
-        assert composed.to_json() == plain.to_json()
-
-    def test_compose_rejected_for_incapable_engines(self):
-        from repro.api import ScalarLensEngine, register_engine, unregister_engine
-
-        # The ir engine's implementation, registered without ``compose``:
-        # the flag, not the implementation, is what the session checks.
-        @register_engine("test-no-compose")
-        class NoCompose(ScalarLensEngine):
-            pass
-
-        try:
-            assert not Session().engines()["test-no-compose"].caps.compose
-            with pytest.raises(ValueError, match="cannot compose"):
-                Session().audit(
-                    CHAIN,
-                    "Main",
-                    inputs=CHAIN_INPUTS,
-                    engine="test-no-compose",
-                    compose=True,
-                )
-        finally:
-            unregister_engine("test-no-compose")
-
-    def test_session_level_compose_default(self):
-        session = Session(compose=True)
-        result = session.audit(CHAIN, "Main", inputs=CHAIN_INPUTS)
-        assert result.provenance is not None
-        # Per-call override wins over the session default.
-        plain = session.audit(
-            CHAIN, "Main", inputs=CHAIN_INPUTS, compose=False
-        )
-        assert plain.provenance is None
-
-    @given(data=st.data())
-    @settings(
-        max_examples=_SMALL_BUDGET,
-        deadline=None,
-        suppress_health_check=[HealthCheck.too_slow],
-    )
-    def test_random_programs_scalar_byte_parity(self, data):
-        seed = data.draw(st.integers(0, 2**16), label="seed")
-        spec = random_program(
-            seed,
-            n_helpers=data.draw(st.integers(1, 2), label="n_helpers"),
-            allow_div=data.draw(st.booleans(), label="allow_div"),
-        )
-        inputs = random_inputs(spec, data.draw(st.integers(0, 2**20)))
-        session = Session()
-        plain = session.audit(
-            spec.program, spec.definition.name, inputs=inputs
-        )
-        composed = session.audit(
-            spec.program, spec.definition.name, inputs=inputs, compose=True
-        )
-        assert composed.to_json() == plain.to_json()
-
-    @given(data=st.data())
-    @settings(
-        max_examples=_SMALL_BUDGET,
-        deadline=None,
-        suppress_health_check=[HealthCheck.too_slow],
-    )
-    def test_random_programs_batch_byte_parity(self, data):
-        pytest.importorskip("numpy")
-        seed = data.draw(st.integers(0, 2**16), label="seed")
-        spec = random_program(
-            seed,
-            n_helpers=data.draw(st.integers(1, 2), label="n_helpers"),
-            allow_div=data.draw(st.booleans(), label="allow_div"),
-        )
-        n_rows = data.draw(st.integers(2, 4), label="n_rows")
-        columns = random_batch_inputs(
-            spec, data.draw(st.integers(0, 2**20)), n_rows
-        )
-        session = Session()
-        plain = session.audit(
-            spec.program, spec.definition.name, inputs=columns,
-            engine="batch",
-        )
-        composed = session.audit(
-            spec.program, spec.definition.name, inputs=columns,
-            engine="batch", compose=True,
-        )
-        assert composed.to_json() == plain.to_json()
-
-
-# --------------------------------------------------------------------------
-# Beyond the inline cap: the audit only composition can plan
+# Beyond the inline cap: the capped inliner records why calls stay
 # --------------------------------------------------------------------------
 
 
@@ -451,21 +289,6 @@ class TestBeyondCap:
         info = inline_fallback_info(ir)
         assert info, "the capped inliner must record why it stopped"
         assert all(e["reason"] == FALLBACK_SIZE_CAP for e in info)
-
-    def test_composition_flattens_past_the_cap(self):
-        program = parse_program(pyramid_source(self.DEPTH))
-        top = program[f"P{self.DEPTH}"]
-        composed = composed_judgments(program)
-        predicted = composed.summaries[top.name].total_ops
-        assert MAX_INLINE_OPS < predicted <= COMPOSE_MAX_INLINE_OPS
-        ir, execution = compose_execution_ir(top, program, composed.summaries)
-        assert execution == "lifted-cap"
-        assert not ir.has_calls
-        assert count_ops(ir.ops) > MAX_INLINE_OPS
-        assert inline_fallback_info(ir) == []
-        # Grades still compose exactly at this scale: 2^depth ε on x.
-        grade = composed.judgments[top.name].grade_of("x")
-        assert grade.coeff == 2**self.DEPTH
 
     def test_composed_grades_match_checker_past_the_cap(self):
         program = parse_program(pyramid_source(self.DEPTH))
@@ -487,34 +310,6 @@ class TestBeyondCap:
         top = program[f"P{self.DEPTH}"]
         info = _execution_fallbacks(top, program)
         assert info and info[0]["reason"] == FALLBACK_SIZE_CAP
-
-    @pytest.mark.skipif(
-        "not config.getoption('--run-soak', default=False) "
-        "and not __import__('os').environ.get('REPRO_SOAK')",
-        reason="multi-minute beyond-cap end-to-end audit (nightly soak)",
-    )
-    def test_beyond_cap_pyramid_audits_end_to_end(self):
-        pytest.importorskip("numpy")
-        session = Session()
-        result = session.audit(
-            pyramid_source(self.DEPTH),
-            f"P{self.DEPTH}",
-            inputs={"x": [1.5, 2.0], "c": [1.0, 1.0]},
-            engine="batch",
-            compose=True,
-        )
-        assert result.sound
-        assert result.provenance.execution == "lifted-cap"
-        assert "inline_fallbacks" not in result.payload
-
-    def test_composition_plan_modes(self):
-        program = parse_program(CHAIN)
-        composed = composed_judgments(program)
-        plan = composition_plan(program["Main"], composed.summaries)
-        assert [s.callee for s in plan] == ["Twice"]
-        assert plan[0].mode == "composed-halves"
-        unknown = composition_plan(program["Main"], {})
-        assert unknown[0].mode == "unknown-callee"
 
 
 # --------------------------------------------------------------------------
@@ -606,26 +401,6 @@ class TestIncremental:
 
 
 class TestSurfaces:
-    def test_cli_witness_compose_byte_parity(self, tmp_path, capsys):
-        from repro.cli import main
-
-        path = tmp_path / "prog.bean"
-        path.write_text(CHAIN, encoding="utf-8")
-        inputs = json.dumps(CHAIN_INPUTS)
-        assert main(
-            ["witness", str(path), "--name", "Main", "--inputs", inputs,
-             "--json"]
-        ) == 0
-        plain = capsys.readouterr()
-        assert main(
-            ["witness", str(path), "--name", "Main", "--inputs", inputs,
-             "--json", "--compose"]
-        ) == 0
-        composed = capsys.readouterr()
-        assert composed.out == plain.out
-        assert "compose:" in composed.err  # provenance goes to stderr
-        assert "compose:" not in plain.err
-
     def test_cli_watch_once(self, tmp_path, capsys):
         from repro.cli import main
 
@@ -643,39 +418,102 @@ class TestSurfaces:
         assert main(["watch", str(path), "--once", "--interval", "0"]) == 1
         assert "error:" in capsys.readouterr().err
 
-    def test_served_compose_byte_parity_and_stats(self):
-        from urllib.request import urlopen
 
+# --------------------------------------------------------------------------
+# One audit path: no surface takes ``compose``
+# --------------------------------------------------------------------------
+
+#: sha256 of the plain payloads, pinned when the ``compose`` option was
+#: removed: its removal must not move a byte.
+CHAIN_IR_SHA256 = (
+    "3ba6d3b94d55294d99fe74896d94dd076520141d1d402876e6fb42e360cd7389"
+)
+CHAIN_BATCH_SHA256 = (
+    "0049c609ba3b84b61b8595fef7be2a2150f2e1748516dd12b151ec14a5e63c1e"
+)
+CHAIN_ROWS_SHA256 = (
+    "715212234f4776af7b4db04ee876ddb532f9405bb1cc706cc4e0cd05467cee7b"
+)
+PYRAMID15_BATCH_SHA256 = (
+    "cbe51bf67eeeb27feb5128046a736e9dbc94df84677bd1917ab4773421d442f2"
+)
+
+
+def _sha256(result) -> str:
+    return hashlib.sha256(result.to_json().encode("utf-8")).hexdigest()
+
+
+class TestNoCompose:
+    def test_session_rejects_compose(self):
+        with pytest.raises(TypeError, match="compose"):
+            Session(compose=True)
+        for value in (True, False):
+            with pytest.raises(TypeError, match="compose"):
+                Session().audit(
+                    CHAIN, "Main", inputs=CHAIN_INPUTS, compose=value
+                )
+
+    @pytest.mark.parametrize("command", ["witness", "client"])
+    def test_cli_rejects_compose(self, tmp_path, capsys, command):
+        from repro.cli import main
+
+        path = tmp_path / "prog.bean"
+        path.write_text(CHAIN, encoding="utf-8")
+        with pytest.raises(SystemExit) as info:
+            main([command, str(path), "--name", "Main", "--inputs",
+                  json.dumps(CHAIN_INPUTS), "--compose"])
+        assert info.value.code == 2
+        assert "--compose" in capsys.readouterr().err
+
+    def test_http_rejects_compose(self):
         from repro.service.client import audit
         from repro.service.server import AuditServer, serve
 
         handle = serve(AuditServer(host="127.0.0.1", port=0))
         try:
-            spec = {
-                "source": CHAIN,
-                "name": "Main",
-                "inputs": CHAIN_INPUTS,
-                "engine": "ir",
-            }
-            status, plain = audit(handle.host, handle.port, spec)
+            spec = {"source": CHAIN, "name": "Main", "inputs": CHAIN_INPUTS}
+            status, body = audit(handle.host, handle.port, spec)
             assert status == 200
-            status, composed = audit(
-                handle.host, handle.port, dict(spec, compose=True)
-            )
-            assert status == 200
-            assert composed == plain
-            status, body = audit(
-                handle.host, handle.port, dict(spec, compose="yes")
-            )
-            assert status == 400
-            with urlopen(
-                f"http://{handle.host}:{handle.port}/stats"
-            ) as response:
-                stats = json.load(response)
-            assert stats["server"]["audits_composed"] == 1
-            assert stats["summaries"]["stores"] >= 3
+            assert body == Session().audit(
+                CHAIN, "Main", inputs=CHAIN_INPUTS
+            ).to_json() + "\n"
+            for value in (True, False):
+                status, body = audit(
+                    handle.host, handle.port, dict(spec, compose=value)
+                )
+                assert status == 400
+                assert json.loads(body)["error"] == (
+                    "unknown request field(s): ['compose']"
+                )
         finally:
             handle.stop()
+
+    def test_chain_plain_bytes(self):
+        session = Session()
+        result = session.audit(CHAIN, "Main", inputs=CHAIN_INPUTS)
+        assert _sha256(result) == CHAIN_IR_SHA256
+        pytest.importorskip("numpy")
+        inputs = {k: [v, v + 1.0] for k, v in CHAIN_INPUTS.items()}
+        batch = session.audit(CHAIN, "Main", inputs=inputs, engine="batch")
+        assert _sha256(batch) == CHAIN_BATCH_SHA256
+        rows = session.audit(
+            CHAIN, "Main", inputs=inputs, engine="batch", rows=True
+        )
+        assert _sha256(rows) == CHAIN_ROWS_SHA256
+
+    def test_pyramid_past_the_cap_plain_bytes(self):
+        pytest.importorskip("numpy")
+        # The smallest pyramid whose expansion trips MAX_INLINE_OPS: the
+        # calls the cap refuses run the scalar path and are reported.
+        result = Session().audit(
+            pyramid_source(15), "P15", inputs={"x": [1.5], "c": [1.0]},
+            engine="batch",
+        )
+        fallbacks = result.payload["inline_fallbacks"]
+        assert fallbacks
+        assert {e["reason"] for e in fallbacks} == {FALLBACK_SIZE_CAP}
+        assert result.sound
+        assert _sha256(result) == PYRAMID15_BATCH_SHA256
 
 
 # --------------------------------------------------------------------------

@@ -145,7 +145,7 @@ class TestTable:
         assert resolve({"engine": "batch", "stream": True})["rows"] is True
 
     def test_engine_conflicts_are_422(self):
-        for values in ({"rows": True}, {"stream": True}, {"engine": "sweep", "compose": True}):
+        for values in ({"rows": True}, {"stream": True}, {"engine": "sweep", "rows": True}):
             with pytest.raises(OptionError) as info:
                 resolve(values)
             assert info.value.status == 422
@@ -167,8 +167,7 @@ class TestTable:
         request = api.AuditRequest(
             program=program, definition=program.main, inputs=BATCH_INPUTS,
             u=2.0**-53, precision_bits=53, workers=3, mp_context=None,
-            collect_rows=True, sweep_bits=None,
-            compose=False, pool=None,
+            collect_rows=True, sweep_bits=None, pool=None,
         )
         spec = engine._spec_of_request(request)
         assert spec == {
@@ -344,7 +343,6 @@ def option_dicts(draw):
             st.none(), st.lists(st.integers(0, 60), max_size=4),
             st.just("8,24"), st.just([True]), st.just([8.0]),
         )),
-        "compose": draw(FLAGS),
     }
     # Drop some keys entirely: a missing option must act like None.
     present = draw(st.sets(st.sampled_from(sorted(options))))
@@ -378,7 +376,6 @@ def witness_options(draw):
     options = {
         "engine": engine,
         "rows": draw(st.booleans()) and engine == "batch",
-        "compose": draw(st.booleans()) and engine in ("ir", "batch"),
     }
     ladder = draw(st.booleans())
     faults = draw(st.sets(st.sampled_from(sorted(WITNESS_VALUES)), max_size=2))
@@ -404,9 +401,8 @@ def witness_argv(options):
         argv.append(f"--precision-bits={options['precision_bits']}")
     if options["u"] is not None:
         argv.append(f"--u={options['u']}")
-    for name in ("rows", "compose"):
-        if options[name]:
-            argv.append(f"--{name}")
+    if options["rows"]:
+        argv.append("--rows")
     return argv
 
 

@@ -18,23 +18,16 @@ import sys
 import threading
 
 import pytest
-from hypothesis import HealthCheck, given, settings, strategies as st
 
 np = pytest.importorskip("numpy")
 
 from oracles.batch_decimal_ref import run_witness_batch_ref
-from strategies import random_batch_inputs, random_program
 from repro.api import Session
 from repro.api.result import render_payload
 from repro.programs.generators import safe_div_sum, vec_sum
 from repro.semantics.batch import run_witness_batch
 from repro.semantics.pool import ShardWorkerPool
 from repro.semantics.shard import run_witness_sharded, shard_bounds
-
-_BUDGET = settings().max_examples
-#: Every example spins a full multiprocess audit through warm workers;
-#: keep the per-PR budget small (the nightly profile scales it back up).
-_POOL_BUDGET = max(_BUDGET // 8, 5)
 
 CHAIN = """
 Scale (a : num) (b : num) : num := mul a b
@@ -50,13 +43,6 @@ def pool():
     """One warm two-worker pool shared by the read-only parity tests."""
     with ShardWorkerPool(mp_context="spawn") as p:
         yield p
-
-
-@pytest.fixture(scope="module")
-def session():
-    """One session (and so one warm pool) shared across examples."""
-    with Session(workers=2, mp_context="spawn") as s:
-        yield s
 
 
 def _poisoned_columns(n_rows: int = 23, width: int = 6):
@@ -381,57 +367,3 @@ class TestSessionPool:
         assert stats["shm_bytes_in_flight"] == 0
         for result in results:
             assert _as_batch_json(result) == batch.to_json()
-
-
-class TestPooledCompose:
-    def test_sharded_compose_byte_parity(self):
-        inputs = {
-            "a": [1.5, 2.5, 0.5, 3.0],
-            "b": [2.0, 1.0, 4.0, 0.25],
-            "c": [0.5, 3.0, 1.0, 2.0],
-            "d": [1.0, 1.0, 2.0, 0.125],
-        }
-        with Session(workers=2) as session:
-            plain = session.audit(
-                CHAIN, "Main", inputs=inputs, engine="sharded"
-            )
-            composed = session.audit(
-                CHAIN, "Main", inputs=inputs, engine="sharded", compose=True
-            )
-            assert composed.to_json() == plain.to_json()
-            assert composed.provenance is not None
-            # Again on the now-warm workers.
-            again = session.audit(
-                CHAIN, "Main", inputs=inputs, engine="sharded", compose=True
-            )
-        assert again.to_json() == plain.to_json()
-
-    @given(data=st.data())
-    @settings(
-        max_examples=_POOL_BUDGET,
-        deadline=None,
-        suppress_health_check=[HealthCheck.too_slow],
-    )
-    def test_random_programs_pooled_compose_byte_parity(self, data, session):
-        # Both audits run on the warm pool; compose must not change a
-        # byte of the payload (the pooled-vs-spawn byte parity itself is
-        # pinned by the deterministic tests above).
-        seed = data.draw(st.integers(0, 2**16), label="seed")
-        spec = random_program(
-            seed,
-            n_helpers=data.draw(st.integers(1, 2), label="n_helpers"),
-            allow_div=data.draw(st.booleans(), label="allow_div"),
-        )
-        n_rows = data.draw(st.integers(2, 4), label="n_rows")
-        columns = random_batch_inputs(
-            spec, data.draw(st.integers(0, 2**20)), n_rows
-        )
-        plain = session.audit(
-            spec.program, spec.definition.name, inputs=columns,
-            engine="sharded",
-        )
-        composed = session.audit(
-            spec.program, spec.definition.name, inputs=columns,
-            engine="sharded", compose=True,
-        )
-        assert composed.to_json() == plain.to_json()
