@@ -33,8 +33,8 @@ Schema history:
   digits through :func:`~repro.semantics.spaces.render_row_distance`
   (``"2.5786797e-16"``; ``"0"`` and ``"Infinity"`` as is) instead of
   the exact 60-digit string — the precision the batch engine's
-  double-double screen certifies, so per-row witnesses run on the EFT
-  fast path.  Nothing else changed: aggregate ``max_distance`` keeps
+  distance screen certifies, so per-row witnesses run on its fast
+  path.  Nothing else changed: aggregate ``max_distance`` keeps
   its exact bytes, payloads without ``rows`` keep their v2/v3 bytes,
   and the version 5 stamp appears exactly when ``rows`` is present.
   :meth:`AuditResult.from_json` still reads version-4 payloads.

@@ -35,28 +35,17 @@ class SummaryStore:
 
     def __init__(self) -> None:
         self._memory: Dict[str, Judgment] = {}
-        self.stats: Dict[str, int] = {
-            "memory_hits": 0,
-            "misses": 0,
-            "stores": 0,
-        }
 
     def __len__(self) -> int:
         return len(self._memory)
 
     def get(self, fingerprint: str) -> Optional[Judgment]:
         """The judgment keyed by ``fingerprint``, or ``None`` on miss."""
-        judgment = self._memory.get(fingerprint)
-        if judgment is not None:
-            self.stats["memory_hits"] += 1
-            return judgment
-        self.stats["misses"] += 1
-        return None
+        return self._memory.get(fingerprint)
 
     def put(self, fingerprint: str, judgment: Judgment) -> None:
         """Record ``judgment`` under ``fingerprint``."""
         self._memory[fingerprint] = judgment
-        self.stats["stores"] += 1
 
 
 _DEFAULT: SummaryStore = SummaryStore()

@@ -150,7 +150,9 @@ class _Inliner:
         if len(callee_ir.params) != len(callee.params):
             # free variables must keep failing at use time
             return None, FALLBACK_FREE_VARS
-        cost = count_ops(callee_ir.ops) + 1
+        # The splice replaces the call op by the callee's ops and one
+        # ``bang``: the program grows by the callee's op count.
+        cost = count_ops(callee_ir.ops)
         if self.budget + cost > self.max_ops:
             return None, FALLBACK_SIZE_CAP
         self.budget += cost

@@ -12,23 +12,26 @@ flat IR:
    deterministic, and reduced-precision simulation uses the same
    frexp/round-half-even/ldexp construction, vectorized);
 2. **backward sweep** — one reverse pass whose per-op witness formulas
-   (Appendix C) run on double-double float arrays
-   (:mod:`repro.semantics.eft` — plain float64 ufunc expressions, no
-   Python-level dispatch);
-3. **ideal re-evaluation** of the perturbed inputs (Property 2), again
-   as per-op dd array sweeps;
+   (Appendix C) run in *perturbation form*: every value is its
+   binary64 forward value times ``(1 + δ)``, and each op's exact
+   rounding error ``η`` (from a TwoSum or TwoProd) turns a witness
+   formula into a few float64 ufunc calls on ``δ`` and ``η``
+   (:mod:`repro.semantics.eft`; no Python-level dispatch);
+3. **ideal re-evaluation** of the perturbed inputs (Property 2), in the
+   same form, reusing each op's ``η``;
 4. **distance checks** — float64 *screens with provable margins* of
    the relative-precision distances against the inferred grade bounds.
-   Every row the screen cannot settle with ~1e18 to spare, and every
-   exact number that reaches a report, is decided by the per-row
-   scalar reference (the 50-digit :func:`run_witness`), so the engine
-   is bit-for-bit equal to looping :func:`run_witness` (the parity
-   harness enforces this).  Rows where a dd kernel leaves its
-   validated domain — a zero divisor, a negative radicand, a discrete
-   target that is not bitwise the forward value — are marked suspect
-   and settled by the same per-row reference.  Per-row distances in
-   the ``rows`` section render at 8 significant digits, which the
-   screen certifies itself on nearly every row.
+   Every row the screen cannot settle within its stated error bound,
+   and every exact number that reaches a report, is decided by the
+   per-row scalar reference (the 50-digit :func:`run_witness`), so the
+   engine is bit-for-bit equal to looping :func:`run_witness` (the
+   parity harness enforces this).  Rows where the screen leaves its
+   validated domain — a forward value outside the EFT range, a root of
+   a non-positive ratio, a zeroed ideal divisor, a discrete target that
+   is not exactly unperturbed — are marked suspect and settled by the
+   same per-row reference.  Per-row distances in the ``rows`` section
+   render at 8 significant digits, which the screen certifies itself
+   on nearly every row.
 
 The vectorized fragment is the whole language:
 
@@ -73,7 +76,7 @@ import decimal
 import math
 import random
 from decimal import Decimal
-from typing import Dict, List, Mapping, Optional, Sequence, Tuple, Union
+from typing import Dict, List, Mapping, NamedTuple, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -82,10 +85,8 @@ from ..core.grades import BINARY64_UNIT_ROUNDOFF, Grade, ZERO
 from ..core.types import Discrete, Num, Tensor, Type, Unit, is_discrete
 from ..ir import lower as L
 from ..ir.cache import inlined_definition_ir, semantic_definition_ir
-from ..ir.inline import walk_ops
 from ..lam_s.eval import EvalError, stochastic_round
 from . import eft
-from .eft import DD
 from .interp import BeanLens, lens_of_definition
 from .lens import LensDomainError
 from .primitives import BACKWARD_PRECISION
@@ -238,11 +239,6 @@ def _merge_masked(mask: np.ndarray, left, right):
         )
     if left is _BUNIT and right is _BUNIT:
         return _BUNIT
-    if isinstance(left, DD) or isinstance(right, DD):
-        # dd/float leaf mixes promote the float side exactly.
-        if isinstance(left, (DD, np.ndarray)) and isinstance(right, (DD, np.ndarray)):
-            return eft.where(mask, left, right)
-        raise _Unvectorizable("case branches produced incompatible batched shapes")
     if isinstance(left, np.ndarray) and isinstance(right, np.ndarray):
         return np.where(mask, left, right)
     raise _Unvectorizable("case branches produced incompatible batched shapes")
@@ -298,7 +294,7 @@ class BatchWitnessReport:
         #: across processes.
         self.rows = rows
         #: Clean rows (not ``fallback_rows``) whose verdicts, exact max
-        #: distances or rendered row distances the EFT screen left to the
+        #: distances or rendered row distances the screen left to the
         #: scalar reference — the screen's efficiency.  In-process only:
         #: never serialized.
         self.rechecked_rows = rechecked_rows
@@ -400,11 +396,11 @@ class BatchWitnessEngine:
         #: Whether this program runs through the vectorized pipeline.
         #: The op check is the whole language minus un-inlined calls;
         #: the param check excludes implicit (free-variable) parameters,
-        #: which only the scalar environment lookup can resolve.  The dd
+        #: which only the scalar environment lookup can resolve.  The
         #: screens are calibrated against the 50-digit reference
-        #: semantics (dd resolves ~32 digits; the margins assume Decimal
-        #: noise at ~1e-50·cond), so a lens of any other ideal precision
-        #: runs the scalar loop, which honours it.
+        #: semantics (the margins and the closeness certificate assume
+        #: Decimal noise at ~1e-50·cond), so a lens of any other ideal
+        #: precision runs the scalar loop, which honours it.
         self.vectorized = (
             bool(self.ir.vectorizable)
             and len(self.ir.params) == len(definition.params)
@@ -412,6 +408,7 @@ class BatchWitnessEngine:
         )
         self._grades: Dict[str, Grade] = {}
         self._bounds: Dict[str, Decimal] = {}
+        self._screen: Optional[_ScreenBounds] = None
         for p in definition.params:
             if is_discrete(p.ty):
                 self._grades[p.name] = ZERO
@@ -565,7 +562,10 @@ class BatchWitnessEngine:
     def _run_vectorized(self, columns, n_rows: int) -> BatchWitnessReport:
         ir = self.ir
         # Phase 1: approximate forward sweep (float64 arrays); phases
-        # 2-4 (_finish) run on the clean rows.
+        # 2-4 (_finish) run on the clean rows.  `span` accumulates each
+        # row's smallest and largest forward |value|: a zero or
+        # non-finite one makes the row risky (scalar fallback), one
+        # outside the EFT range makes it suspect (settled per row).
         fvals: List = [None] * ir.n_slots
         for p in ir.params:
             cols = [np.ascontiguousarray(columns[p.name][:, j]) for j in
@@ -573,22 +573,38 @@ class BatchWitnessEngine:
             tree, _ = _pack_columns(p.ty, cols)
             fvals[p.slot] = tree
         risky = np.zeros(n_rows, dtype=bool)
-        self._forward_approx(ir.ops, fvals, risky, np.ones(n_rows, dtype=bool))
+        span = _Span(n_rows)
+        self._forward_approx(ir.ops, fvals, risky, np.ones(n_rows, dtype=bool),
+                             False, span)
+        risky |= ~(span.low > 0.0)
+        risky |= ~(span.high < np.inf)
+        out_of_range = span.out_of_range
+        out_of_range |= span.low < eft.UNDERFLOW_LIMIT
+        out_of_range |= span.high > eft.OVERFLOW_LIMIT
         for name in columns:
-            col = columns[name]
-            risky |= ~np.isfinite(col).all(axis=1)
+            size = np.abs(columns[name])
+            if size.shape[1] == 0:
+                continue
+            high = size.max(axis=1)
+            risky |= ~(high < np.inf)  # a nan or infinite input
+            out_of_range |= high > eft.OVERFLOW_LIMIT
+            # Zero inputs too: the reference compares exact zeros there.
+            out_of_range |= size.min(axis=1) < eft.UNDERFLOW_LIMIT
         clean = np.flatnonzero(~risky)
         fallback = np.flatnonzero(risky)
 
         if clean.size == 0:
             return self._run_scalar(columns, n_rows, fallback)
+        if fallback.size == 0:
+            # Every row is clean: the forward arrays are the clean rows.
+            return self._finish(columns, n_rows, clean, fallback,
+                                fvals.__getitem__, out_of_range)
 
         # Row selections are memoized by *source array identity*, not
         # slot: slots that alias the same underlying array (projections,
         # dvar reads, aliased binders) then share one selected array
-        # object, so identity checks — e.g. the discrete-variable
-        # verify's "target is the unperturbed value" fast path — see
-        # through the aliasing.
+        # object, so identity checks — e.g. a rounding ``rnd`` whose
+        # forward value is its operand's — see through the aliasing.
         fsel_cache: Dict[int, object] = {}
         sel_memo: Dict[int, np.ndarray] = {}
 
@@ -606,7 +622,8 @@ class BatchWitnessEngine:
                 fsel_cache[slot] = cached
             return cached
 
-        return self._finish(columns, n_rows, clean, fallback, fsel)
+        return self._finish(columns, n_rows, clean, fallback, fsel,
+                            out_of_range[clean])
 
     def _scalar_fallback_rows(self, columns, fallback, sound, exact, max_dist):
         """Witness the risky rows via run_witness (bit-identical)."""
@@ -626,77 +643,143 @@ class BatchWitnessEngine:
                     max_dist[name] = w.distance
         return reports, errors
 
-    # -- phases 2-4 on dd arrays -------------------------------------------
+    # -- phases 2-3 in perturbation form -----------------------------------
 
     def _finish(self, columns, n_rows: int, clean: np.ndarray,
-                fallback: np.ndarray, fsel) -> BatchWitnessReport:
-        """Phases 2-4 on dd (double-double) float arrays.
+                fallback: np.ndarray, fsel,
+                suspect: np.ndarray) -> BatchWitnessReport:
+        """Phases 2-3 in perturbation form, then the phase-4 screens.
 
-        The dd sweep is a *screen with provable margins*, never a
-        reporter of exact values: every exact number that reaches a
-        report — perturbed-input reprs, exact distances, max distances,
-        ambiguous verdicts — is produced by the per-row scalar reference
-        (:func:`run_witness`), which is the established bit-identical
-        semantics.  The dd values decide which rows can be settled
-        without it, and render the ``rows`` section's 8-digit per-row
-        distances where the screen's error band cannot straddle a
-        rounding boundary (:func:`_screen_row_distances`).  Soundness of
-        each verdict rests on the margins documented in
-        :mod:`repro.semantics.eft` and at the screen sites below:
-        rounding noise in the 50-digit Decimal reference (~1e-50·cond)
-        and in dd (~1e-32·cond) both sit many orders below every
-        decision threshold, so whenever dd calls a verdict "sure", the
-        50-digit reference provably agrees.
+        Every screened value is its slot's binary64 forward array times
+        ``(1 + δ)``, with ``δ`` a float64 array (``_EXACT`` where the
+        value is bitwise the forward one).  Each forward op's exact
+        error ``η`` (``x1 ∘ x2 = r(1+η)``, from TwoSum/TwoProd) is
+        computed once by the backward sweep and reused by the ideal
+        sweep; the Appendix C maps and the ideal semantics are then a
+        few float ops on ``δ`` and ``η`` (:class:`_DeltaSweep`; error
+        bounds in :mod:`repro.semantics.eft`).  ``suspect`` marks clean
+        rows whose forward values left the EFT range; rows the sweeps
+        cannot screen join it, and :meth:`_settle` hands all of them to
+        the scalar reference.
+        """
+        ir = self.ir
+        sweep = _DeltaSweep(fsel, int(clean.size), suspect,
+                            self.precision_bits == 53
+                            and self.rounding != "stochastic")
+        with np.errstate(all="ignore"):
+            # Phase 2': backward reverse sweep.
+            targets: List = [None] * ir.n_slots
+            sweep.backward(ir.ops, targets)
+            perturbed: Dict[str, object] = {}
+            ivals: List = [None] * ir.n_slots
+            for p in ir.params:
+                forward = fsel(p.slot)
+                target = None if p.discrete else targets[p.slot]
+                ivals[p.slot] = _fill(target, forward)
+                if not p.discrete:
+                    perturbed[p.name] = ivals[p.slot]
+            del targets
+            # Phase 3': ideal re-evaluation of the perturbed inputs.
+            sweep.ideal(ir.ops, ivals)
+        return self._settle(columns, n_rows, clean, fallback, fsel,
+                            perturbed, ivals[ir.result], sweep.suspect)
 
-        The kernels run on the operands the forward sweep produced
-        (:class:`_EftArith`): binary64 forward values enter the witness
-        formulas as is, so add/sub witnesses share one dd quotient
-        ``x3/s`` by an exact TwoSum divisor and scale it by each
-        binary64 operand (``dd_mul_fp``, ``<= 3u²``), mul/div form
-        ``x1·x2`` by one exact TwoProd, and dmul divides by a binary64
-        whose split is computed once (``dd_div_fp``, ``<= 3u²``); the
-        generic dd kernels (``dd_div`` ``<= 14u²``) run only between two
-        dd values.  All of these are ~1e-31 relative, orders of
-        magnitude inside every margin below.
+    def _screen_bounds(self) -> "_ScreenBounds":
+        """This program's screen error terms (:class:`_ScreenBounds`).
+
+        ``E`` is :func:`eft.backward_error_bound` over the longest
+        backward chain ``K`` and this lens's forward rounding error
+        ``η_max``.  The distance margins' absolute term is ``1e-26``,
+        widened to ``2E`` where that is larger, and the noise-floor cap
+        is ``1e-27``, widened to ``2·(1e-28 + E)``: widening only adds
+        rechecks.  For the closeness certificate (:func:`_conditions`):
+        every ``|δ|`` and ``|η|`` on a path is at most
+        ``Δ = e^L - 1 + η_max`` (``L = K·|ln(1 - η_max)|``), so each op
+        of either sweep adds at most ``~8u·Δ`` to the ideal result's
+        ``δ``, weighted as the reference's roundings are; ``unit``
+        doubles that and takes ``e^{3L}`` for the magnitude drift.
+        """
+        if self._screen is None:
+            if self.rounding == "stochastic":
+                eta_max = 2.0**-51  # within one ulp of the exact value
+            elif self.precision_bits == 53:
+                eta_max = eft.U
+            else:  # binary64 rounding, then round half even to p bits
+                eta_max = 2.0**-self.precision_bits + 2.0**-52
+            chain = self.ir.rounding_chain
+            if chain is None:
+                chain = self.ir.rounding_chain = _longest_chain(self.ir.ops)
+            err = eft.backward_error_bound(chain, eta_max)
+            spread = chain * -math.log1p(-eta_max)  # L: max |ln(1+δ)|
+            if spread <= 50.0:
+                growth = math.exp(2.0 * spread)
+                unit = 16.0 * eft.U * math.exp(3.0 * spread) * (
+                    math.exp(spread) - 1.0 + eta_max)
+            else:
+                growth = unit = math.inf
+            self._screen = _ScreenBounds(
+                slack=max(1e-26, 2.0 * err),
+                noise_cap=max(1e-27, 2.0 * (1e-28 + err)),
+                leaf_kappa=2.0 * chain + 1.0,
+                growth=growth,
+                unit=unit,
+            )
+        return self._screen
+
+    # -- phase 4: screens and per-row settlement ---------------------------
+
+    def _settle(self, columns, n_rows: int, clean: np.ndarray,
+                fallback: np.ndarray, fsel, perturbed: Dict[str, object],
+                ideal_result, suspect: np.ndarray) -> BatchWitnessReport:
+        """Phase 4: screen the perturbation trees, settle the rest.
+
+        ``perturbed`` maps each linear parameter to its witness as a
+        ``δ`` tree over its forward leaves, ``ideal_result`` is the
+        ideal result's ``δ`` tree over the approximate result, and
+        ``suspect`` marks rows the sweeps could not screen.
+
+        The screens never report a value: every exact number that
+        reaches a report — perturbed-input reprs, exact distances, max
+        distances, ambiguous verdicts — is produced by the per-row
+        scalar reference (:func:`run_witness`).  The ``δ`` trees decide
+        which rows can be settled without it, and render the ``rows``
+        section's 8-digit per-row distances where the screen's error
+        band cannot straddle a rounding boundary
+        (:func:`_screen_row_distances`).  A screened distance is within
+        ``2u`` relative plus ``E`` absolute of the exact one (the
+        contract in :mod:`repro.semantics.eft`); every margin below
+        carries ``1e-12`` relative plus ``slack >= 2E`` absolute
+        (:meth:`_screen_bounds`), so whenever the screen calls a
+        verdict "sure", the 50-digit reference provably agrees.
         ``rechecked_rows`` on the report counts the clean rows handed to
         the scalar reference; a row whose recheck raises keeps the
         exception as its captured error, like a fallback row.
         """
         ir = self.ir
         m = int(clean.size)
-        arith = _EftArith(m)
+        bounds = self._screen_bounds()
+        slack, noise_cap = bounds.slack, bounds.noise_cap
 
         with np.errstate(all="ignore"):
-            # Phase 2': backward reverse sweep on dd arrays.  Forward
-            # operands enter the kernels as binary64 arrays.  Rows where
-            # a kernel leaves its validated range land in arith.suspect
-            # and are settled by the scalar reference below.
-            targets: List = [None] * ir.n_slots
-            self._backward(ir.ops, fsel, fsel, targets, arith)
-            perturbed: Dict[str, object] = {}
-            for p in ir.params:
-                if p.discrete:
-                    perturbed[p.name] = fsel(p.slot)
-                else:
-                    perturbed[p.name] = _materialize_mixed(
-                        targets[p.slot], fsel(p.slot)
-                    )
-
-            # Phase 3': ideal re-evaluation on dd arrays.
-            ivals: List = [None] * ir.n_slots
-            for p in ir.params:
-                ivals[p.slot] = perturbed[p.name]
-            self._ideal_eft(ir.ops, ivals, m, arith)
-            ideal_result = ivals[ir.result]
-
-            # Phase 4': screens.  Definite verdicts come out of the dd
-            # margins; everything ambiguous joins `recheck` and is
-            # decided by the scalar reference, bit for bit.
-            recheck = arith.suspect.copy()
-            approx_sel = fsel(ir.result)
+            # Definite verdicts come out of the screen's margins;
+            # everything ambiguous joins `recheck` and is decided by the
+            # scalar reference, bit for bit.
+            recheck = suspect.copy()
             close = np.ones(m, dtype=bool)
-            _close_screen_eft(ideal_result, approx_sel, close, recheck,
-                              np.ones(m, dtype=bool))
+            unsure = np.zeros(m, dtype=bool)
+            every = np.ones(m, dtype=bool)
+            approx = fsel(ir.result)
+            _close_screen(ideal_result, approx, close, unsure, every)
+            if unsure.any():
+                # Rows between the closeness thresholds: certify the
+                # ones whose reference noise is provably below the
+                # tolerance (see _conditions) before rechecking.
+                kappa = _result_conditions(ir, fsel, bounds)
+                close[:] = True
+                unsure[:] = False
+                _close_screen(ideal_result, approx, close, unsure, every,
+                              kappa, bounds.unit)
+            recheck |= unsure
 
             within_all = np.ones(m, dtype=bool)
             d_maxes: Dict[str, np.ndarray] = {}
@@ -704,24 +787,19 @@ class BatchWitnessEngine:
             for p in ir.params:
                 if p.discrete:
                     continue
-                d_max, noise = self._dist_screen_eft(
-                    fsel(p.slot), perturbed[p.name], m, recheck
-                )
+                d_max, noise = _dist_screen(perturbed[p.name], m, recheck)
                 bound_f = float(self._bounds[p.name])
                 if math.isfinite(bound_f):
-                    # Perturbations are relative ~1e-16..1e-13; the dd
-                    # screen's distance error is ~1e-16·d + 1e-30, so a
-                    # row can only disagree with the exact comparison
+                    # A row can only disagree with the exact comparison
                     # inside this margin — recheck those.  d_max == 0.0
                     # rows are exact zeros (or noise-flagged), never
                     # ambiguous.
-                    margin = 1e-12 * (bound_f + d_max) + 1e-26
+                    margin = 1e-12 * (bound_f + d_max) + slack
                     recheck |= (np.abs(d_max - bound_f) <= margin) & (d_max > 0.0)
                     within_all &= d_max <= bound_f
-                    if bound_f <= 1e-27:
-                        # Noise-floor leaves (true distance up to
-                        # ~1.1e-28) can flip the verdict only against a
-                        # bound this small.
+                    if bound_f <= noise_cap:
+                        # Noise-floor leaves can flip the verdict only
+                        # against a bound this small.
                         recheck |= noise
                 # An infinite bound is satisfied by every distance, INF
                 # included — no screen needed (matches d <= Infinity).
@@ -731,7 +809,7 @@ class BatchWitnessEngine:
         # The scalar reference decides every flagged row, bit for bit.
         # A row whose recheck raises keeps the exception as its captured
         # error (as a fallback row does) and joins `recheck`, so no
-        # screen below reads its dd values again.
+        # screen below reads its screened values again.
         rechecked: Dict[int, WitnessReport] = {}
         recheck_errors: Dict[int, BaseException] = {}
 
@@ -752,13 +830,13 @@ class BatchWitnessEngine:
         _recheck_rows(np.flatnonzero(recheck))
 
         # Per-parameter max distances must be *exact* Decimals.  Rows
-        # whose screened distance falls within the dd error band of the
-        # screened maximum are candidates for the true max; recheck them
-        # and report the max over exact values only.  (Rows outside the
-        # band are provably below the true max by the same margin
-        # argument as the bound screen.)  A candidate whose recheck
-        # raises drops out of the max, which may then sit lower: screen
-        # again until every candidate is settled.
+        # whose screened distance falls within the screen's error band
+        # of the screened maximum are candidates for the true max;
+        # recheck them and report the max over exact values only.
+        # (Rows outside the band are provably below the true max by the
+        # same margin argument as the bound screen.)  A candidate whose
+        # recheck raises drops out of the max, which may then sit lower:
+        # screen again until every candidate is settled.
         max_dist: Dict[str, Decimal] = {}
         for p in ir.params:
             if p.discrete:
@@ -777,14 +855,14 @@ class BatchWitnessEngine:
                 if screened.size:
                     best = max(best, float(screened.max()))
                 raised = False
-                if best <= 1e-27:
+                if best <= noise_cap:
                     # The param's max sits at (or below) the noise
                     # floor: rows whose tiny leaves the screen deferred
                     # can hold it, and only the scalar reference knows
                     # their exact (evaluation-noise-dominated) Decimal
                     # distances.
                     raised = _recheck_rows(np.flatnonzero(noise_rows[p.name]))
-                band = 1e-12 * best + 1e-26
+                band = 1e-12 * best + slack
                 cand = ~recheck & (d_max >= best - band) & (d_max > 0.0)
                 raised |= _recheck_rows(np.flatnonzero(cand))
             dist_best = _DEC_ZERO
@@ -802,7 +880,8 @@ class BatchWitnessEngine:
         if self.collect_rows:
             deferred = np.zeros(m, dtype=bool)
             for name, d_max in d_maxes.items():
-                rendered = _screen_row_distances(d_max, noise_rows[name])
+                rendered = _screen_row_distances(d_max, noise_rows[name],
+                                                 slack, noise_cap)
                 screened_rows[name] = rendered
                 deferred |= np.fromiter(
                     (r is None for r in rendered), dtype=bool, count=m
@@ -826,7 +905,6 @@ class BatchWitnessEngine:
         )
         for j, exc in recheck_errors.items():
             errors[int(clean[j])] = exc
-        clean_pos = {int(row): j for j, row in enumerate(clean)}
 
         row_tuples = None
         if self.collect_rows:
@@ -848,10 +926,12 @@ class BatchWitnessEngine:
         def materialize(i: int) -> WitnessReport:
             rep = reports.get(i)
             if rep is None:
-                rep = rechecked.get(clean_pos[i])
+                j = int(np.searchsorted(clean, i))  # clean rows are sorted
+                rep = rechecked.get(j)
             if rep is None:
-                # dd values never reach a report: lazy rows materialize
-                # through the scalar reference, like the sharded path.
+                # Screened values never reach a report: lazy rows
+                # materialize through the scalar reference, like the
+                # sharded path.
                 rep = self._scalar_report(columns, i)
             return rep
 
@@ -869,61 +949,17 @@ class BatchWitnessEngine:
             rechecked_rows=len(rechecked) + len(recheck_errors),
         )
 
-    def _dist_screen_eft(self, orig_tree, new_tree, m: int,
-                         recheck: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
-        """Float64 RP-distance approximations for one parameter's leaves.
-
-        Returns ``(d_max, noise)``: the per-row max over leaf distances
-        as float64, plus a mask of rows holding a noise-floor leaf.
-        Each leaf distance comes from :func:`eft.rp_distance`: the gap
-        ``(o - n)/n`` from an exact (Sterbenz) difference and ``log1p``,
-        within ``5u ≈ 6e-16`` relative of ``|ln(o/n)|`` for the dd
-        ``n`` — ~1e3 inside the ``1e-12``-relative margins below, and
-        as accurate at the noise floor as anywhere else.  The dd ``n``
-        itself differs from the 50-digit reference by ~1e-32·cond
-        relative, which the margins' ``1e-26`` absolute term absorbs.
-        Rows the screen cannot decide at all are flagged into
-        ``recheck``: sign flips or vanished leaves (where the exact
-        metric jumps to INF) and ratios outside float range.  A targeted leaf whose dd distance
-        reads below 1e-28 is different — down there the *reference*
-        value is dominated by the 50-digit evaluator's own rounding
-        noise (~1e-50·depth, e.g. a witness formula that happens to be
-        exact in binary), which dd cannot predict; only the scalar
-        rerun can reproduce those Decimal bits.  But such a leaf's true
-        distance is provably ≤ ~1.1e-28, so it can only influence the
-        reported output when the param's bound or screened max is
-        itself at the noise floor.  Those rows are returned in
-        ``noise`` and the caller defers the (expensive) recheck until
-        one of the ≤1e-27 comparisons actually bites — on deep
-        programs, some leaf's witness formula is exact in binary on
-        most rows, and eagerly rechecking them forfeits the batch win.
-        Leaves the backward sweep never targeted (``nw is o``)
-        contribute an exact 0, matching the scalar path's ``ln(x/x)``.
-        """
-        orig_leaves = _tree_leaves(orig_tree, [])
-        new_leaves = _tree_leaves(new_tree, [])
-        d_max = np.zeros(m)
-        noise = np.zeros(m, dtype=bool)
-        for o, nw in zip(orig_leaves, new_leaves):
-            if nw is o:
-                continue  # untargeted leaf: d = |ln(x/x)| = 0 exactly
-            d, undecided = eft.rp_distance(o, eft.as_dd(nw))
-            tiny = d < 1e-28
-            tiny &= ~undecided
-            recheck |= undecided
-            noise |= tiny
-            np.maximum(d_max, d, out=d_max, where=~(undecided | tiny))
-        return d_max, noise
-
-    # -- phase kernels -----------------------------------------------------
+    # -- phase 1 -----------------------------------------------------------
 
     def _forward_approx(self, ops, vals: List, risky: np.ndarray,
-                        active: np.ndarray) -> None:
+                        active: np.ndarray, masked: bool,
+                        span: "_Span") -> None:
         """Phase 1: the approximate semantics, one array op at a time.
 
         ``active`` marks the rows this (possibly nested-region) op list
-        is live on; risk flags and per-row divergences only ever apply
-        to active rows, so branch-untaken garbage stays inert.
+        is live on (``masked`` is False where that is every row); risk
+        flags, range spans and per-row divergences only ever apply to
+        active rows, so branch-untaken garbage stays inert.
         """
         pbits = self.precision_bits
         stochastic = self.rounding == "stochastic"
@@ -950,7 +986,7 @@ class BatchWitnessEngine:
                             r = a * b
                     if pbits < 53:
                         r = _round_array(r, pbits)
-                risky |= active & ((r == 0.0) | ~np.isfinite(r))
+                span.track(r, active, masked)
                 if code == L.DIV:
                     vals[op.dest] = _BSum(b != 0.0, r, _BUNIT)
                 else:
@@ -967,13 +1003,17 @@ class BatchWitnessEngine:
                 r = vals[op.a]
                 if not stochastic and pbits < 53:
                     r = _round_array(r, pbits)
-                    risky |= active & ((r == 0.0) | ~np.isfinite(r))
+                    span.track(r, active, masked)
                 # Stochastic rnd is the identity on values that are
                 # already binary64 (the exact value ties the nearest
                 # float, so no randomized decision is ever taken).
                 vals[op.dest] = r
             elif code == L.CONST:
-                vals[op.dest] = np.full(n, float(op.aux))
+                c = float(op.aux)
+                if c != 0.0 and not (eft.UNDERFLOW_LIMIT <= abs(c)
+                                     <= eft.OVERFLOW_LIMIT):
+                    span.out_of_range |= active
+                vals[op.dest] = np.full(n, c)
             elif code == L.UNIT:
                 vals[op.dest] = _BUNIT
             elif code == L.INL:
@@ -989,13 +1029,15 @@ class BatchWitnessEngine:
                 left_val = right_val = None
                 if scrut.left is not None:
                     vals[left_r.payload] = scrut.left
-                    self._forward_approx(left_r.ops, vals, risky, active & mask)
+                    self._forward_approx(left_r.ops, vals, risky, active & mask,
+                                         True, span)
                     left_val = vals[left_r.result]
                 elif bool((active & mask).any()):
                     raise _Unvectorizable("inl row without an inl payload")
                 if scrut.right is not None:
                     vals[right_r.payload] = scrut.right
-                    self._forward_approx(right_r.ops, vals, risky, active & ~mask)
+                    self._forward_approx(right_r.ops, vals, risky,
+                                         active & ~mask, True, span)
                     right_val = vals[right_r.result]
                 elif bool((active & ~mask).any()):
                     raise _Unvectorizable("inr row without an inr payload")
@@ -1044,82 +1086,229 @@ class BatchWitnessEngine:
                 out[i] = stochastic_round(exact, rng)
         return out
 
-    def _backward(self, ops, fsel, cvt, targets: List, arith) -> None:
-        """The Appendix C witness formulas, one array expression per op.
 
-        ``arith`` supplies the exact-arithmetic kernels (dd float pairs,
-        :class:`_EftArith`) and ``cvt`` converts a slot's forward floats
-        into their representation; the seam lets a test oracle run the
-        same sweep on other arithmetic.  Operand values and the op order
-        inside each formula match :mod:`repro.semantics.primitives`.
-        Sign/zero domain analysis is unnecessary here: rows whose
-        forward values vanish or overflow were diverted to the scalar
-        path, and on the remaining rows the backward targets provably
-        keep the forward signs.  ``case`` regions recurse through the
-        *taken* branch only — screened rows all share one branch tag,
-        which the sweep verifies.
+class _Span:
+    """Per-row extremes of the forward sweep's ``|values|`` (phase 1).
+
+    ``low``/``high`` are each row's smallest and largest forward
+    magnitude (nan once any is nan), so three ufunc calls per op settle
+    the zero, finiteness and range tests at the end of the sweep;
+    ``out_of_range`` collects rows a literal puts outside the EFT range.
+    """
+
+    __slots__ = ("low", "high", "out_of_range")
+
+    def __init__(self, n: int) -> None:
+        self.low = np.full(n, np.inf)
+        self.high = np.zeros(n)
+        self.out_of_range = np.zeros(n, dtype=bool)
+
+    def track(self, r: np.ndarray, active: np.ndarray, masked: bool) -> None:
+        size = np.abs(r)
+        if masked:
+            size = np.where(active, size, 1.0)
+        np.minimum(self.low, size, out=self.low)
+        np.maximum(self.high, size, out=self.high)
+
+
+class _Exact:
+    """The zero perturbation: a value bitwise equal to its forward value."""
+
+    __slots__ = ()
+
+    def __repr__(self) -> str:  # pragma: no cover - debugging aid
+        return "_EXACT"
+
+
+_EXACT = _Exact()
+
+
+def _delta(v):
+    """A ``δ`` leaf as a kernel operand: ``None`` for the zero one."""
+    return None if v is None or v is _EXACT else v
+
+
+def _exact_like(forward, leaf=_EXACT):
+    """The zero-perturbation tree shaped like a forward value (or the
+    tree with ``leaf`` at every number)."""
+    if isinstance(forward, _BPair):
+        return _BPair(_exact_like(forward.left, leaf),
+                      _exact_like(forward.right, leaf))
+    if isinstance(forward, _BSum):
+        return _BSum(
+            forward.mask,
+            None if forward.left is None else _exact_like(forward.left, leaf),
+            None if forward.right is None else _exact_like(forward.right, leaf),
+        )
+    if forward is _BUNIT:
+        return _BUNIT
+    return leaf
+
+
+def _fill(t, forward):
+    """A target as a complete ``δ`` tree: untargeted parts are exact."""
+    if t is None:
+        return _exact_like(forward)
+    if isinstance(t, _BPartial):
+        return _BPair(_fill(t.left, forward.left), _fill(t.right, forward.right))
+    return t
+
+
+class _DeltaSweep:
+    """Phases 2-3 in perturbation form over the clean rows.
+
+    A slot's backward target or ideal value is a ``δ`` tree over its
+    forward value ``fsel(slot)``: numeric leaves are float64 ``δ``
+    arrays (the value is ``x·(1+δ)``) or ``_EXACT``, and pairs and sums
+    mirror the forward trees.  The backward sweep computes each
+    arithmetic op's ``η`` (its exact result is ``r·(1+η)``) and keeps it
+    for the ideal sweep, which pops it; a target is freed once its op
+    has consumed it.  ``nearest`` says every forward op rounds to
+    nearest binary64, so ``r`` is the EFT's own leading term.
+
+    ``suspect`` collects rows the sweeps cannot screen — a mul or div
+    witness whose ratio ``(1+δ3)/(1+η)`` is not positive (the reference
+    takes a root of a non-positive value there), an ideal divisor the
+    perturbation zeroes or flips, a discrete target that is not exactly
+    unperturbed — and the caller settles them by the scalar reference.
+    Non-finite ``δ`` needs no flag: it stays non-finite through every
+    kernel, and the screens treat it as undecided.
+    """
+
+    def __init__(self, fsel, m: int, suspect: np.ndarray,
+                 nearest: bool) -> None:
+        self.fsel = fsel
+        self.suspect = suspect
+        self.nearest = nearest
+        self.etas: Dict[int, np.ndarray] = {}
+        self.every = np.ones(m, dtype=bool)
+        # Veltkamp splits of discrete dmul factors, by array identity
+        # (the array is kept alive with its split so its id stays
+        # unique): Horner's evaluation point is split once, not once
+        # per op.
+        self._splits: Dict[int, Tuple[np.ndarray, Tuple[np.ndarray, np.ndarray]]] = {}
+
+    def _split_of(self, y: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+        hit = self._splits.get(id(y))
+        if hit is None:
+            hit = self._splits[id(y)] = (y, eft.split(y))
+        return hit[1]
+
+    def eta(self, code: int, x1, x2, r) -> np.ndarray:
+        """``η`` of an add/sub/mul/dmul whose forward result is ``r``."""
+        if self.nearest:
+            r = None
+        if code == L.ADD:
+            return eft.eta_add(x1, x2, r)
+        if code == L.SUB:
+            return eft.eta_add(x1, -x2, r)
+        if code == L.MUL:
+            return eft.eta_mul(x1, x2, r)
+        return eft.eta_mul(x2, x1, r, self._split_of(x1))  # DMUL
+
+    # Backward witnesses: ``eta`` is the op's, ``d3`` its target's δ
+    # (``None`` when untargeted).  Both operands of add, sub and mul
+    # take one δ; Appendix C scales them by one common factor.
+
+    def add_backward(self, eta, d3):
+        """add, sub, dmul's linear operand and a rounding ``rnd``."""
+        return eft.back_linear(d3, eta)
+
+    def mul_backward(self, eta, d3):
+        rho = eft.back_linear(d3, eta)
+        self.suspect |= ~(rho > -1.0)
+        return eft.back_root(rho)
+
+    def div_backward(self, eta, d3):
+        rho = eft.back_linear(d3, eta)
+        self.suspect |= ~(rho > -1.0)
+        d1 = eft.back_root(rho)
+        return d1, eft.back_reciprocal(d1)
+
+    def verify_discrete(self, name: str, current, target) -> None:
+        """Discrete variables absorb no error: ``δ`` exactly 0, else suspect.
+
+        The reference applies ``values_close`` slack and raises a
+        ``LensDomainError`` that embeds value reprs, which the screen
+        reproduces neither of; rows with a nonzero ``δ`` go to it.  A
+        zero ``δ`` is exact: discrete values never feed linear
+        arithmetic (the checker refuses it), so no backward kernel
+        stands behind a discrete target, only ``dmul``'s exact one.
         """
-        producer = {}
-        for op in walk_ops(ops):
-            producer[op.dest] = op.code
-        self._backward_sweep(ops, fsel, cvt, targets, arith, producer)
+        for d in _tree_leaves(_fill(target, current), []):
+            if d is not _EXACT:
+                self.suspect |= d != 0.0
 
-    def _backward_sweep(self, ops, fsel, cvt, targets: List, arith,
-                        producer: Dict[int, int]) -> None:
+    def backward(self, ops, targets: List) -> None:
+        """The Appendix C witness maps in reverse, one kernel per op.
+
+        Operand values and the op order match
+        :mod:`repro.semantics.primitives`.  Sign/zero domain analysis is
+        unnecessary: rows whose forward values vanish or overflow were
+        diverted to the scalar path.  ``case`` regions recurse through
+        the *taken* branch only — screened rows all share one branch
+        tag, which the sweep verifies.
+        """
+        fsel = self.fsel
         for op in reversed(ops):
             code = op.code
             dest = op.dest
             if L.ADD <= code <= L.DMUL:
+                t = targets[dest]
+                targets[dest] = None  # consumed
                 if code == L.DIV:
-                    t = _get_b(targets, fsel, dest)
-                    if not isinstance(t, _BSum):
-                        raise _Unvectorizable("div target is not a batched sum")
-                    if not _mask_all(t.mask) or t.left is None:
-                        # Scalar: "div backward: finite quotient vs. inr
-                        # target".
-                        raise _Unvectorizable("div target carries inr rows")
-                    targets[op.a], targets[op.b] = arith.div_backward(
-                        cvt(op.a), cvt(op.b), arith.ensure(t.left)
+                    if t is not None:
+                        if not isinstance(t, _BSum):
+                            raise _Unvectorizable("div target is not a batched sum")
+                        if not _mask_all(t.mask) or t.left is None:
+                            # Scalar: "div backward: finite quotient vs.
+                            # inr target".
+                            raise _Unvectorizable("div target carries inr rows")
+                        t = t.left
+                    eta = self.etas[dest] = eft.eta_div(
+                        fsel(op.a), fsel(op.b), fsel(dest).left
                     )
+                    targets[op.a], targets[op.b] = self.div_backward(eta, _delta(t))
                     continue
-                x1, x2 = cvt(op.a), cvt(op.b)
-                x3 = arith.ensure(_get_b(targets, fsel, dest))
-                if code == L.ADD:
-                    targets[op.a], targets[op.b] = arith.add_backward(x1, x2, x3)
-                elif code == L.SUB:
-                    targets[op.a], targets[op.b] = arith.sub_backward(x1, x2, x3)
+                eta = self.etas[dest] = self.eta(code, fsel(op.a), fsel(op.b),
+                                                 fsel(dest))
+                if code == L.DMUL:
+                    # All error onto the linear right operand.
+                    targets[op.a] = _EXACT
+                    targets[op.b] = self.add_backward(eta, _delta(t))
                 elif code == L.MUL:
-                    targets[op.a], targets[op.b] = arith.mul_backward(x1, x2, x3)
-                else:  # DMUL: all error onto the linear right operand
-                    # The discrete left operand's target is x1 itself; when
-                    # it is a plain discrete-variable read, the identity
-                    # check is true by construction — skip assigning so the
-                    # verify below has nothing to do.
-                    if producer.get(op.a) != L.DVAR:
-                        targets[op.a] = x1
-                    targets[op.b] = arith.dmul_backward(x1, x3)
+                    targets[op.a] = targets[op.b] = self.mul_backward(eta, _delta(t))
+                else:
+                    targets[op.a] = targets[op.b] = self.add_backward(eta, _delta(t))
             elif code == L.DVAR:
                 t = targets[dest]
-                if t is not None:
-                    arith.verify_discrete(op.aux, fsel(dest), t)
+                if t is not None and t is not _EXACT:
+                    self.verify_discrete(op.aux, fsel(dest), t)
+            elif code == L.RND and fsel(dest) is not fsel(op.a):
+                # Reduced-precision rnd: its operand is r(1+η).
+                eta = self.etas[dest] = eft.eta_round(fsel(op.a), fsel(dest))
+                targets[op.a] = self.add_backward(eta, _delta(targets[dest]))
             elif code == L.BANG or code == L.RND:
-                targets[op.a] = _get_b(targets, fsel, dest)
+                targets[op.a] = targets[dest]
             elif code == L.PAIR:
-                t = _get_b(targets, fsel, dest)
-                targets[op.a] = t.left
-                targets[op.b] = t.right
+                t = targets[dest]
+                if t is not None:
+                    t = _fill(t, fsel(dest))
+                    targets[op.a] = t.left
+                    targets[op.b] = t.right
             elif code == L.FST or code == L.SND:
                 partial = targets[op.a]
                 if not isinstance(partial, _BPartial):
                     partial = _BPartial()
                     targets[op.a] = partial
-                component = _get_b(targets, fsel, dest)
                 if code == L.FST:
-                    partial.left = component
+                    partial.left = targets[dest]
                 else:
-                    partial.right = component
+                    partial.right = targets[dest]
             elif code == L.INL or code == L.INR:
-                t = _get_b(targets, fsel, dest)
+                t = targets[dest]
+                if t is None:
+                    continue
                 if not isinstance(t, _BSum):
                     raise _Unvectorizable("injection target is not a batched sum")
                 if code == L.INL:
@@ -1143,49 +1332,54 @@ class BatchWitnessEngine:
                     region, took_inl = op.aux[1], False
                 else:
                     raise _Unvectorizable("mixed case branch tags on screened rows")
-                targets[region.result] = _get_b(targets, fsel, dest)
-                self._backward_sweep(region.ops, fsel, cvt, targets, arith,
-                                     producer)
-                payload_t = _get_b(targets, fsel, region.payload)
-                targets[op.a] = (
-                    _BSum(mask, payload_t, None)
-                    if took_inl
-                    else _BSum(mask, None, payload_t)
-                )
+                targets[region.result] = targets[dest]
+                self.backward(region.ops, targets)
+                payload_t = targets[region.payload]
+                if payload_t is not None:
+                    payload_t = _fill(payload_t, fsel(region.payload))
+                    targets[op.a] = (
+                        _BSum(mask, payload_t, None)
+                        if took_inl
+                        else _BSum(mask, None, payload_t)
+                    )
             # UNIT / CONST: nothing flows backward.
 
-    def _ideal_eft(self, ops, vals: List, n: int, arith: "_EftArith") -> None:
-        """Phase 3 on dd arrays: the ideal semantics ⇓_id op for op.
+    def ideal(self, ops, vals: List) -> None:
+        """Phase 3: the ideal semantics ⇓_id op for op, in ``δ`` form.
 
-        dd addition/multiplication carry ~106 bits; against the
-        50-digit reference the results agree to ~32 digits, which the
-        phase-4 screens' margins absorb.  Leaves the backward map left
-        untouched, discrete values and literals stay binary64 arrays,
-        so the ops that read them run the dd∘binary64 kernels.  A zero
-        divisor marks its row suspect (:meth:`_EftArith.div`); a literal
-        binary64 cannot hold exactly (only Λ_S terms carry one) is
-        :class:`_Unvectorizable`.
+        Each arithmetic op's exact result ``r(1+η)`` is scaled by its
+        operands' perturbations (:func:`eft.ideal_sum`,
+        :func:`eft.ideal_prod`, :func:`eft.ideal_quot`,
+        :func:`eft.grow`).  A divisor the perturbation zeroes or flips
+        marks its row suspect (⇓_id maps a zero divisor to inr ()); a
+        literal binary64 cannot hold exactly (only Λ_S terms carry one)
+        is :class:`_Unvectorizable`.
         """
+        fsel = self.fsel
         for op in ops:
             code = op.code
             if L.ADD <= code <= L.DMUL:
-                a, b = vals[op.a], vals[op.b]
-                if code == L.ADD:
-                    vals[op.dest] = arith.add(a, b)
-                elif code == L.SUB:
-                    vals[op.dest] = arith.sub(a, b)
-                elif code == L.DIV:
-                    # ⇓_id maps a zero divisor to inr (); arith.div
-                    # leaves such rows to the scalar reference.
-                    vals[op.dest] = _BSum(
-                        np.ones(n, dtype=bool), arith.div(a, b), _BUNIT
+                eta = self.etas.pop(op.dest)
+                a, b = _delta(vals[op.a]), _delta(vals[op.b])
+                if code == L.ADD or code == L.SUB:
+                    vals[op.dest] = eft.ideal_sum(
+                        eta, fsel(op.a), a, fsel(op.b), b, fsel(op.dest),
+                        code == L.SUB,
                     )
-                elif code == L.MUL:
-                    vals[op.dest] = arith.mul(a, b)
-                else:
-                    vals[op.dest] = arith.dmul(a, b)
-            elif code in (L.DVAR, L.BANG, L.RND):
-                vals[op.dest] = vals[op.a]  # rnd is the identity in ⇓_id
+                elif code == L.DIV:
+                    if b is not None:
+                        self.suspect |= ~(b > -1.0)
+                    vals[op.dest] = _BSum(
+                        self.every, eft.grow(eta, eft.ideal_quot(a, b)), _BUNIT
+                    )
+                else:  # MUL / DMUL
+                    vals[op.dest] = eft.grow(eta, eft.ideal_prod(a, b))
+            elif code == L.RND:
+                eta = self.etas.pop(op.dest, None)  # rounding rnd only
+                vals[op.dest] = (vals[op.a] if eta is None
+                                 else eft.grow(eta, _delta(vals[op.a])))
+            elif code == L.DVAR or code == L.BANG:
+                vals[op.dest] = vals[op.a]
             elif code == L.PAIR:
                 vals[op.dest] = _BPair(vals[op.a], vals[op.b])
             elif code == L.FST:
@@ -1193,18 +1387,17 @@ class BatchWitnessEngine:
             elif code == L.SND:
                 vals[op.dest] = vals[op.a].right
             elif code == L.CONST:
-                c = float(op.aux)
-                if Decimal(op.aux) != Decimal(c):
+                if Decimal(op.aux) != Decimal(float(op.aux)):
                     # The ideal semantics evaluates the literal as an
-                    # exact Decimal; dd can only hold binary64 values.
+                    # exact Decimal; the screen holds binary64 values.
                     raise _Unvectorizable("non-binary ideal constant")
-                vals[op.dest] = np.full(n, c)
+                vals[op.dest] = _EXACT
             elif code == L.UNIT:
                 vals[op.dest] = _BUNIT
             elif code == L.INL:
-                vals[op.dest] = _BSum(np.ones(n, dtype=bool), vals[op.a], None)
+                vals[op.dest] = _BSum(self.every, vals[op.a], None)
             elif code == L.INR:
-                vals[op.dest] = _BSum(np.zeros(n, dtype=bool), None, vals[op.a])
+                vals[op.dest] = _BSum(~self.every, None, vals[op.a])
             elif code == L.CASE:
                 scrut = vals[op.a]
                 if not isinstance(scrut, _BSum):
@@ -1216,194 +1409,153 @@ class BatchWitnessEngine:
                 else:
                     raise _Unvectorizable("mixed case branch tags on screened rows")
                 vals[region.payload] = payload
-                self._ideal_eft(region.ops, vals, n, arith)
+                self.ideal(region.ops, vals)
                 vals[op.dest] = vals[region.result]
             else:  # pragma: no cover - CALL is rewritten away or unvectorized
                 raise _Unvectorizable(f"opcode {code} is not vectorizable")
 
-class _EftArith:
-    """Backward/ideal kernels on dd (hi/lo float64 pair) arrays.
 
-    Operands are dd values or binary64 arrays: forward values, the
-    untargeted leaves of the ideal sweep and literals stay binary64,
-    and each kernel follows its operands' types — an exact TwoSum or
-    TwoProd for two binary64s, a dd∘binary64 kernel for a mixed pair,
-    the generic dd kernel only when both operands are dd.  Results are
-    always dd.
+def _chain_depths(ops, depth: Dict[int, int]) -> None:
+    """Per slot, the most rounding ops between it and the result."""
+    for op in reversed(ops):
+        code = op.code
+        d = depth.get(op.dest, 0)
+        if code == L.CASE:
+            for region in op.aux:
+                depth[region.result] = max(depth.get(region.result, 0), d)
+                _chain_depths(region.ops, depth)
+                depth[op.a] = max(depth.get(op.a, 0),
+                                  depth.get(region.payload, 0))
+        elif L.ADD <= code <= L.DMUL or code == L.PAIR:
+            step = d + (code != L.PAIR)
+            for slot in (op.a, op.b):
+                depth[slot] = max(depth.get(slot, 0), step)
+        elif code in (L.FST, L.SND, L.INL, L.INR, L.BANG, L.RND):
+            step = d + (code == L.RND)
+            depth[op.a] = max(depth.get(op.a, 0), step)
 
-    Maintains a per-row ``suspect`` mask: rows where a kernel result
-    left the range on which the dd soundness arguments hold (overflow,
-    underflow, non-finite, or a product/quotient that underflowed to an
-    exact zero Decimal would have kept nonzero), and rows where a kernel
-    met an operand outside its domain — an exact zero divisor, a
-    negative radicand, a discrete target that is not bitwise the
-    forward value.  Suspect rows may carry garbage dd values from then
-    on — the caller settles them through the per-row scalar reference,
-    which decides (or raises) what the reference semantics does there,
-    and never reads their dd results.
 
-    Zero tests read ``hi`` alone: every dd here is a kernel output (or
-    its negation, magnitude or row selection), hence normalized, and a
-    normalized dd is zero iff its ``hi`` is.
+def _longest_chain(ops) -> int:
+    """The longest chain of rounding ops from the result to any slot."""
+    depth: Dict[int, int] = {}
+    _chain_depths(ops, depth)
+    return max(depth.values(), default=0)
+
+
+class _ScreenBounds(NamedTuple):
+    """A program's screen error terms (``BatchWitnessEngine._screen_bounds``)."""
+
+    #: Absolute term of the near-bound, max-candidate and render bands.
+    slack: float
+    #: Bound on the exact distance of a leaf the screen reads below 1e-28.
+    noise_cap: float
+    #: The reference witnesses' relative error, in units of 1e-49.
+    leaf_kappa: float
+    #: ``e^{2L}``: how far ideal magnitude ratios stray from forward ones.
+    growth: float
+    #: The screen's own error in the ideal result's ``δ``, per κ unit.
+    unit: float
+
+
+def _conditions(ops, fsel, kappa: List, growth: float) -> None:
+    """Condition weights ``κ`` of the reference's ideal sweep, op for op.
+
+    The 50-digit reference rounds each witness and each ideal op to
+    ``5e-50`` relative, so its ideal value at a slot is within
+    ``κ·1e-49`` relative of the exact one, where ``κ`` counts those
+    roundings weighted by how they propagate: a product or quotient adds
+    its operands' ``κ``, a sum weighs them by ``|x_i|/|r|`` (times
+    ``growth``, since these are the forward magnitudes, not the ideal
+    ones), and each op adds one unit.  Property 2 makes the exact ideal
+    result equal the forward one, so ``κ`` bounds the reference's
+    closeness gap in units of 1e-49.  Values are floats or row arrays.
     """
-
-    def __init__(self, m: int) -> None:
-        self.suspect = np.zeros(m, dtype=bool)
-        # Veltkamp splits of binary64 dmul operands, by array identity
-        # (the array is kept alive with its split so its id stays
-        # unique): a discrete operand such as Horner's evaluation point
-        # is split once, not once per op in each sweep.
-        self._splits: Dict[int, Tuple[np.ndarray, Tuple[np.ndarray, np.ndarray]]] = {}
-
-    @staticmethod
-    def ensure(tree):
-        return tree  # the kernels take binary64 and dd operands alike
-
-    def _split_of(self, y: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
-        hit = self._splits.get(id(y))
-        if hit is None:
-            hit = self._splits[id(y)] = (y, eft.split(y))
-        return hit[1]
-
-    def _guard(self, x: DD) -> DD:
-        self.suspect |= eft.range_suspect(x)
-        return x
-
-    def add(self, x, y) -> DD:
-        if isinstance(x, DD):
-            r = eft.dd_add(x, y) if isinstance(y, DD) else eft.dd_add_fp(x, y)
-        elif isinstance(y, DD):
-            r = eft.dd_add_fp(y, x)
-        else:
-            r = DD(*eft.two_sum(x, y))  # exact
-        return self._guard(r)
-
-    def sub(self, x, y) -> DD:
-        return self.add(x, eft.dd_neg(y) if isinstance(y, DD) else -y)
-
-    def mul(self, x, y, y_split=None) -> DD:
-        """``x·y``; ``y_split`` is ``split(y)`` for a binary64 ``y``."""
-        if isinstance(y, DD) and not isinstance(x, DD):
-            x, y = y, x
-        if isinstance(x, DD):
-            if isinstance(y, DD):
-                r = eft.dd_mul(x, y)
+    for op in ops:
+        code = op.code
+        if L.ADD <= code <= L.DMUL:
+            k1, k2 = kappa[op.a], kappa[op.b]
+            if code == L.ADD or code == L.SUB:
+                weight = np.abs(fsel(op.a)) * k1 + np.abs(fsel(op.b)) * k2
+                k = weight / np.abs(fsel(op.dest)) * growth + 1.0
             else:
-                r = eft.dd_mul_fp(x, y, y_split)
-        else:
-            r = DD(*eft.two_prod(x, y, y_split))  # exact
-        # A vanished product of nonzero factors is an underflow artifact
-        # — Decimal would keep it nonzero.
-        vanished = r.hi == 0.0
-        vanished &= _nonzero(x)
-        vanished &= _nonzero(y)
-        self.suspect |= vanished
-        return self._guard(r)
+                k = k1 + k2 + 1.0
+            kappa[op.dest] = _BSum(None, k, _BUNIT) if code == L.DIV else k
+        elif code in (L.DVAR, L.BANG, L.RND):
+            kappa[op.dest] = kappa[op.a]  # rnd is the identity in ⇓_id
+        elif code == L.PAIR:
+            kappa[op.dest] = _BPair(kappa[op.a], kappa[op.b])
+        elif code == L.FST:
+            kappa[op.dest] = kappa[op.a].left
+        elif code == L.SND:
+            kappa[op.dest] = kappa[op.a].right
+        elif code == L.CONST:
+            kappa[op.dest] = 0.0  # exact: the ideal sweep checked it
+        elif code == L.UNIT:
+            kappa[op.dest] = _BUNIT
+        elif code == L.INL:
+            kappa[op.dest] = _BSum(None, kappa[op.a], None)
+        elif code == L.INR:
+            kappa[op.dest] = _BSum(None, None, kappa[op.a])
+        elif code == L.CASE:
+            took_inl = _mask_all(fsel(op.a).mask)  # uniform: the sweeps ran
+            region = op.aux[0] if took_inl else op.aux[1]
+            scrut = kappa[op.a]
+            kappa[region.payload] = scrut.left if took_inl else scrut.right
+            _conditions(region.ops, fsel, kappa, growth)
+            kappa[op.dest] = kappa[region.result]
 
-    def div(self, x, y, y_split=None) -> DD:
-        self.suspect |= ~_nonzero(y)
-        if isinstance(y, DD):
-            r = eft.dd_div(eft.as_dd(x), y)
-        else:
-            r = eft.dd_div_fp(eft.as_dd(x), y, y_split)
-        vanished = r.hi == 0.0
-        vanished &= _nonzero(x)
-        self.suspect |= vanished
-        return self._guard(r)
 
-    def sqrt(self, x: DD) -> DD:
-        self.suspect |= x.hi < 0.0
-        return self._guard(eft.dd_sqrt(x))
+def _result_conditions(ir, fsel, bounds: _ScreenBounds):
+    """The ideal result's ``κ`` tree (:func:`_conditions`).
 
-    def dmul(self, x1, x2) -> DD:
-        """Ideal ``dmul``: the discrete factor is a binary64 leaf."""
-        if isinstance(x1, DD):
-            return self.mul(x1, x2)
-        return self.mul(x2, x1, self._split_of(x1))
-
-    # Backward witnesses.  ``x1``/``x2`` are the op's binary64 forward
-    # operands; ``x3`` is its target (dd, or binary64 where untargeted).
-    # Each formula is the primitive backward map's up to the order of
-    # its dd-rounded steps, all far inside the screens' margins.
-
-    def add_backward(self, x1, x2, x3):
-        s = self.add(x1, x2)  # exact: TwoSum of binary64 operands
-        q = self.div(x3, s)  # x3·x1/s = (x3/s)·x1: one shared quotient
-        return self.mul(q, x1), self.mul(q, x2)
-
-    def sub_backward(self, x1, x2, x3):
-        d = self.sub(x1, x2)  # exact, like the sum
-        q = self.div(x3, d)
-        return self.mul(q, x1), self.mul(q, x2)
-
-    def mul_backward(self, x1, x2, x3):
-        p = self.mul(x1, x2)  # exact: TwoProd of binary64 operands
-        scale = self.sqrt(self.div(x3, p))
-        return self.mul(scale, x1), self.mul(scale, x2)
-
-    def dmul_backward(self, x1, x3):
-        return self.div(x3, x1, self._split_of(x1))
-
-    def div_backward(self, x1, x2, x3):
-        """Appendix C Div on dd arrays (sqrt radicands are |...|: safe)."""
-        p = self.mul(x1, x2)  # exact TwoProd, shared by both witnesses
-        magnitude1 = self.sqrt(eft.dd_abs(self.mul(p, x3)))
-        magnitude2 = self.sqrt(eft.dd_abs(self.div(p, x3)))
-        return (
-            eft.where(x1 > 0.0, magnitude1, eft.dd_neg(magnitude1)),
-            eft.where(x2 > 0.0, magnitude2, eft.dd_neg(magnitude2)),
+    A witness leaf starts at ``bounds.leaf_kappa``: each backward step
+    of the reference rounds at most four times (two units) and passes
+    its input's error on with factor 1 or 1/2.  Discrete inputs are
+    exact.
+    """
+    kappa: List = [None] * ir.n_slots
+    for p in ir.params:
+        kappa[p.slot] = _exact_like(
+            fsel(p.slot), 0.0 if p.discrete else bounds.leaf_kappa
         )
-
-    def verify_discrete(self, name: str, current, target) -> None:
-        """Exact-equality-only discrete verify.
-
-        The reference applies ``values_close`` slack and raises a
-        ``LensDomainError`` that embeds value reprs; dd reproduces
-        neither, so rows short of bitwise equality are marked suspect
-        and the scalar reference decides them.
-        """
-        if target is current:
-            return
-        leaves_cur = _tree_leaves(current, [])
-        leaves_tgt = _tree_leaves(_materialize_b(target, current), [])
-        for cur, tgt in zip(leaves_cur, leaves_tgt):
-            if cur is tgt:
-                continue
-            if isinstance(tgt, DD):
-                ok = (tgt.hi == cur) & (tgt.lo == 0.0)
-            else:
-                ok = np.asarray(tgt) == cur
-            self.suspect |= ~ok
+    _conditions(ir.ops, fsel, kappa, bounds.growth)
+    return kappa[ir.result]
 
 
-def _nonzero(x) -> np.ndarray:
-    """Rows where a binary64 or normalized dd operand is nonzero."""
-    return (x.hi if isinstance(x, DD) else x) != 0.0
-
-
-#: Screen thresholds for the EFT closeness verdict.  ``values_close``
-#: is a 1e-30-relative test on exactly-converted operands; 50-digit
-#: Decimal noise sits at ~1e-50·cond and dd noise at ~1e-32·cond, so a
-#: dd relative gap below CLOSE_SURE is ~1e18 away from flipping the
-#: reference verdict, one above FAR_SURE is equally surely a genuine
-#: Property-2 failure, and only the band between is rechecked.
+#: Screen thresholds for the closeness verdict.  ``values_close`` is a
+#: 1e-30-relative test on exactly-converted operands.  Property 2 makes
+#: the exact ideal result *equal* the forward one, so a screened gap is
+#: rounding noise: ~1e-50·cond in the 50-digit reference and
+#: ~u·cond·|δ| in the screen.  A gap below CLOSE_SURE is ~1e4 away from
+#: flipping the reference verdict on well-conditioned rows, one above
+#: FAR_SURE is a genuine Property-2 failure, and only the band between
+#: (or an undecidable δ) is rechecked.
 _CLOSE_SURE = 1e-26
 _FAR_SURE = 1e-8
 
 
-def _close_screen_eft(ideal, approx, close: np.ndarray, recheck: np.ndarray,
-                      active: np.ndarray) -> None:
-    """Vectorized screen of row-wise ``values_close`` for the dd path.
+def _close_screen(ideal, approx, close: np.ndarray, unsure: np.ndarray,
+                  active: np.ndarray, kappa=None, unit: float = 0.0) -> None:
+    """Vectorized screen of row-wise ``values_close`` in ``δ`` form.
 
-    ``close`` accumulates definite verdicts (``&=``); rows whose dd gap
-    falls between the sure thresholds are flagged in ``recheck`` and
-    left formally close — the scalar reference overrides them.
-    Structure mirrors :func:`repro.lam_s.values.values_close` on the
-    batched value trees.
+    ``ideal`` is the ideal result's ``δ`` tree over ``approx``.
+    ``close`` accumulates definite verdicts (``&=``); rows whose gap
+    ``|δ|`` falls between the sure thresholds, or whose ``δ`` is
+    undecidable (``δ <= -1``: a zero or sign-flipped ideal value; or
+    non-finite), are flagged in ``unsure`` and left formally close — the
+    scalar reference overrides them.  With the reference's condition
+    tree ``kappa`` (:func:`_conditions`), a gap is also surely close
+    where the reference's rounding noise is at most ``1e-31``
+    (``κ <= 1e18``) and the gap is within the screen's own error of
+    zero (``unit·κ``), as Property 2 says it is.  Structure mirrors
+    :func:`repro.lam_s.values.values_close` on the batched value trees.
     """
     if isinstance(approx, _BPair) and isinstance(ideal, _BPair):
-        _close_screen_eft(ideal.left, approx.left, close, recheck, active)
-        _close_screen_eft(ideal.right, approx.right, close, recheck, active)
+        kl = kr = None
+        if kappa is not None:
+            kl, kr = kappa.left, kappa.right
+        _close_screen(ideal.left, approx.left, close, unsure, active, kl, unit)
+        _close_screen(ideal.right, approx.right, close, unsure, active, kr, unit)
         return
     if isinstance(approx, _BSum) and isinstance(ideal, _BSum):
         am, im = approx.mask, ideal.mask
@@ -1414,62 +1566,73 @@ def _close_screen_eft(ideal, approx, close: np.ndarray, recheck: np.ndarray,
             if ideal.left is None or approx.left is None:
                 close &= ~both_inl
             else:
-                _close_screen_eft(ideal.left, approx.left, close, recheck,
-                                  both_inl)
+                _close_screen(ideal.left, approx.left, close, unsure, both_inl,
+                              None if kappa is None else kappa.left, unit)
         if bool(both_inr.any()):
             if ideal.right is None or approx.right is None:
                 close &= ~both_inr
             else:
-                _close_screen_eft(ideal.right, approx.right, close, recheck,
-                                  both_inr)
+                _close_screen(ideal.right, approx.right, close, unsure, both_inr,
+                              None if kappa is None else kappa.right, unit)
         return
     if approx is _BUNIT and ideal is _BUNIT:
         return
-    if isinstance(approx, np.ndarray) and isinstance(ideal, (np.ndarray, DD)):
-        di = eft.as_dd(ideal)
-        gap = eft.dd_add_fp(di, -approx)
-        denom = np.maximum(np.abs(di.hi), np.abs(approx))
-        r = np.abs(gap.hi) / denom
-        r = np.where(denom == 0.0, 0.0, r)  # both exactly zero: close
-        sure_close = r <= _CLOSE_SURE
-        band = active & ~sure_close & ~(r >= _FAR_SURE)
-        band |= active & ~np.isfinite(r)
-        recheck |= band
-        close &= ~active | sure_close | band
+    if isinstance(approx, np.ndarray) and ideal is _EXACT:
+        return  # bitwise the forward value: close
+    if isinstance(approx, np.ndarray) and isinstance(ideal, np.ndarray):
+        gap = np.abs(ideal)
+        sure_close = gap <= _CLOSE_SURE
+        if kappa is not None and math.isfinite(unit):
+            sure_close |= (kappa <= 1e18) & (gap <= kappa * unit)
+        between = ~sure_close & ~(gap >= _FAR_SURE)
+        between |= ~((ideal > -1.0) & (gap < np.inf))
+        between &= active
+        unsure |= between
+        close &= ~active | sure_close | between
         return
     close &= ~active  # structural mismatch: not close on any live row
 
 
-def _get_b(targets: List, fsel, slot: int):
-    t = targets[slot]
-    if t is None:
-        return fsel(slot)
-    if isinstance(t, _BPartial):
-        return _materialize_b(t, fsel(slot))
-    return t
+def _dist_screen(perturbed, m: int,
+                 recheck: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+    """Float64 RP distances of one parameter's perturbed leaves.
 
+    Returns ``(d_max, noise)``: the per-row max over leaf distances
+    :func:`eft.log_distance`, plus a mask of rows holding a noise-floor
+    leaf.  Rows the screen cannot decide are flagged into ``recheck``:
+    a leaf whose ``δ <= -1`` or is non-finite (the exact metric jumps
+    to INF or the screen lost the value).  Rows with a zero input, where
+    the reference compares exact zeros, are suspect already.  A leaf
+    whose distance reads below 1e-28 is different: down there the
+    *reference* value is dominated by the 50-digit evaluator's own
+    rounding noise (~1e-50·depth, e.g. a witness formula that happens
+    to be exact in binary), which the screen cannot predict; only the
+    scalar rerun reproduces those Decimal bits.  Such a leaf's exact
+    distance is below the noise cap of :meth:`_screen_bounds`, so it can
+    only change the reported output when the param's bound or screened
+    max is itself below that cap.  Those rows are returned in
+    ``noise`` and the caller defers the (expensive) recheck until one
+    of those comparisons actually bites.  Leaves the backward sweep
+    never targeted (``_EXACT``) contribute an exact 0, matching the
+    scalar path's ``ln(x/x)``.
+    """
+    deltas = [d for d in _tree_leaves(perturbed, []) if d is not _EXACT]
+    if not deltas:
+        return np.zeros(m), np.zeros(m, dtype=bool)
+    if len(deltas) == 1:
+        d_max = eft.log_distance(deltas[0])
+        noise = d_max < 1e-28
+    else:
+        dist = eft.log_distance(np.stack(deltas))
+        d_max = dist.max(axis=0)
+        noise = (dist < 1e-28).any(axis=0)
+    undecided = ~(d_max < np.inf)  # nan or inf on some leaf
+    if undecided.any():
+        recheck |= undecided
+        noise &= ~undecided
+        d_max[undecided] = 0.0
+    return d_max, noise
 
-def _materialize_b(t, fallback):
-    if t is None:
-        return fallback
-    if isinstance(t, _BPartial):
-        return _BPair(
-            _materialize_b(t.left, fallback.left),
-            _materialize_b(t.right, fallback.right),
-        )
-    return t
-
-
-def _materialize_mixed(t, float_fallback):
-    """Materialize a target tree, keeping untargeted leaves as floats."""
-    if t is None:
-        return float_fallback
-    if isinstance(t, _BPartial):
-        return _BPair(
-            _materialize_mixed(t.left, float_fallback.left),
-            _materialize_mixed(t.right, float_fallback.right),
-        )
-    return t
 
 
 def _round_array(x: np.ndarray, precision_bits: int) -> np.ndarray:
@@ -1498,30 +1661,32 @@ def _rendered_distances(report: WitnessReport) -> Dict[str, str]:
 _ROW_FORMAT = f"%.{ROW_DISTANCE_DIGITS - 1}e"
 
 
-def _screen_row_distances(d_hat: np.ndarray,
-                          noise: np.ndarray) -> List[Optional[str]]:
+def _screen_row_distances(d_hat: np.ndarray, noise: np.ndarray,
+                          slack: float = 1e-26,
+                          noise_cap: float = 1e-27) -> List[Optional[str]]:
     """Render screened per-row distances, or defer (``None``) each row.
 
     ``d_hat`` is a parameter's screened per-row max distance and
-    ``noise`` its noise-floor rows (see :meth:`_dist_screen_eft`).  The
-    exact distance ``d`` lies within ``1e-12·d̂ + 1e-26`` of ``d̂`` — the
-    assumption the max-distance candidate screen already rests on — so
-    when both band ends, rounded outward to the next binary64, render
-    to one string, rounding is monotone and ``render_row_distance(d)``
-    is that string too.  Rows whose band straddles a rounding boundary
-    (or reaches zero) defer, and so do noise-floor rows (``d̂ <= 1e-27``
-    with a noise leaf: a targeted leaf whose dd distance reads 0 is
+    ``noise`` its noise-floor rows (see :func:`_dist_screen`).  The
+    exact distance ``d`` lies within ``1e-12·d̂ + slack`` of ``d̂`` — the
+    assumption the max-distance candidate screen already rests on (see
+    ``BatchWitnessEngine._screen_bounds``) — so when both band ends,
+    rounded outward to the next binary64, render to one string,
+    rounding is monotone and ``render_row_distance(d)`` is that string
+    too.  Rows whose band straddles a rounding boundary (or reaches
+    zero) defer, and so do noise-floor rows (``d̂ <= noise_cap`` with a
+    noise leaf: a targeted leaf whose screened distance reads 0 is
     one), whose exact distance only the Decimal reference knows.  A
     row with no targeted leaf (``d̂ == 0`` and no noise) is an exact
     ``"0"``.
     """
-    band = 1e-12 * d_hat + 1e-26
+    band = 1e-12 * d_hat + slack
     lo = np.nextafter(d_hat - band, -np.inf)
     hi = np.nextafter(d_hat + band, np.inf)
     out: List[Optional[str]] = []
     for d, tiny, a, b in zip(d_hat.tolist(), noise.tolist(), lo.tolist(),
                              hi.tolist()):
-        if tiny and d <= 1e-27:
+        if tiny and d <= noise_cap:
             out.append(None)
         elif d == 0.0:
             out.append("0")

@@ -1,80 +1,102 @@
-"""Error-free transformations: double-double NumPy kernels.
+"""Error-free transformations and the perturbation-form screen kernels.
 
-The batch witness engine's dominant cost used to be phases 2-3 of
-:mod:`repro.semantics.batch` — the backward reverse sweep and the ideal
-re-evaluation — executed as per-op ``np.frompyfunc`` dispatch over
-object arrays of 50-digit :class:`decimal.Decimal`.  Every element of
-every op paid Python-level ``Decimal`` arithmetic.
+The batch witness engine (:mod:`repro.semantics.batch`) screens its
+backward and ideal sweeps in floating point and settles every row the
+screen cannot decide through the 50-digit scalar reference.  This
+module holds the arithmetic of that screen.
 
-This module replaces that arithmetic with *error-free transformations*
-(EFTs) in the style of Higham, *Accuracy and Stability of Numerical
-Algorithms* §4.3, and Ogita–Rump–Oishi's accurate-summation kernels:
+*Error-free transformations* (EFTs; Higham, *Accuracy and Stability of
+Numerical Algorithms* §4.3):
 
 * :func:`two_sum` (Knuth) — ``s, e`` with ``s = fl(a + b)`` and
   ``a + b = s + e`` **exactly**, for any two finite doubles;
 * :func:`two_prod` (Dekker/Veltkamp) — ``p, e`` with ``p = fl(a * b)``
   and ``a * b = p + e`` **exactly**, provided no over/underflow occurs
-  in the splitting (callers guard the range; see
-  :func:`range_suspect`);
-* double-double (**dd**) arithmetic — a value is an unevaluated sum
-  ``hi + lo`` of two ``float64`` arrays with ``|lo| <= ulp(hi)/2``,
-  giving ~106 significant bits (~32 decimal digits).  The dd
-  add/sub/mul/div/sqrt kernels below carry relative error at most
-  ``14u²`` (``u = 2^-53``, ``u² = 2^-106``; Li et al., *QD*;
-  Joldes–Muller–Popescu error bounds);
-* dd∘binary64 kernels — :func:`dd_add_fp`, :func:`dd_mul_fp`,
-  :func:`dd_div_fp` take one operand as a plain double, within ``2u²``,
-  ``3u²`` and ``3u²``.  The batch engine's forward values, untouched
-  ideal leaves, discrete values and literals are all binary64, so
-  these (and the exact :func:`two_sum`/:func:`two_prod` when both
-  operands are binary64) do most of the work; the generic dd kernels
-  run only where both operands are dd;
-* :func:`rp_distance` — the distance screen's ``|ln(o/n)|`` for a
-  binary64 original ``o`` and a dd witness ``n``, within ``5u``
-  relative at every scale.
+  in the splitting (the engine keeps every forward value inside
+  ``[UNDERFLOW_LIMIT, OVERFLOW_LIMIT]`` or marks its row suspect).
+
+*Perturbation form* (the engine's screen).  A Bean witness is a
+relative perturbation, so the engine carries every screened value
+``x̃`` as its binary64 forward value ``x`` and a float64 ``δ`` with
+``x̃ = x·(1 + δ)`` (Higham's ``(1+δ)`` model, §2-4).  Each forward op
+``r ≈ x1 ∘ x2`` contributes ``η`` with ``x1 ∘ x2 = r·(1 + η)``
+exactly, from the exact error of its EFT (:func:`eta_add`,
+:func:`eta_mul`, :func:`eta_div`, :func:`eta_round`).  The Appendix C
+backward maps and the ideal semantics then reduce to a few float ops
+on ``δ`` and ``η`` (:func:`back_linear`, :func:`back_root`,
+:func:`ideal_sum`, :func:`ideal_prod`, :func:`ideal_quot`,
+:func:`grow`), and the RP distance of a perturbed leaf is
+``|ln(1 + δ)|`` (:func:`log_distance`).  Every kernel avoids the
+cancellation of forming ``1 + δ`` and subtracting one again, so each
+has an error bound *relative to its own terms*, stated per kernel
+below with ``u = 2^-53``.
+
+*Double-double* (**dd**) kernels — ``hi + lo`` pairs of float64 arrays,
+~106 significant bits, relative error at most ``14u²`` (Li et al.,
+*QD*; Joldes–Muller–Popescu error bounds): :func:`dd_add`,
+:func:`dd_sub`, :func:`dd_mul`, :func:`dd_div`, :func:`dd_sqrt`.  They
+serve the value-form test oracle (``tests/oracles/batch_dd_ref.py``,
+which also holds the dd∘binary64 kernels), and the benchmark's layer
+spans wrap their names.
 
 Soundness contract with the batch engine
 ----------------------------------------
 
-The witness pipeline never *reports* a dd value: every exact number
-that reaches a payload (per-parameter max distances, per-row reports,
-ambiguous verdicts) is recomputed by the scalar ``Decimal`` reference
-on exactly the rows that need it.  The dd sweeps are a **screen**: they
-decide, with ~1e18-wide safety margins, which rows provably match the
-Decimal verdicts and which must be rechecked.  The one string the
-screen renders itself is a per-row distance at 8 significant digits,
-and only where the whole ``1e-12``-relative band around the dd
-distance rounds to that string — so the exact distance does too.  For that to be sound the
-kernels must satisfy two properties, each argued per kernel below:
+The witness pipeline never *reports* a screened value: every exact
+number that reaches a payload (per-parameter max distances, per-row
+reports, ambiguous verdicts) is recomputed by the scalar ``Decimal``
+reference on exactly the rows that need it.  The screen decides which
+rows provably match the reference and which must be rechecked.  The
+one string it renders itself is a per-row distance at 8 significant
+digits, and only where its whole error band rounds to that string.
 
-1. **exactness where claimed** — ``two_sum``/``two_prod`` are exact
-   (error-free) on in-range data, so zero/sign tests on their results
-   are decisions about the *real* value, matching ``Decimal`` bit for
-   bit;
-2. **bounded rounding elsewhere** — every dd kernel's relative error is
-   ``O(2^-104)``, at least eighteen orders of magnitude below the
-   1e-30 closeness tolerance and the distance-screen bands the batch
-   engine uses, so a verdict decided outside those bands cannot be an
-   artifact of dd rounding.  The screen's own distance arithmetic
-   (:func:`rp_distance`, ~6e-16 relative) sits ~1e3 inside its
-   ``1e-12``-relative margins.
+The screen's error is the error of ``λ = ln(1 + δ)``, the quantity the
+distance reads.  Along the backward sweep ``λ`` is linear: an
+``add``/``sub``/``dmul``/``rnd`` step maps ``λ3`` to ``λ3 - ln(1+η)``
+and a ``mul``/``div`` step to half of that, so every ``|λ|`` on a path
+of ``K`` rounding ops is at most ``L = K·ε`` with ``ε = -ln(1 - η_max)``
+and ``η_max`` the forward rounding's relative error bound.  Each
+backward step adds at most ``8u·(|δ'| + |η|)/(1 + δ')`` to the error
+of ``λ`` (its kernels' roundings, ``<= 8u|δ'|`` for the longest, div's
+divisor witness, plus the ``<= 3u|η|`` error of ``η``), and passes its
+input's error on with factor 1 or 1/2.  So a leaf's
+distance is within
 
-Rows where a kernel leaves the range on which these arguments hold —
-non-finite intermediates, magnitudes beyond ``OVERFLOW_LIMIT`` or
-beneath ``UNDERFLOW_LIMIT`` where Dekker splitting or subnormal
-rounding voids the EFT guarantees (``Decimal``'s exponent range is
-vastly wider) — must be diverted to the per-row ``Decimal`` reference.
-:func:`range_suspect` is that detector; the engine ORs it into its
-per-row suspect mask after every kernel application.
+    ``E = 8u·K·e^L·(e^L - 1 + η_max)``  (:func:`backward_error_bound`)
+
+of the exact one, to first order in ``u``.  Errors add up at about
+``u`` relative per op, not ``u²`` as in dd, which is why the bound grows
+with ``K²``: ~1.4e-27 for ``K = 120`` binary64 ops, inside the screen's
+``1e-26`` absolute margin term; the engine widens that term (and the
+noise-floor cap) to ``2E`` for any program where it is not (see
+``BatchWitnessEngine._screen_bounds``).  The ``1e-12``-relative margin
+terms cover the ``<= 2u`` relative error of ``log1p``.  The ideal
+sweep feeds only the lens-exactness screen, whose thresholds
+(``1e-26`` sure-close, ``1e-8`` sure-far) rest on Property 2: the exact
+ideal value *is* the forward value, so a screened gap is rounding noise
+(~``u·cond·|δ|``).  A row between the thresholds is rechecked unless a
+condition sweep proves the 50-digit reference's own noise below its
+tolerance (``repro.semantics.batch._conditions``).
+
+Rows where the EFT premises fail — a forward value outside
+``[UNDERFLOW_LIMIT, OVERFLOW_LIMIT]`` (Dekker splitting may overflow,
+error terms may go subnormal; ``Decimal``'s exponent range is vastly
+wider), a square root of a non-positive ratio, a divisor the ideal
+sweep would zero or flip, a discrete target with a nonzero ``δ``, or
+any non-finite ``δ`` — are marked suspect or
+undecided and settled by the per-row ``Decimal`` reference.  Underflow
+inside a ``δ`` term is harmless: its absolute error ``<= 2^-1075``,
+divided by a forward value ``>= UNDERFLOW_LIMIT``, is ~1e-44 in ``δ``.
 
 All kernels are elementwise over ``float64`` ndarrays and assume the
 caller suppresses IEEE warnings (``np.errstate``); out-of-range rows
-produce inf/nan garbage that the suspect mask quarantines.
+produce inf/nan garbage that the suspect masks quarantine.
 """
 
 from __future__ import annotations
 
-from typing import Optional, Tuple, Union
+import math
+from typing import Optional, Tuple
 
 import numpy as np
 
@@ -83,24 +105,29 @@ __all__ = [
     "OVERFLOW_LIMIT",
     "UNDERFLOW_LIMIT",
     "SPLITTER",
-    "as_dd",
-    "dd_abs",
+    "U",
+    "back_linear",
+    "back_reciprocal",
+    "back_root",
+    "backward_error_bound",
     "dd_add",
-    "dd_add_fp",
     "dd_div",
-    "dd_div_fp",
     "dd_mul",
-    "dd_mul_fp",
     "dd_neg",
     "dd_sqrt",
     "dd_sub",
-    "from_float",
-    "range_suspect",
-    "rp_distance",
+    "eta_add",
+    "eta_div",
+    "eta_mul",
+    "eta_round",
+    "grow",
+    "ideal_prod",
+    "ideal_quot",
+    "ideal_sum",
+    "log_distance",
     "split",
     "two_prod",
     "two_sum",
-    "where",
 ]
 
 Array = np.ndarray
@@ -139,18 +166,6 @@ class DD:
         return f"DD({self.hi!r}, {self.lo!r})"
 
 
-def from_float(a: Array) -> DD:
-    """Exact embedding of a float64 array: ``a == a + 0`` identically."""
-    return DD(np.asarray(a, dtype=np.float64), np.zeros_like(a, dtype=np.float64))
-
-
-def as_dd(x: Union[DD, Array]) -> DD:
-    """Coerce a float leaf array to dd (exact); pass dd through."""
-    if isinstance(x, DD):
-        return x
-    return from_float(x)
-
-
 # --------------------------------------------------------------------------
 # The error-free transformations
 # --------------------------------------------------------------------------
@@ -163,7 +178,7 @@ def two_sum(a: Array, b: Array) -> Tuple[Array, Array]:
     overflow, the rounding error of IEEE-754 addition is itself a
     double, and Knuth's 6-flop branch-free recovery computes it exactly
     (Higham §4.3, Thm 4.6; no magnitude ordering required).  Overflow
-    of ``s`` makes ``e`` nan — caught by :func:`range_suspect`.
+    of ``s`` makes ``e`` nan — caught by the caller's range guard.
     """
     s = a + b
     v = s - a
@@ -189,12 +204,11 @@ def split(a: Array) -> Tuple[Array, Array]:
     """Veltkamp split: ``a = x + y`` exactly, each half on 26 bits.
 
     Soundness: exact for ``|a| < 2**996`` (Dekker); beyond that the
-    ``a * SPLITTER`` product overflows to a nan error term, which
-    :func:`range_suspect` flags.  :data:`OVERFLOW_LIMIT` keeps callers
+    ``a * SPLITTER`` product overflows to a nan error term, which the
+    caller's range guard flags.  :data:`OVERFLOW_LIMIT` keeps callers
     far inside the valid range.  A split depends only on its operand,
     so a caller that multiplies or divides by the same binary64 array
-    many times computes it once and passes it to :func:`two_prod`,
-    :func:`dd_mul_fp` and :func:`dd_div_fp`.
+    many times computes it once and passes it to :func:`two_prod`.
     """
     t = SPLITTER * a
     x = t - (t - a)
@@ -212,7 +226,7 @@ def two_prod(a: Array, b: Array,
     Higham §4.3) — provided neither the product nor the partials
     over/underflow.  NumPy ships no vectorized fma, so the 17-flop
     Dekker form is used; out-of-range rows are quarantined by
-    :func:`range_suspect`, never silently accepted.  ``b_split`` is
+    the caller's range guard, never silently accepted.  ``b_split`` is
     ``split(b)`` when the caller already has it.  ``(p, e)`` is a
     normalized dd (``|e| <= ulp(p)/2``).
     """
@@ -221,6 +235,189 @@ def two_prod(a: Array, b: Array,
     b_hi, b_lo = split(b) if b_split is None else b_split
     e = ((a_hi * b_hi - p) + a_hi * b_lo + a_lo * b_hi) + a_lo * b_lo
     return p, e
+
+
+# --------------------------------------------------------------------------
+# Perturbation form: x̃ = x·(1 + δ) beside the binary64 forward value x
+# --------------------------------------------------------------------------
+#
+# ``r`` is an op's binary64 forward result; ``r=None`` says it is the
+# nearest binary64 of the exact result (``fl(a ∘ b)``), the kernels'
+# cheaper case.  Otherwise ``r`` is a faithful rounding of ``a ∘ b``
+# (reduced precision or stochastic rounding), within a factor 2 of the
+# EFT's leading term, so their difference is exact by Sterbenz's lemma.
+# A ``δ`` of ``None`` is the zero perturbation (the value is bitwise
+# its forward value); kernels skip its terms.  Bounds are first order
+# in ``u = 2^-53`` and assume the caller's range guards hold.
+
+#: The unit roundoff of binary64.
+U = 2.0**-53
+
+
+def eta_add(a: Array, b: Array, r: Optional[Array] = None) -> Array:
+    """``η`` with ``a + b = r·(1 + η)`` exactly, within ``2u|η|``.
+
+    The TwoSum error ``e`` is exact; with ``r`` given, ``fl(a+b) - r``
+    is exact too, so the one rounding of the sum and the division cost
+    ``u|η|`` each.
+    """
+    s, e = two_sum(a, b)
+    if r is None:
+        return e / s
+    return ((s - r) + e) / r
+
+
+def eta_mul(a: Array, b: Array, r: Optional[Array] = None,
+            b_split: Optional[Tuple[Array, Array]] = None) -> Array:
+    """``η`` with ``a·b = r·(1 + η)`` exactly, within ``2u|η|``.
+
+    As :func:`eta_add`, with the exact TwoProd error in place of
+    TwoSum's; ``b_split`` is ``split(b)`` when the caller reuses ``b``.
+    """
+    p, e = two_prod(a, b, b_split)
+    if r is None:
+        return e / p
+    return ((p - r) + e) / r
+
+
+def eta_div(a: Array, b: Array, r: Array) -> Array:
+    """``η`` with ``a/b = r·(1 + η)`` exactly, within ``3u|η|``.
+
+    The residual ``a - r·b`` is ``(a - p) - e`` for the exact TwoProd
+    ``r·b = p + e``; ``a - p`` is exact by Sterbenz's lemma, so one
+    rounding forms it.  ``η = R/(r·b)``, and dividing by ``p`` in place
+    of ``r·b`` (relative ``u``) and the division itself add ``2u|η|``.
+    """
+    p, e = two_prod(r, b)
+    return ((a - p) - e) / p
+
+
+def eta_round(x: Array, r: Array) -> Array:
+    """``η`` with ``x = r·(1 + η)`` for a rounding ``r`` of ``x``.
+
+    ``x - r`` is exact by Sterbenz's lemma; the division costs
+    ``u|η|``.
+    """
+    return (x - r) / r
+
+
+def back_linear(d3: Optional[Array], eta: Array) -> Array:
+    """The add/sub/dmul/rnd backward step: ``(1+δ3)/(1+η) - 1``.
+
+    Formed as ``(δ3 - η)/(1 + η)``: ``x3 = r(1+δ3)`` over an exact
+    operand sum (or product by a discrete factor, or unrounded value)
+    ``r(1+η)`` scales each linear operand by ``(1+δ3)/(1+η)``.  The
+    subtraction, ``fl(1+η)`` and the division each cost at most
+    ``u|δ'|``; an input error ``Δ3`` passes on as ``Δ3/(1+η)``, which
+    in ``λ = ln(1+δ)`` is factor 1.  Fresh error ``<= 3u|δ'|``.
+    """
+    num = -eta if d3 is None else d3 - eta
+    return num / (1.0 + eta)
+
+
+def back_root(rho: Array) -> Array:
+    """``√(1+ρ) - 1`` without cancellation: ``ρ/(1 + √(1+ρ))``.
+
+    The mul and div backward steps scale both operands by
+    ``√((1+δ3)/(1+η))`` (Appendix C), i.e. by ``√(1+ρ)`` with
+    ``ρ = back_linear(δ3, η)``.  ``fl(1+ρ)`` and the square root
+    perturb the denominator ``≈ 2`` by ``<= 1.5u`` relative and the
+    division adds ``u``: fresh error ``<= 3u|δ|``, and an input error
+    in ``ρ`` passes on halved (in ``λ``, exactly as the step halves
+    ``λ``).  The caller settles rows with ``ρ <= -1`` (a non-positive
+    ratio, where the reference takes a root of a non-positive value)
+    per row.
+    """
+    return rho / (1.0 + np.sqrt(1.0 + rho))
+
+
+def back_reciprocal(d: Array) -> Array:
+    """``1/(1+δ) - 1 = -δ/(1+δ)``: div's divisor witness from its
+    dividend's, whose factors multiply to one.  Fresh error
+    ``<= 2u|δ'|``; in ``λ`` the step is a negation (factor 1)."""
+    return -d / (1.0 + d)
+
+
+def ideal_sum(eta: Array, x1: Array, d1: Optional[Array], x2: Array,
+              d2: Optional[Array], r: Array, subtract: bool = False) -> Array:
+    """Ideal ``x̃1 ± x̃2`` in perturbation form: ``η + (x1·δ1 ± x2·δ2)/r``.
+
+    ``x1(1+δ1) ± x2(1+δ2) = r(1+η) + x1·δ1 ± x2·δ2`` exactly.  The two
+    products, their sum, the division and the final addition give
+    absolute error ``<= 3u(|x1·δ1| + |x2·δ2|)/|r| + u|δ|``; the input
+    errors enter scaled by ``|x_i/r|``, the op's condition number.
+    """
+    if d1 is None and d2 is None:
+        return eta
+    if d1 is None:
+        assert d2 is not None
+        t = x2 * d2
+        terms = -t if subtract else t
+    else:
+        terms = x1 * d1
+        if d2 is not None:
+            terms = terms - x2 * d2 if subtract else terms + x2 * d2
+    return eta + terms / r
+
+
+def ideal_prod(d1: Optional[Array], d2: Optional[Array]) -> Optional[Array]:
+    """``(1+δ1)(1+δ2) - 1 = δ1 + (δ2 + δ1·δ2)``, within
+    ``u(|δ2| + 2|δ1·δ2| + |δ|)`` — the perturbation of a product of two
+    perturbed factors (``None`` if neither is perturbed)."""
+    if d1 is None:
+        return d2
+    if d2 is None:
+        return d1
+    return d1 + (d2 + d1 * d2)
+
+
+def ideal_quot(d1: Optional[Array], d2: Optional[Array]) -> Optional[Array]:
+    """``(1+δ1)/(1+δ2) - 1 = (δ1 - δ2)/(1+δ2)``, within ``3u|δ|``.
+    The caller settles rows with ``δ2 <= -1`` (a zero or sign-flipped
+    ideal divisor) per row."""
+    if d2 is None:
+        return d1
+    num = -d2 if d1 is None else d1 - d2
+    return num / (1.0 + d2)
+
+
+def grow(eta: Array, a: Optional[Array]) -> Array:
+    """``(1+η)(1+a) - 1 = η + (a + η·a)``: an op's exact result
+    ``r(1+η)`` scaled by its operands' joint perturbation ``1+a``.
+    Within ``u(|a| + 2|η·a| + |δ|)``."""
+    if a is None:
+        return eta
+    return eta + (a + eta * a)
+
+
+def log_distance(d: Array) -> Array:
+    """The RP distance ``|ln(1+δ)|`` of ``x(1+δ)`` from ``x``.
+
+    ``log1p`` is accurate to ~1ulp relative at every scale, so the
+    result is within ``2u`` relative of ``|ln(1+δ)|`` for the computed
+    ``δ``; an error ``Δ`` in ``δ`` moves it by ``|Δ|/(1+δ)``.  Rows
+    with ``δ <= -1`` (a zero or sign-flipped witness, infinite
+    distance) or a nan ``δ`` come out nan or inf: the caller's
+    undecided rows.
+    """
+    return np.abs(np.log1p(d))
+
+
+def backward_error_bound(steps: int, eta_max: float) -> float:
+    """``E``: the screen's absolute error bound on a leaf distance.
+
+    ``steps`` is the longest chain of rounding ops from the result to
+    any leaf (each backward kernel above is one step) and ``eta_max``
+    bounds every forward op's ``|η|``.  See the soundness contract in
+    the module docstring; ``inf`` where ``e^L`` would overflow.
+    """
+    if steps <= 0:
+        return 0.0
+    spread = steps * -math.log1p(-eta_max)
+    if spread > 600.0:
+        return math.inf
+    growth = math.exp(spread)
+    return 8.0 * U * steps * growth * (growth - 1.0 + eta_max)
 
 
 # --------------------------------------------------------------------------
@@ -252,12 +449,6 @@ def dd_add(x: DD, y: DD) -> DD:
 def dd_neg(x: DD) -> DD:
     """Exact negation (sign flips are error-free in IEEE-754)."""
     return DD(-x.hi, -x.lo)
-
-
-def dd_abs(x: DD) -> DD:
-    """Exact magnitude: negate where the leading component is negative."""
-    neg = x.hi < 0.0
-    return DD(np.where(neg, -x.hi, x.hi), np.where(neg, -x.lo, x.lo))
 
 
 def dd_sub(x: DD, y: DD) -> DD:
@@ -331,135 +522,3 @@ def dd_sqrt(x: DD) -> DD:
     corr = residual.hi * (inv * 0.5)
     hi, lo = _fast_two_sum(s, corr)
     return DD(np.where(zero, 0.0, hi), np.where(zero, 0.0, lo))
-
-
-# --------------------------------------------------------------------------
-# dd ∘ binary64 kernels
-# --------------------------------------------------------------------------
-#
-# The batch engine's forward sweep produces binary64 arrays, so every
-# first-level operand of a witness formula — and every leaf of the ideal
-# sweep the backward map left untouched — is a plain double, not a dd.
-# Treating it as ``DD(a, 0)`` pays for a trailing component that is
-# identically zero.  The kernels below take the binary64 operand as is
-# (Joldes–Muller–Popescu 2017, "Tight and rigorous error bounds for
-# basic building blocks of double-word arithmetic"; ``u`` is ``2^-53``,
-# so ``u² = 2^-106``).  Each relative-error bound assumes
-# no over/underflow, which :func:`range_suspect` polices.
-
-
-def dd_add_fp(x: DD, y: Array) -> DD:
-    """dd + binary64, relative error ``<= 2u²``.
-
-    Soundness: the leading components combine by exact :func:`two_sum`;
-    the trailing component joins the error term in one rounding and a
-    FastTwoSum normalizes (JMP's ``DWPlusFP``).  Half the work of
-    :func:`dd_add`, which also adds two trailing components.
-    """
-    s, e = two_sum(x.hi, y)
-    hi, lo = _fast_two_sum(s, x.lo + e)
-    return DD(hi, lo)
-
-
-def dd_mul_fp(x: DD, y: Array,
-              y_split: Optional[Tuple[Array, Array]] = None) -> DD:
-    """dd × binary64, relative error ``<= 3u²``.
-
-    Soundness: ``x.hi·y`` is an exact :func:`two_prod`; ``x.lo·y`` is
-    below ``u`` of the result and joins the error term in working
-    precision; one FastTwoSum normalizes.  JMP bound the variant that
-    fuses ``x.lo·y + e`` into one fma by ``2u²``; forming it with two
-    roundings adds at most ``u·|x.lo·y| <= u²·|x·y|``.  ``y_split`` is
-    ``split(y)`` when the caller reuses one divisor or factor.
-    """
-    p, e = two_prod(x.hi, y, y_split)
-    hi, lo = _fast_two_sum(p, e + x.lo * y)
-    return DD(hi, lo)
-
-
-def dd_div_fp(x: DD, y: Array,
-              y_split: Optional[Tuple[Array, Array]] = None) -> DD:
-    """dd ÷ binary64, relative error ``<= 3u²``.
-
-    Soundness: the quotient's leading double ``t = fl(x.hi/y)`` leaves
-    the residual ``x - t·y``; ``t·y`` is an exact :func:`two_prod`,
-    ``x.hi - fl(t·y)`` is exact by Sterbenz's lemma, and the residual
-    divided by ``y`` is the correction (JMP's ``DWDivFP3``; their fma
-    forms ``t·y`` exactly, as TwoProd does here, so the bound carries
-    over).  Zero divisors yield inf/nan garbage, as in :func:`dd_div`.
-    """
-    t = x.hi / y
-    p, e = two_prod(t, y, y_split)
-    correction = (((x.hi - p) - e) + x.lo) / y
-    hi, lo = _fast_two_sum(t, correction)
-    return DD(hi, lo)
-
-
-def rp_distance(o: Array, n: DD) -> Tuple[Array, Array]:
-    """The RP distance ``|ln(o/n)|`` in binary64, and where it is undecided.
-
-    Returns ``(d, undecided)``.  ``undecided`` flags rows the metric
-    cannot settle in floating point: a zero on either side or a sign
-    flip (where the exact metric is infinite), and non-finite or
-    overflowing ratios.  ``d`` is garbage on those rows.
-
-    Elsewhere ``d`` is within ``5u`` relative of the exact distance,
-    however small.  Where ``o/n.hi`` lies in ``[1/2, 2]``, ``o - n.hi``
-    is exact by Sterbenz's lemma (a TwoSum whose error term is zero), so
-    ``gap = ((o - n.hi) - n.lo)/n.hi`` is ``(o - n)/n`` up to three
-    roundings, and ``log1p`` is well-conditioned on ``|gap| <= 1/2``:
-    gaps at the screens' ``1e-28`` noise floor keep full relative
-    precision, where a dd quotient ``o/n`` minus one would cancel.
-    The rare rows with ``|gap| > 1/2`` (``|ln(o/n)| >= 0.405``) take
-    ``|ln(o/n.hi)|`` instead, whose absolute error of a few ulps is
-    again below ``5u`` relative.
-    """
-    nh = n.hi
-    gap = ((o - nh) - n.lo) / nh
-    d = np.abs(np.log1p(gap))
-    size = np.abs(gap)
-    far = size > 0.5
-    if far.any():
-        d[far] = np.abs(np.log(o[far] / nh[far]))
-    # o·sign(n) > 0: both nonzero with one sign; nan fails it.
-    decided = o * np.sign(nh) > 0.0
-    decided &= np.isfinite(d)
-    decided &= size <= 1e300
-    return d, ~decided
-
-
-# --------------------------------------------------------------------------
-# Screens and guards
-# --------------------------------------------------------------------------
-
-
-def range_suspect(x: DD) -> Array:
-    """Rows where the dd soundness arguments stop holding.
-
-    Flags non-finite components (overflowed kernels, nan garbage),
-    magnitudes beyond :data:`OVERFLOW_LIMIT` (subsequent splits or
-    three-factor witness products may overflow), and nonzero magnitudes
-    beneath :data:`UNDERFLOW_LIMIT` (subnormal territory where the EFT
-    error terms are no longer exact).  ``Decimal``'s exponent range
-    covers all of these, so flagged rows are handed to the per-row
-    ``Decimal`` reference by the engine.
-
-    One clamp tests both magnitude limits: ``|hi|`` survives clamping
-    to ``[UNDERFLOW_LIMIT, OVERFLOW_LIMIT]`` unchanged iff it lies in
-    that range, and nan never compares equal.  Adding ``lo·0`` (``±0``
-    for finite ``lo``, nan otherwise) folds ``lo``'s finiteness into
-    the same test.
-    """
-    a = np.abs(x.hi)
-    a += x.lo * 0.0
-    clamped = np.maximum(a, UNDERFLOW_LIMIT)
-    np.minimum(clamped, OVERFLOW_LIMIT, out=clamped)
-    bad = clamped != a
-    bad &= a != 0.0
-    return bad
-
-
-def where(mask: Array, left: Union[DD, Array], right: Union[DD, Array]) -> DD:
-    """Elementwise row-select between dd values (exact, per component)."""
-    dl, dr = as_dd(left), as_dd(right)
-    return DD(np.where(mask, dl.hi, dr.hi), np.where(mask, dl.lo, dr.lo))

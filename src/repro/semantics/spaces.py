@@ -58,7 +58,7 @@ NEG_INF = Decimal("-Infinity")
 DISTANCE_PRECISION = 60
 
 #: Significant digits of a per-row distance in the ``rows`` payload
-#: section: as many as the batch engine's double-double distance screen
+#: section: as many as the batch engine's distance screen
 #: can certify for nearly every row (its ``1e-12``-relative band
 #: straddles an 8-digit rounding boundary on well under 1% of rows).
 ROW_DISTANCE_DIGITS = 8

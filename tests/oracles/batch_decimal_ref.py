@@ -1,19 +1,19 @@
 """Reference batch phases 2-4: Decimal object arrays, the exact path.
 
-:class:`repro.semantics.batch.BatchWitnessEngine` runs phases 2-4 of a
-batch witness (backward sweep, ideal re-evaluation, distance checks) on
-double-double arrays as a screen, and settles every row the screen
-cannot decide through the per-row scalar reference.
-:class:`DecimalBatchEngine` runs the same phases as vectorized 50-digit
-``Decimal`` computations instead — the arithmetic of the scalar
-primitives, one object array per op — and never consults the scalar
-reference for a clean row.  It shares phase 1 (the float64 forward
-sweep and its risk mask) and the ``_backward(…, arith)`` sweep with the
-engine, overriding only :meth:`_finish`; the two must agree with each
-other, and with looping :func:`repro.semantics.witness.run_witness`, on
-every observable — verdicts, exact-match flags, per-parameter maxima,
-per-row reports, captured errors, ``fallback_rows`` and the rendered
-``rows`` section.
+:class:`repro.semantics.batch.BatchWitnessEngine` screens phases 2-4 of
+a batch witness (backward sweep, ideal re-evaluation, distance checks)
+in floating point, and settles every row the screen cannot decide
+through the per-row scalar reference.  :class:`DecimalBatchEngine` runs
+the same phases as vectorized 50-digit ``Decimal`` computations
+instead — the arithmetic of the scalar primitives, one object array per
+op — and never consults the scalar reference for a clean row.  It
+shares phase 1 (the float64 forward sweep and its risk mask) with the
+engine and the value-form ``_backward(…, arith)`` sweep with
+:class:`oracles.batch_dd_ref.DdBatchEngine`, overriding only
+:meth:`_finish`; the three must agree with each other, and with looping
+:func:`repro.semantics.witness.run_witness`, on every observable —
+verdicts, exact-match flags, per-parameter maxima, per-row reports,
+captured errors, ``fallback_rows`` and the rendered ``rows`` section.
 
 A Decimal signal on the batch (a zero divisor or negative radicand in
 a witness formula, which the risk mask keeps off every Bean input) or
@@ -35,10 +35,7 @@ from repro.semantics.batch import (
     _BPair,
     _BSum,
     _BUNIT,
-    BatchWitnessEngine,
     BatchWitnessReport,
-    _materialize_b,
-    _materialize_mixed,
     _mask_all,
     _rendered_distances,
     _tree_leaves,
@@ -49,6 +46,8 @@ from repro.semantics.primitives import BACKWARD_PRECISION
 from repro.semantics.spaces import DISTANCE_PRECISION, INF, render_row_distance
 from repro.semantics.witness import ParamWitness, WitnessReport
 from repro.ir import lower as L
+
+from oracles.batch_dd_ref import DdBatchEngine, _materialize_b, _materialize_mixed
 
 __all__ = ["DecimalBatchEngine", "run_witness_batch_ref"]
 
@@ -72,11 +71,12 @@ def _map_values(tree, fn):
     return fn(tree)
 
 
-class DecimalBatchEngine(BatchWitnessEngine):
+class DecimalBatchEngine(DdBatchEngine):
     """:class:`BatchWitnessEngine` with phases 2-4 on Decimal arrays."""
 
     def _finish(self, columns, n_rows: int, clean: np.ndarray,
-                fallback: np.ndarray, fsel) -> BatchWitnessReport:
+                fallback: np.ndarray, fsel,
+                suspect: np.ndarray) -> BatchWitnessReport:
         try:
             return self._finish_decimal(columns, n_rows, clean, fallback, fsel)
         except (decimal.InvalidOperation, decimal.DivisionByZero) as exc:

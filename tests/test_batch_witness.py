@@ -504,7 +504,7 @@ def _screen_batches(n_rows: int):
 
 
 class TestScreenEfficiency:
-    """The dd screen must decide nearly every clean row by itself.
+    """The screen must decide nearly every clean row by itself.
 
     Parity tests cannot see a screen that quietly sends every row to
     the scalar reference: the bytes stay right, only the speed goes.
@@ -533,9 +533,9 @@ class TestScreenEfficiency:
         assert sharded.rechecked_rows == sum(h.rechecked_rows for h in halves)
 
 
-#: add (a dd quotient), mul (a dd square root) and dmul over a
-#: destructured discrete pair (a discrete verify) — every kernel whose
-#: domain the dd sweep checks per row.
+#: add (a division by the operand sum), mul (a square root) and dmul
+#: over a destructured discrete pair (a discrete verify) — every kernel
+#: whose domain the perturbation screen checks per row.
 _SETTLE_SOURCE = """F (x : num * num) (y : num * num) (w : !(num * num)) :=
   dlet (w0, w1) = w in
   let (x0, x1) = x in
@@ -628,31 +628,31 @@ def _assert_matches_loop(report, reports, errors):
 
 
 class TestPerRowSettlement:
-    """Each case the dd sweep cannot decide goes to the scalar reference
-    for its own row; the other rows stay vectorized.
+    """Each case the perturbation screen cannot decide goes to the scalar
+    reference for its own row; the other rows stay vectorized.
 
     No Bean input reaches these cases (the forward risk mask keeps zero
-    divisors and sign flips off the dd path), so each test injects one
-    into row ``_INJECTED`` of a 2.5k-row batch.
+    divisors and sign flips off the screened rows), so each test injects
+    one into row ``_INJECTED`` of a 2.5k-row batch.
     """
 
     @staticmethod
     def _check(settle_case, monkeypatch, kernel, inject):
-        """Run the batch with ``inject`` applied to the operands of the
-        first ``_EftArith.<kernel>`` call, and hold it to the loop."""
-        from repro.semantics.batch import _EftArith
+        """Run the batch with ``inject`` applied to the arguments of the
+        first ``_DeltaSweep.<kernel>`` call, and hold it to the loop."""
+        from repro.semantics.batch import _DeltaSweep
 
         program, columns, baseline = settle_case
-        original = getattr(_EftArith, kernel)
+        original = getattr(_DeltaSweep, kernel)
         done = []
 
-        def patched(arith, *args):
+        def patched(sweep, *args):
             if not done:
                 done.append(True)
                 args = inject(*args)
-            return original(arith, *args)
+            return original(sweep, *args)
 
-        monkeypatch.setattr(_EftArith, kernel, patched)
+        monkeypatch.setattr(_DeltaSweep, kernel, patched)
         engine = BatchWitnessEngine(program.main, program, collect_rows=True)
         seen = []
         scalar_report = engine._scalar_report
@@ -671,36 +671,32 @@ class TestPerRowSettlement:
         _assert_matches_loop(report, *_looped(program, columns, engine.lens))
 
     def test_zero_divisor(self, settle_case, monkeypatch):
-        from repro.semantics.eft import DD
+        # The add witness divides by the exact operand sum r(1+η): an
+        # η of -1 is a zero divisor.
+        def zero_row(eta, d3):
+            eta = eta.copy()
+            eta[_INJECTED] = -1.0
+            return eta, d3
 
-        def zero_row(x, y, y_split=None):
-            if isinstance(y, DD):
-                hi, lo = y.hi.copy(), y.lo.copy()
-                hi[_INJECTED] = lo[_INJECTED] = 0.0
-                return x, DD(hi, lo)
-            y = y.copy()
-            y[_INJECTED] = 0.0
-            return x, y
-
-        self._check(settle_case, monkeypatch, "div", zero_row)
+        self._check(settle_case, monkeypatch, "add_backward", zero_row)
 
     def test_negative_radicand(self, settle_case, monkeypatch):
-        from repro.semantics.eft import DD
+        # The mul witness takes √((1+δ3)/(1+η)): a target of the
+        # opposite sign makes the radicand negative.
+        def negate_row(eta, d3):
+            d3 = np.zeros_like(eta) if d3 is None else d3.copy()
+            d3[_INJECTED] = -3.0
+            return eta, d3
 
-        def negate_row(x):
-            hi, lo = x.hi.copy(), x.lo.copy()
-            hi[_INJECTED], lo[_INJECTED] = -hi[_INJECTED], -lo[_INJECTED]
-            return (DD(hi, lo),)
-
-        self._check(settle_case, monkeypatch, "sqrt", negate_row)
+        self._check(settle_case, monkeypatch, "mul_backward", negate_row)
 
     def test_discrete_target_mismatch(self, settle_case, monkeypatch):
-        from repro.semantics.batch import _BPair, _materialize_b
+        from repro.semantics.batch import _BPair, _fill
 
         def nudge_row(name, current, target):
-            target = _materialize_b(target, current)
-            left = np.array(target.left, copy=True)
-            left[_INJECTED] = np.nextafter(left[_INJECTED], np.inf)
+            target = _fill(target, current)
+            left = np.zeros(current.left.shape)
+            left[_INJECTED] = 2.0**-52
             return name, current, _BPair(left, target.right)
 
         self._check(settle_case, monkeypatch, "verify_discrete", nudge_row)

@@ -38,6 +38,7 @@ from repro.core import check_program, is_discrete, parse_program
 from repro.ir.cache import inlined_definition_ir, semantic_definition_ir
 from repro.ir.inline import (
     FALLBACK_SIZE_CAP,
+    MAX_INLINE_OPS,
     count_ops,
     inline_fallback_info,
     walk_ops,
@@ -261,7 +262,7 @@ class TestStore:
         second = composed_judgments(program, store=store)
         assert second.built == ()
         assert second.reused == ("Scale", "Twice", "Main")
-        assert store.stats["memory_hits"] == 3
+        assert len(first.reused) + len(second.reused) == 3  # memory hits
 
     def test_summaries_survive_only_by_content(self):
         # A different program never sees the first one's summaries: the
@@ -434,8 +435,11 @@ CHAIN_BATCH_SHA256 = (
 CHAIN_ROWS_SHA256 = (
     "715212234f4776af7b4db04ee876ddb532f9405bb1cc706cc4e0cd05467cee7b"
 )
-PYRAMID15_BATCH_SHA256 = (
-    "cbe51bf67eeeb27feb5128046a736e9dbc94df84677bd1917ab4773421d442f2"
+#: P16's, pinned when the inliner began charging a splice its net
+#: growth (P15 then fit under the cap and P16 became the smallest
+#: pyramid past it).
+PYRAMID16_BATCH_SHA256 = (
+    "94c28825722e66037338cd1969a367f447082d80e2f032f4417901c24d077d01"
 )
 
 
@@ -506,14 +510,23 @@ class TestNoCompose:
         # The smallest pyramid whose expansion trips MAX_INLINE_OPS: the
         # calls the cap refuses run the scalar path and are reported.
         result = Session().audit(
-            pyramid_source(15), "P15", inputs={"x": [1.5], "c": [1.0]},
+            pyramid_source(16), "P16", inputs={"x": [1.5], "c": [1.0]},
             engine="batch",
         )
         fallbacks = result.payload["inline_fallbacks"]
         assert fallbacks
         assert {e["reason"] for e in fallbacks} == {FALLBACK_SIZE_CAP}
         assert result.sound
-        assert _sha256(result) == PYRAMID15_BATCH_SHA256
+        assert _sha256(result) == PYRAMID16_BATCH_SHA256
+
+    def test_pyramid_under_the_cap_inlines_fully(self):
+        # P15 flattens to 196,604 ops, under MAX_INLINE_OPS: a splice
+        # replaces its call op, so it costs the callee's op count.
+        program = parse_program(pyramid_source(15))
+        ir = inlined_definition_ir(program["P15"], program)
+        assert count_ops(ir.ops) == 196_604 <= MAX_INLINE_OPS
+        assert not ir.has_calls
+        assert inline_fallback_info(ir) == []
 
 
 # --------------------------------------------------------------------------

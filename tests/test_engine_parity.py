@@ -241,10 +241,11 @@ class TestShardedParity:
 
 
 class TestExactBackendParity:
-    """The EFT double-double kernels against the Decimal reference.
+    """The perturbation-form screen against the Decimal reference.
 
-    The batch engine's backward/ideal sweeps run on error-free
-    transformations; the contract is that every observable — verdicts,
+    The batch engine's backward/ideal sweeps run in perturbation form
+    on error-free transformations; the contract is that every
+    observable — verdicts,
     exact-match flags, Decimal distance strings, per-param maxima,
     perturbed-value reprs, captured error types/messages, and the
     ``fallback_rows`` accounting — is *bit-for-bit* what the 50-digit

@@ -2,8 +2,8 @@
 
 Schema-v5 ``rows`` entries carry each parameter's backward distance at
 8 significant digits (:func:`repro.semantics.spaces.render_row_distance`).
-The batch engine's EFT path produces most of those strings from its
-double-double distance screen without ever computing the exact
+The batch engine produces most of those strings from its
+perturbation-form distance screen without ever computing the exact
 Decimal distance; this module pins the three things that make that
 sound and fast:
 
