@@ -220,7 +220,6 @@ class IRProgram:
         "has_cases",
         "vectorizable",
         "inline_fallbacks",
-        "rounding_chain",
     )
 
     def __init__(
@@ -250,9 +249,6 @@ class IRProgram:
         #: ``(callee, reason)`` pairs recorded by the inliner for every
         #: ``call`` op it left in place (empty for semantic-mode IR).
         self.inline_fallbacks = inline_fallbacks
-        #: The most rounding ops on any backward path from the result,
-        #: computed by the batch engine on first use.
-        self.rounding_chain: Optional[int] = None
 
     def __repr__(self) -> str:  # pragma: no cover
         return (

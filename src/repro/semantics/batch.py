@@ -706,9 +706,7 @@ class BatchWitnessEngine:
                 eta_max = eft.U
             else:  # binary64 rounding, then round half even to p bits
                 eta_max = 2.0**-self.precision_bits + 2.0**-52
-            chain = self.ir.rounding_chain
-            if chain is None:
-                chain = self.ir.rounding_chain = _longest_chain(self.ir.ops)
+            chain = _longest_chain(self.ir.ops)
             err = eft.backward_error_bound(chain, eta_max)
             spread = chain * -math.log1p(-eta_max)  # L: max |ln(1+δ)|
             if spread <= 50.0:
@@ -771,9 +769,9 @@ class BatchWitnessEngine:
             approx = fsel(ir.result)
             _close_screen(ideal_result, approx, close, unsure, every)
             if unsure.any():
-                # Rows between the closeness thresholds: certify the
-                # ones whose reference noise is provably below the
-                # tolerance (see _conditions) before rechecking.
+                # Rows not surely close: weigh their gaps against the
+                # screen's and the reference's own error (see
+                # _conditions) before rechecking.
                 kappa = _result_conditions(ir, fsel, bounds)
                 close[:] = True
                 unsure[:] = False
@@ -1469,6 +1467,14 @@ def _conditions(ops, fsel, kappa: List, growth: float) -> None:
     ones), and each op adds one unit.  Property 2 makes the exact ideal
     result equal the forward one, so ``κ`` bounds the reference's
     closeness gap in units of 1e-49.  Values are floats or row arrays.
+
+    The sweep runs only when some row's gap is not surely close, which
+    on binary64 batches is rare: it serves the rows whose ``δ`` noise
+    alone passes ``_CLOSE_SURE`` — reduced precision (without it ~80-97%
+    of 11/24-bit rows go to the reference) and deep chains — and every
+    gap the screen would call far.  No ``BENCHMARK.json`` workload runs
+    at reduced precision; ``benchmarks/reduced_precision_probe.py``
+    measures it (``benchmarks/results/reduced-precision-probe.txt``).
     """
     for op in ops:
         code = op.code
@@ -1527,9 +1533,11 @@ def _result_conditions(ir, fsel, bounds: _ScreenBounds):
 #: the exact ideal result *equal* the forward one, so a screened gap is
 #: rounding noise: ~1e-50·cond in the 50-digit reference and
 #: ~u·cond·|δ| in the screen.  A gap below CLOSE_SURE is ~1e4 away from
-#: flipping the reference verdict on well-conditioned rows, one above
-#: FAR_SURE is a genuine Property-2 failure, and only the band between
-#: (or an undecidable δ) is rechecked.
+#: flipping the reference verdict on well-conditioned rows.  A gap is a
+#: genuine Property-2 failure only where it passes FAR_SURE by more than
+#: the screen's own error ``κ·unit``, which at reduced precision or on
+#: deep chains can itself exceed FAR_SURE; every other gap (or an
+#: undecidable δ) is rechecked.
 _CLOSE_SURE = 1e-26
 _FAR_SURE = 1e-8
 
@@ -1539,15 +1547,19 @@ def _close_screen(ideal, approx, close: np.ndarray, unsure: np.ndarray,
     """Vectorized screen of row-wise ``values_close`` in ``δ`` form.
 
     ``ideal`` is the ideal result's ``δ`` tree over ``approx``.
-    ``close`` accumulates definite verdicts (``&=``); rows whose gap
-    ``|δ|`` falls between the sure thresholds, or whose ``δ`` is
-    undecidable (``δ <= -1``: a zero or sign-flipped ideal value; or
-    non-finite), are flagged in ``unsure`` and left formally close — the
-    scalar reference overrides them.  With the reference's condition
-    tree ``kappa`` (:func:`_conditions`), a gap is also surely close
-    where the reference's rounding noise is at most ``1e-31``
+    ``close`` accumulates definite verdicts (``&=``); rows the screen
+    cannot decide, or whose ``δ`` is undecidable (``δ <= -1``: a zero or
+    sign-flipped ideal value; or non-finite), are flagged in ``unsure``
+    and left formally close — the scalar reference overrides them.
+    Without ``kappa`` only a gap ``|δ| <= _CLOSE_SURE`` is decided.
+    With the reference's condition tree ``kappa`` (:func:`_conditions`)
+    and the screen's error per κ unit ``unit``, a gap is also surely
+    close where the reference's rounding noise is at most ``1e-31``
     (``κ <= 1e18``) and the gap is within the screen's own error of
-    zero (``unit·κ``), as Property 2 says it is.  Structure mirrors
+    zero (``unit·κ``), as Property 2 says it is.  It is surely far only
+    where it passes ``_FAR_SURE`` by more than that error, with the
+    reference's noise (``κ <= 1e30``: at most ``1e-19`` relative) far
+    below the gap.  Structure mirrors
     :func:`repro.lam_s.values.values_close` on the batched value trees.
     """
     if isinstance(approx, _BPair) and isinstance(ideal, _BPair):
@@ -1582,9 +1594,12 @@ def _close_screen(ideal, approx, close: np.ndarray, unsure: np.ndarray,
     if isinstance(approx, np.ndarray) and isinstance(ideal, np.ndarray):
         gap = np.abs(ideal)
         sure_close = gap <= _CLOSE_SURE
+        sure_far = np.zeros_like(sure_close)
         if kappa is not None and math.isfinite(unit):
-            sure_close |= (kappa <= 1e18) & (gap <= kappa * unit)
-        between = ~sure_close & ~(gap >= _FAR_SURE)
+            noise = kappa * unit  # the screen's own error bound
+            sure_close |= (kappa <= 1e18) & (gap <= noise)
+            sure_far = (kappa <= 1e30) & (gap >= _FAR_SURE + noise)
+        between = ~(sure_close | sure_far)
         between |= ~((ideal > -1.0) & (gap < np.inf))
         between &= active
         unsure |= between
@@ -1662,8 +1677,8 @@ _ROW_FORMAT = f"%.{ROW_DISTANCE_DIGITS - 1}e"
 
 
 def _screen_row_distances(d_hat: np.ndarray, noise: np.ndarray,
-                          slack: float = 1e-26,
-                          noise_cap: float = 1e-27) -> List[Optional[str]]:
+                          slack: float,
+                          noise_cap: float) -> List[Optional[str]]:
     """Render screened per-row distances, or defer (``None``) each row.
 
     ``d_hat`` is a parameter's screened per-row max distance and

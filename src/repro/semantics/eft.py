@@ -74,9 +74,13 @@ terms cover the ``<= 2u`` relative error of ``log1p``.  The ideal
 sweep feeds only the lens-exactness screen, whose thresholds
 (``1e-26`` sure-close, ``1e-8`` sure-far) rest on Property 2: the exact
 ideal value *is* the forward value, so a screened gap is rounding noise
-(~``u·cond·|δ|``).  A row between the thresholds is rechecked unless a
-condition sweep proves the 50-digit reference's own noise below its
-tolerance (``repro.semantics.batch._conditions``).
+(~``u·cond·|δ|``).  Any gap above ``1e-26`` is weighed by a condition
+sweep (``repro.semantics.batch._conditions``) that bounds both the
+50-digit reference's own noise and the screen's own error in the gap:
+the row is close if the former is below the tolerance and the gap
+within the latter, far only if the gap passes ``1e-8`` by more than the
+screen's error (which at reduced precision can itself exceed ``1e-8``),
+and rechecked otherwise.
 
 Rows where the EFT premises fail — a forward value outside
 ``[UNDERFLOW_LIMIT, OVERFLOW_LIMIT]`` (Dekker splitting may overflow,

@@ -45,7 +45,7 @@ from repro.semantics.batch import (
 )
 from repro.semantics.eft import DD
 
-__all__ = ["DdBatchEngine", "run_witness_batch_dd"]
+__all__ = ["DdBatchEngine"]
 
 Array = np.ndarray
 
@@ -635,7 +635,3 @@ def _delta_tree(value, forward):
             return (value - forward) / forward
     return value
 
-
-def run_witness_batch_dd(definition, inputs, *, program=None, **engine_options):
-    """:func:`repro.semantics.batch.run_witness_batch` on the dd oracle."""
-    return DdBatchEngine(definition, program, **engine_options).run(inputs)

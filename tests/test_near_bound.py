@@ -28,7 +28,10 @@ ill-conditioned (two nested cancellations) that the 50-digit
 reference's own rounding noise decides whether the lens looks exact:
 their closeness gaps sit between the sure thresholds, and only rows
 whose reference noise is provably below the tolerance may be decided
-without the reference.
+without the reference.  At 11 and 24 bits the screen's own error on
+such rows passes the far threshold while the reference still finds
+them close, so a gap may only be called far once it exceeds the
+screen's error bound.
 """
 
 from __future__ import annotations
@@ -45,6 +48,7 @@ np = pytest.importorskip("numpy")
 from repro.api import Session
 from repro.programs.generators import dot_prod, horner, safe_div_sum, vec_sum
 from repro.semantics.batch import BatchWitnessEngine, run_witness_batch
+from repro.semantics.interp import lens_of_definition
 from repro.semantics.spaces import render_row_distance
 from repro.semantics.witness import run_witness
 
@@ -364,3 +368,24 @@ def test_closeness_between_the_sure_thresholds(first, second):
         # most rows; every such row must come from the reference.
         assert sum(not r.exact_match for r in scalar) > n // 2
         assert set(seen) == set(range(n))
+
+
+@pytest.mark.parametrize("bits, first, second", [(24, 40, 20), (11, 44, 20)])
+def test_reduced_precision_gaps_are_far_only_past_the_screen_error(
+        bits, first, second):
+    # The reference's condition κ has a median of ~5e18 (24 bits) and
+    # ~2e18 (11 bits) on these rows: its noise stays near 1e-31, so it
+    # finds every row close, while the screen's own error (κ times
+    # ~5e-22 at 24 bits, ~4e-18 at 11) puts their gaps past 1e-8.
+    program = Session().parse(_NESTED_SOURCE)
+    rows = _nested_rows(first, second, n=40)
+    lens = lens_of_definition(program.main, program=program,
+                              precision_bits=bits)
+    batch = BatchWitnessEngine(program.main, program,
+                               precision_bits=bits).run(rows)
+    scalar = [run_witness(program.main, {k: v[j] for k, v in rows.items()},
+                          program=program, lens=lens)
+              for j in range(len(rows["a"]))]
+    assert all(r.exact_match for r in scalar)
+    assert [bool(e) for e in batch.exact] == [r.exact_match for r in scalar]
+    assert [bool(s) for s in batch.sound] == [r.sound for r in scalar]

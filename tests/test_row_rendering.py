@@ -77,6 +77,11 @@ class TestRenderRowDistance:
 # The screen helper at its boundaries
 # --------------------------------------------------------------------------
 
+#: The band's absolute term and the noise-floor cap of a binary64
+#: program whose rounding chains are short (``_screen_bounds``).
+SLACK = 1e-26
+NOISE_CAP = 1e-27
+
 
 def _shift_ulps(x: float, k: int) -> float:
     return max(x + k * float(np.spacing(x)), 0.0)
@@ -113,12 +118,13 @@ class TestScreenRowDistances:
     )
     def test_defers_or_renders_every_distance_in_the_band(self, d_hat,
                                                           noise, t):
-        (got,) = _screen_row_distances(np.array([d_hat]), np.array([noise]))
+        (got,) = _screen_row_distances(np.array([d_hat]), np.array([noise]),
+                                        SLACK, NOISE_CAP)
         if d_hat == 0.0 and not noise:
             # No targeted leaf: the exact distance is zero.
             assert got == "0"
             return
-        if noise and d_hat <= 1e-27:
+        if noise and d_hat <= NOISE_CAP:
             # Noise-floor rows (a targeted leaf whose dd distance reads
             # 0 among them) only the Decimal reference can render.
             assert got is None
@@ -128,7 +134,7 @@ class TestScreenRowDistances:
         # Both band ends and one point between them.
         with decimal.localcontext() as ctx:
             ctx.prec = 100
-            band = Decimal("1e-12") * Decimal(d_hat) + Decimal("1e-26")
+            band = Decimal("1e-12") * Decimal(d_hat) + Decimal(SLACK)
             for step in (-10**6, t, 10**6):
                 d = max(Decimal(d_hat) + band * step / 10**6, Decimal(0))
                 assert got == render_row_distance(d), d
@@ -136,7 +142,7 @@ class TestScreenRowDistances:
     def test_noise_floor_and_zero(self):
         d_hat = np.array([0.0, 0.0, 1e-28, 1e-27, 2.5e-16])
         noise = np.array([False, True, True, True, True])
-        assert _screen_row_distances(d_hat, noise) == [
+        assert _screen_row_distances(d_hat, noise, SLACK, NOISE_CAP) == [
             "0", None, None, None, "2.5000000e-16"
         ]
 
@@ -145,7 +151,8 @@ class TestScreenRowDistances:
         d_hat = rng.uniform(1.0, 10.0, 20000) * 10.0 ** rng.integers(
             -17, -13, 20000
         )
-        got = _screen_row_distances(d_hat, np.zeros(d_hat.size, dtype=bool))
+        got = _screen_row_distances(d_hat, np.zeros(d_hat.size, dtype=bool),
+                                    SLACK, NOISE_CAP)
         deferred = sum(text is None for text in got)
         assert deferred <= 0.01 * d_hat.size
         for x, text in zip(d_hat[:200].tolist(), got[:200]):
