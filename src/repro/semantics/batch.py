@@ -91,7 +91,7 @@ from .interp import BeanLens, lens_of_definition
 from .lens import LensDomainError
 from .primitives import BACKWARD_PRECISION
 from .spaces import ROW_DISTANCE_DIGITS, grade_bound, render_row_distance
-from .witness import WitnessReport, run_witness
+from .witness import WitnessReport, run_witness, witness_distances
 
 __all__ = ["BatchWitnessEngine", "BatchWitnessReport", "run_witness_batch"]
 
@@ -504,6 +504,13 @@ class BatchWitnessEngine:
             lens=self.lens,
         )
 
+    def _scalar_distances(self, columns, i: int) -> Dict[str, Decimal]:
+        """Row ``i``'s exact distances, as :meth:`_scalar_report` would
+        report them, without the reference's ideal re-evaluation."""
+        return witness_distances(
+            self.definition, self._row_inputs(columns, i), lens=self.lens
+        )
+
     def _run_scalar(self, columns, n_rows: int, rows) -> BatchWitnessReport:
         reports: Dict[int, WitnessReport] = {}
         errors: Dict[int, BaseException] = {}
@@ -739,10 +746,11 @@ class BatchWitnessEngine:
         The screens never report a value: every exact number that
         reaches a report — perturbed-input reprs, exact distances, max
         distances, ambiguous verdicts — is produced by the per-row
-        scalar reference (:func:`run_witness`).  The ``δ`` trees decide
-        which rows can be settled without it, and render the ``rows``
-        section's 8-digit per-row distances where the screen's error
-        band cannot straddle a rounding boundary
+        scalar reference (:func:`run_witness`, or its distances alone,
+        :func:`witness_distances`, for a row that only renders them).
+        The ``δ`` trees decide which rows can be settled without it, and
+        render the ``rows`` section's 8-digit per-row distances where the
+        screen's error band cannot straddle a rounding boundary
         (:func:`_screen_row_distances`).  A screened distance is within
         ``2u`` relative plus ``E`` absolute of the exact one (the
         contract in :mod:`repro.semantics.eft`); every margin below
@@ -810,6 +818,7 @@ class BatchWitnessEngine:
         # screen below reads its screened values again.
         rechecked: Dict[int, WitnessReport] = {}
         recheck_errors: Dict[int, BaseException] = {}
+        measured: Dict[int, Dict[str, Decimal]] = {}
 
         def _recheck_rows(rows) -> bool:
             """Settle ``rows`` by the scalar reference; True if any raised."""
@@ -872,8 +881,11 @@ class BatchWitnessEngine:
 
         # Per-row distances render at ROW_DISTANCE_DIGITS straight from
         # the screened d_max wherever its error band cannot straddle a
-        # rounding boundary; every other row joins the recheck set and
-        # renders its exact distance from the scalar reference.
+        # rounding boundary; every other row renders its exact distances
+        # from the scalar reference.  Such a row's verdicts are already
+        # the screen's, so the reference runs without its ideal
+        # re-evaluation; a row on which that run raises gets the full
+        # recheck, which captures the reference's own error.
         screened_rows: Dict[str, List[Optional[str]]] = {}
         if self.collect_rows:
             deferred = np.zeros(m, dtype=bool)
@@ -884,7 +896,13 @@ class BatchWitnessEngine:
                 deferred |= np.fromiter(
                     (r is None for r in rendered), dtype=bool, count=m
                 )
-            _recheck_rows(np.flatnonzero(deferred))
+            for j in np.flatnonzero(deferred).tolist():
+                if j in rechecked or j in recheck_errors:
+                    continue
+                try:
+                    measured[j] = self._scalar_distances(columns, int(clean[j]))
+                except _ROW_ERRORS:
+                    _recheck_rows(np.array([j]))
 
         exact = np.zeros(n_rows, dtype=bool)
         sound = np.zeros(n_rows, dtype=bool)
@@ -915,6 +933,10 @@ class BatchWitnessEngine:
                 row_dists[row] = dict(zip(names, values))
             for j, rep in rechecked.items():
                 row_dists[int(clean[j])] = _rendered_distances(rep)
+            for j, dists in measured.items():
+                row_dists[int(clean[j])] = {
+                    name: render_row_distance(d) for name, d in dists.items()
+                }
             for i, rep in reports.items():
                 row_dists[i] = _rendered_distances(rep)
             row_tuples = self._row_tuples(
@@ -944,7 +966,7 @@ class BatchWitnessEngine:
             dict(self._bounds),
             fallback_rows=int(fallback.size),
             rows=row_tuples,
-            rechecked_rows=len(rechecked) + len(recheck_errors),
+            rechecked_rows=len(rechecked) + len(measured) + len(recheck_errors),
         )
 
     # -- phase 1 -----------------------------------------------------------

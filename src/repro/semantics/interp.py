@@ -109,8 +109,14 @@ _WITNESS = (add_witness, sub_witness, mul_witness)
 
 def _values_close_raw(a: Any, b: Any, ctx: decimal.Context) -> bool:
     """:func:`~repro.lam_s.values.values_close` on raw values, with its
-    arithmetic rounded in ``ctx`` (the caller's ambient context)."""
+    arithmetic rounded in ``ctx`` (the caller's ambient context).
+
+    A non-NaN float is close to itself without a Decimal conversion: a
+    discrete variable's target shares every leaf object with its value,
+    and each enclosing ``dlet`` level compares those leaves again."""
     ca, cb = a.__class__, b.__class__
+    if a is b and ca is float and a == a:
+        return True
     if ca is tuple:
         return (
             cb is tuple

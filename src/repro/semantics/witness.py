@@ -35,7 +35,7 @@ from __future__ import annotations
 import decimal
 from dataclasses import dataclass
 from decimal import Decimal
-from typing import Dict, Mapping, Optional, Sequence, Union
+from typing import Any, Dict, Mapping, Optional, Sequence, Tuple, Union
 
 from ..core import ast_nodes as A
 from ..core.grades import BINARY64_UNIT_ROUNDOFF, Grade
@@ -44,6 +44,7 @@ from ..lam_s.executor import _box, _Frame, _unbox
 from ..lam_s.values import Value, VNum, vector_value
 from .interp import (
     BeanLens,
+    _LensExecutor,
     _non_finite_reason,
     _paired_num_leaves,
     _values_close_raw,
@@ -52,7 +53,10 @@ from .interp import (
 from .lens import LensDomainError
 from .spaces import INF, grade_bound, rp_max_distance, type_distance
 
-__all__ = ["ParamWitness", "WitnessReport", "run_witness", "env_from_pythons"]
+__all__ = [
+    "ParamWitness", "WitnessReport", "run_witness", "witness_distances",
+    "env_from_pythons",
+]
 
 
 @dataclass(frozen=True)
@@ -150,19 +154,81 @@ def run_witness(
         raise error from exc
 
 
-def _slot_witness(
-    definition: A.Definition, env: Dict[str, Value], lens: BeanLens, u: float
-) -> WitnessReport:
-    executor = lens.executor()
-    ir = lens.ir
+def witness_distances(
+    definition: A.Definition,
+    inputs: Mapping[str, Union[Value, float, int, Sequence]],
+    *,
+    lens: BeanLens,
+) -> Dict[str, Decimal]:
+    """The per-parameter distances :func:`run_witness` reports, digit for
+    digit, without its ideal re-evaluation: steps 1, 2 and 4 only.
+
+    For a caller that has settled the verdicts some other way and needs
+    only the exact distances.  Errors raised by the approximate run or
+    the backward map are :func:`run_witness`'s own; an input on which
+    :func:`run_witness` raises only later (in the ideal re-evaluation)
+    may return distances here instead.
+    """
+    env = env_from_pythons(definition, inputs)
+    try:
+        raw, perturbed_raw, mods, _ = _backward_witness(env, lens, lens.executor())
+        ambient = decimal.getcontext()
+        return {
+            param.name: _param_distance(
+                param, env[param.name], raw[param.name],
+                perturbed_raw[param.name], param.name in mods, ambient,
+            )
+            for param in definition.params
+        }
+    except _DECIMAL_SIGNALS as exc:
+        error = _non_finite_error(env, lens)
+        if error is None:
+            raise
+        raise error from exc
+
+
+def _backward_witness(
+    env: Dict[str, Value], lens: BeanLens, executor: _LensExecutor
+) -> Tuple[Dict[str, Any], Dict[str, Any], Dict[str, Any], Any]:
+    """Steps 1-2: the approximate run and the backward map.
+
+    Returns the raw inputs, the raw perturbed inputs, the raw targets of
+    the parameters that received one, and the raw approximate result."""
     raw = {name: _unbox(value) for name, value in env.items()}
-    frame = _Frame(ir, raw)
+    frame = _Frame(lens.ir, raw)
     executor.approx(frame)
     approx_raw = frame.result()
     mods = executor.backward(frame, approx_raw)
     perturbed_raw = dict(raw)
     perturbed_raw.update(mods)
-    ideal_raw = executor.ideal(ir, perturbed_raw)
+    return raw, perturbed_raw, mods, approx_raw
+
+
+def _param_distance(
+    param: A.Param, original: Value, old: Any, new_raw: Any,
+    perturbed: bool, ambient: decimal.Context, new: Optional[Value] = None,
+) -> Decimal:
+    """Step 4's distance of one parameter: ``d(kᵢ, k̃ᵢ)`` for a linear
+    one, ``0`` (or ∞ if its target moved) for a discrete one.
+    ``perturbed`` says whether the backward map targeted it; ``new`` is
+    its boxed perturbed value, boxed here on demand when ``None``."""
+    if is_discrete(param.ty):
+        # Theorem 3.1(2): discrete inputs carry no backward error.
+        return Decimal(0) if _values_close_raw(old, new_raw, ambient) else INF
+    leaves = _paired_num_leaves(param.ty, old, new_raw)
+    if leaves is not None:
+        return rp_max_distance(leaves)
+    if new is None:
+        new = _box(new_raw) if perturbed else original
+    return type_distance(param.ty, original, new)
+
+
+def _slot_witness(
+    definition: A.Definition, env: Dict[str, Value], lens: BeanLens, u: float
+) -> WitnessReport:
+    executor = lens.executor()
+    raw, perturbed_raw, mods, approx_raw = _backward_witness(env, lens, executor)
+    ideal_raw = executor.ideal(lens.ir, perturbed_raw)
     ambient = decimal.getcontext()
     exact = _values_close_raw(ideal_raw, approx_raw, ambient)
 
@@ -172,17 +238,13 @@ def _slot_witness(
         original = env[name]
         old, new_raw = raw[name], perturbed_raw[name]
         new = _box(new_raw) if name in mods else original
+        distance = _param_distance(
+            param, original, old, new_raw, name in mods, ambient, new
+        )
         if is_discrete(param.ty):
-            # Theorem 3.1(2): discrete inputs carry no backward error.
-            distance = Decimal(0) if _values_close_raw(old, new_raw, ambient) else INF
             bound = Decimal(0)
             grade = Grade(0)
         else:
-            leaves = _paired_num_leaves(param.ty, old, new_raw)
-            if leaves is None:
-                distance = type_distance(param.ty, original, new)
-            else:
-                distance = rp_max_distance(leaves)
             grade = lens.judgment.grade_of(name)
             bound = grade_bound(grade, u)
         params[name] = ParamWitness(name, original, new, distance, bound, grade)

@@ -24,7 +24,7 @@ from repro.programs.generators import (
 )
 from repro.semantics.batch import BatchWitnessEngine, run_witness_batch
 from repro.semantics.shard import run_witness_sharded
-from repro.semantics.witness import run_witness
+from repro.semantics.witness import run_witness, witness_distances
 
 
 def _assert_bitwise_equal(batch_report, reference, i):
@@ -105,6 +105,52 @@ class TestBitwiseAgreement:
             }
             reference = run_witness(definition, row, u=engine.u, lens=engine.lens)
             _assert_bitwise_equal(report, reference, i)
+
+
+class TestWitnessDistances:
+    """``witness_distances`` (the reference without its ideal
+    re-evaluation, which the batch engine runs on rows it renders but
+    has already decided) returns run_witness's distances, digit for
+    digit."""
+
+    @staticmethod
+    def _check(definition, rows, lens=None):
+        from repro.semantics.interp import lens_of_definition
+
+        lens = lens or lens_of_definition(definition)
+        for row in rows:
+            reference = run_witness(definition, row, lens=lens)
+            got = witness_distances(definition, row, lens=lens)
+            assert list(got) == list(reference.params)
+            assert {k: str(v) for k, v in got.items()} == {
+                name: str(w.distance) for name, w in reference.params.items()
+            }
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_random_programs(self, seed):
+        spec = random_definition(seed)
+        columns = random_batch_inputs(spec, seed=seed + 900, n_rows=20)
+        self._check(spec.definition, [batch_row(columns, i) for i in range(20)])
+
+    @pytest.mark.parametrize(
+        "definition",
+        [vec_sum(30), dot_prod(12), horner(8), mat_vec_mul(3), safe_div_sum(6)],
+        ids=["Sum30", "DotProd12", "Horner8", "MatVecMul3", "SafeDiv6"],
+    )
+    def test_vector_benchmarks(self, definition):
+        from repro.semantics.batch import _leaf_count
+
+        rng = np.random.default_rng(4)
+        rows = []
+        for _ in range(10):
+            row = {}
+            for p in definition.params:
+                k = _leaf_count(p.ty)
+                signs = rng.choice([-1.0, 1.0], k)
+                values = list(signs * rng.uniform(0.5, 4.0, k))
+                row[p.name] = values if k > 1 else values[0]
+            rows.append(row)
+        self._check(definition, rows)
 
 
 class TestRndLowPrecisionRegression:

@@ -241,13 +241,14 @@ def test_noise_floor_rows_settle_by_the_reference(u, collect_rows):
     engine = BatchWitnessEngine(program.main, program, u=u,
                                 collect_rows=collect_rows)
     seen = []
-    scalar_report = engine._scalar_report
+    # A row reaches the reference for its verdicts and distances, or
+    # (a rendered row the screen has decided) for its distances alone.
+    for method in ("_scalar_report", "_scalar_distances"):
+        def spy(columns, i, reference=getattr(engine, method)):
+            seen.append(i)
+            return reference(columns, i)
 
-    def spy(columns, i):
-        seen.append(i)
-        return scalar_report(columns, i)
-
-    engine._scalar_report = spy
+        setattr(engine, method, spy)
     batch = engine.run(inputs)
     scalar = [run_witness(program.main, _row(inputs, j), program=program, u=u)
               for j in range(n)]
