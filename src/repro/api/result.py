@@ -265,8 +265,8 @@ def scalar_report_payload(
             "distance": str(w.distance),
             "bound": str(w.bound),
             "within_bound": w.within_bound,
-            "original": repr(w.original),
-            "perturbed": repr(w.perturbed),
+            "original": w.original_repr,
+            "perturbed": w.perturbed_repr,
         }
     return {
         "schema_version": BASE_SCHEMA_VERSION,
@@ -276,8 +276,8 @@ def scalar_report_payload(
         "precision_bits": precision_bits,
         "sound": report.sound,
         "exact_match": report.exact_match,
-        "approx_value": repr(report.approx_value),
-        "ideal_on_perturbed": repr(report.ideal_on_perturbed),
+        "approx_value": report.approx_value_repr,
+        "ideal_on_perturbed": report.ideal_on_perturbed_repr,
         "params": params,
     }
 

@@ -262,7 +262,13 @@ class _Parser:
             self.pos = pos
             expr = self.parse_expr()
             for pattern, bound, discrete in reversed(frames):
-                expr = bind_pattern(pattern, bound, expr, discrete, self.fresh)
+                if isinstance(pattern, str):  # bind_pattern's name case, inline
+                    if discrete:
+                        expr = A.DLet(pattern, bound, expr)
+                    else:
+                        expr = A.Let(pattern, bound, expr)
+                else:
+                    expr = bind_pattern(pattern, bound, expr, discrete, self.fresh)
             return expr
         op = _OPS.get(text)
         if op is not None:

@@ -17,6 +17,7 @@ tensor trees, so that deep benchmark programs keep type depth ``O(log n)``).
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Iterator, Tuple
 
 __all__ = [
@@ -114,8 +115,12 @@ def tensor_of(parts: Tuple[Type, ...] | list) -> Type:
     return Tensor(tensor_of(parts[:mid]), tensor_of(parts[mid:]))
 
 
+@lru_cache(maxsize=64)
 def vector(n: int, base: Type = NUM) -> Type:
-    """The type ``R^n`` as a balanced tensor of ``n`` copies of ``base``."""
+    """The type ``R^n`` as a balanced tensor of ``n`` copies of ``base``.
+
+    Types are immutable, so each size's tree is built once and shared:
+    every ``vec(n)`` a program text spells is the same object."""
     if n <= 0:
         raise ValueError("vector length must be positive")
     return tensor_of((base,) * n)

@@ -5,7 +5,16 @@ so arbitrarily deep ``let`` chains (Sum 10000 nests ten thousand binders)
 lower under the default recursion limit.  A let-spine whose bounds are
 variables or primops on two variables (every binder of the paper's
 families) is walked in place, with one ``unbind`` work item for the
-whole chain instead of four items per ``let`` and per primop.  ``case`` branches become nested
+whole chain instead of four items per ``let`` and per primop.  In checked
+mode that walk is one loop (``_Lowerer._lower_checked_spine``) that takes
+``let x = op a b``, ``let x = v`` and ``(d)let (a, b) = v`` links with the
+scope, use-set, slot, type and op-list bookkeeping inlined.  Per link it
+checks in the general helpers' order: each variable of the bound as it
+is read (unbound, then reused; a discrete one emits its ``dvar`` in
+place), a primop's left operand type, its right operand type, then the
+``dlet`` bound's discreteness or the pair's type, and each binder's
+freshness.  It raises through the error constructors those helpers use,
+so each message text exists once.  ``case`` branches become nested
 *regions* — contiguous op lists with their own payload and result slots —
 sharing the global slot numbering, the same structured-control-flow shape
 WASM and MLIR use; the only recursion anywhere in the IR pipeline is over
@@ -140,6 +149,65 @@ _LET_ACTIONS = {
     A.DLetPair: ("bind_pair", 2),
 }
 
+# Error constructors shared by the general helpers and the checked
+# let-spine loop, so each message text exists once.
+
+
+def _unbound_error(name: str) -> UnboundVariableError:
+    return UnboundVariableError(f"unbound variable {name!r}")
+
+
+def _reuse_error(name: str) -> LinearityError:
+    return LinearityError(f"linear variable(s) used in two subexpressions: {name}")
+
+
+def _shadow_error(name: str) -> BeanTypeError:
+    return BeanTypeError(
+        f"binding {name!r} shadows a variable already in scope; "
+        "Bean programs must use distinct names"
+    )
+
+
+def _num_operand_error(op, ty) -> BeanTypeError:
+    # ``op`` is a name or an ``A.Op``; either formats as the name.
+    return BeanTypeError(f"{op} requires num operands, got {ty}")
+
+
+def _dmul_operand_error(ty) -> BeanTypeError:
+    return BeanTypeError(f"dmul's first operand must be discrete m(num), got {ty}")
+
+
+def _dlet_error(ty) -> BeanTypeError:
+    return BeanTypeError(
+        f"dlet requires a discrete (m-typed) bound expression, got {ty}"
+    )
+
+
+def _pair_types(discrete_pair: bool, bound_ty) -> Tuple:
+    """The component types a (``d``)``let``-pair binds, or its type error."""
+    if discrete_pair:
+        if (
+            isinstance(bound_ty, Tensor)
+            and is_discrete(bound_ty.left)
+            and is_discrete(bound_ty.right)
+        ):
+            return bound_ty.left, bound_ty.right
+        if isinstance(bound_ty, Discrete) and isinstance(bound_ty.inner, Tensor):
+            return Discrete(bound_ty.inner.left), Discrete(bound_ty.inner.right)
+        raise BeanTypeError(
+            f"dlet-pair requires a pair of discrete components, got {bound_ty}"
+        )
+    if not isinstance(bound_ty, Tensor):
+        raise BeanTypeError(f"let-pair requires a tensor type, got {bound_ty}")
+    return bound_ty.left, bound_ty.right
+
+
+def _twice_error(name: str) -> LinearityError:
+    return LinearityError(
+        f"pair pattern binds {name!r} twice; components must be distinct"
+    )
+
+
 #: Inverse of ``_PRIM_CODE``: arithmetic opcode back to the AST operator.
 CODE_TO_PRIM = {code: op for op, code in _PRIM_CODE.items()}
 
@@ -220,6 +288,7 @@ class IRProgram:
         "has_cases",
         "vectorizable",
         "inline_fallbacks",
+        "__weakref__",  # per-IR caches key on identity (repro.ir.cache)
     )
 
     def __init__(
@@ -281,7 +350,9 @@ class _Lowerer:
         self.n_slots = 0
         self.types: List = [] if checked else None
         self.scope: Dict[str, _Bind] = {}
-        self.undo: List[Tuple[str, Optional[_Bind]]] = []
+        #: Bound names to unbind; semantic mode pairs each with the
+        #: entry it shadowed (see :meth:`bind`).
+        self.undo: List = []
         self.used: set = set()  # _Bind objects consumed (checked mode)
         self.case_states: List[dict] = []
         self.implicit_params: List[IRParam] = []
@@ -308,32 +379,36 @@ class _Lowerer:
         return dest
 
     def bind(self, name: str, slot: int, discrete: bool, ty=None) -> None:
-        self.undo.append((name, self.scope.get(name)))
+        # Checked mode binds only fresh names (check_fresh runs first), so
+        # its undo log holds names; semantic mode keeps what it shadows.
+        self.undo.append(name if self.checked else (name, self.scope.get(name)))
         self.scope[name] = _Bind(slot, discrete, ty)
 
     def unbind(self, count: int) -> None:
-        for _ in range(count):
-            name, old = self.undo.pop()
-            if old is None:
-                del self.scope[name]
-            else:
-                self.scope[name] = old
+        undo, scope = self.undo, self.scope
+        start = len(undo) - count
+        if self.checked:
+            for name in undo[start:]:
+                del scope[name]
+        else:
+            for name, old in reversed(undo[start:]):
+                if old is None:
+                    del scope[name]
+                else:
+                    scope[name] = old
+        del undo[start:]
 
     def check_fresh(self, name: str) -> None:
         if name in self.scope:
-            raise BeanTypeError(
-                f"binding {name!r} shadows a variable already in scope; "
-                "Bean programs must use distinct names"
-            )
+            raise _shadow_error(name)
 
     def ty_of(self, slot: int):
         return self.types[slot] if self.types is not None else None
 
     @staticmethod
     def _require_num(ty, op) -> None:
-        # ``op`` is a name or an ``A.Op``; either formats as the name.
         if not isinstance(ty, Num):
-            raise BeanTypeError(f"{op} requires num operands, got {ty}")
+            raise _num_operand_error(op, ty)
 
     # -- the main loop -----------------------------------------------------
 
@@ -475,7 +550,7 @@ class _Lowerer:
         bind = self.scope.get(name)
         if bind is None:
             if self.checked:
-                raise UnboundVariableError(f"unbound variable {name!r}")
+                raise _unbound_error(name)
             # Semantic mode: an implicit parameter, resolved (or reported
             # missing) when the program runs — like the Λ_S evaluator.
             slot = self.new_slot()
@@ -488,9 +563,7 @@ class _Lowerer:
             return self.emit(DVAR, bind.slot, aux=name, ty=bind.ty)
         if self.checked:
             if bind in self.used:
-                raise LinearityError(
-                    f"linear variable(s) used in two subexpressions: {name}"
-                )
+                raise _reuse_error(name)
             self.used.add(bind)
         return bind.slot
 
@@ -501,7 +574,11 @@ class _Lowerer:
         two variables, which covers every binder of the paper's
         families.  It stops at the spine's tail, or at a let with any
         other bound, and hands that node to the general work stack.
+        Checked mode runs :meth:`_lower_checked_spine` instead.
         """
+        if self.checked:
+            self._lower_checked_spine(e, push)
+            return
         n = 0
         action = _LET_ACTIONS.get(type(e))
         while action is not None:
@@ -515,8 +592,6 @@ class _Lowerer:
                 and type(bound.right) is A.Var
             ):
                 a = self._lower_var(bound.left.name)
-                if self.checked:
-                    self._primop_mid(bound, a)
                 slot = self._primop(bound, a, self._lower_var(bound.right.name))
             else:
                 tag, count = action
@@ -535,6 +610,143 @@ class _Lowerer:
         push(("unbind", n))
         push(("expr", e))
 
+    def _lower_checked_spine(self, e, push) -> None:
+        """The checked let-spine: :meth:`_lower_let_spine`'s walk with
+        the scope, use-set, slot, type and op-list bookkeeping inlined.
+
+        Each link runs the general helpers' checks in their order:
+        the bound's variables as :meth:`_lower_var` reads them (a
+        discrete one emits its ``dvar`` in place), a primop's left
+        operand type (:meth:`_primop_mid`), its right operand type
+        (:meth:`_primop`), then the binder checks of :meth:`_bind_let`
+        or :meth:`_bind_pair`.  It raises through the same error
+        constructors and emits the same ops, slot for slot.  In checked
+        mode a slot's number is its index in ``types``, and no binder
+        shadows, so the undo log holds bare names.
+        """
+        scope = self.scope
+        used = self.used
+        types = self.types
+        ops = self.blocks[-1]
+        undo = self.undo
+        param_slots = self.param_slots
+        n = 0
+        cls = type(e)
+        while cls in _LET_ACTIONS:
+            bound = e.bound
+            bcls = type(bound)
+            if bcls is A.Var:
+                name = bound.name
+                bind = scope.get(name)
+                if bind is None:
+                    raise _unbound_error(name)
+                if bind.discrete:
+                    slot = len(types)
+                    types.append(bind.ty)
+                    ops.append(IROp(DVAR, slot, bind.slot, -1, name))
+                else:
+                    if bind in used:
+                        raise _reuse_error(name)
+                    used.add(bind)
+                    slot = bind.slot
+                    if slot in param_slots and (cls is A.Let or cls is A.DLet):
+                        # _bind_let's parameter alias: an identity op.
+                        dest = len(types)
+                        types.append(types[slot])
+                        ops.append(IROp(BANG, dest, slot, -1, None))
+                        slot = dest
+            elif (
+                bcls is A.PrimOp
+                and type(bound.left) is A.Var
+                and type(bound.right) is A.Var
+            ):
+                op = bound.op
+                name = bound.left.name
+                bind = scope.get(name)
+                if bind is None:
+                    raise _unbound_error(name)
+                if bind.discrete:
+                    a = len(types)
+                    types.append(bind.ty)
+                    ops.append(IROp(DVAR, a, bind.slot, -1, name))
+                else:
+                    if bind in used:
+                        raise _reuse_error(name)
+                    used.add(bind)
+                    a = bind.slot
+                ty = types[a]
+                if op is A.Op.DMUL:
+                    if ty != _DNUM:
+                        raise _dmul_operand_error(ty)
+                elif not isinstance(ty, Num):
+                    raise _num_operand_error(op, ty)
+                name = bound.right.name
+                bind = scope.get(name)
+                if bind is None:
+                    raise _unbound_error(name)
+                if bind.discrete:
+                    b = len(types)
+                    types.append(bind.ty)
+                    ops.append(IROp(DVAR, b, bind.slot, -1, name))
+                else:
+                    if bind in used:
+                        raise _reuse_error(name)
+                    used.add(bind)
+                    b = bind.slot
+                ty = types[b]
+                if not isinstance(ty, Num):
+                    raise _num_operand_error(op, ty)
+                slot = len(types)
+                types.append(_DIV_TY if op is A.Op.DIV else NUM)
+                ops.append(IROp(_PRIM_CODE[op], slot, a, b, None))
+            else:
+                break
+            ty = types[slot]
+            if cls is A.Let or cls is A.DLet:
+                discrete = cls is A.DLet
+                if discrete and not isinstance(ty, Discrete):
+                    raise _dlet_error(ty)
+                name = e.name
+                if name in scope:
+                    raise _shadow_error(name)
+                undo.append(name)
+                scope[name] = _Bind(slot, discrete, ty)
+                n += 1
+            else:
+                discrete = cls is A.DLetPair
+                left_ty, right_ty = _pair_types(discrete, ty)
+                left, right = e.left, e.right
+                if left in scope:
+                    raise _shadow_error(left)
+                if right in scope:
+                    raise _shadow_error(right)
+                if left == right:
+                    raise _twice_error(left)
+                fst = len(types)
+                types.append(left_ty)
+                types.append(right_ty)
+                ops.append(IROp(FST, fst, slot, -1, None))
+                ops.append(IROp(SND, fst + 1, slot, -1, None))
+                undo.append(left)
+                undo.append(right)
+                scope[left] = _Bind(fst, discrete, left_ty)
+                scope[right] = _Bind(fst + 1, discrete, right_ty)
+                n += 2
+            e = e.body
+            cls = type(e)
+        self.n_slots = len(types)
+        if cls in _LET_ACTIONS:
+            # A let whose bound is not a spine link: the general stack
+            # lowers the bound, then binds and walks on from its body.
+            tag, count = _LET_ACTIONS[cls]
+            push(("unbind", n + count))
+            push(("expr", e.body))
+            push((tag, e))
+            push(("expr", e.bound))
+            return
+        push(("unbind", n))
+        push(("expr", e))
+
     def _bind_let(self, e, slot: int) -> None:
         """Bind a ``Let``/``DLet`` name to its bound's ``slot``."""
         if type(e.bound) is A.Var and slot in self.param_slots:
@@ -549,10 +761,7 @@ class _Lowerer:
             if self.checked:
                 ty = self.ty_of(slot)
                 if not is_discrete(ty):
-                    raise BeanTypeError(
-                        "dlet requires a discrete (m-typed) bound "
-                        f"expression, got {ty}"
-                    )
+                    raise _dlet_error(ty)
                 self.check_fresh(e.name)
             self.bind(e.name, slot, True, self.ty_of(slot))
         else:
@@ -565,9 +774,7 @@ class _Lowerer:
         ty1 = self.ty_of(a)
         if e.op is A.Op.DMUL:
             if ty1 != _DNUM:
-                raise BeanTypeError(
-                    f"dmul's first operand must be discrete m(num), got {ty1}"
-                )
+                raise _dmul_operand_error(ty1)
         else:
             self._require_num(ty1, e.op)
 
@@ -585,36 +792,11 @@ class _Lowerer:
         bound_ty = self.ty_of(slot)
         left_ty = right_ty = None
         if self.checked:
-            if discrete_pair:
-                if (
-                    isinstance(bound_ty, Tensor)
-                    and is_discrete(bound_ty.left)
-                    and is_discrete(bound_ty.right)
-                ):
-                    left_ty, right_ty = bound_ty.left, bound_ty.right
-                elif isinstance(bound_ty, Discrete) and isinstance(
-                    bound_ty.inner, Tensor
-                ):
-                    left_ty = Discrete(bound_ty.inner.left)
-                    right_ty = Discrete(bound_ty.inner.right)
-                else:
-                    raise BeanTypeError(
-                        "dlet-pair requires a pair of discrete components, "
-                        f"got {bound_ty}"
-                    )
-            else:
-                if not isinstance(bound_ty, Tensor):
-                    raise BeanTypeError(
-                        f"let-pair requires a tensor type, got {bound_ty}"
-                    )
-                left_ty, right_ty = bound_ty.left, bound_ty.right
+            left_ty, right_ty = _pair_types(discrete_pair, bound_ty)
             self.check_fresh(e.left)
             self.check_fresh(e.right)
             if e.left == e.right:
-                raise LinearityError(
-                    f"pair pattern binds {e.left!r} twice; components must "
-                    "be distinct"
-                )
+                raise _twice_error(e.left)
         fst = self.emit(FST, slot, ty=left_ty)
         snd = self.emit(SND, slot, ty=right_ty)
         self.bind(e.left, fst, discrete_pair, left_ty)

@@ -180,6 +180,37 @@ def _box(raw: Any) -> Value:
     return VNum(raw)
 
 
+def raw_repr(raw: Any) -> str:
+    """``repr(_box(raw))``, rendered without building the :class:`Value` tree."""
+    out: List[str] = []
+    stack = [raw]
+    pop, push, emit = stack.pop, stack.extend, out.append
+    while stack:
+        x = pop()
+        cls = x.__class__
+        if cls is float:
+            emit(f"VNum({x})")
+        elif cls is str:  # a separator pushed below; raw data holds no str
+            emit(x)
+        elif cls is tuple:
+            left, right = x
+            if left.__class__ is float and right.__class__ is float:
+                emit(f"(VNum({left}), VNum({right}))")  # a vector's leaf pair
+            else:
+                emit("(")
+                push((")", right, ", ", left))
+        elif cls is _Inj:
+            emit("inl " if x.left else "inr ")
+            stack.append(x.body)
+        elif cls is VUnit:
+            emit("()")
+        elif cls is _Opaque:
+            emit(repr(x.value))
+        else:
+            emit(f"VNum({x})")
+    return "".join(out)
+
+
 def _is_num(raw: Any) -> bool:
     return raw.__class__ not in _STRUCTURAL
 

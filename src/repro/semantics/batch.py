@@ -84,7 +84,7 @@ from ..core import ast_nodes as A
 from ..core.grades import BINARY64_UNIT_ROUNDOFF, Grade, ZERO
 from ..core.types import Discrete, Num, Tensor, Type, Unit, is_discrete
 from ..ir import lower as L
-from ..ir.cache import inlined_definition_ir, semantic_definition_ir
+from ..ir.cache import IdentityCache, inlined_definition_ir, semantic_definition_ir
 from ..lam_s.eval import EvalError, stochastic_round
 from . import eft
 from .interp import BeanLens, lens_of_definition
@@ -713,7 +713,7 @@ class BatchWitnessEngine:
                 eta_max = eft.U
             else:  # binary64 rounding, then round half even to p bits
                 eta_max = 2.0**-self.precision_bits + 2.0**-52
-            chain = _longest_chain(self.ir.ops)
+            chain = _CHAINS.get(self.ir)
             err = eft.backward_error_bound(chain, eta_max)
             spread = chain * -math.log1p(-eta_max)  # L: max |ln(1+δ)|
             if spread <= 50.0:
@@ -1460,6 +1460,11 @@ def _longest_chain(ops) -> int:
     depth: Dict[int, int] = {}
     _chain_depths(ops, depth)
     return max(depth.values(), default=0)
+
+
+#: Each IR's :func:`_longest_chain`, kept while the IR lives: a warm
+#: session builds one engine per batch audit of the same program.
+_CHAINS = IdentityCache(lambda ir: _longest_chain(ir.ops))
 
 
 class _ScreenBounds(NamedTuple):

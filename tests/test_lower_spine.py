@@ -143,6 +143,18 @@ SPINE_ERRORS = [
     # The first link checks, the error sits deep in the spine.
     "F ((a, b, c) : vec(3)) (z : !num) :=\n"
     "  let s = add a b in let t = dmul z s in let u = dmul t c in u",
+    # An unbound dmul operand.
+    "F (z : !num) (x : num) := let a = dmul z w in a",
+    # A discrete !num operand (read through its dvar) to add.
+    "F (z : !num) (x : num) := let a = add z x in a",
+    # A linear dmul operand used in two links.
+    "F (z : !num) (x : num) := let a = dmul z x in let b = dmul z x in add a b",
+    # A let-pair component that shadows a parameter.
+    "F (x : num * num) (y : num) := let (y, b) = x in add y b",
+    # A linear vector destructured twice.
+    "F (x : vec(2)) := let (a, b) = x in let (c, d) = x in add a c",
+    # dlet of a primop.
+    "F (x : num) (y : num) := dlet a = add x y in a",
 ]
 
 

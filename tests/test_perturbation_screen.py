@@ -139,3 +139,20 @@ def test_table1_families(collect_rows, case):
     definition, program, columns, options = case
     _assert_same_bytes(definition, program, columns,
                        dict(options, collect_rows=collect_rows))
+
+
+def test_screen_bounds_reuse_each_programs_longest_chain(monkeypatch):
+    """A second engine on the same program reads the chain length from
+    the per-IR cache and derives bit-identical bounds."""
+    from repro.semantics import batch as batch_module
+
+    definition = BENCHMARK_FAMILIES["Horner"](12)
+    program = Program([definition])
+    first = BatchWitnessEngine(definition, program)._screen_bounds()
+
+    def forbidden(ops):
+        raise AssertionError("longest chain recomputed")
+
+    monkeypatch.setattr(batch_module, "_longest_chain", forbidden)
+    second = BatchWitnessEngine(definition, program)._screen_bounds()
+    assert [v.hex() for v in second] == [v.hex() for v in first]
