@@ -236,7 +236,11 @@ class Session:
         emit each chunk's witnesses as it finishes — first verdicts
         arrive after one chunk, not after the whole batch.
         """
-        from .stream import DEFAULT_CHUNK_ROWS, stream_audit_events
+        from .stream import (
+            DEFAULT_CHUNK_ROWS,
+            chunk_bounds,
+            stream_audit_events,
+        )
 
         if chunk_rows is None:
             chunk_rows = DEFAULT_CHUNK_ROWS
@@ -252,6 +256,7 @@ class Session:
             sub = dataclasses.replace(request, inputs=sliced)
             return engine.audit(sub).payload
 
-        return RowStream(
-            stream_audit_events(audit_chunk, n_rows, chunk_rows=chunk_rows)
+        chunks = stream_audit_events(
+            audit_chunk, chunk_bounds(n_rows, chunk_rows)
         )
+        return RowStream(event for events in chunks for event in events)

@@ -1,4 +1,4 @@
-"""Row-stream plumbing: chunked producers and the ``RowStream`` consumer.
+"""Row-stream plumbing: the slice fold, chunked producers and ``RowStream``.
 
 The v5 ``rows`` section (:mod:`repro.api.result`) defines *what* a
 per-row witness looks like; this module defines *how* a sequence of
@@ -7,14 +7,22 @@ them flows.  A stream is an ordered series of events — one
 one ``("trailer", {...})`` — matching the three NDJSON line kinds of
 the serving layer one-to-one.
 
-:func:`stream_audit_events` is the producer side: it slices a batch
-audit into row-contiguous chunks, audits each chunk through a caller
--supplied closure, and emits events as chunks finish — holding only the
-running trailer aggregates, never the full row set, which is what keeps
-the server's memory bounded on 100k-row audits.  The aggregate merge
-replicates the fleet/shard discipline byte for byte
-(:func:`merge_stream_trailers`), so a fully drained stream reassembles
-into the exact buffered payload via
+:class:`SliceFold` is the one merge of row slices.  A batch audit cut
+into row-contiguous slices — a local stream's chunks, a served
+stream's chunks, a fleet's split sub-requests, buffered or streamed —
+comes back together through it: one header with the whole request's
+``n_rows`` (later headers must match it), rows re-anchored at their
+slice's offset, and trailers folded by :func:`merge_stream_trailers`,
+whose strictly-greater maximum picks the same rendered distance a
+buffered run does.  :func:`fold_slices` runs it over a whole sequence
+of slices; :func:`payload_events` turns a buffered payload into one.
+
+:func:`stream_audit_events` is the producer side: it audits a batch
+chunk by chunk through a caller-supplied closure and the caller's
+chunk schedule, yielding each chunk's events as it finishes — holding
+only the running trailer aggregates, never the full row set, which is
+what keeps the server's memory bounded on 100k-row audits.  A fully
+drained stream reassembles into the exact buffered payload via
 :func:`~repro.api.result.assemble_stream_payload`.
 
 :class:`RowStream` is the consumer side: iterate it for rows as they
@@ -27,7 +35,18 @@ the buffered audit of the same request.
 from __future__ import annotations
 
 from decimal import Decimal
-from typing import Any, Callable, Dict, Iterable, Iterator, List, Mapping, Optional, Tuple
+from typing import (
+    Any,
+    Callable,
+    Dict,
+    Iterable,
+    Iterator,
+    List,
+    Mapping,
+    Optional,
+    Sequence,
+    Tuple,
+)
 
 from .result import (
     AuditResult,
@@ -41,11 +60,15 @@ from .result import (
 __all__ = [
     "DEFAULT_CHUNK_ROWS",
     "RowStream",
+    "SliceFold",
     "StreamProtocolError",
     "batch_row_count",
     "chunk_bounds",
     "events_of_lines",
+    "fold_slices",
     "merge_stream_trailers",
+    "payload_events",
+    "ramp_chunk_bounds",
     "stream_audit_events",
     "stream_lines",
 ]
@@ -62,6 +85,7 @@ DEFAULT_CHUNK_ROWS = 4096
 DEFAULT_FIRST_CHUNK_ROWS = 256
 
 _DEC_ZERO = Decimal(0)
+_MISSING = object()
 
 #: One stream event: ``("header" | "row" | "trailer", line_object)``.
 StreamEvent = Tuple[str, Dict[str, Any]]
@@ -140,14 +164,14 @@ def ramp_chunk_bounds(
 def merge_stream_trailers(
     a: Dict[str, Any], b: Dict[str, Any]
 ) -> Dict[str, Any]:
-    """Fold two trailer aggregates into one, fleet-merge style.
+    """Fold two trailer aggregates into one.
 
     Verdict counters add, ``all_sound`` conjoins, and each parameter's
     max distance starts at ``Decimal(0)`` and advances only on
     strictly-greater comparison — the first operand attaining the
     maximum supplies the rendered string, exactly as the first *row*
     attaining it does in a buffered run.  Associative, which is what
-    makes incremental chunk-by-chunk merging equal to the one-shot
+    makes incremental slice-by-slice merging equal to the one-shot
     merge (and to the buffered aggregates).
     """
     params: Dict[str, Any] = {}
@@ -183,45 +207,145 @@ def merge_stream_trailers(
     }
 
 
+def payload_events(payload: Dict[str, Any]) -> Iterator[StreamEvent]:
+    """A buffered batch payload as one slice's stream events: its
+    header, its rows (none when it carries no ``rows`` section) and its
+    trailer."""
+    yield ("header", stream_header_of_payload(payload))
+    for row in payload.get("rows") or ():
+        yield ("row", row)
+    yield ("trailer", stream_trailer_of_payload(payload))
+
+
+class SliceFold:
+    """The one merge of row slices into the whole audit's stream.
+
+    ``bounds`` are the slices' row offsets (``[0, ..., n_rows]``, as
+    :func:`chunk_bounds`, :func:`ramp_chunk_bounds` or
+    :func:`~repro.semantics.shard.shard_bounds` give them).  Feed the
+    slices in row order to :meth:`slice`, each as its header, rows and
+    trailer events.  The first header goes out with ``n_rows`` set to
+    the whole request's count; every later header must equal it,
+    ``n_rows`` aside; each slice's header must count exactly the rows
+    its bounds hold.  Rows are re-anchored at their slice's offset, and
+    :meth:`trailer` is the :func:`merge_stream_trailers` fold of every
+    slice's trailer.  Any mismatch raises :class:`StreamProtocolError`.
+    """
+
+    __slots__ = ("_bounds", "_next", "_head", "_trailer")
+
+    def __init__(self, bounds: Sequence[int]) -> None:
+        if (
+            len(bounds) < 2
+            or bounds[0] != 0
+            or any(hi < lo for lo, hi in zip(bounds, bounds[1:]))
+        ):
+            raise StreamProtocolError(
+                f"row-slice bounds must rise from 0: {list(bounds)!r}"
+            )
+        self._bounds = bounds
+        self._next = 0
+        self._head: Optional[Dict[str, Any]] = None
+        self._trailer: Optional[Dict[str, Any]] = None
+
+    def slice(self, events: Iterable[StreamEvent]) -> Iterator[StreamEvent]:
+        """Fold the next slice; yield the events it adds to the whole
+        stream (the header, first slice only, then its rows)."""
+        index = self._next
+        if index + 1 >= len(self._bounds):
+            raise StreamProtocolError(
+                "cannot merge row slices: more slices than the bounds hold"
+            )
+        self._next += 1
+        lo, hi = self._bounds[index], self._bounds[index + 1]
+        trailer: Optional[Dict[str, Any]] = None
+        for kind, obj in events:
+            if kind == "row":
+                # The dict splat keeps "row" in its leading key position.
+                yield ("row", {**obj, "row": obj["row"] + lo})
+            elif kind == "header":
+                if obj.get("n_rows") != hi - lo:
+                    raise StreamProtocolError(
+                        f"cannot merge row slices: slice {index} has "
+                        f"{obj.get('n_rows')!r} row(s), its bounds "
+                        f"[{lo}, {hi}) hold {hi - lo}"
+                    )
+                if self._head is None:
+                    self._head = obj
+                    yield ("header", {**obj, "n_rows": self._bounds[-1]})
+                else:
+                    _check_same_header(self._head, obj)
+            else:
+                trailer = obj
+        if trailer is None:
+            raise StreamProtocolError(
+                f"cannot merge row slices: slice {index} has no trailer"
+            )
+        self._trailer = (
+            trailer
+            if self._trailer is None
+            else merge_stream_trailers(self._trailer, trailer)
+        )
+
+    def trailer(self) -> StreamEvent:
+        """The merged trailer event, once every slice is folded."""
+        slices = len(self._bounds) - 1
+        if self._trailer is None or self._next != slices:
+            raise StreamProtocolError(
+                f"cannot merge row slices: {self._next} of {slices} "
+                "slice(s) arrived"
+            )
+        return ("trailer", self._trailer)
+
+
+def _check_same_header(first: Dict[str, Any], other: Dict[str, Any]) -> None:
+    for key in {**first, **other}:
+        if key != "n_rows" and first.get(key, _MISSING) != other.get(
+            key, _MISSING
+        ):
+            raise StreamProtocolError(
+                f"cannot merge row slices: {key!r} differs "
+                f"({first.get(key)!r} vs {other.get(key)!r})"
+            )
+
+
+def fold_slices(
+    bounds: Sequence[int], slices: Iterable[Iterable[StreamEvent]]
+) -> Iterator[StreamEvent]:
+    """The whole stream of ``slices`` folded through one
+    :class:`SliceFold`: header, re-anchored rows, merged trailer."""
+    fold = SliceFold(bounds)
+    for events in slices:
+        yield from fold.slice(events)
+    yield fold.trailer()
+
+
 def stream_audit_events(
     audit_chunk: Callable[[int, int], Dict[str, Any]],
-    n_rows: int,
-    *,
-    chunk_rows: int = DEFAULT_CHUNK_ROWS,
-) -> Iterator[StreamEvent]:
-    """Stream one batch audit as chunked header/row/trailer events.
+    bounds: Sequence[int],
+) -> Iterator[List[StreamEvent]]:
+    """Stream one batch audit chunk by chunk, one event list per chunk.
 
     ``audit_chunk(lo, hi)`` must return the complete buffered **v5**
     payload of rows ``[lo, hi)`` (the caller slices its inputs; the
-    payload must carry a ``rows`` section).  The header goes out as
-    soon as the first chunk finishes — with ``n_rows`` overridden to
-    the full request's row count — each chunk's rows follow re-anchored
-    at their global indices, and the trailer is the running aggregate
-    merge over every chunk.  Memory held between chunks is O(params),
-    not O(rows).
+    payload must carry a ``rows`` section).  ``bounds`` is the chunk
+    schedule (:func:`chunk_bounds`, :func:`ramp_chunk_bounds`).  Each
+    chunk folds through one :class:`SliceFold`, so the first list opens
+    with the header and the last one ends with the merged trailer.
+    Memory held between chunks is O(params), not O(rows).
     """
-    bounds = chunk_bounds(n_rows, chunk_rows)
-    aggregate: Dict[str, Any] = {}
-    for chunk_index, (lo, hi) in enumerate(zip(bounds, bounds[1:])):
+    fold = SliceFold(bounds)
+    last = len(bounds) - 2
+    for index, (lo, hi) in enumerate(zip(bounds, bounds[1:])):
         payload = audit_chunk(lo, hi)
         if payload.get("rows") is None:
             raise StreamProtocolError(
                 "audit_chunk returned a payload without a rows section"
             )
-        if chunk_index == 0:
-            header = dict(stream_header_of_payload(payload))
-            header["n_rows"] = n_rows
-            yield ("header", header)
-            aggregate = stream_trailer_of_payload(payload)
-        else:
-            aggregate = merge_stream_trailers(
-                aggregate, stream_trailer_of_payload(payload)
-            )
-        for row in payload["rows"]:
-            # Re-anchor the chunk-local index at the chunk offset; the
-            # dict splat keeps "row" in its leading key position.
-            yield ("row", {**row, "row": row["row"] + lo})
-    yield ("trailer", aggregate)
+        events = list(fold.slice(payload_events(payload)))
+        if index == last:
+            events.append(fold.trailer())
+        yield events
 
 
 def stream_lines(events: Iterable[StreamEvent]) -> Iterator[str]:

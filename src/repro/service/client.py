@@ -82,13 +82,14 @@ class ClientDeadlineError(ClientError):
 
 
 class ClientStatusError(ClientError):
-    """The server answered a streamed request with a buffered response.
+    """The server refused the audit with an error status.
 
     A refused stream (validation failure, unknown engine, Bean-level
     error) arrives as an ordinary ``Content-Length`` body instead of a
-    chunked NDJSON stream.  The status and body ride on the exception
-    so callers keep the buffered failure taxonomy: 4xx is deterministic
-    (same request fails everywhere), 5xx is worth a retry.
+    chunked NDJSON stream; the fleet raises the same for a buffered
+    non-200 answer.  The status and body ride on the exception so
+    callers keep one failure taxonomy: 4xx is deterministic (same
+    request fails everywhere), 5xx is worth a retry.
     """
 
     def __init__(self, status: int, body: str) -> None:

@@ -8,13 +8,14 @@ node's in-memory prepared-program table stays hot for *its* shard of
 the program corpus instead of every node churning through all of it.
 
 Large batch audits additionally **split into row-contiguous
-sub-requests** fanned across the healthy nodes and merged back into one
-batch payload — byte-identical to the single-node response, because the
-merge replicates the shard-merge discipline of
-:func:`repro.semantics.shard.run_witness_sharded` exactly (contiguous
-balanced row slices via :func:`~repro.semantics.shard.shard_bounds`,
-offset error rows, per-parameter max distance by strictly-greater
-``Decimal`` comparison from zero).
+sub-requests** (balanced slices via
+:func:`~repro.semantics.shard.shard_bounds`) fanned across the healthy
+nodes.  Buffered or streamed, the sub-results merge back through
+:class:`repro.api.stream.SliceFold`, the one merge of row slices that
+local and served streams use too, so a split audit renders a single
+node's bytes.  Both kinds of audit share one routing plan
+(:meth:`FleetDispatcher._plan`) and one failover walk
+(:meth:`FleetDispatcher._walk`).
 
 Dispatch is health- and retry-aware:
 
@@ -29,9 +30,9 @@ Dispatch is health- and retry-aware:
   a :class:`~repro.service.client.ClientTruncationError` (the node
   answered, the body was cut) retries the *same* node, while
   :class:`~repro.service.client.ClientConnectionError` counts toward
-  **permanent ejection**: after ``eject_after`` consecutive connection
-  failures the node leaves the ring for good and its keys rehash onto
-  the survivors, where the audit is re-dispatched;
+  **ejection**: after ``eject_after`` connection failures with no
+  complete answer between them the node leaves the ring and its keys
+  rehash onto the survivors, where the audit is re-dispatched;
 * every 200 body is validated through
   :meth:`repro.api.result.AuditResult.from_json` before it is accepted
   or merged, so a **mixed-version fleet** (a node emitting a foreign
@@ -53,7 +54,6 @@ import threading
 import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
-from decimal import Decimal
 from typing import (
     Any,
     Callable,
@@ -65,6 +65,7 @@ from typing import (
     Optional,
     Sequence,
     Tuple,
+    TypeVar,
     Union,
 )
 
@@ -74,7 +75,8 @@ from ..api.stream import (
     StreamProtocolError,
     batch_row_count,
     events_of_lines,
-    merge_stream_trailers,
+    fold_slices,
+    payload_events,
 )
 from . import client
 from .client import (
@@ -100,19 +102,13 @@ __all__ = [
 #: discipline applies to; only these split across nodes.
 MERGEABLE_ENGINES = ("batch", "sharded")
 
-#: The header fields every mergeable sub-payload must agree on.
-_MERGE_HEADER = (
-    "schema_version",
-    "definition",
-    "engine",
-    "u",
-    "precision_bits",
-    "exact_backend",
-    "workers",
-)
+_T = TypeVar("_T")
 
-_MISSING = object()
-_DEC_ZERO = Decimal(0)
+#: One sub-request of a routed audit: its spec and its node order.
+_SubRequest = Tuple[Dict[str, Any], List["Node"]]
+
+#: A split stream's per-shard hand-off: events, then a done/error mark.
+_EventQueue = queue_mod.Queue[Tuple[str, Any]]
 
 
 class FleetError(ValueError):
@@ -253,106 +249,47 @@ def merge_batch_payloads(
 ) -> Dict[str, Any]:
     """Merge row-contiguous batch sub-payloads into the single-node payload.
 
-    ``payloads`` must be in **row order** (shard *i* holds rows
-    ``[bounds[i], bounds[i+1])``).  The merge replicates
-    :func:`repro.semantics.shard.run_witness_sharded` byte for byte:
-    verdict lists concatenate, error rows offset by the preceding row
-    count (ascending, so the rendered dict iterates in the single-node
-    order), and each parameter's max distance starts at ``Decimal(0)``
-    and advances only on strictly-greater comparison — the first shard
-    attaining the maximum supplies the rendered string, exactly as the
-    first *row* attaining it does in a single-node run.
+    ``payloads`` must be in **row order**.  Header, rows and aggregates
+    go through :func:`~repro.api.stream.fold_slices`, the one merge of
+    row slices (equal headers, ``n_rows`` summed, rows re-anchored,
+    per-parameter max distance by strictly-greater comparison); the
+    verdict lists ``sound`` and ``exact`` concatenate, and error rows
+    are offset by the preceding row count.
     """
     if not payloads:
         raise FleetError("nothing to merge: no sub-payloads")
-    first = payloads[0]
+    bounds = [0]
     for payload in payloads:
         if "n_rows" not in payload or "params" not in payload:
             raise FleetError(
                 "cannot merge a non-batch payload "
                 f"(engine {payload.get('engine')!r})"
             )
-    for payload in payloads[1:]:
-        for key in _MERGE_HEADER:
-            if first.get(key, _MISSING) != payload.get(key, _MISSING):
-                raise FleetError(
-                    f"cannot merge sub-audits: {key!r} differs "
-                    f"({first.get(key)!r} vs {payload.get(key)!r})"
-                )
-        if set(payload["params"]) != set(first["params"]):
-            raise FleetError(
-                "cannot merge sub-audits: parameter sets differ"
-            )
-
-    merged: Dict[str, Any] = {
-        key: first[key]
-        for key in (
-            "schema_version", "definition", "engine", "u",
-            "precision_bits", "exact_backend",
+        bounds.append(bounds[-1] + payload["n_rows"])
+    with_rows = sum("rows" in payload for payload in payloads)
+    if with_rows not in (0, len(payloads)):
+        raise FleetError(
+            "cannot merge sub-audits: only some carry a rows section"
         )
+    try:
+        (_, header), *rows, (_, trailer) = fold_slices(
+            bounds, (payload_events(dict(p)) for p in payloads)
+        )
+    except StreamProtocolError as exc:
+        raise FleetError(str(exc)) from exc
+    merged = dict(header)
+    for key in ("all_sound", "sound_rows", "fallback_rows"):
+        merged[key] = trailer[key]
+    merged["sound"] = [s for p in payloads for s in p["sound"]]
+    merged["exact"] = [e for p in payloads for e in p["exact"]]
+    merged["errors"] = {
+        str(int(row) + lo): p["errors"][row]
+        for p, lo in zip(payloads, bounds)
+        for row in sorted(p["errors"], key=int)
     }
-    if "workers" in first:
-        merged["workers"] = first["workers"]
-    sound: List[bool] = []
-    exact: List[bool] = []
-    errors: Dict[str, Any] = {}
-    offset = 0
-    sound_rows = 0
-    fallback_rows = 0
-    for payload in payloads:
-        sound.extend(payload["sound"])
-        exact.extend(payload["exact"])
-        for row_text in sorted(payload["errors"], key=int):
-            errors[str(int(row_text) + offset)] = payload["errors"][row_text]
-        sound_rows += payload["sound_rows"]
-        fallback_rows += payload["fallback_rows"]
-        offset += payload["n_rows"]
-    merged["n_rows"] = offset
-    merged["all_sound"] = all(payload["all_sound"] for payload in payloads)
-    merged["sound_rows"] = sound_rows
-    merged["fallback_rows"] = fallback_rows
-    merged["sound"] = sound
-    merged["exact"] = exact
-    merged["errors"] = errors
-    params: Dict[str, Any] = {}
-    for name in first["params"]:
-        bound_text = first["params"][name]["bound"]
-        best = _DEC_ZERO
-        best_text = str(_DEC_ZERO)
-        for payload in payloads:
-            entry = payload["params"][name]
-            if entry["bound"] != bound_text:
-                raise FleetError(
-                    f"cannot merge sub-audits: bound for {name!r} differs "
-                    f"({bound_text!r} vs {entry['bound']!r})"
-                )
-            distance = Decimal(entry["max_distance"])
-            if distance > best:
-                best = distance
-                best_text = entry["max_distance"]
-        params[name] = {
-            "max_distance": best_text,
-            "bound": bound_text,
-            "within_bound": best <= Decimal(bound_text),
-        }
-    merged["params"] = params
-    if any("rows" in payload for payload in payloads):
-        if not all("rows" in payload for payload in payloads):
-            raise FleetError(
-                "cannot merge sub-audits: only some carry a rows section"
-            )
-        # Re-anchor each shard's row indices at its global offset; the
-        # dict splat keeps "row" in its leading key position.  "rows"
-        # is the last payload key, as in a buffered v5 response.
-        rows: List[Dict[str, Any]] = []
-        offset = 0
-        for payload in payloads:
-            rows.extend(
-                {**row, "row": row["row"] + offset}
-                for row in payload["rows"]
-            )
-            offset += payload["n_rows"]
-        merged["rows"] = rows
+    merged["params"] = trailer["params"]
+    if with_rows:
+        merged["rows"] = [row for _, row in rows]
     return merged
 
 
@@ -387,15 +324,6 @@ class RemoteFleetReport:
         else:
             lines.append(f"sound              : {payload['sound']}")
         return "\n".join(lines)
-
-
-class _NodeFailure(Exception):
-    """Internal: this node cannot serve the request — fail over."""
-
-    def __init__(self, node: Node, cause: Optional[BaseException]) -> None:
-        super().__init__(f"node {node} failed: {cause}")
-        self.node = node
-        self.cause = cause
 
 
 class FleetDispatcher:
@@ -651,6 +579,114 @@ class FleetDispatcher:
         row-splitting decision; the default splits mergeable batch
         engines with at least ``2 * min_rows_per_shard`` rows.
         """
+        bounds, subs = self._plan(spec, fingerprint, split)
+        if bounds is None:
+            return self._fetch(*subs[0])
+        with ThreadPoolExecutor(
+            max_workers=len(subs), thread_name_prefix="repro-fleet"
+        ) as pool:
+            bodies = list(pool.map(lambda sub: self._fetch(*sub), subs))
+        merged = merge_batch_payloads([json.loads(body) for body in bodies])
+        return render_payload(merged) + "\n"
+
+    def audit_stream_spec(
+        self,
+        spec: Mapping[str, Any],
+        *,
+        fingerprint: Optional[str] = None,
+        split: Optional[bool] = None,
+    ) -> Iterator[StreamEvent]:
+        """Dispatch one audit as a row stream of header/row/trailer events.
+
+        The same routing plan as :meth:`audit_spec` applies; a split
+        audit runs its sub-streams **concurrently** (each node starts
+        auditing its shard immediately) and folds them in row order on
+        the way out: shard 0's rows drain while later shards fill
+        bounded queues, so the first verdicts arrive after one chunk of
+        one shard — and the fully drained event sequence reassembles
+        byte-identical to the single-node buffered payload.
+        """
+        bounds, subs = self._plan(
+            dict(spec, stream=True), fingerprint, split, stream=True
+        )
+        if bounds is None:
+            yield from self._stream(*subs[0])
+            return
+        # Each sub-stream pumps into a bounded queue from its own
+        # thread; the fold drains the queues in shard order.  The bound
+        # is what keeps a fast later shard from buffering its whole
+        # row set while an earlier shard is still streaming.
+        queues: List[_EventQueue] = [
+            queue_mod.Queue(maxsize=1024) for _ in subs
+        ]
+        cancel = threading.Event()
+
+        def pump(sink: _EventQueue, sub: _SubRequest) -> None:
+            def send(item: Tuple[str, Any]) -> bool:
+                while not cancel.is_set():
+                    try:
+                        sink.put(item, timeout=0.1)
+                        return True
+                    except queue_mod.Full:
+                        continue
+                return False
+
+            try:
+                for event in self._stream(*sub):
+                    if not send(event):
+                        return
+                send(("__done__", None))
+            except BaseException as exc:  # noqa: BLE001 - relayed to drain
+                send(("__error__", exc))
+
+        def drain(source: _EventQueue) -> Iterator[StreamEvent]:
+            while True:
+                kind, obj = source.get()
+                if kind == "__error__":
+                    raise obj
+                if kind == "__done__":
+                    return
+                yield kind, obj
+
+        threads = [
+            threading.Thread(
+                target=pump,
+                args=(sink, sub),
+                name=f"repro-fleet-stream-{i}",
+                daemon=True,
+            )
+            for i, (sink, sub) in enumerate(zip(queues, subs))
+        ]
+        for thread in threads:
+            thread.start()
+        try:
+            yield from fold_slices(bounds, map(drain, queues))
+        except StreamProtocolError as exc:
+            raise FleetError(str(exc)) from exc
+        finally:
+            cancel.set()
+            for thread in threads:
+                thread.join(timeout=5.0)
+
+    def _plan(
+        self,
+        spec: Mapping[str, Any],
+        fingerprint: Optional[str],
+        split: Optional[bool],
+        *,
+        stream: bool = False,
+    ) -> Tuple[Optional[List[int]], List[_SubRequest]]:
+        """The routing plan of one audit, buffered or streamed.
+
+        Probes and rejoins the pool, counts the audit, orders the
+        healthy nodes for the routing key (owner first, with load
+        spill) and decides the split.  Returns ``(bounds, subs)``:
+        ``bounds`` is ``None`` for an unsplit audit, whose one
+        sub-request is ``spec`` itself; a split audit's sub-requests
+        hold the row slices between ``bounds``, each with the node
+        order rotated by its index so the shards start on distinct
+        nodes.
+        """
         self.ensure_probed()
         self._maybe_rejoin()
         key = fingerprint or fingerprint_source(
@@ -658,36 +694,29 @@ class FleetDispatcher:
         )
         with self._lock:
             self.stats["audits"] += 1
+            if stream:
+                self.stats["stream_audits"] += 1
         order = self._route_order(key)
-        sub_specs = self._split_spec(spec, len(order), split)
-        if sub_specs is None:
-            return self._dispatch(spec, order)
+        planned = self._split_spec(spec, len(order), split)
+        if planned is None:
+            return None, [(dict(spec), order)]
         with self._lock:
             self.stats["split_audits"] += 1
-        rotations = [
-            order[i % len(order):] + order[: i % len(order)]
-            for i in range(len(sub_specs))
+        bounds, sub_specs = planned
+        subs = [
+            (sub, order[i % len(order):] + order[: i % len(order)])
+            for i, sub in enumerate(sub_specs)
         ]
-        with ThreadPoolExecutor(
-            max_workers=len(sub_specs), thread_name_prefix="repro-fleet"
-        ) as pool:
-            futures = [
-                pool.submit(self._dispatch, sub, rotation)
-                for sub, rotation in zip(sub_specs, rotations)
-            ]
-            bodies = [future.result() for future in futures]
-        merged = merge_batch_payloads(
-            [json.loads(body) for body in bodies]
-        )
-        return render_payload(merged) + "\n"
+        return bounds, subs
 
     def _split_spec(
         self,
         spec: Mapping[str, Any],
         alive: int,
         split: Optional[bool],
-    ) -> Optional[List[Dict[str, Any]]]:
-        """Row-contiguous sub-specs, or ``None`` to dispatch unsplit."""
+    ) -> Optional[Tuple[List[int], List[Dict[str, Any]]]]:
+        """Row bounds and row-contiguous sub-specs, or ``None`` to
+        dispatch unsplit."""
         if split is False or alive < 2:
             return None
         if split is None and spec.get("engine") not in MERGEABLE_ENGINES:
@@ -711,7 +740,7 @@ class FleetDispatcher:
                 name: rows[lo:hi] for name, rows in inputs.items()
             }
             sub_specs.append(sub)
-        return sub_specs
+        return bounds, sub_specs
 
     @staticmethod
     def _batch_rows(spec: Mapping[str, Any]) -> Optional[int]:
@@ -724,29 +753,6 @@ class FleetDispatcher:
             return batch_row_count(inputs)
         except ValueError:
             return None
-
-    def _dispatch(
-        self, spec: Mapping[str, Any], preference: Sequence[Node]
-    ) -> str:
-        """One sub-request with failover: walk the preference order (then
-        any healthy node), ejecting and re-dispatching as nodes die."""
-        tried: List[Node] = []
-        last: Optional[BaseException] = None
-        while True:
-            node = self._pick(preference, tried)
-            if node is None:
-                names = ", ".join(str(n) for n in tried) or "none"
-                raise FleetError(
-                    f"audit failed on every healthy node (tried: {names}); "
-                    f"last failure: {last}"
-                ) from last
-            try:
-                return self._request_node(node, spec)
-            except _NodeFailure as failure:
-                last = failure.cause
-                tried.append(node)
-                with self._lock:
-                    self.stats["failovers"] += 1
 
     def _pick(
         self, preference: Sequence[Node], tried: Sequence[Node]
@@ -761,248 +767,45 @@ class FleetDispatcher:
                 return node
         return None
 
-    def _request_node(self, node: Node, spec: Mapping[str, Any]) -> str:
-        """Bounded same-node retries; raises :class:`_NodeFailure` to
-        fail over, :class:`FleetError` for deterministic rejections."""
-        last: Optional[BaseException] = None
-        for attempt in range(self.retries + 1):
-            if attempt:
-                with self._lock:
-                    self.stats["retries"] += 1
-                self._sleep(self.backoff_s * (2 ** (attempt - 1)))
-            with self._lock:
-                self.stats["sub_requests"] += 1
-            try:
-                status, text = client.audit(
-                    node.host, node.port, dict(spec), timeout=self.timeout
-                )
-            except ClientTruncationError as exc:
-                # The node answered; the body was cut. Retry it.
-                last = exc
-                continue
-            except (ClientConnectionError, ClientDeadlineError) as exc:
-                last = exc
-                if self._record_failure(node, str(exc)):
-                    raise _NodeFailure(node, exc) from exc
-                continue
-            except ClientError as exc:
-                # Protocol garbage (malformed status line, oversized
-                # body): not retryable, not a merge candidate.
-                raise FleetError(f"node {node}: {exc}") from exc
-            self._record_success(node)
-            if status == 200:
-                self._check_payload(node, text)
-                return text
-            message = _error_message(text)
-            if status >= 500:
-                last = ClientError(f"HTTP {status}: {message}")
-                continue
-            # 4xx is deterministic (bad spec, capped workers): every
-            # node would answer the same, so fail the audit loudly.
-            raise FleetError(
-                f"node {node} rejected the audit (HTTP {status}): {message}"
-            )
-        raise _NodeFailure(node, last) from last
-
-    def _check_payload(self, node: Node, text: str) -> None:
-        """Accept only payloads this build's schema reads; a node from a
-        different build must fail the audit loudly, never merge."""
-        try:
-            AuditResult.from_json(text)
-        except ValueError as exc:
-            self._eject(
-                node, f"incompatible audit payload: {exc}", permanent=True
-            )
-            raise FleetError(
-                f"node {node} answered an incompatible audit payload "
-                f"(mixed-version fleet?): {exc}"
-            ) from exc
-
-    # -- streaming dispatch -------------------------------------------------
-
-    def audit_stream_spec(
+    def _walk(
         self,
-        spec: Mapping[str, Any],
-        *,
-        fingerprint: Optional[str] = None,
-        split: Optional[bool] = None,
-    ) -> Iterator[StreamEvent]:
-        """Dispatch one audit as a row stream of header/row/trailer events.
+        preference: Sequence[Node],
+        attempt: Callable[[Node], Iterable[_T]],
+    ) -> Iterator[_T]:
+        """Run one sub-request with retries and failover; relay what
+        the successful ``attempt(node)`` yields.
 
-        The same splitting decision as :meth:`audit_spec` applies; a
-        split audit runs its sub-streams **concurrently** (each node
-        starts auditing its shard immediately) and interleaves them in
-        row order on the way out: shard 0's rows drain while later
-        shards fill bounded queues, so the first verdicts arrive after
-        one chunk of one shard — and the fully drained event sequence
-        reassembles byte-identical to the single-node buffered payload
-        (header from shard 0 with the total row count, trailer from the
-        associative aggregate merge).
-        """
-        self.ensure_probed()
-        self._maybe_rejoin()
-        key = fingerprint or fingerprint_source(
-            str(spec.get("source", "")), kind="fleet-route"
-        )
-        with self._lock:
-            self.stats["audits"] += 1
-            self.stats["stream_audits"] += 1
-        order = self._route_order(key)
-        base = dict(spec)
-        base["stream"] = True
-        sub_specs = self._split_spec(base, len(order), split)
-        if sub_specs is None:
-            yield from self._stream_sub(base, order)
-            return
-        with self._lock:
-            self.stats["split_audits"] += 1
-        sub_rows = [self._batch_rows(sub) or 0 for sub in sub_specs]
-        total_rows = sum(sub_rows)
-        offsets = [sum(sub_rows[:i]) for i in range(len(sub_specs))]
-        rotations = [
-            order[i % len(order):] + order[: i % len(order)]
-            for i in range(len(sub_specs))
-        ]
-        # Each sub-stream pumps into a bounded queue from its own
-        # thread; the drain walks the queues in shard order.  The bound
-        # is what keeps a fast later shard from buffering its whole
-        # row set while an earlier shard is still streaming.
-        queues: List["queue_mod.Queue[Tuple[str, Any]]"] = [
-            queue_mod.Queue(maxsize=1024) for _ in sub_specs
-        ]
-        cancel = threading.Event()
-
-        def pump(index: int, sub: Dict[str, Any], rotation: List[Node]) -> None:
-            sink = queues[index]
-
-            def send(item: Tuple[str, Any]) -> bool:
-                while not cancel.is_set():
-                    try:
-                        sink.put(item, timeout=0.1)
-                        return True
-                    except queue_mod.Full:
-                        continue
-                return False
-
-            try:
-                for event in self._stream_sub(sub, rotation):
-                    if not send(event):
-                        return
-                send(("__done__", None))
-            except BaseException as exc:  # noqa: BLE001 - relayed to drain
-                send(("__error__", exc))
-
-        threads = [
-            threading.Thread(
-                target=pump,
-                args=(i, sub, rotation),
-                name=f"repro-fleet-stream-{i}",
-                daemon=True,
-            )
-            for i, (sub, rotation) in enumerate(zip(sub_specs, rotations))
-        ]
-        for thread in threads:
-            thread.start()
-        try:
-            first_header: Optional[Dict[str, Any]] = None
-            aggregate: Optional[Dict[str, Any]] = None
-            for index in range(len(sub_specs)):
-                while True:
-                    kind, obj = queues[index].get()
-                    if kind == "__error__":
-                        raise obj
-                    if kind == "__done__":
-                        break
-                    if kind == "header":
-                        head = {k: v for k, v in obj.items() if k != "n_rows"}
-                        if first_header is None:
-                            first_header = head
-                            yield ("header", {**obj, "n_rows": total_rows})
-                        elif head != first_header:
-                            raise FleetError(
-                                "cannot interleave sub-streams: header "
-                                f"fields differ ({first_header!r} vs "
-                                f"{head!r})"
-                            )
-                    elif kind == "row":
-                        yield ("row", {**obj, "row": obj["row"] + offsets[index]})
-                    else:
-                        aggregate = (
-                            obj
-                            if aggregate is None
-                            else merge_stream_trailers(aggregate, obj)
-                        )
-            if first_header is None or aggregate is None:
-                raise FleetError(
-                    "streamed audit produced no header/trailer to merge"
-                )
-            yield ("trailer", aggregate)
-        finally:
-            cancel.set()
-            for thread in threads:
-                thread.join(timeout=5.0)
-
-    def _stream_sub(
-        self, spec: Mapping[str, Any], preference: Sequence[Node]
-    ) -> Iterator[StreamEvent]:
-        """One streamed sub-request with failover and retry-with-skip.
-
-        Rows are deterministic and carry explicit indices, so a retry —
-        same node after a truncation, next node after a connection
-        death — re-requests the whole sub-stream and **skips the rows
-        already yielded**; the header goes out once, and the trailer
-        comes from whichever attempt completes (it aggregates the full
-        sub-request either way).  A buffered 4xx rejection and a
-        mid-stream ``stream_error`` abort are deterministic: every node
-        would answer the same, so they fail the audit loudly.
+        Walks the preference order (then any healthy node).  Each node
+        gets ``retries`` same-node retries with exponential backoff:
+        a truncated answer or a 5xx retries; a connection or deadline
+        failure is recorded against the node and fails over once it
+        ejects the node; an exhausted budget fails over too.  A 4xx, a
+        protocol error or a malformed stream is deterministic — every
+        node would answer the same — and raises :class:`FleetError`.
+        The node's failure count resets on a complete answer only (a
+        validated 200 body, a drained stream), never on a 4xx/5xx.
         """
         tried: List[Node] = []
         last: Optional[BaseException] = None
-        next_row = 0
-        header_sent = False
         while True:
             node = self._pick(preference, tried)
             if node is None:
                 names = ", ".join(str(n) for n in tried) or "none"
                 raise FleetError(
-                    f"streamed audit failed on every healthy node "
-                    f"(tried: {names}); last failure: {last}"
+                    f"audit failed on every healthy node (tried: {names}); "
+                    f"last failure: {last}"
                 ) from last
-            for attempt in range(self.retries + 1):
-                if attempt:
+            for retry in range(self.retries + 1):
+                if retry:
                     with self._lock:
                         self.stats["retries"] += 1
-                    self._sleep(self.backoff_s * (2 ** (attempt - 1)))
+                    self._sleep(self.backoff_s * (2 ** (retry - 1)))
                 with self._lock:
                     self.stats["sub_requests"] += 1
                 try:
-                    lines = client.audit_stream(
-                        node.host, node.port, dict(spec), timeout=self.timeout
-                    )
-                    for kind, obj in events_of_lines(lines):
-                        if kind == "header":
-                            self._check_stream_header(node, obj)
-                            if not header_sent:
-                                header_sent = True
-                                yield ("header", obj)
-                        elif kind == "row":
-                            if obj["row"] < next_row:
-                                continue  # already yielded before a retry
-                            if obj["row"] != next_row:
-                                raise FleetError(
-                                    f"node {node} streamed row "
-                                    f"{obj['row']} where {next_row} was "
-                                    "expected"
-                                )
-                            next_row += 1
-                            yield ("row", obj)
-                        else:
-                            yield ("trailer", obj)
-                    self._record_success(node)
-                    return
+                    yield from attempt(node)
                 except ClientTruncationError as exc:
-                    # The node answered; the stream was cut. Retry it,
-                    # skipping the rows that already went out.
+                    # The node answered; the body was cut. Retry it.
                     last = exc
                     continue
                 except (ClientConnectionError, ClientDeadlineError) as exc:
@@ -1019,19 +822,89 @@ class FleetDispatcher:
                         f"node {node} rejected the audit "
                         f"(HTTP {exc.status}): {message}"
                     ) from exc
-                except StreamProtocolError as exc:
-                    # A stream_error line or a malformed event series is
-                    # deterministic for a given request (the audit
-                    # itself failed server-side), never a node-health
-                    # signal.
+                except (ClientError, StreamProtocolError) as exc:
+                    # Protocol garbage (malformed status line, oversized
+                    # body) or a stream_error line: the request itself
+                    # failed, never a node-health signal.
                     raise FleetError(f"node {node}: {exc}") from exc
-                except ClientError as exc:
-                    raise FleetError(f"node {node}: {exc}") from exc
+                self._record_success(node)
+                return
             # Same-node budget exhausted (or the node was ejected
             # mid-walk): fail over to the next preference.
             tried.append(node)
             with self._lock:
                 self.stats["failovers"] += 1
+
+    def _fetch(
+        self, spec: Mapping[str, Any], preference: Sequence[Node]
+    ) -> str:
+        """One buffered sub-request through :meth:`_walk`."""
+
+        def attempt(node: Node) -> List[str]:
+            status, text = client.audit(
+                node.host, node.port, dict(spec), timeout=self.timeout
+            )
+            if status != 200:
+                raise ClientStatusError(status, text)
+            self._check_payload(node, text)
+            return [text]
+
+        [text] = self._walk(preference, attempt)
+        return text
+
+    def _check_payload(self, node: Node, text: str) -> None:
+        """Accept only payloads this build's schema reads; a node from a
+        different build must fail the audit loudly, never merge."""
+        try:
+            AuditResult.from_json(text)
+        except ValueError as exc:
+            self._eject(
+                node, f"incompatible audit payload: {exc}", permanent=True
+            )
+            raise FleetError(
+                f"node {node} answered an incompatible audit payload "
+                f"(mixed-version fleet?): {exc}"
+            ) from exc
+
+    def _stream(
+        self, spec: Mapping[str, Any], preference: Sequence[Node]
+    ) -> Iterator[StreamEvent]:
+        """One streamed sub-request through :meth:`_walk`, with
+        retry-with-skip.
+
+        Rows are deterministic and carry explicit indices, so a retry —
+        same node after a truncation, next node after a connection
+        death — re-requests the whole sub-stream and **skips the rows
+        already yielded**; the header goes out once, and the trailer
+        comes from whichever attempt completes (it aggregates the full
+        sub-request either way).
+        """
+        next_row = 0
+        header_sent = False
+
+        def attempt(node: Node) -> Iterator[StreamEvent]:
+            nonlocal next_row, header_sent
+            lines = client.audit_stream(
+                node.host, node.port, dict(spec), timeout=self.timeout
+            )
+            for kind, obj in events_of_lines(lines):
+                if kind == "header":
+                    self._check_stream_header(node, obj)
+                    if header_sent:
+                        continue
+                    header_sent = True
+                elif kind == "row":
+                    if obj["row"] < next_row:
+                        continue  # already yielded before a retry
+                    if obj["row"] != next_row:
+                        raise FleetError(
+                            f"node {node} streamed row {obj['row']} "
+                            f"where {next_row} was expected"
+                        )
+                    next_row += 1
+                yield kind, obj
+
+        return self._walk(preference, attempt)
 
     def _check_stream_header(self, node: Node, header: Dict[str, Any]) -> None:
         version = header.get("schema_version")

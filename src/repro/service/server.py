@@ -35,20 +35,16 @@ import asyncio
 import concurrent.futures
 import os
 import threading
-from typing import Any, Dict, List, Optional, Tuple, Union
+from typing import Any, Dict, Iterator, List, Optional, Tuple, Union
 
 from ..api import Session, UnknownEngineError, options
-from ..api.result import (
-    render_payload,
-    render_stream_line,
-    stream_header_of_payload,
-    stream_trailer_of_payload,
-)
+from ..api.result import render_payload, render_stream_line
 from ..api.stream import (
     DEFAULT_CHUNK_ROWS,
+    StreamEvent,
     batch_row_count,
-    merge_stream_trailers,
     ramp_chunk_bounds,
+    stream_audit_events,
 )
 from ..core import BeanError, ast_nodes as A, check_program, parse_program
 from ..lam_s.eval import EvalError
@@ -85,54 +81,34 @@ class _StreamPlan:
     """A validated streaming audit, ready to chunk onto the wire.
 
     ``_handle_audit`` returns one of these instead of a ``(status,
-    body)`` pair when the spec set ``stream``; the connection handler
-    turns it into a chunked NDJSON response, auditing one row-slice at
-    a time so the held state is one chunk's payload plus the running
-    trailer aggregates — never the full row set.
+    body)`` pair when the spec set ``stream``.  ``chunks`` yields each
+    chunk of :func:`~repro.api.stream.stream_audit_events` as rendered
+    NDJSON bytes, auditing one row slice per step, so the held state is
+    one chunk's payload plus the running trailer aggregates — never the
+    full row set.  ``header`` is the stream's header once the first
+    chunk is out.
     """
 
-    __slots__ = (
-        "session", "program", "name", "kwargs", "n_rows", "pool",
-        "pool_counter",
-    )
+    __slots__ = ("chunks", "header", "pool", "pool_counter")
 
     def __init__(
         self,
-        session: Session,
-        program: A.Program,
-        name: Optional[str],
-        kwargs: Dict[str, Any],
-        n_rows: int,
+        events_by_chunk: Iterator[List[StreamEvent]],
         pool: concurrent.futures.ThreadPoolExecutor,
         pool_counter: str,
     ) -> None:
-        self.session = session
-        self.program = program
-        self.name = name
-        self.kwargs = kwargs
-        self.n_rows = n_rows
+        self.chunks = self._render(events_by_chunk)
+        self.header: Dict[str, Any] = {}
         self.pool = pool
         self.pool_counter = pool_counter
 
-    def chunk_auditor(self, lo: int, hi: int):
-        """A thread-pool body auditing rows ``[lo, hi)`` with rows on."""
-
-        def run() -> Dict[str, Any]:
-            kwargs = dict(self.kwargs)
-            kwargs["inputs"] = {
-                name: rows[lo:hi] for name, rows in self.kwargs["inputs"].items()
-            }
-            kwargs["rows"] = True
-            result = self.session.audit(self.program, self.name, **kwargs)
-            payload = result.payload
-            if payload.get("rows") is None:
-                raise ValueError(
-                    f"engine {kwargs['engine']!r} produced no rows section "
-                    "to stream"
-                )
-            return payload
-
-        return run
+    def _render(
+        self, events_by_chunk: Iterator[List[StreamEvent]]
+    ) -> Iterator[bytes]:
+        for events in events_by_chunk:
+            self.header = self.header or events[0][1]
+            text = "".join(render_stream_line(obj) for _, obj in events)
+            yield text.encode("utf-8")
 
 
 class AuditServer:
@@ -380,10 +356,19 @@ class AuditServer:
             except Exception as exc:  # noqa: BLE001 - mapped below
                 status, message = self._audit_failure(exc)
                 return status, _error_body(message)
-            pool, pool_counter = self._pool_for_engine(kwargs["engine"])
+            program = prepared.program
+
+            def audit_chunk(lo: int, hi: int) -> Dict[str, Any]:
+                sliced = {
+                    key: rows[lo:hi] for key, rows in kwargs["inputs"].items()
+                }
+                chunk = dict(kwargs, inputs=sliced, rows=True)
+                return self.session.audit(program, name, **chunk).payload
+
+            bounds = ramp_chunk_bounds(n_rows, self.stream_chunk_rows)
             return _StreamPlan(
-                self.session, prepared.program, name, kwargs,
-                n_rows, pool, pool_counter,
+                stream_audit_events(audit_chunk, bounds),
+                *self._pool_for_engine(kwargs["engine"]),
             )
         try:
             prepared = await self._prepare(source)
@@ -398,14 +383,26 @@ class AuditServer:
             # connection.
             status, message = self._audit_failure(exc)
             return status, _error_body(message)
-        self.stats["audits"] += 1
-        self.stats[pool_counter] += 1
-        self.stats["inline_fallback_sites"] += sum(
-            entry["sites"]
-            for entry in result.payload.get("inline_fallbacks", ())
-        )
+        self._count_audit(pool_counter, result.payload)
         body = (render_payload(result.payload) + "\n").encode("utf-8")
         return 200, body
+
+    def _count_audit(
+        self,
+        pool_counter: str,
+        head: Dict[str, Any],
+        *,
+        streamed: bool = False,
+    ) -> None:
+        """Count one answered audit, buffered or streamed; ``head`` is
+        its payload or stream header (both carry ``inline_fallbacks``)."""
+        self.stats["audits"] += 1
+        self.stats[pool_counter] += 1
+        if streamed:
+            self.stats["audits_streamed"] += 1
+        self.stats["inline_fallback_sites"] += sum(
+            entry["sites"] for entry in head.get("inline_fallbacks", ())
+        )
 
     def _audit_failure(self, exc: BaseException) -> Tuple[int, str]:
         """Map one audit-path exception to ``(status, message)``.
@@ -445,27 +442,12 @@ class AuditServer:
         instead of mistaking the abort for a short batch.
         """
         loop = asyncio.get_running_loop()
-        bounds = ramp_chunk_bounds(plan.n_rows, self.stream_chunk_rows)
-        aggregate: Dict[str, Any] = {}
         head_sent = False
-        for lo, hi in zip(bounds, bounds[1:]):
+        while True:
             try:
-                payload = await loop.run_in_executor(
-                    plan.pool, plan.chunk_auditor(lo, hi)
-                )
-                lines: List[str] = []
-                if not head_sent:
-                    header = dict(stream_header_of_payload(payload))
-                    header["n_rows"] = plan.n_rows
-                    lines.append(render_stream_line(header))
-                    aggregate = stream_trailer_of_payload(payload)
-                else:
-                    aggregate = merge_stream_trailers(
-                        aggregate, stream_trailer_of_payload(payload)
-                    )
-                lines.extend(
-                    render_stream_line({**row, "row": row["row"] + lo})
-                    for row in payload["rows"]
+                # StopIteration cannot cross a Future, hence the sentinel.
+                data = await loop.run_in_executor(
+                    plan.pool, next, plan.chunks, None
                 )
             except Exception as exc:  # noqa: BLE001 - mapped below
                 status, message = self._audit_failure(exc)
@@ -481,17 +463,16 @@ class AuditServer:
                     )
                 await writer.drain()
                 return
+            if data is None:
+                break
             if not head_sent:
                 writer.write(http_stream_head())
                 head_sent = True
-            writer.write(http_chunk("".join(lines).encode("utf-8")))
+            writer.write(http_chunk(data))
             await writer.drain()
-        writer.write(http_chunk(render_stream_line(aggregate).encode("utf-8")))
         writer.write(http_last_chunk())
         await writer.drain()
-        self.stats["audits"] += 1
-        self.stats["audits_streamed"] += 1
-        self.stats[plan.pool_counter] += 1
+        self._count_audit(plan.pool_counter, plan.header, streamed=True)
 
     def _pool_for_engine(
         self, engine: str

@@ -32,13 +32,18 @@ from pathlib import Path
 import pytest
 
 from repro import api as repro_api
-from repro.api.result import render_payload
+from repro.api.result import (
+    render_payload,
+    stream_header_of_payload,
+    stream_trailer_of_payload,
+)
 from repro.cli import main
 from repro.semantics.shard import shard_bounds
 from repro.service import client as service_client
 from repro.service.client import (
     ClientConnectionError,
     ClientDeadlineError,
+    ClientStatusError,
     ClientTruncationError,
 )
 from repro.service.fleet import (
@@ -371,6 +376,25 @@ class TestMergeBatchPayloads:
         merged = merge_batch_payloads(parts)
         assert render_payload(merged) + "\n" == full_out
 
+    def test_merge_keeps_inline_fallbacks(self, monkeypatch):
+        # A split used to drop the payload's inline_fallbacks section.
+        # Its natural source, the P16 call pyramid of tests/test_compose.py,
+        # costs ~5 s per batch audit, so every batch payload here gets
+        # one section through the engine's own payload path instead.
+        fallbacks = [{"callee": "P15", "reason": "size-cap", "sites": 2}]
+        monkeypatch.setattr(
+            repro_api.builtin, "_execution_fallbacks",
+            lambda definition, program: fallbacks,
+        )
+        full, full_out = _witness_payload(WIDE_INPUTS)
+        assert full["inline_fallbacks"] == fallbacks
+        bounds = shard_bounds(20, 2)
+        parts = [
+            _witness_payload(_sliced(WIDE_INPUTS, lo, hi))[0]
+            for lo, hi in zip(bounds, bounds[1:])
+        ]
+        assert render_payload(merge_batch_payloads(parts)) + "\n" == full_out
+
     def test_header_mismatch_is_loud(self):
         part, _ = _witness_payload(BATCH_INPUTS)
         other = dict(part)
@@ -551,6 +575,67 @@ class TestFleetDispatch:
             stop.set()
             lsock.close()
             thread.join(timeout=10)
+
+    @pytest.mark.parametrize("streamed", [False, True])
+    def test_only_a_complete_answer_resets_node_health(
+        self, monkeypatch, streamed
+    ):
+        # One rule for buffered and streamed sub-requests: a 5xx answer
+        # neither counts as a connection failure nor clears the count;
+        # a complete answer (validated body, drained stream) clears it.
+        payload = repro_api.Session().audit(
+            SAFEDIV_SOURCE, inputs=BATCH_INPUTS, engine="batch", rows=True
+        ).payload
+        body = render_payload(payload) + "\n"
+        lines = [stream_header_of_payload(payload), *payload["rows"],
+                 stream_trailer_of_payload(payload)]
+        script = []
+
+        def answer():
+            step = script.pop(0)
+            if step == "dead":
+                raise ClientConnectionError("connection refused")
+            if step == "busy":
+                raise ClientStatusError(503, '{"error": "busy"}')
+
+        def fake_audit(host, port, spec, timeout):
+            try:
+                answer()
+            except ClientStatusError as exc:
+                return exc.status, exc.body
+            return 200, body
+
+        def fake_stream(host, port, spec, timeout):
+            answer()
+            yield from lines
+
+        monkeypatch.setattr(service_client, "audit", fake_audit)
+        monkeypatch.setattr(service_client, "audit_stream", fake_stream)
+        dispatcher = FleetDispatcher(
+            "a:1", probe=False, retries=2, eject_after=2, spill_depth=None,
+            sleep=lambda _s: None,
+        )
+        spec = {"source": SAFEDIV_SOURCE, "inputs": BATCH_INPUTS,
+                "engine": "batch", "rows": True}
+
+        def run():
+            if streamed:
+                stream = repro_api.RowStream(
+                    dispatcher.audit_stream_spec(spec, split=False)
+                )
+                return stream.text + "\n"
+            return dispatcher.audit_spec(spec, split=False)
+
+        script[:] = ["dead", "ok"]
+        assert run() == body
+        script[:] = ["dead", "ok"]
+        assert run() == body  # the answer cleared the first failure
+        assert not dispatcher.ejected
+        script[:] = ["dead", "busy", "dead"]
+        with pytest.raises(FleetError, match="failed on every healthy"):
+            run()
+        assert Node("a", 1) in dispatcher.ejected
+        assert dispatcher.stats["sub_requests"] == 7
 
     def test_spill_reroutes_a_backlogged_owner(self, monkeypatch):
         dispatcher = FleetDispatcher(

@@ -6,7 +6,9 @@ Five contracts under test:
   section-free payloads still stamp (and render) exactly as before, and
   ``from_json`` refuses every mislabelled version/section combination;
 * **stream primitives** — chunk bounds, the associative trailer merge,
-  line classification, and :class:`~repro.api.stream.RowStream`
+  the slice fold every row split merges through (folded slices render
+  the whole audit; mismatched headers and bounds are refused), line
+  classification, and :class:`~repro.api.stream.RowStream`
   protocol enforcement (no rows before the header, no duplicate
   trailer, no silent reassembly of a truncated stream);
 * **parity** — a drained stream reassembles byte-identical to the
@@ -25,12 +27,14 @@ Five contracts under test:
 from __future__ import annotations
 
 import contextlib
+import functools
 import io
 import json
 import socket
 import threading
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro import api as repro_api
 from repro.api import Session
@@ -46,16 +50,27 @@ from repro.api.result import (
 )
 from repro.api.stream import (
     RowStream,
+    SliceFold,
     StreamProtocolError,
     chunk_bounds,
     events_of_lines,
+    fold_slices,
     merge_stream_trailers,
+    payload_events,
     ramp_chunk_bounds,
+    stream_audit_events,
 )
 from repro.cli import _parse_precision_bits, main
 from repro.service import client as service_client
 from repro.service.client import ClientStatusError, ClientTruncationError
-from repro.service.fleet import FleetDispatcher, FleetError, HashRing, parse_nodes
+from repro.semantics.shard import shard_bounds
+from repro.service.fleet import (
+    FleetDispatcher,
+    FleetError,
+    HashRing,
+    merge_batch_payloads,
+    parse_nodes,
+)
 from repro.service.protocol import http_chunk, http_last_chunk, http_stream_head
 from repro.service.server import AuditServer, serve
 
@@ -311,6 +326,86 @@ class TestStreamPrimitives:
 
 
 # --------------------------------------------------------------------------
+# The slice fold: every row split merges through one reducer
+# --------------------------------------------------------------------------
+
+#: Rows of the slice-fold property: every drawn audit is a prefix.
+FOLD_ROWS = 12
+
+
+@functools.lru_cache(maxsize=None)
+def _slice_payload(lo, hi):
+    """The buffered rows-on payload of rows ``[lo, hi)`` (cached: the
+    property draws the same slices again and again)."""
+    inputs = {k: v[lo:hi] for k, v in dot_inputs(FOLD_ROWS).items()}
+    return buffered(inputs).payload
+
+
+def _split_bounds():
+    n_rows = st.integers(0, FOLD_ROWS)
+    sizes = st.integers(1, FOLD_ROWS + 1)
+    return st.one_of(
+        st.builds(chunk_bounds, n_rows, sizes),
+        st.builds(ramp_chunk_bounds, n_rows, sizes, sizes),
+        st.builds(shard_bounds, n_rows, st.integers(1, 5)),
+    )
+
+
+class TestSliceFold:
+    @settings(max_examples=25)
+    @given(bounds=_split_bounds())
+    def test_folded_slices_render_the_whole_audit(self, bounds):
+        want = render_payload(_slice_payload(0, bounds[-1]))
+        pairs = list(zip(bounds, bounds[1:]))
+        merged = merge_batch_payloads(
+            [_slice_payload(lo, hi) for lo, hi in pairs]
+        )
+        assert render_payload(merged) == want
+        chunks = stream_audit_events(_slice_payload, bounds)
+        stream = RowStream(event for events in chunks for event in events)
+        assert stream.text == want
+
+    def test_chunks_open_with_the_header_and_close_with_the_trailer(self):
+        chunks = list(stream_audit_events(_slice_payload, [0, 4, 9]))
+        assert [kind for kind, _ in chunks[0]] == ["header"] + ["row"] * 4
+        assert [kind for kind, _ in chunks[1]] == ["row"] * 5 + ["trailer"]
+        assert chunks[0][0][1]["n_rows"] == 9
+        assert [obj["row"] for _, obj in chunks[1][:-1]] == list(range(4, 9))
+
+    def test_mismatched_headers_are_refused(self):
+        first, second = _slice_payload(0, 3), _slice_payload(3, 6)
+        with pytest.raises(StreamProtocolError, match="'u' differs"):
+            list(fold_slices(
+                [0, 3, 6],
+                [payload_events(first), payload_events(dict(second, u=0.5))],
+            ))
+        fallbacks = [{"callee": "F", "reason": "size-cap", "sites": 1}]
+        with pytest.raises(
+            StreamProtocolError, match="'inline_fallbacks' differs"
+        ):
+            list(fold_slices(
+                [0, 3, 6],
+                [
+                    payload_events(first),
+                    payload_events(dict(second, inline_fallbacks=fallbacks)),
+                ],
+            ))
+
+    def test_mismatched_bounds_are_refused(self):
+        slices = [_slice_payload(0, 3), _slice_payload(3, 6)]
+        with pytest.raises(StreamProtocolError, match=r"bounds \[0, 2\)"):
+            list(fold_slices([0, 2, 6], map(payload_events, slices)))
+        with pytest.raises(StreamProtocolError, match="2 of 3 slice"):
+            list(fold_slices([0, 3, 6, 9], map(payload_events, slices)))
+        with pytest.raises(StreamProtocolError, match="more slices"):
+            list(fold_slices([0, 3], map(payload_events, slices)))
+        with pytest.raises(StreamProtocolError, match="rise from 0"):
+            SliceFold([1, 3])
+        with pytest.raises(StreamProtocolError, match="rise from 0"):
+            SliceFold([0, 3, 2])
+
+
+# --------------------------------------------------------------------------
 # Local streamed == buffered parity
 # --------------------------------------------------------------------------
 
@@ -429,6 +524,35 @@ class TestServeStream:
         assert lines[0]["n_rows"] == 0
         assert lines[1]["all_sound"] is True
         assert lines[1]["sound_rows"] == 0
+
+    def test_both_handlers_count_inline_fallbacks(self, monkeypatch):
+        # Every batch payload gets one fallback section.  A real source
+        # of it, the P16 call pyramid of tests/test_compose.py, costs
+        # seconds per audit.
+        fallbacks = [{"callee": "F", "reason": "size-cap", "sites": 3}]
+        monkeypatch.setattr(
+            repro_api.builtin, "_execution_fallbacks",
+            lambda definition, program: fallbacks,
+        )
+        spec = {"source": SOURCE, "inputs": dot_inputs(5), "engine": "batch"}
+        with fleet(1, stream_chunk_rows=2) as handles:
+            host, port = handles[0].host, handles[0].port
+            status, body = service_client.audit(host, port, spec)
+            assert status == 200
+            assert json.loads(body)["inline_fallbacks"] == fallbacks
+            assert service_client.stats(host, port)["server"][
+                "inline_fallback_sites"
+            ] == 3
+            lines = list(
+                service_client.audit_stream(
+                    host, port, dict(spec, stream=True)
+                )
+            )
+            assert lines[0]["inline_fallbacks"] == fallbacks
+            server = service_client.stats(host, port)["server"]
+        assert server["inline_fallback_sites"] == 6
+        assert server["audits"] == 2
+        assert server["audits_streamed"] == 1
 
     def test_post_head_failure_is_a_stream_error_line(self):
         inputs = dot_inputs(10)
