@@ -194,6 +194,43 @@ def _pack_columns(ty: Type, columns: List, offset: int = 0):
     raise TypeError(f"cannot batch parameters of type {ty}")
 
 
+#: Elements (leaves x rows) in one block of the 2-D batch stages: the
+#: leaf-major input copy with its range checks, and the distance screen.
+#: 32k float64 values are 256 KB, well inside a core's L2 cache, where a
+#: whole (leaves x rows) matrix at a few thousand rows is not.  16k and
+#: 64k measured within noise of it (benchmarks/results/
+#: perfbench-ab-cache-blocks.txt).
+_BLOCK = 32768
+
+
+def _leaf_major(arr: np.ndarray) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """An ``(N, k)`` input as a ``(k, N)`` leaf-major matrix, plus each
+    row's largest and smallest ``|leaf|`` (``high``, ``low``; nan where
+    the row holds a nan).
+
+    The copy runs in row blocks of at most ``_BLOCK`` elements, and each
+    block's extremes are taken while it is still in cache.  A row with no
+    leaves reads ``high = 0`` and ``low = inf``, which no range check
+    flags.
+    """
+    n, k = arr.shape
+    leaves = np.empty((k, n))
+    high = np.zeros(n)
+    low = np.full(n, np.inf)
+    if k == 0:
+        return leaves, high, low
+    step = max(1, _BLOCK // k)
+    size = np.empty((k, min(step, n)))
+    for lo in range(0, n, step):
+        rows = slice(lo, lo + step)
+        block = leaves[:, rows]
+        np.copyto(block, arr[rows].T)
+        magnitude = np.abs(block, out=size[:, :block.shape[1]])
+        magnitude.max(axis=0, out=high[rows])
+        magnitude.min(axis=0, out=low[rows])
+    return leaves, high, low
+
+
 def _select_rows(tree, select):
     """Apply the row selection ``select`` to every leaf array and tag mask."""
     if isinstance(tree, _BPair):
@@ -567,6 +604,13 @@ class BatchWitnessEngine:
     # -- vectorized pipeline ----------------------------------------------
 
     def _run_vectorized(self, columns, n_rows: int) -> BatchWitnessReport:
+        """Phase 1 over every row, then phases 2-4 on the clean ones.
+
+        Each parameter's ``(N, k)`` input is copied once into a ``(k, N)``
+        leaf-major matrix whose rows are the forward sweep's leaves, in
+        row blocks of at most ``_BLOCK`` elements; each block's input
+        range checks run while it is still in cache (:func:`_leaf_major`).
+        """
         ir = self.ir
         # Phase 1: approximate forward sweep (float64 arrays); phases
         # 2-4 (_finish) run on the clean rows.  `span` accumulates each
@@ -574,29 +618,23 @@ class BatchWitnessEngine:
         # non-finite one makes the row risky (scalar fallback), one
         # outside the EFT range makes it suspect (settled per row).
         fvals: List = [None] * ir.n_slots
-        for p in ir.params:
-            cols = [np.ascontiguousarray(columns[p.name][:, j]) for j in
-                    range(columns[p.name].shape[1])]
-            tree, _ = _pack_columns(p.ty, cols)
-            fvals[p.slot] = tree
         risky = np.zeros(n_rows, dtype=bool)
         span = _Span(n_rows)
+        out_of_range = span.out_of_range
+        for p in ir.params:
+            leaves, high, low = _leaf_major(columns[p.name])
+            tree, _ = _pack_columns(p.ty, list(leaves))
+            fvals[p.slot] = tree
+            risky |= ~(high < np.inf)  # a nan or infinite input
+            out_of_range |= high > eft.OVERFLOW_LIMIT
+            # Zero inputs too: the reference compares exact zeros there.
+            out_of_range |= low < eft.UNDERFLOW_LIMIT
         self._forward_approx(ir.ops, fvals, risky, np.ones(n_rows, dtype=bool),
                              False, span)
         risky |= ~(span.low > 0.0)
         risky |= ~(span.high < np.inf)
-        out_of_range = span.out_of_range
         out_of_range |= span.low < eft.UNDERFLOW_LIMIT
         out_of_range |= span.high > eft.OVERFLOW_LIMIT
-        for name in columns:
-            size = np.abs(columns[name])
-            if size.shape[1] == 0:
-                continue
-            high = size.max(axis=1)
-            risky |= ~(high < np.inf)  # a nan or infinite input
-            out_of_range |= high > eft.OVERFLOW_LIMIT
-            # Zero inputs too: the reference compares exact zeros there.
-            out_of_range |= size.min(axis=1) < eft.UNDERFLOW_LIMIT
         clean = np.flatnonzero(~risky)
         fallback = np.flatnonzero(risky)
 
@@ -1114,19 +1152,21 @@ class _Span:
     magnitude (nan once any is nan), so three ufunc calls per op settle
     the zero, finiteness and range tests at the end of the sweep;
     ``out_of_range`` collects rows a literal puts outside the EFT range.
+    Each op's ``|r|`` goes to one scratch array.
     """
 
-    __slots__ = ("low", "high", "out_of_range")
+    __slots__ = ("low", "high", "out_of_range", "_size")
 
     def __init__(self, n: int) -> None:
         self.low = np.full(n, np.inf)
         self.high = np.zeros(n)
         self.out_of_range = np.zeros(n, dtype=bool)
+        self._size = np.empty(n)
 
     def track(self, r: np.ndarray, active: np.ndarray, masked: bool) -> None:
-        size = np.abs(r)
+        size = np.abs(r, out=self._size)
         if masked:
-            size = np.where(active, size, 1.0)
+            np.putmask(size, ~active, 1.0)
         np.minimum(self.low, size, out=self.low)
         np.maximum(self.high, size, out=self.high)
 
@@ -1657,17 +1697,32 @@ def _dist_screen(perturbed, m: int,
     of those comparisons actually bites.  Leaves the backward sweep
     never targeted (``_EXACT``) contribute an exact 0, matching the
     scalar path's ``ln(x/x)``.
+
+    The leaves x rows matrix is never built whole: it is walked in tiles
+    of at most ``_BLOCK`` elements (blocks of ``min(m, _BLOCK)`` rows,
+    each split into groups of as many leaves as fit), stacked into one
+    cache-sized buffer.  Up to ``_BLOCK`` elements that is one tile, the
+    whole stack.
     """
     deltas = [d for d in _tree_leaves(perturbed, []) if d is not _EXACT]
-    if not deltas:
-        return np.zeros(m), np.zeros(m, dtype=bool)
-    if len(deltas) == 1:
-        d_max = eft.log_distance(deltas[0])
-        noise = d_max < 1e-28
-    else:
-        dist = eft.log_distance(np.stack(deltas))
-        d_max = dist.max(axis=0)
-        noise = (dist < 1e-28).any(axis=0)
+    # Max and any fold exactly, tile by tile: every distance is >= 0 or
+    # nan, and np.maximum keeps a nan.
+    d_max = np.zeros(m)
+    noise = np.zeros(m, dtype=bool)
+    step = max(1, min(m, _BLOCK))  # rows per block
+    group = _BLOCK // step  # leaves per tile
+    buf = np.empty((min(group, len(deltas)), step))
+    for lo in range(0, m, step):
+        rows = slice(lo, lo + step)
+        block = deltas if step == m else [d[rows] for d in deltas]
+        block_max, block_noise = d_max[rows], noise[rows]
+        for first in range(0, len(block), group):
+            part = block[first:first + group]
+            dist = buf[:len(part), :block_max.size]
+            np.stack(part, out=dist)
+            eft.log_distance(dist, out=dist)
+            np.maximum(block_max, dist.max(axis=0), out=block_max)
+            block_noise |= (dist < 1e-28).any(axis=0)
     undecided = ~(d_max < np.inf)  # nan or inf on some leaf
     if undecided.any():
         recheck |= undecided

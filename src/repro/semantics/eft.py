@@ -394,8 +394,9 @@ def grow(eta: Array, a: Optional[Array]) -> Array:
     return eta + (a + eta * a)
 
 
-def log_distance(d: Array) -> Array:
-    """The RP distance ``|ln(1+δ)|`` of ``x(1+δ)`` from ``x``.
+def log_distance(d: Array, out: Optional[np.ndarray] = None) -> Array:
+    """The RP distance ``|ln(1+δ)|`` of ``x(1+δ)`` from ``x`` (into
+    ``out`` if given, which may be ``d`` itself).
 
     ``log1p`` is accurate to ~1ulp relative at every scale, so the
     result is within ``2u`` relative of ``|ln(1+δ)|`` for the computed
@@ -404,7 +405,7 @@ def log_distance(d: Array) -> Array:
     distance) or a nan ``δ`` come out nan or inf: the caller's
     undecided rows.
     """
-    return np.abs(np.log1p(d))
+    return np.abs(np.log1p(d, out=out), out=out)
 
 
 def backward_error_bound(steps: int, eta_max: float) -> float:

@@ -581,12 +581,13 @@ class FleetDispatcher:
         """
         bounds, subs = self._plan(spec, fingerprint, split)
         if bounds is None:
-            return self._fetch(*subs[0])
+            text, _ = self._fetch(*subs[0])
+            return text
         with ThreadPoolExecutor(
             max_workers=len(subs), thread_name_prefix="repro-fleet"
         ) as pool:
-            bodies = list(pool.map(lambda sub: self._fetch(*sub), subs))
-        merged = merge_batch_payloads([json.loads(body) for body in bodies])
+            answers = list(pool.map(lambda sub: self._fetch(*sub), subs))
+        merged = merge_batch_payloads([payload for _, payload in answers])
         return render_payload(merged) + "\n"
 
     def audit_stream_spec(
@@ -837,26 +838,27 @@ class FleetDispatcher:
 
     def _fetch(
         self, spec: Mapping[str, Any], preference: Sequence[Node]
-    ) -> str:
-        """One buffered sub-request through :meth:`_walk`."""
+    ) -> Tuple[str, Dict[str, Any]]:
+        """One buffered sub-request through :meth:`_walk`: the node's
+        body text, untouched, and the payload its validation parsed."""
 
-        def attempt(node: Node) -> List[str]:
+        def attempt(node: Node) -> List[Tuple[str, Dict[str, Any]]]:
             status, text = client.audit(
                 node.host, node.port, dict(spec), timeout=self.timeout
             )
             if status != 200:
                 raise ClientStatusError(status, text)
-            self._check_payload(node, text)
-            return [text]
+            return [(text, self._check_payload(node, text))]
 
-        [text] = self._walk(preference, attempt)
-        return text
+        [answer] = self._walk(preference, attempt)
+        return answer
 
-    def _check_payload(self, node: Node, text: str) -> None:
+    def _check_payload(self, node: Node, text: str) -> Dict[str, Any]:
         """Accept only payloads this build's schema reads; a node from a
-        different build must fail the audit loudly, never merge."""
+        different build must fail the audit loudly, never merge.
+        Returns the parsed payload, so a merge need not parse it again."""
         try:
-            AuditResult.from_json(text)
+            return AuditResult.from_json(text).payload
         except ValueError as exc:
             self._eject(
                 node, f"incompatible audit payload: {exc}", permanent=True

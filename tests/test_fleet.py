@@ -447,6 +447,42 @@ class TestFleetDispatch:
         assert dispatcher.stats["split_audits"] == 1
         assert dispatcher.stats["sub_requests"] == 3
 
+    def test_split_parses_each_sub_body_once(self, monkeypatch):
+        # The schema check's parse is the merge's input: no sub-body is
+        # parsed a second time.
+        bodies = []
+        parses = []
+        audit, loads = service_client.audit, json.loads
+
+        def recording_audit(*args, **kwargs):
+            status, text = audit(*args, **kwargs)
+            bodies.append(text)
+            return status, text
+
+        def counting_loads(text, *args, **kwargs):
+            if any(text is body for body in bodies):
+                parses.append(text)
+            return loads(text, *args, **kwargs)
+
+        monkeypatch.setattr(service_client, "audit", recording_audit)
+        monkeypatch.setattr(json, "loads", counting_loads)
+        _, golden = _witness_payload(WIDE_INPUTS)
+        with fleet(3) as handles:
+            dispatcher = FleetDispatcher(
+                nodes_of(handles), min_rows_per_shard=4, spill_depth=None
+            )
+            body = dispatcher.audit_spec(
+                {
+                    "source": SAFEDIV_SOURCE,
+                    "inputs": WIDE_INPUTS,
+                    "engine": "batch",
+                }
+            )
+        assert body == golden
+        assert len(bodies) == 3
+        for sub_body in bodies:
+            assert sum(text is sub_body for text in parses) == 1
+
     def test_unsplit_small_batch_byte_identical(self):
         _, golden = _witness_payload(BATCH_INPUTS)
         with fleet(2) as handles:
