@@ -2,7 +2,7 @@
 
 At ``precision_bits`` 11 and 24 every forward op rounds by up to
 ``2^-p``, so the ideal result's ``δ`` carries a screening error far
-above ``_CLOSE_SURE`` on ordinary rows.  The batch engine's closeness
+above ``eft.MARGINS.close_sure`` on ordinary rows.  The batch engine's closeness
 certificate (``semantics.batch._conditions``) decides those rows close
 when the reference's own noise is provably below the ``values_close``
 tolerance; without it each such row goes to the 50-digit scalar
@@ -14,7 +14,7 @@ rechecked and the median wall time of a warm ``BatchWitnessEngine.run``.
     PYTHONPATH=src python benchmarks/reduced_precision_probe.py --without-certificate
 
 ``--without-certificate`` makes the condition sweep return nothing, so
-only gaps below ``_CLOSE_SURE`` are decided by the screen: the cost the
+only gaps below ``eft.MARGINS.close_sure`` are decided by the screen: the cost the
 certificate saves.  The script uses only the engine's public
 constructor and report, so it also runs against older trees.
 """

@@ -32,6 +32,7 @@ __all__ = [
     "vector_value",
     "vector_components",
     "values_close",
+    "CLOSE_TOLERANCE",
     "to_decimal",
 ]
 
@@ -151,7 +152,11 @@ def vector_components(value: Value) -> List[VNum]:
     return out
 
 
-def values_close(a: Value, b: Value, tolerance: Decimal = Decimal("1e-30")) -> bool:
+#: :func:`values_close`'s relative tolerance on numbers.
+CLOSE_TOLERANCE = Decimal("1e-30")
+
+
+def values_close(a: Value, b: Value, tolerance: Decimal = CLOSE_TOLERANCE) -> bool:
     """Structural equality with a relative tolerance on numbers.
 
     The tolerance absorbs the 50-digit working precision of the ideal

@@ -509,18 +509,7 @@ class BatchWitnessEngine:
         if n_rows == 0:
             # Nothing to certify: an empty report, not a pile of
             # zero-size array ops.
-            return BatchWitnessReport(
-                self.definition,
-                0,
-                np.zeros(0, dtype=bool),
-                np.zeros(0, dtype=bool),
-                {},
-                {}.__getitem__,
-                {p.name: _DEC_ZERO for p in self.definition.params},
-                dict(self._bounds),
-                fallback_rows=0,
-                rows=[] if self.collect_rows else None,
-            )
+            return self._run_scalar(columns, 0, ())
         if not self.vectorized:
             return self._run_scalar(columns, n_rows, range(n_rows))
         try:
@@ -549,23 +538,13 @@ class BatchWitnessEngine:
         )
 
     def _run_scalar(self, columns, n_rows: int, rows) -> BatchWitnessReport:
-        reports: Dict[int, WitnessReport] = {}
-        errors: Dict[int, BaseException] = {}
+        """Witness ``rows``, every row, by the scalar reference alone."""
         sound = np.zeros(n_rows, dtype=bool)
         exact = np.zeros(n_rows, dtype=bool)
         max_dist = {p.name: _DEC_ZERO for p in self.definition.params}
-        for i in rows:
-            try:
-                rep = self._scalar_report(columns, i)
-            except _ROW_ERRORS as exc:
-                errors[i] = exc
-                continue
-            reports[i] = rep
-            sound[i] = rep.sound
-            exact[i] = rep.exact_match
-            for name, w in rep.params.items():
-                if w.distance > max_dist[name]:
-                    max_dist[name] = w.distance
+        reports, errors = self._scalar_fallback_rows(
+            columns, rows, sound, exact, max_dist
+        )
         row_tuples = None
         if self.collect_rows:
             row_tuples = self._row_tuples(
@@ -734,15 +713,15 @@ class BatchWitnessEngine:
 
         ``E`` is :func:`eft.backward_error_bound` over the longest
         backward chain ``K`` and this lens's forward rounding error
-        ``η_max``.  The distance margins' absolute term is ``1e-26``,
-        widened to ``2E`` where that is larger, and the noise-floor cap
-        is ``1e-27``, widened to ``2·(1e-28 + E)``: widening only adds
-        rechecks.  For the closeness certificate (:func:`_conditions`):
-        every ``|δ|`` and ``|η|`` on a path is at most
-        ``Δ = e^L - 1 + η_max`` (``L = K·|ln(1 - η_max)|``), so each op
-        of either sweep adds at most ``~8u·Δ`` to the ideal result's
-        ``δ``, weighted as the reference's roundings are; ``unit``
-        doubles that and takes ``e^{3L}`` for the magnitude drift.
+        ``η_max``.  The bands' absolute term is ``eft.MARGINS.slack``,
+        widened to ``widening·E`` where that is larger, and the noise-floor
+        cap is ``noise_cap``, widened to ``widening·(noise_floor + E)``:
+        widening only adds rechecks.  For the closeness certificate
+        (:func:`_conditions`): every ``|δ|`` and ``|η|`` on a path is at
+        most ``Δ = e^L - 1 + η_max`` (``L = K·|ln(1 - η_max)|``), so each
+        op of either sweep adds at most ``~8u·Δ`` to the ideal result's
+        ``δ``, weighted as the reference's roundings are; ``unit`` doubles
+        that and takes ``e^{3L}`` for the magnitude drift.
         """
         if self._screen is None:
             if self.rounding == "stochastic":
@@ -760,9 +739,10 @@ class BatchWitnessEngine:
                     math.exp(spread) - 1.0 + eta_max)
             else:
                 growth = unit = math.inf
+            margins = eft.MARGINS
             self._screen = _ScreenBounds(
-                slack=max(1e-26, 2.0 * err),
-                noise_cap=max(1e-27, 2.0 * (1e-28 + err)),
+                slack=max(margins.slack, margins.widening * err),
+                noise_cap=max(margins.noise_cap, margins.widening * (margins.noise_floor + err)),
                 leaf_kappa=2.0 * chain + 1.0,
                 growth=growth,
                 unit=unit,
@@ -791,8 +771,8 @@ class BatchWitnessEngine:
         screen's error band cannot straddle a rounding boundary
         (:func:`_screen_row_distances`).  A screened distance is within
         ``2u`` relative plus ``E`` absolute of the exact one (the
-        contract in :mod:`repro.semantics.eft`); every margin below
-        carries ``1e-12`` relative plus ``slack >= 2E`` absolute
+        contract in :mod:`repro.semantics.eft`); every margin below is a
+        band ``eft.MARGINS.band``: a relative term plus ``slack >= 2E``
         (:meth:`_screen_bounds`), so whenever the screen calls a
         verdict "sure", the 50-digit reference provably agrees.
         ``rechecked_rows`` on the report counts the clean rows handed to
@@ -838,7 +818,7 @@ class BatchWitnessEngine:
                     # inside this margin — recheck those.  d_max == 0.0
                     # rows are exact zeros (or noise-flagged), never
                     # ambiguous.
-                    margin = 1e-12 * (bound_f + d_max) + slack
+                    margin = eft.MARGINS.band(bound_f + d_max, slack)
                     recheck |= (np.abs(d_max - bound_f) <= margin) & (d_max > 0.0)
                     within_all &= d_max <= bound_f
                     if bound_f <= noise_cap:
@@ -874,6 +854,11 @@ class BatchWitnessEngine:
 
         _recheck_rows(np.flatnonzero(recheck))
 
+        def _exact_max(name: str) -> Decimal:
+            """The rechecked rows' largest exact distance of ``name``, or
+            ``_DEC_ZERO`` where none is larger (its digits reach the payload)."""
+            return max([_DEC_ZERO, *(r.params[name].distance for r in rechecked.values())])
+
         # Per-parameter max distances must be *exact* Decimals.  Rows
         # whose screened distance falls within the screen's error band
         # of the screened maximum are candidates for the true max;
@@ -890,12 +875,7 @@ class BatchWitnessEngine:
             d_max = d_maxes[p.name]
             raised = True
             while raised:
-                best = 0.0
-                for rep in rechecked.values():
-                    dist = rep.params[p.name].distance
-                    f = float(dist) if dist.is_finite() else math.inf
-                    if f > best:
-                        best = f
+                best = float(_exact_max(p.name))
                 screened = np.where(recheck, 0.0, d_max)
                 if screened.size:
                     best = max(best, float(screened.max()))
@@ -907,15 +887,10 @@ class BatchWitnessEngine:
                     # their exact (evaluation-noise-dominated) Decimal
                     # distances.
                     raised = _recheck_rows(np.flatnonzero(noise_rows[p.name]))
-                band = 1e-12 * best + slack
+                band = eft.MARGINS.band(best, slack)
                 cand = ~recheck & (d_max >= best - band) & (d_max > 0.0)
                 raised |= _recheck_rows(np.flatnonzero(cand))
-            dist_best = _DEC_ZERO
-            for rep in rechecked.values():
-                dist = rep.params[p.name].distance
-                if dist > dist_best:
-                    dist_best = dist
-            max_dist[p.name] = dist_best
+            max_dist[p.name] = _exact_max(p.name)
 
         # Per-row distances render at ROW_DISTANCE_DIGITS straight from
         # the screened d_max wherever its error band cannot straddle a
@@ -1512,7 +1487,7 @@ class _ScreenBounds(NamedTuple):
 
     #: Absolute term of the near-bound, max-candidate and render bands.
     slack: float
-    #: Bound on the exact distance of a leaf the screen reads below 1e-28.
+    #: Bound on the exact distance of a leaf read below ``MARGINS.noise_floor``.
     noise_cap: float
     #: The reference witnesses' relative error, in units of 1e-49.
     leaf_kappa: float
@@ -1537,8 +1512,8 @@ def _conditions(ops, fsel, kappa: List, growth: float) -> None:
 
     The sweep runs only when some row's gap is not surely close, which
     on binary64 batches is rare: it serves the rows whose ``δ`` noise
-    alone passes ``_CLOSE_SURE`` — reduced precision (without it ~80-97%
-    of 11/24-bit rows go to the reference) and deep chains — and every
+    alone passes ``MARGINS.close_sure`` — reduced precision (without it
+    ~80-97% of 11/24-bit rows go to the reference) and deep chains — and every
     gap the screen would call far.  No ``BENCHMARK.json`` workload runs
     at reduced precision; ``benchmarks/reduced_precision_probe.py``
     measures it (``benchmarks/results/reduced-precision-probe.txt``).
@@ -1595,20 +1570,6 @@ def _result_conditions(ir, fsel, bounds: _ScreenBounds):
     return kappa[ir.result]
 
 
-#: Screen thresholds for the closeness verdict.  ``values_close`` is a
-#: 1e-30-relative test on exactly-converted operands.  Property 2 makes
-#: the exact ideal result *equal* the forward one, so a screened gap is
-#: rounding noise: ~1e-50·cond in the 50-digit reference and
-#: ~u·cond·|δ| in the screen.  A gap below CLOSE_SURE is ~1e4 away from
-#: flipping the reference verdict on well-conditioned rows.  A gap is a
-#: genuine Property-2 failure only where it passes FAR_SURE by more than
-#: the screen's own error ``κ·unit``, which at reduced precision or on
-#: deep chains can itself exceed FAR_SURE; every other gap (or an
-#: undecidable δ) is rechecked.
-_CLOSE_SURE = 1e-26
-_FAR_SURE = 1e-8
-
-
 def _close_screen(ideal, approx, close: np.ndarray, unsure: np.ndarray,
                   active: np.ndarray, kappa=None, unit: float = 0.0) -> None:
     """Vectorized screen of row-wise ``values_close`` in ``δ`` form.
@@ -1618,15 +1579,16 @@ def _close_screen(ideal, approx, close: np.ndarray, unsure: np.ndarray,
     cannot decide, or whose ``δ`` is undecidable (``δ <= -1``: a zero or
     sign-flipped ideal value; or non-finite), are flagged in ``unsure``
     and left formally close — the scalar reference overrides them.
-    Without ``kappa`` only a gap ``|δ| <= _CLOSE_SURE`` is decided.
-    With the reference's condition tree ``kappa`` (:func:`_conditions`)
-    and the screen's error per κ unit ``unit``, a gap is also surely
-    close where the reference's rounding noise is at most ``1e-31``
-    (``κ <= 1e18``) and the gap is within the screen's own error of
-    zero (``unit·κ``), as Property 2 says it is.  It is surely far only
-    where it passes ``_FAR_SURE`` by more than that error, with the
-    reference's noise (``κ <= 1e30``: at most ``1e-19`` relative) far
-    below the gap.  Structure mirrors
+    By Property 2 a screened gap is rounding noise: ~1e-50·cond in the
+    50-digit reference, ~u·cond·|δ| in the screen.  Without ``kappa``
+    only a gap ``<= close_sure`` is decided (the thresholds are
+    ``eft.MARGINS`` entries).  With the reference's condition tree
+    ``kappa`` (:func:`_conditions`) and the screen's error per κ unit
+    ``unit``, a gap is also surely close where ``κ <= close_kappa`` and
+    the gap is within the screen's own error ``unit·κ`` of zero, and
+    surely far only where ``κ <= far_kappa`` and the gap passes
+    ``far_sure`` by more than that error (which at reduced precision or
+    on deep chains can itself exceed ``far_sure``).  Structure mirrors
     :func:`repro.lam_s.values.values_close` on the batched value trees.
     """
     if isinstance(approx, _BPair) and isinstance(ideal, _BPair):
@@ -1659,13 +1621,14 @@ def _close_screen(ideal, approx, close: np.ndarray, unsure: np.ndarray,
     if isinstance(approx, np.ndarray) and ideal is _EXACT:
         return  # bitwise the forward value: close
     if isinstance(approx, np.ndarray) and isinstance(ideal, np.ndarray):
+        margins = eft.MARGINS
         gap = np.abs(ideal)
-        sure_close = gap <= _CLOSE_SURE
+        sure_close = gap <= margins.close_sure
         sure_far = np.zeros_like(sure_close)
         if kappa is not None and math.isfinite(unit):
             noise = kappa * unit  # the screen's own error bound
-            sure_close |= (kappa <= 1e18) & (gap <= noise)
-            sure_far = (kappa <= 1e30) & (gap >= _FAR_SURE + noise)
+            sure_close |= (kappa <= margins.close_kappa) & (gap <= noise)
+            sure_far = (kappa <= margins.far_kappa) & (gap >= margins.far_sure + noise)
         between = ~(sure_close | sure_far)
         between |= ~((ideal > -1.0) & (gap < np.inf))
         between &= active
@@ -1684,8 +1647,8 @@ def _dist_screen(perturbed, m: int,
     leaf.  Rows the screen cannot decide are flagged into ``recheck``:
     a leaf whose ``δ <= -1`` or is non-finite (the exact metric jumps
     to INF or the screen lost the value).  Rows with a zero input, where
-    the reference compares exact zeros, are suspect already.  A leaf
-    whose distance reads below 1e-28 is different: down there the
+    the reference compares exact zeros, are suspect already.  A leaf whose
+    distance reads below ``eft.MARGINS.noise_floor`` is different: the
     *reference* value is dominated by the 50-digit evaluator's own
     rounding noise (~1e-50·depth, e.g. a witness formula that happens
     to be exact in binary), which the screen cannot predict; only the
@@ -1709,6 +1672,7 @@ def _dist_screen(perturbed, m: int,
     # nan, and np.maximum keeps a nan.
     d_max = np.zeros(m)
     noise = np.zeros(m, dtype=bool)
+    floor = eft.MARGINS.noise_floor
     step = max(1, min(m, _BLOCK))  # rows per block
     group = _BLOCK // step  # leaves per tile
     buf = np.empty((min(group, len(deltas)), step))
@@ -1722,7 +1686,7 @@ def _dist_screen(perturbed, m: int,
             np.stack(part, out=dist)
             eft.log_distance(dist, out=dist)
             np.maximum(block_max, dist.max(axis=0), out=block_max)
-            block_noise |= (dist < 1e-28).any(axis=0)
+            block_noise |= (dist < floor).any(axis=0)
     undecided = ~(d_max < np.inf)  # nan or inf on some leaf
     if undecided.any():
         recheck |= undecided
@@ -1765,9 +1729,9 @@ def _screen_row_distances(d_hat: np.ndarray, noise: np.ndarray,
 
     ``d_hat`` is a parameter's screened per-row max distance and
     ``noise`` its noise-floor rows (see :func:`_dist_screen`).  The
-    exact distance ``d`` lies within ``1e-12·d̂ + slack`` of ``d̂`` — the
-    assumption the max-distance candidate screen already rests on (see
-    ``BatchWitnessEngine._screen_bounds``) — so when both band ends,
+    exact distance ``d`` lies within ``eft.MARGINS.band(d̂, slack)`` of ``d̂``
+    — the assumption the max-distance candidate screen already rests on
+    (``BatchWitnessEngine._screen_bounds``) — so when both band ends,
     rounded outward to the next binary64, render to one string,
     rounding is monotone and ``render_row_distance(d)`` is that string
     too.  Rows whose band straddles a rounding boundary (or reaches
@@ -1777,7 +1741,7 @@ def _screen_row_distances(d_hat: np.ndarray, noise: np.ndarray,
     row with no targeted leaf (``d̂ == 0`` and no noise) is an exact
     ``"0"``.
     """
-    band = 1e-12 * d_hat + slack
+    band = eft.MARGINS.band(d_hat, slack)
     lo = np.nextafter(d_hat - band, -np.inf)
     hi = np.nextafter(d_hat + band, np.inf)
     out: List[Optional[str]] = []

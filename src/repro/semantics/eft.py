@@ -67,20 +67,21 @@ distance is within
 of the exact one, to first order in ``u``.  Errors add up at about
 ``u`` relative per op, not ``u²`` as in dd, which is why the bound grows
 with ``K²``: ~1.4e-27 for ``K = 120`` binary64 ops, inside the screen's
-``1e-26`` absolute margin term; the engine widens that term (and the
-noise-floor cap) to ``2E`` for any program where it is not (see
-``BatchWitnessEngine._screen_bounds``).  The ``1e-12``-relative margin
-terms cover the ``<= 2u`` relative error of ``log1p``.  The ideal
-sweep feeds only the lens-exactness screen, whose thresholds
-(``1e-26`` sure-close, ``1e-8`` sure-far) rest on Property 2: the exact
-ideal value *is* the forward value, so a screened gap is rounding noise
-(~``u·cond·|δ|``).  Any gap above ``1e-26`` is weighed by a condition
-sweep (``repro.semantics.batch._conditions``) that bounds both the
-50-digit reference's own noise and the screen's own error in the gap:
-the row is close if the former is below the tolerance and the gap
-within the latter, far only if the gap passes ``1e-8`` by more than the
-screen's error (which at reduced precision can itself exceed ``1e-8``),
-and rechecked otherwise.
+absolute band term (``MARGINS.slack``); the engine widens that term
+(and the noise-floor cap) to ``MARGINS.widening·E`` for any program
+where it is not (see ``BatchWitnessEngine._screen_bounds``).  The
+relative band term (``MARGINS.relative``) covers the ``<= 2u`` relative
+error of ``log1p``.  The ideal sweep feeds only the lens-exactness
+screen, whose thresholds (``MARGINS.close_sure``, ``MARGINS.far_sure``)
+rest on Property 2: the exact ideal value *is* the forward value, so a
+screened gap is rounding noise (~``u·cond·|δ|``).  Any larger gap is
+weighed by a condition sweep (``repro.semantics.batch._conditions``)
+that bounds both the 50-digit reference's own noise and the screen's
+own error in the gap: the row is close if the former is below the
+tolerance and the gap within the latter, far only if the gap passes
+``far_sure`` by more than the screen's error (which at reduced
+precision can itself exceed ``far_sure``), and rechecked otherwise.
+Each margin is declared once, in :data:`MARGINS`.
 
 Rows where the EFT premises fail — a forward value outside
 ``[UNDERFLOW_LIMIT, OVERFLOW_LIMIT]`` (Dekker splitting may overflow,
@@ -100,15 +101,18 @@ produce inf/nan garbage that the suspect masks quarantine.
 from __future__ import annotations
 
 import math
-from typing import Optional, Tuple
+from dataclasses import dataclass
+from typing import Optional, Tuple, Union
 
 import numpy as np
 
 __all__ = [
     "DD",
+    "MARGINS",
     "OVERFLOW_LIMIT",
     "UNDERFLOW_LIMIT",
     "SPLITTER",
+    "ScreenMargins",
     "U",
     "back_linear",
     "back_reciprocal",
@@ -135,6 +139,38 @@ __all__ = [
 ]
 
 Array = np.ndarray
+
+
+@dataclass(frozen=True)
+class ScreenMargins:
+    """The batch screen's soundness margins, one per contract term above."""
+
+    #: Relative term of every distance band: ``log1p``'s ``<= 2u`` error.
+    relative: float = 1e-12
+    #: Absolute term of every distance band: ``E`` of short binary64 chains.
+    slack: float = 1e-26
+    #: Cap on a noise-floor leaf's exact distance: ``noise_floor + E``.
+    noise_cap: float = 1e-27
+    #: A leaf distance below this may be the reference's rounding noise.
+    noise_floor: float = 1e-28
+    #: Factor by which ``slack`` and ``noise_cap`` cover ``E`` on any chain.
+    widening: float = 2.0
+    #: A closeness gap this small is Property 2's rounding noise.
+    close_sure: float = 1e-26
+    #: A closeness gap past this (and the screen's error) fails Property 2.
+    far_sure: float = 1e-8
+    #: Largest κ whose reference noise ``κ·1e-49`` stays under the tolerance.
+    close_kappa: float = 1e18
+    #: Largest κ whose reference noise stays far below ``far_sure``.
+    far_kappa: float = 1e30
+
+    def band(self, x: Union[float, Array], slack: float) -> Union[float, Array]:
+        """A screened distance ``x``'s error band, given a program's ``slack``."""
+        return self.relative * x + slack
+
+
+#: The margins every batch verdict rests on; the engine reads each from here.
+MARGINS = ScreenMargins()
 
 #: Dekker's splitting constant ``2**27 + 1``: multiplies a double into
 #: two 26-bit halves whose product terms are exact.

@@ -69,7 +69,7 @@ from ..lam_s.executor import (
     _SlotExecutor,
     _unbox,
 )
-from ..lam_s.values import Value, VUnit, to_decimal
+from ..lam_s.values import CLOSE_TOLERANCE, Value, VUnit, to_decimal
 from .lens import LensDomainError
 from .primitives import (
     BACKWARD_PRECISION,
@@ -101,8 +101,6 @@ class _PartialPair:
         self.right: Any = None
 
 
-#: :func:`~repro.lam_s.values.values_close`'s relative tolerance.
-_CLOSE_TOLERANCE = Decimal("1e-30")
 #: The generic-case witness formulas of ``add``, ``sub`` and ``mul``.
 _WITNESS = (add_witness, sub_witness, mul_witness)
 
@@ -136,7 +134,7 @@ def _values_close_raw(a: Any, b: Any, ctx: decimal.Context) -> bool:
     scale = max(ctx.abs(da), ctx.abs(db))
     if scale == 0:
         return False
-    return bool(ctx.divide(ctx.abs(ctx.subtract(da, db)), scale) <= _CLOSE_TOLERANCE)
+    return bool(ctx.divide(ctx.abs(ctx.subtract(da, db)), scale) <= CLOSE_TOLERANCE)
 
 
 def _paired_num_leaves(ty: Type, a: Any, b: Any) -> Optional[List[Tuple[Any, Any]]]:

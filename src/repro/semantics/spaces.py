@@ -59,8 +59,8 @@ DISTANCE_PRECISION = 60
 
 #: Significant digits of a per-row distance in the ``rows`` payload
 #: section: as many as the batch engine's distance screen
-#: can certify for nearly every row (its ``1e-12``-relative band
-#: straddles an 8-digit rounding boundary on well under 1% of rows).
+#: can certify for nearly every row (its ``eft.MARGINS`` band straddles
+#: an 8-digit rounding boundary on well under 1% of rows).
 ROW_DISTANCE_DIGITS = 8
 
 _ROW_DISTANCE_CONTEXT = decimal.Context(

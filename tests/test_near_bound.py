@@ -10,7 +10,14 @@ binary64 neighbours of ``u*`` the row's bound sits just below and just
 above ``d``.  At each of the three roundoffs, every row's ``sound`` and
 ``exact`` verdict, the exact maximum distances and (for the Horner60,
 mixed-sign Sum100 and SafeDiv8 batches) the rendered ``rows`` must
-equal :func:`~repro.semantics.witness.run_witness`, row by row.
+equal :func:`~repro.semantics.witness.run_witness`, row by row.  Those
+three families also run at 24 and 11 bits.  There the screen's error
+term ``E`` (``_screen_bounds``) is the whole band: ``slack = 2E`` is
+70-1,100 times the relative error ``2u·L``.  These rows pin the
+reduced-precision verdicts, but they cannot tell a band's relative term
+from zero, nor a margin with the ``2E`` widening from one without it:
+``tests/test_margins.py`` checks the widening against the contract and
+argues why the relative term is redundant there.
 
 A screen that stopped rechecking rows near their bound would call some
 of these rows sound one ulp below ``u*``, where the reference says they
@@ -158,31 +165,44 @@ _FAMILIES = [
     ("SafeDiv", safe_div_sum, 8, "x"),
 ]
 
+#: Each family's forward precision: binary64, then 24 and 11 bits, where
+#: distances are ~1e-7 to ~1e-3 and the screen's error term ``E`` sets
+#: its margins (``_screen_bounds`` widens them to ``2E``).
+_PRECISIONS = (53, 24, 11)
 
-@pytest.fixture(scope="module", params=_FAMILIES, ids=lambda f: f"{f[0]}{f[2]}")
+
+def _family_id(param) -> str:
+    (family, _, n, _), bits = param
+    return f"{family}{n}" if bits == 53 else f"{family}{n}@{bits}bits"
+
+
+@pytest.fixture(scope="module",
+                params=[(f, bits) for f in _FAMILIES for bits in _PRECISIONS],
+                ids=_family_id)
 def family_on_bound(request):
-    family, make, n, param = request.param
+    (family, make, n, param), bits = request.param
     definition = make(n)
+    lens = None if bits == 53 else lens_of_definition(definition, precision_bits=bits)
     inputs = _family_inputs(family, n)
     u_stars = [
         _u_on_bound(r.params[param].distance, r.params[param].grade.coeff)
-        for r in (run_witness(definition, _row(inputs, j), u=2.0**-53)
+        for r in (run_witness(definition, _row(inputs, j), u=2.0**-53, lens=lens)
                   for j in range(FAMILY_ROWS))
     ]
-    return definition, inputs, u_stars, param
+    return definition, inputs, u_stars, param, bits, lens
 
 
-def _family_scalar(definition, inputs, u):
-    return [run_witness(definition, _row(inputs, j), u=u)
+def _family_scalar(definition, inputs, u, lens):
+    return [run_witness(definition, _row(inputs, j), u=u, lens=lens)
             for j in range(FAMILY_ROWS)]
 
 
 @pytest.mark.parametrize("row", range(FAMILY_ROWS))
 def test_family_row_straddles_its_bound(family_on_bound, row):
-    definition, inputs, u_stars, param = family_on_bound
+    definition, inputs, u_stars, param, _, lens = family_on_bound
     below, above = (
         run_witness(definition, _row(inputs, row), u=math.nextafter(
-            u_stars[row], toward))
+            u_stars[row], toward), lens=lens)
         for toward in (0.0, 1.0)
     )
     assert not below.params[param].within_bound
@@ -192,12 +212,13 @@ def test_family_row_straddles_its_bound(family_on_bound, row):
 @pytest.mark.parametrize("ulps", [-1, 0, 1])
 @pytest.mark.parametrize("row", range(FAMILY_ROWS))
 def test_family_batch_and_rows_match_on_the_bound(family_on_bound, row, ulps):
-    definition, inputs, u_stars, _ = family_on_bound
+    definition, inputs, u_stars, _, bits, lens = family_on_bound
     u = u_stars[row]
     if ulps:
         u = math.nextafter(u, 1.0 if ulps > 0 else 0.0)
-    batch = run_witness_batch(definition, inputs, u=u, collect_rows=True)
-    scalar = _family_scalar(definition, inputs, u)
+    batch = run_witness_batch(definition, inputs, u=u, collect_rows=True,
+                              precision_bits=bits)
+    scalar = _family_scalar(definition, inputs, u, lens)
     assert [bool(s) for s in batch.sound] == [r.sound for r in scalar]
     assert [bool(e) for e in batch.exact] == [r.exact_match for r in scalar]
     for name in batch.param_max_distance:
